@@ -361,9 +361,7 @@ def _verify_lines(cfg: ExperimentConfig):
 
 
 def cmd_verify(args) -> int:
-    cfg = ExperimentConfig(
-        seed=args.seed, max_n=args.max_n, trials=args.trials, fmt=args.format, out=args.out
-    )
+    cfg = ExperimentConfig(seed=args.seed, max_n=args.max_n, trials=args.trials, out=args.out)
     lines = _verify_lines(cfg)
     text = "\n".join(line for _, line in lines) + "\n"
     if cfg.out:
@@ -451,13 +449,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-n", type=int, default=8, dest="max_n")
     ver.add_argument("--trials", type=int, default=2000)
-    ver.add_argument("--format", default="csv", choices=("csv", "json"))
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
     gap = sub.add_parser("gap-demo", help="harmonic gap between strategy and certificate cost")
     gap.add_argument("--ns", default="4,8,16", help="comma-separated sizes")
-    gap.add_argument("--seed", type=int, default=0)
     gap.add_argument("--format", default="csv", choices=("csv", "json"))
     gap.add_argument("--out", default=None)
     gap.set_defaults(func=cmd_gap_demo)

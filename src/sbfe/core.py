@@ -352,51 +352,56 @@ def certificate_check(f, b: Partial) -> Optional[object]:
 # State must be an immutable value so branches of the evaluation can share it.
 
 
+def walk_policy(policy, n: int, leaf, branch):
+    """Fold over the decision tree a policy induces on n positions.
+
+    Post-order: ``leaf(b, state, path)`` gives the value where the policy
+    stops, with b the final partial assignment and path the (index, outcome)
+    steps that led there; ``branch(i, if0, if1)`` combines the values of the
+    two outcomes of test i.  Outcome 0 is visited first.  A test that is out
+    of range or already done raises PolicyError; since a legal test needs an
+    untested position, this also stops any path at n tests.
+    """
+
+    def rec(b, state, path):
+        i = policy.next_test(b, state)
+        if i is None:
+            return leaf(b, state, path)
+        if not 0 <= i < n or b[i] != STAR:
+            raise PolicyError(f"policy requested illegal test {i} at {to_string(b)}")
+        return branch(
+            i,
+            rec(extend(b, i, 0), policy.advance(b, state, i, 0), path + ((i, 0),)),
+            rec(extend(b, i, 1), policy.advance(b, state, i, 1), path + ((i, 1),)),
+        )
+
+    return rec(stars(n), policy.initial_state(), ())
+
+
 def expected_cost(policy, d, c) -> float:
     """Exact expected testing cost of a policy under a product distribution.
 
-    Recursively traverses the induced decision tree, weighting the two
-    outcomes of each test by p_i and (1 - p_i).  Equals the sum over all x
-    of p(x) times the cost the policy incurs on x.
+    Folds over the induced decision tree, weighting the two outcomes of each
+    test by p_i and (1 - p_i).  Equals the sum over all x of p(x) times the
+    cost the policy incurs on x.
     """
     p = as_probabilities(d)
     cc = as_costs(c)
     n = len(p)
     if len(cc) != n:
         raise ValueError("arity mismatch between costs and distribution")
-
-    def rec(b, state, depth):
-        i = policy.next_test(b, state)
-        if i is None:
-            return 0.0
-        if not 0 <= i < n or b[i] != STAR:
-            raise PolicyError(f"policy requested illegal test {i} at {to_string(b)}")
-        if depth >= n:
-            raise PolicyError("policy did not terminate within n tests")
-        hi = rec(extend(b, i, 1), policy.advance(b, state, i, 1), depth + 1)
-        lo = rec(extend(b, i, 0), policy.advance(b, state, i, 0), depth + 1)
-        return cc[i] + p[i] * hi + (1.0 - p[i]) * lo
-
-    return rec(stars(n), policy.initial_state(), 0)
+    return walk_policy(
+        policy,
+        n,
+        lambda b, state, path: 0.0,
+        lambda i, lo, hi: cc[i] + p[i] * hi + (1.0 - p[i]) * lo,
+    )
 
 
 def policy_tree(policy, n: int, label_fn: Callable[[Partial], object]) -> DecisionTree:
     """Materialize a policy as an explicit decision tree; leaves are labelled
     by ``label_fn`` applied to the final partial assignment."""
-
-    def rec(b, state, depth):
-        i = policy.next_test(b, state)
-        if i is None:
-            return Leaf(label_fn(b))
-        if not 0 <= i < n or b[i] != STAR or depth >= n:
-            raise PolicyError(f"policy requested illegal test {i} at {to_string(b)}")
-        return Branch(
-            i,
-            rec(extend(b, i, 0), policy.advance(b, state, i, 0), depth + 1),
-            rec(extend(b, i, 1), policy.advance(b, state, i, 1), depth + 1),
-        )
-
-    return rec(stars(n), policy.initial_state(), 0)
+    return walk_policy(policy, n, lambda b, state, path: Leaf(label_fn(b)), Branch)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .core import (
     stars,
     to_string,
 )
-from .utility import UtilityFunction, marginal
+from .utility import UtilityFunction, expected_gain, marginal
 
 EPS = 1e-9  # tolerance for all ratio comparisons; utilities themselves are exact
 
@@ -72,22 +72,25 @@ def alpha_of_trace(g: UtilityFunction, a: Optional[Assignment], trace: RunTrace)
                 raise ValueError("trace outcomes disagree with the given assignment")
     if not trace.tested:
         return 1.0
-    n = g.arity
-    prefixes = trace.prefixes(n)
-    worst = 0.0
-    for t in range(len(trace.tested)):
-        base_b = prefixes[t]
-        base_v = g.fn(base_b)
+    samples = prefix_ratios(g, tuple(zip(trace.tested, trace.outcomes)))
+    return max([0.0] + [r for _, r in samples])
+
+
+def prefix_ratios(g: UtilityFunction, steps) -> tuple:
+    """(t, ratio) for each prefix t of a run, given as (index, outcome) steps,
+    that is short of the goal: the utility the steps from t on would each add
+    at that prefix, summed, over the utility still missing there."""
+    fn = g.fn
+    b = stars(g.arity)
+    samples = []
+    for t, (i, v) in enumerate(steps):
+        base_v = fn(b)
         denom = g.goal - base_v
-        if denom <= 0:
-            continue
-        total = 0
-        for pos, (i, v) in enumerate(zip(trace.tested, trace.outcomes)):
-            if pos < t:
-                continue  # already inside the prefix, gain 0
-            total += g.fn(extend(base_b, i, v)) - base_v
-        worst = max(worst, total / denom)
-    return worst
+        if denom > 0:
+            total = sum(fn(extend(b, j, w)) - base_v for j, w in steps[t:])
+            samples.append((t, total / denom))
+        b = extend(b, i, v)
+    return tuple(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +125,9 @@ class GreedyPolicy:
             return None
         best = None
         best_ratio = 0.0
-        fn, p, c = g.fn, self.p, self.c
+        p, c = self.p, self.c
         for j in range(g.arity):
-            if b[j] != STAR:
-                continue
-            up = fn(extend(b, j, 1)) - base
-            down = fn(extend(b, j, 0)) - base
-            if up < 0 or down < 0:
-                raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}")
-            eg = p[j] * up + (1.0 - p[j]) * down
+            eg = expected_gain(g, b, j, p, base)
             if eg <= 0.0:
                 continue
             # strict comparison: exact ties (bitwise-equal ratios, common
@@ -168,21 +165,14 @@ class DualGreedyPolicy:
     def initial_state(self):
         return ((stars(self.g.arity),), ())
 
-    def _gain(self, b: Partial, j: int) -> float:
-        fn = self.g.fn
-        base = fn(b)
-        up = fn(extend(b, j, 1)) - base
-        down = fn(extend(b, j, 0)) - base
-        if up < 0 or down < 0:
-            raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}")
-        return self.p[j] * up + (1.0 - self.p[j]) * down
-
     def _adjusted(self, state, j: int) -> float:
         prefixes, ys = state
+        g = self.g
         credit = 0.0
         for t, y in enumerate(ys):
             if y != 0.0:
-                credit += y * self._gain(prefixes[t], j)
+                pfx = prefixes[t]
+                credit += y * expected_gain(g, pfx, j, self.p, g.fn(pfx))
         num = self.c[j] - credit
         if num < -EPS:
             raise InvalidUtilityError(
@@ -192,14 +182,13 @@ class DualGreedyPolicy:
 
     def next_test(self, b: Partial, state) -> Optional[int]:
         g = self.g
-        if g.fn(b) >= g.goal:
+        base = g.fn(b)
+        if base >= g.goal:
             return None
         best = None
         best_ratio = 0.0
         for j in range(g.arity):
-            if b[j] != STAR:
-                continue
-            eg = self._gain(b, j)
+            eg = expected_gain(g, b, j, self.p, base)
             if eg <= 0.0:
                 continue
             ratio = self._adjusted(state, j) / eg
@@ -215,7 +204,8 @@ class DualGreedyPolicy:
 
     def advance(self, b: Partial, state, i: int, outcome: int):
         prefixes, ys = state
-        y = max(0.0, self._adjusted(state, i) / self._gain(b, i))
+        g = self.g
+        y = max(0.0, self._adjusted(state, i) / expected_gain(g, b, i, self.p, g.fn(b)))
         return (prefixes + (extend(b, i, outcome),), ys + (y,))
 
 
@@ -331,26 +321,6 @@ def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     samples that certify the run's approximation factor."""
     tested, outs, cost, state = _run(DualGreedyPolicy(g, d, c), outcomes, g.arity, c)
     _, ys = state
-    trace = RunTrace(tested, outs, cost, dual_values=ys)
-    samples = _prefix_ratios(g, trace)
+    samples = prefix_ratios(g, tuple(zip(tested, outs)))
     return RunTrace(tested, outs, cost, dual_values=ys, alpha_samples=samples)
 
-
-def _prefix_ratios(g: UtilityFunction, trace: RunTrace) -> tuple:
-    if not trace.tested:
-        return ()
-    prefixes = trace.prefixes(g.arity)
-    samples = []
-    for t in range(len(trace.tested)):
-        base_b = prefixes[t]
-        base_v = g.fn(base_b)
-        denom = g.goal - base_v
-        if denom <= 0:
-            continue
-        total = sum(
-            g.fn(extend(base_b, i, v)) - base_v
-            for pos, (i, v) in enumerate(zip(trace.tested, trace.outcomes))
-            if pos >= t
-        )
-        samples.append((t, total / denom))
-    return tuple(samples)

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 
 from .core import (
     Assignment,
+    ConstantFunctionError,
     LimitError,
     Partial,
     ProductDistribution,
@@ -38,6 +39,21 @@ def _engine(name: str):
     raise ValueError(f"unknown engine {name!r}")
 
 
+def _evaluate(build, engine: str, read, d, c, outcomes) -> tuple:
+    """Run ``engine`` on the utility ``build()`` returns and return the answer
+    ``read`` takes from the final assignment, with the run's trace.  Nothing
+    is tested when the function is constant or the goal is already met."""
+    try:
+        g = build()
+    except ConstantFunctionError as exc:
+        return exc.value, _EMPTY
+    trace = _EMPTY if g.goal == 0 else _engine(engine)(g, d, c, outcomes)
+    value = read(trace.final(g.arity))
+    if value is None:
+        raise RuntimeError(f"{engine} policy stopped before certifying; utility broken")
+    return value, trace
+
+
 # ---------------------------------------------------------------------------
 # single-formula evaluation
 
@@ -49,39 +65,18 @@ def evaluate_cdnf(f: CdnfFormula, d, c, outcomes) -> tuple:
     satisfied means 1, all terms falsified means 0.  Constant formulas are
     answered immediately at zero cost.
     """
-    cv = f.constant_value()
-    if cv is not None:
-        return cv, _EMPTY
-    trace = adaptive_greedy(cdnf_utility(f), d, c, outcomes)
-    value = f.certificate(trace.final(f.arity))
-    if value is None:
-        raise RuntimeError("greedy stopped before certifying; utility broken")
-    return value, trace
+    return _evaluate(lambda: cdnf_utility(f), "greedy", f.certificate, d, c, outcomes)
 
 
 def evaluate_threshold_greedy(f: ThresholdFormula, d, c, outcomes) -> tuple:
     """Evaluate a linear threshold formula with the greedy policy."""
-    cv = f.constant_value()
-    if cv is not None:
-        return cv, _EMPTY
-    trace = adaptive_greedy(threshold_utility(f), d, c, outcomes)
-    value = f.certificate(trace.final(f.arity))
-    if value is None:
-        raise RuntimeError("greedy stopped before certifying; utility broken")
-    return value, trace
+    return _evaluate(lambda: threshold_utility(f), "greedy", f.certificate, d, c, outcomes)
 
 
 def evaluate_threshold_adg(f: ThresholdFormula, d, c, outcomes) -> tuple:
     """Evaluate a linear threshold formula with the dual greedy policy; the
     observed per-prefix ratios in the trace stay below 3."""
-    cv = f.constant_value()
-    if cv is not None:
-        return cv, _EMPTY
-    trace = adaptive_dual_greedy(threshold_utility(f), d, c, outcomes)
-    value = f.certificate(trace.final(f.arity))
-    if value is None:
-        raise RuntimeError("dual greedy stopped before certifying; utility broken")
-    return value, trace
+    return _evaluate(lambda: threshold_utility(f), "adg", f.certificate, d, c, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +140,7 @@ class ThresholdSet:
 def simultaneous_thresholds(fs, d, c, outcomes, engine: str = "greedy") -> tuple:
     """Evaluate every formula on the same hidden input with one policy run."""
     inst = fs if isinstance(fs, ThresholdSet) else ThresholdSet(tuple(fs))
-    g = inst.utility()
-    if g.goal == 0:
-        trace = _EMPTY
-    else:
-        trace = _engine(engine)(g, d, c, outcomes)
-    bits = inst.certificate(trace.final(inst.arity))
-    if bits is None:
-        raise RuntimeError("policy stopped before certifying every formula")
-    return bits, trace
+    return _evaluate(inst.utility, engine, inst.certificate, d, c, outcomes)
 
 
 def or_threshold(n: int, members: Sequence[int]) -> ThresholdFormula:
@@ -265,12 +252,9 @@ def rank_linear_functions(sys: LinearSystem, d, c, outcomes) -> tuple:
     """
     if sys.m < 2:
         raise ValueError("ranking needs at least two functions")
-    g = ranking_utility(sys)
-    if g.goal == 0:
-        trace = _EMPTY
-    else:
-        trace = _engine("greedy")(g, d, c, outcomes)
-    return _extract_ranking(sys, trace.final(sys.arity)), trace
+    return _evaluate(
+        lambda: ranking_utility(sys), "greedy", lambda b: _extract_ranking(sys, b), d, c, outcomes
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .core import (
     InvalidUtilityError,
     Partial,
     all_assignments,
-    as_probabilities,
     extend,
+    to_string,
     tree_leaf_paths,
 )
 
@@ -63,16 +63,18 @@ def marginal(g: UtilityFunction, b: Partial, i: int, l: int) -> int:
     return gain
 
 
-def expected_gain(g: UtilityFunction, b: Partial, i: int, d) -> float:
-    """p_i * gain(i, 1) + (1 - p_i) * gain(i, 0); 0 when i is already tested."""
+def expected_gain(g: UtilityFunction, b: Partial, i: int, p, base: int) -> float:
+    """p_i * gain(i, 1) + (1 - p_i) * gain(i, 0); 0 when i is already tested.
+
+    ``p`` is the tuple of probabilities and ``base`` the value g.fn(b), which
+    callers scanning many positions at one b compute once.
+    """
     if b[i] != STAR:
         return 0.0
-    p = as_probabilities(d)
-    base = g.fn(b)
     up = g.fn(extend(b, i, 1)) - base
     down = g.fn(extend(b, i, 0)) - base
     if up < 0 or down < 0:
-        raise InvalidUtilityError(f"monotonicity violated at {b}, position {i}")
+        raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {i}")
     return p[i] * up + (1.0 - p[i]) * down
 
 

@@ -24,9 +24,9 @@ from .core import (
     extensions,
     optimal_expected_cost,
     prob_of,
-    stars,
+    walk_policy,
 )
-from .policies import DualGreedyPolicy, GreedyPolicy, bounds
+from .policies import DualGreedyPolicy, GreedyPolicy, bounds, prefix_ratios
 from .utility import UtilityFunction
 
 DUAL_EPS = 1e-9
@@ -204,22 +204,17 @@ def check_dual_feasibility(
     traces = {}
     prefix_cache = {}
 
-    def walk(b, state, path):
-        i = pol.next_test(b, state)
-        if i is None:
-            prefixes, ys = state
-            tested = tuple(idx for idx, _ in path)
-            outs = tuple(v for _, v in path)
-            cost = sum(cc[idx] for idx in tested)
-            tr = RunTrace(tested, outs, cost, dual_values=ys)
-            for a in extensions(b):
-                traces[a] = tr
-                prefix_cache[a] = prefixes
-            return
-        for v in (0, 1):
-            walk(extend(b, i, v), pol.advance(b, state, i, v), path + [(i, v)])
+    def leaf(b, state, path):
+        prefixes, ys = state
+        tested = tuple(idx for idx, _ in path)
+        outs = tuple(v for _, v in path)
+        cost = sum(cc[idx] for idx in tested)
+        tr = RunTrace(tested, outs, cost, dual_values=ys)
+        for a in extensions(b):
+            traces[a] = tr
+            prefix_cache[a] = prefixes
 
-    walk(stars(n), pol.initial_state(), [])
+    walk_policy(pol, n, leaf, lambda i, if0, if1: None)
 
     fn = g.fn
 
@@ -288,34 +283,12 @@ def observed_alpha(g: UtilityFunction, d, c, *, limit: int = 12) -> float:
     n = g.arity
     if n > limit:
         raise LimitError(f"alpha scan limited to n <= {limit}, got {n}")
-    pol = DualGreedyPolicy(g, d, c)
-    fn = g.fn
-    worst = 1.0
-
-    def leaf_ratios(path):
-        nonlocal worst
-        prefixes = [stars(n)]
-        for i, v in path:
-            prefixes.append(extend(prefixes[-1], i, v))
-        for t in range(len(path)):
-            base_b = prefixes[t]
-            base_v = fn(base_b)
-            denom = g.goal - base_v
-            if denom <= 0:
-                continue
-            total = sum(fn(extend(base_b, i, v)) - base_v for i, v in path[t:])
-            worst = max(worst, total / denom)
-
-    def walk(b, state, path):
-        i = pol.next_test(b, state)
-        if i is None:
-            leaf_ratios(path)
-            return
-        for v in (0, 1):
-            walk(extend(b, i, v), pol.advance(b, state, i, v), path + [(i, v)])
-
-    walk(stars(n), pol.initial_state(), [])
-    return worst
+    return walk_policy(
+        DualGreedyPolicy(g, d, c),
+        n,
+        lambda b, state, path: max([1.0] + [r for _, r in prefix_ratios(g, path)]),
+        lambda i, if0, if1: max(if0, if1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -128,4 +128,9 @@ class TestUsage:
         assert main([]) == 2
 
     def test_unknown_flag_exits_two(self, capsys):
-        assert main(["eval", "--bogus"]) == 2
+        for argv in (
+            ["eval", "--bogus"],
+            ["verify", "--format", "json"],
+            ["gap-demo", "--seed", "1"],
+        ):
+            assert main(argv) == 2, argv

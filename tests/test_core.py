@@ -33,7 +33,13 @@ from sbfe.core import (
     tree_tests_on,
 )
 from sbfe.instances import cdnf_battery, threshold_battery
-from sbfe.policies import FixedOrderPolicy, GreedyPolicy, cost_order_policy, cp_ratio_policy
+from sbfe.policies import (
+    DualGreedyPolicy,
+    FixedOrderPolicy,
+    GreedyPolicy,
+    cost_order_policy,
+    cp_ratio_policy,
+)
 from sbfe.problems import disjunction_formula, harmonic_gap_instance
 from sbfe.utility import CdnfFormula, ThresholdFormula, cdnf_utility
 
@@ -128,12 +134,18 @@ class TestExpectedCost:
         )
 
     def test_matches_enumeration_on_greedy(self):
+        # the tree walk against one run per input, for a stateless policy,
+        # the stateful dual greedy and a fixed order with a stop rule
         for case in cdnf_battery(5, seed=11, n_lo=2, n_hi=5):
             g = cdnf_utility(case.f)
-            policy = GreedyPolicy(g, case.dist, case.costs)
-            assert expected_cost(policy, case.dist, case.costs) == pytest.approx(
-                enumeration_expected_cost(policy, case.dist, case.costs, g.arity), abs=1e-9
-            )
+            for policy in (
+                GreedyPolicy(g, case.dist, case.costs),
+                DualGreedyPolicy(g, case.dist, case.costs),
+                cost_order_policy(case.costs, case.f),
+            ):
+                assert expected_cost(policy, case.dist, case.costs) == pytest.approx(
+                    enumeration_expected_cost(policy, case.dist, case.costs, g.arity), abs=1e-9
+                )
 
     def test_non_terminating_policy_flagged(self):
         class Stubborn:
@@ -146,8 +158,21 @@ class TestExpectedCost:
             def advance(self, b, state, i, outcome):
                 return None
 
-        with pytest.raises(PolicyError):
-            expected_cost(Stubborn(), ProductDistribution.uniform(2), (1.0, 1.0))
+        class Repeater(Stubborn):
+            # tests 0, then 1, then asks for 0 again
+            def next_test(self, b, state):
+                return 1 if b[1] == STAR and b[0] != STAR else 0
+
+        class OutOfRange(Stubborn):
+            def next_test(self, b, state):
+                return len(b)
+
+        d = ProductDistribution.uniform(3)
+        for policy in (Stubborn(), Repeater(), OutOfRange()):
+            with pytest.raises(PolicyError):
+                expected_cost(policy, d, (1.0, 1.0, 1.0))
+            with pytest.raises(PolicyError):
+                policy_tree(policy, 3, to_string)
 
 
 class TestOptimalOracle:

@@ -79,7 +79,7 @@ class TestAdaptiveGreedy:
             for t, chosen in enumerate(tr.tested):
                 b = tr.prefixes(g.arity)[t]
                 gains = {
-                    j: expected_gain(g, b, j, case.dist)
+                    j: expected_gain(g, b, j, case.dist.p, g.fn(b))
                     for j in range(g.arity)
                     if b[j] == STAR
                 }
@@ -121,7 +121,7 @@ class TestAdaptiveDualGreedy:
         g = threshold_utility(ThresholdFormula((1, 1), 1))
         d = ProductDistribution.uniform(2)
         tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (1, 0))
-        root_gain = expected_gain(g, stars(2), tr.tested[0], d)
+        root_gain = expected_gain(g, stars(2), tr.tested[0], d.p, 0)
         assert tr.dual_values[0] == pytest.approx(1.0 / root_gain)
 
     def test_duals_nonnegative_and_cover_reached(self):

@@ -59,7 +59,7 @@ class TestMarginals:
     def test_tested_position_gains_nothing(self):
         g = cdnf_utility(conjunction_formula(2))
         assert marginal(g, (1, STAR), 0, 0) == 0
-        assert expected_gain(g, (1, STAR), 0, ProductDistribution.uniform(2)) == 0.0
+        assert expected_gain(g, (1, STAR), 0, (0.5, 0.5), g.fn((1, STAR))) == 0.0
 
     def test_threshold_jump(self):
         g = threshold_utility(ThresholdFormula((1, 1), 1))
@@ -69,8 +69,8 @@ class TestMarginals:
     def test_expected_gain_or(self):
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution.uniform(2)
-        assert expected_gain(g, (STAR, STAR), 0, d) == pytest.approx(1.5)
-        assert expected_gain(g, (STAR, STAR), 1, d) == pytest.approx(1.5)
+        assert expected_gain(g, (STAR, STAR), 0, d.p, 0) == pytest.approx(1.5)
+        assert expected_gain(g, (STAR, STAR), 1, d.p, 0) == pytest.approx(1.5)
 
     def test_broken_utility_detected(self):
         g = UtilityFunction(1, 1, lambda b: 1 if b[0] == STAR else 0)
