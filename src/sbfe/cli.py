@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -49,6 +48,7 @@ from .verify import (
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
+    cost_ratio,
     make_adg_driver,
     make_greedy_driver,
     make_policy_driver,
@@ -71,16 +71,6 @@ COLUMNS = (
 RATIO_TOL = 1e-6
 
 
-@dataclass
-class ExperimentConfig:
-    engine: str = "greedy"
-    seed: int = 0
-    max_n: int = 14
-    trials: int = 2000
-    fmt: str = "csv"
-    out: Optional[str] = None
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -95,14 +85,8 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit_rows(rows, fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [",".join(COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(row[col]) for col in COLUMNS))
-        text = "\n".join(lines) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
+    """Write a report to the ``--out`` path, or to stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -110,37 +94,33 @@ def _emit_rows(rows, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_rows(rows, columns, fmt: str, out: Optional[str]) -> None:
+    if fmt == "json":
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(_fmt_cell(row[col]) for col in columns))
+        text = "\n".join(lines) + "\n"
+    _write(text, out)
+
+
 # ---------------------------------------------------------------------------
 # eval
 
-
-def _instance_oracle(inst: Instance):
-    """Object with arity/evaluate/certificate for the exhaustive optimum."""
-    if inst.kind == "linear-system":
-        return RankingInstance(inst.f)
-    return inst.f
-
-
-def _instance_utility(inst: Instance):
-    if inst.kind == "threshold":
-        return threshold_utility(inst.f)
-    if inst.kind == "thresholds":
-        return inst.f.utility()
-    if inst.kind in ("cdnf", "disjunction"):
-        return cdnf_utility(inst.f)
-    if inst.kind == "truthtable":
-        return truth_table_utility(inst.f)
-    if inst.kind == "linear-system":
-        return ranking_utility(inst.f)
-    raise InstanceFormatError(f"no utility construction for kind {inst.kind!r}")
-
-
-def _adg_claimed_bound(inst: Instance, alpha: Optional[float]) -> Optional[float]:
-    if inst.kind == "threshold":
-        return 3.0
-    if inst.kind == "thresholds":
-        return float(inst.f.d_max)
-    return alpha
+# kind -> (utility builder, the object the exhaustive optimum and the
+# baseline evaluate, claimed dual-greedy bound from the formula and the
+# observed alpha).  Knapsack is not here: eval_instance solves it directly.
+# The builders are looked up in this module when called, so a caller that
+# replaces sbfe.cli.threshold_utility and the others sees every build.
+_EVAL = {
+    "threshold": (lambda f: threshold_utility(f), lambda f: f, lambda f, alpha: 3.0),
+    "thresholds": (lambda f: f.utility(), lambda f: f, lambda f, alpha: float(f.d_max)),
+    "cdnf": (lambda f: cdnf_utility(f), lambda f: f, lambda f, alpha: alpha),
+    "truthtable": (lambda f: truth_table_utility(f), lambda f: f, lambda f, alpha: alpha),
+    "linear-system": (lambda f: ranking_utility(f), RankingInstance, lambda f, alpha: alpha),
+    "disjunction": (lambda f: cdnf_utility(f), lambda f: f, lambda f, alpha: alpha),
+}
 
 
 def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
@@ -151,72 +131,18 @@ def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
     return total / trials
 
 
-def _eval_knapsack(inst: Instance) -> dict:
-    _, cost = min_knapsack_adg(inst.f)
-    _, opt = min_knapsack_bruteforce(inst.f)
-    ratio = 1.0 if opt == 0 and cost <= RATIO_TOL else (cost / opt if opt else math.inf)
-    return {
-        "instance-id": inst.id,
-        "kind": inst.kind,
-        "n": inst.n,
-        "engine": "adg",
-        "expected_cost": cost,
-        "opt": opt,
-        "ratio": ratio,
-        "bound": 2.0,
-        "alpha": None,
-        "pass": cost <= 2.0 * opt + RATIO_TOL,
-    }
-
-
-def eval_instance(inst: Instance, cfg: ExperimentConfig) -> dict:
-    if inst.kind == "knapsack":
-        return _eval_knapsack(inst)
-
-    try:
-        g = _instance_utility(inst)
-    except ConstantFunctionError:
-        g = None
-
-    alpha = None
-    if g is None:
-        cost = 0.0
-        bound = 0.0
-    elif cfg.engine == "greedy":
-        policy = GreedyPolicy(g, inst.dist, inst.costs)
-        bound = bounds(g).lnq_bound
-    elif cfg.engine == "adg":
-        policy = DualGreedyPolicy(g, inst.dist, inst.costs)
-        if inst.n <= min(cfg.max_n, 12):
-            alpha = observed_alpha(g, inst.dist, inst.costs)
-        bound = _adg_claimed_bound(inst, alpha)
-    elif cfg.engine == "baseline":
-        policy = cost_order_policy(inst.costs, _instance_oracle(inst))
-        bound = float(inst.n)
-    else:
-        raise InstanceFormatError(f"unknown engine {cfg.engine!r}")
-
-    if g is not None:
-        if inst.n <= cfg.max_n:
-            cost = expected_cost(policy, inst.dist, inst.costs)
-        else:
-            cost = _sampled_cost(policy, inst, max(1, cfg.trials), cfg.seed)
-
-    opt = None
-    if inst.n <= cfg.max_n:
-        opt, _ = optimal_expected_cost(_instance_oracle(inst), inst.dist, inst.costs, limit=cfg.max_n)
-
+def _report_row(inst: Instance, engine: str, cost, opt, bound, alpha) -> dict:
     ratio = None
     passed = None
     if opt is not None:
-        ratio = 1.0 if opt == 0 and cost <= RATIO_TOL else (cost / opt if opt else math.inf)
+        ratio = cost_ratio(cost, opt, RATIO_TOL)
         if bound is not None:
             passed = cost <= bound * opt + RATIO_TOL
     return {
         "instance-id": inst.id,
         "kind": inst.kind,
         "n": inst.n,
-        "engine": cfg.engine if g is not None else "constant",
+        "engine": engine,
         "expected_cost": cost,
         "opt": opt,
         "ratio": ratio,
@@ -226,11 +152,50 @@ def eval_instance(inst: Instance, cfg: ExperimentConfig) -> dict:
     }
 
 
+def eval_instance(inst: Instance, args) -> dict:
+    """One report row; ``args`` holds the ``eval`` flags."""
+    if inst.kind == "knapsack":
+        _, cost = min_knapsack_adg(inst.f)
+        _, opt = min_knapsack_bruteforce(inst.f)
+        return _report_row(inst, "adg", cost, opt, 2.0, None)
+
+    build, oracle, adg_bound = _EVAL[inst.kind]
+    try:
+        g = build(inst.f)
+    except ConstantFunctionError:
+        g = None
+
+    alpha = None
+    if g is None:
+        cost = 0.0
+        bound = 0.0
+    elif args.engine == "greedy":
+        policy = GreedyPolicy(g, inst.dist, inst.costs)
+        bound = bounds(g).lnq_bound
+    elif args.engine == "adg":
+        policy = DualGreedyPolicy(g, inst.dist, inst.costs)
+        if inst.n <= min(args.max_n, 12):
+            alpha = observed_alpha(g, inst.dist, inst.costs)
+        bound = adg_bound(inst.f, alpha)
+    elif args.engine == "baseline":
+        policy = cost_order_policy(inst.costs, oracle(inst.f))
+        bound = float(inst.n)
+    else:
+        raise InstanceFormatError(f"unknown engine {args.engine!r}")
+
+    if g is not None:
+        if inst.n <= args.max_n:
+            cost = expected_cost(policy, inst.dist, inst.costs)
+        else:
+            cost = _sampled_cost(policy, inst, max(1, args.trials), args.seed)
+
+    opt = None
+    if inst.n <= args.max_n:
+        opt, _ = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs, limit=args.max_n)
+    return _report_row(inst, args.engine if g is not None else "constant", cost, opt, bound, alpha)
+
+
 def cmd_eval(args) -> int:
-    cfg = ExperimentConfig(
-        engine=args.engine, seed=args.seed, max_n=args.max_n, trials=args.trials,
-        fmt=args.format, out=args.out,
-    )
     rows = []
     for path in args.instances:
         try:
@@ -239,12 +204,12 @@ def cmd_eval(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
         try:
-            rows.append(eval_instance(inst, cfg))
+            rows.append(eval_instance(inst, args))
         except LimitError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     rows.sort(key=lambda r: r["instance-id"])
-    _emit_rows(rows, cfg.fmt, cfg.out)
+    _emit_rows(rows, COLUMNS, args.format, args.out)
     return 0 if all(r["pass"] is not False for r in rows) else 1
 
 
@@ -258,12 +223,7 @@ def cmd_gen(args) -> int:
     except (InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = inst_mod.dumps(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(inst_mod.dumps(inst), args.out)
     return 0
 
 
@@ -271,9 +231,9 @@ def cmd_gen(args) -> int:
 # verify
 
 
-def _verify_lines(cfg: ExperimentConfig):
-    seed = cfg.seed
-    n_small = min(cfg.max_n, 6)
+def _verify_lines(args):
+    seed = args.seed
+    n_small = min(args.max_n, 6)
     lines = []
 
     def record(name: str, ok: bool, detail: str = ""):
@@ -292,7 +252,7 @@ def _verify_lines(cfg: ExperimentConfig):
         record(f"axioms exhaustive {name} (n={g.arity})", rep.ok, rep.message)
     for case in inst_mod.threshold_battery(2, seed + 3, n_lo=8, n_hi=8):
         g = threshold_utility(case.f)
-        rep = check_axioms(g, "random", trials=cfg.trials, seed=seed)
+        rep = check_axioms(g, "random", trials=args.trials, seed=seed)
         record(f"axioms random threshold (n={g.arity}, {rep.checked} checks)", rep.ok, rep.message)
 
     # Goal-certificate equivalence.
@@ -314,7 +274,7 @@ def _verify_lines(cfg: ExperimentConfig):
         )
 
     # Cost ratios against the exhaustive optimum.
-    n_hi = min(cfg.max_n, 8)
+    n_hi = min(args.max_n, 8)
     rep = ratio_vs_opt(
         make_adg_driver(threshold_utility, lambda case, g: 3.0),
         inst_mod.threshold_battery(10, seed + 7, n_lo=3, n_hi=n_hi),
@@ -361,14 +321,8 @@ def _verify_lines(cfg: ExperimentConfig):
 
 
 def cmd_verify(args) -> int:
-    cfg = ExperimentConfig(seed=args.seed, max_n=args.max_n, trials=args.trials, out=args.out)
-    lines = _verify_lines(cfg)
-    text = "\n".join(line for _, line in lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines = _verify_lines(args)
+    _write("\n".join(line for _, line in lines) + "\n", args.out)
     ok = all(flag for flag, _ in lines)
     if not ok:
         print("verification failed", file=sys.stderr)
@@ -400,19 +354,7 @@ def cmd_gap_demo(args) -> int:
                 "gap": opt / cert if cert else math.inf,
             }
         )
-    if args.format == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    else:
-        cols = ("n", "opt", "harmonic", "certificate_cost", "gap")
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(row[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_rows(rows, ("n", "opt", "harmonic", "certificate_cost", "gap"), args.format, args.out)
     return 0
 
 

@@ -8,6 +8,7 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -179,13 +180,15 @@ class ProductDistribution:
 
 @dataclass(frozen=True)
 class CostVector:
-    """Nonnegative per-test costs."""
+    """Finite nonnegative per-test costs."""
 
     c: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         for i, v in enumerate(self.c):
+            if not math.isfinite(v):
+                raise ValueError(f"c[{i}] = {v} is not finite")
             if v < 0:
                 raise ValueError(f"c[{i}] = {v} is negative")
 

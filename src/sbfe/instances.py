@@ -10,22 +10,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import Callable
 
-from .core import Branch, ConstantFunctionError, Leaf, ProductDistribution
+from .core import Branch, ConstantFunctionError, CostVector, Leaf, ProductDistribution
 from .problems import KnapsackInstance, ThresholdSet, disjunction_formula
 from .utility import CdnfFormula, LinearSystem, ThresholdFormula, TruthTable, decision_tree_to_cdnf
 from .verify import EvalCase
 
 FORMAT = "sbfe-1"
-KINDS = (
-    "threshold",
-    "thresholds",
-    "cdnf",
-    "truthtable",
-    "linear-system",
-    "knapsack",
-    "disjunction",
-)
 
 
 class InstanceFormatError(ValueError):
@@ -54,6 +46,30 @@ class Instance:
 # serialization
 
 
+def _int(v, field: str) -> int:
+    """An integer field's value; JSON booleans and non-integral numbers are
+    refused rather than truncated."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InstanceFormatError(f"{field} must be an integer, got {v!r}")
+    return v
+
+
+def _ints(values, field: str) -> tuple:
+    return tuple(_int(v, field) for v in values)
+
+
+def _threshold_fields(f: ThresholdFormula) -> dict:
+    return {"coefficients": list(f.coeffs), "theta": f.theta}
+
+
+def _threshold_from(data: dict) -> ThresholdFormula:
+    return ThresholdFormula(
+        _ints(data["coefficients"], "coefficients"), _int(data["theta"], "theta")
+    )
+
+
 def instance_to_dict(inst: Instance) -> dict:
     out = {
         "format": FORMAT,
@@ -63,31 +79,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "p": list(inst.dist.p),
         "c": list(inst.costs),
     }
-    f = inst.f
-    if inst.kind == "threshold":
-        out["coefficients"] = list(f.coeffs)
-        out["theta"] = f.theta
-    elif inst.kind == "thresholds":
-        out["m"] = f.m
-        out["formulas"] = [
-            {"coefficients": list(sub.coeffs), "theta": sub.theta} for sub in f.formulas
-        ]
-    elif inst.kind == "cdnf":
-        out["clauses"] = [sorted(cl) for cl in f.clauses]
-        out["terms"] = [sorted(t) for t in f.terms]
-    elif inst.kind == "truthtable":
-        out["table"] = list(f.table)
-    elif inst.kind == "linear-system":
-        out["m"] = f.m
-        out["functions"] = [list(row) for row in f.coeffs]
-    elif inst.kind == "knapsack":
-        out["values"] = list(f.values)
-        out["weights"] = list(f.weights)
-        out["theta"] = f.threshold
-    elif inst.kind == "disjunction":
-        pass  # fully described by n, p, c
-    else:
-        raise InstanceFormatError(f"unknown kind {inst.kind!r}")
+    out.update(_kind(inst.kind).encode(inst.f))
     return out
 
 
@@ -98,44 +90,21 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError(f"expected format {FORMAT!r}, got {data.get('format')!r}")
     try:
         kind = data["kind"]
-        n = int(data["n"])
-        p = tuple(float(v) for v in data["p"])
-        c = tuple(float(v) for v in data["c"])
+        row = _kind(kind)
+        n = _int(data["n"], "n")
         ident = str(data.get("id", f"{kind}-n{n}"))
-        if kind == "threshold":
-            f = ThresholdFormula(tuple(data["coefficients"]), data["theta"])
-        elif kind == "thresholds":
-            f = ThresholdSet(
-                tuple(
-                    ThresholdFormula(tuple(sub["coefficients"]), sub["theta"])
-                    for sub in data["formulas"]
-                )
-            )
-        elif kind == "cdnf":
-            f = CdnfFormula(
-                n,
-                tuple(frozenset(cl) for cl in data["clauses"]),
-                tuple(frozenset(t) for t in data["terms"]),
-            )
-        elif kind == "truthtable":
-            f = TruthTable(n, tuple(data["table"]))
-        elif kind == "linear-system":
-            f = LinearSystem(tuple(tuple(row) for row in data["functions"]))
-        elif kind == "knapsack":
-            f = KnapsackInstance(tuple(data["values"]), tuple(data["weights"]), data["theta"])
-        elif kind == "disjunction":
-            f = disjunction_formula(n)
-        else:
-            raise InstanceFormatError(f"unknown kind {kind!r}")
+        f = row.decode(data, n)
+        dist = ProductDistribution(data["p"], mode="sssc" if row.covering else "sbfe")
+        costs = CostVector(data["c"]).c
     except InstanceFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"bad instance payload: {exc}") from exc
-    mode = "sssc" if kind == "knapsack" else "sbfe"
-    dist = ProductDistribution(p, mode=mode)
-    if getattr(f, "arity", n) != n and kind != "knapsack":
+    if not len(dist.p) == len(costs) == n:
+        raise InstanceFormatError(f"n is {n} but p has {len(dist.p)} and c {len(costs)} entries")
+    if getattr(f, "arity", n) != n:
         raise InstanceFormatError("declared n disagrees with the formula arity")
-    return Instance(ident, kind, f, dist, c)
+    return Instance(ident, kind, f, dist, costs)
 
 
 def dumps(inst: Instance) -> str:
@@ -207,6 +176,8 @@ def gen_cdnf(
 
 
 def gen_truth_table(rng: random.Random, n: int) -> TruthTable:
+    if n > 12:
+        raise InstanceFormatError("truth tables limited to n <= 12")
     while True:
         table = tuple(rng.randrange(2) for _ in range(1 << n))
         if 0 < sum(table) < len(table):
@@ -236,38 +207,101 @@ def gen_knapsack(rng: random.Random, n: int, max_value: int = 8, max_weight: int
     return KnapsackInstance(values, weights, theta)
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """What the file format and the generator know about one instance kind.
+
+    ``encode(f)`` gives the kind's own file fields, ``decode(data, n)``
+    rebuilds the formula from them, and ``generate(rng, n, m)`` draws one.
+    ``has_m`` puts the formula count into generated ids.  A ``covering``
+    kind (min-knapsack) is pure covering: every test succeeds, so p is all
+    ones in "sssc" mode and the costs are the item weights.
+    """
+
+    encode: Callable
+    decode: Callable
+    generate: Callable
+    has_m: bool = False
+    covering: bool = False
+
+
+_TABLE = {
+    "threshold": _Kind(
+        encode=_threshold_fields,
+        decode=lambda data, n: _threshold_from(data),
+        generate=lambda rng, n, m: gen_threshold(rng, n),
+    ),
+    "thresholds": _Kind(
+        encode=lambda f: {"m": f.m, "formulas": [_threshold_fields(sub) for sub in f.formulas]},
+        decode=lambda data, n: ThresholdSet(tuple(map(_threshold_from, data["formulas"]))),
+        generate=lambda rng, n, m: gen_threshold_set(rng, m, n),
+        has_m=True,
+    ),
+    "cdnf": _Kind(
+        encode=lambda f: {
+            "clauses": list(map(sorted, f.clauses)), "terms": list(map(sorted, f.terms))
+        },
+        decode=lambda data, n: CdnfFormula(
+            n, tuple(map(frozenset, data["clauses"])), tuple(map(frozenset, data["terms"]))
+        ),
+        generate=lambda rng, n, m: gen_cdnf(rng, n),
+    ),
+    "truthtable": _Kind(
+        encode=lambda f: {"table": list(f.table)},
+        decode=lambda data, n: TruthTable(n, _ints(data["table"], "table")),
+        generate=lambda rng, n, m: gen_truth_table(rng, n),
+    ),
+    "linear-system": _Kind(
+        encode=lambda f: {"m": f.m, "functions": [list(row) for row in f.coeffs]},
+        decode=lambda data, n: LinearSystem(
+            tuple(_ints(row, "functions") for row in data["functions"])
+        ),
+        generate=lambda rng, n, m: gen_linear_system(rng, m, n, duplicate_prob=0.15),
+        has_m=True,
+    ),
+    "knapsack": _Kind(
+        encode=lambda f: {
+            "values": list(f.values), "weights": list(f.weights), "theta": f.threshold
+        },
+        decode=lambda data, n: KnapsackInstance(
+            _ints(data["values"], "values"), tuple(data["weights"]), _int(data["theta"], "theta")
+        ),
+        generate=lambda rng, n, m: gen_knapsack(rng, n),
+        covering=True,
+    ),
+    "disjunction": _Kind(
+        encode=lambda f: {},  # fully described by n, p, c
+        decode=lambda data, n: disjunction_formula(n),
+        generate=lambda rng, n, m: disjunction_formula(n),
+    ),
+}
+KINDS = tuple(_TABLE)
+
+
+def _kind(kind: str) -> _Kind:
+    try:
+        return _TABLE[kind]
+    except (KeyError, TypeError):
+        raise InstanceFormatError(f"unknown kind {kind!r}; expected one of {KINDS}") from None
+
+
 def generate_instance(kind: str, n: int, seed: int, *, m: int = 2) -> Instance:
     """One self-contained instance for the CLI; deterministic in (spec, seed)."""
     if n < 1:
         raise InstanceFormatError("n must be at least 1")
     if m < 1:
         raise InstanceFormatError("m must be at least 1")
+    row = _kind(kind)
     rng = random.Random(seed)
-    ident = f"{kind}-n{n}-s{seed}"
-    if kind == "threshold":
-        f = gen_threshold(rng, n)
-    elif kind == "thresholds":
-        f = gen_threshold_set(rng, m, n)
-        ident = f"{kind}-m{m}-n{n}-s{seed}"
-    elif kind == "cdnf":
-        f = gen_cdnf(rng, n)
-    elif kind == "truthtable":
-        if n > 12:
-            raise InstanceFormatError("truth tables limited to n <= 12")
-        f = gen_truth_table(rng, n)
-    elif kind == "linear-system":
-        f = gen_linear_system(rng, m, n, duplicate_prob=0.15)
-        ident = f"{kind}-m{m}-n{n}-s{seed}"
-    elif kind == "knapsack":
-        f = gen_knapsack(rng, n)
-    elif kind == "disjunction":
-        f = disjunction_formula(n)
+    ident = f"{kind}-m{m}-n{n}-s{seed}" if row.has_m else f"{kind}-n{n}-s{seed}"
+    f = row.generate(rng, n, m)
+    if row.covering:
+        dist = ProductDistribution.certain_ones(n)
+        costs = f.weights
     else:
-        raise InstanceFormatError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    p = gen_probabilities(rng, n) if kind != "knapsack" else (1.0,) * n
-    c = gen_costs(rng, n) if kind != "knapsack" else f.weights
-    mode = "sssc" if kind == "knapsack" else "sbfe"
-    return Instance(ident, kind, f, ProductDistribution(p, mode=mode), tuple(c))
+        dist = ProductDistribution(gen_probabilities(rng, n))
+        costs = gen_costs(rng, n)
+    return Instance(ident, kind, f, dist, tuple(costs))
 
 
 # ---------------------------------------------------------------------------
@@ -283,65 +317,42 @@ def _sizes(count: int, lo: int, hi: int, rng: random.Random) -> list:
     return sizes
 
 
+def _battery(kind: str, make, count: int, seed: int, n_lo: int, n_hi: int) -> list:
+    """``count`` seeded cases of one kind: ``make(rng, n)`` draws each
+    formula, then its probabilities and costs come from the same stream."""
+    rng = random.Random(seed)
+    cases = []
+    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
+        f = make(rng, n)
+        d = ProductDistribution(gen_probabilities(rng, n))
+        cases.append(EvalCase(f"{kind}-{seed}-{idx:03d}", kind, f, d, gen_costs(rng, n)))
+    return cases
+
+
 def threshold_battery(
     count: int, seed: int, n_lo: int = 3, n_hi: int = 10, max_coeff: int = 5
 ) -> list:
-    rng = random.Random(seed)
-    cases = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        f = gen_threshold(rng, n, max_coeff)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        cases.append(EvalCase(f"threshold-{seed}-{idx:03d}", "threshold", f, d, gen_costs(rng, n)))
-    return cases
+    make = lambda rng, n: gen_threshold(rng, n, max_coeff)
+    return _battery("threshold", make, count, seed, n_lo, n_hi)
 
 
 def cdnf_battery(count: int, seed: int, n_lo: int = 3, n_hi: int = 10) -> list:
-    rng = random.Random(seed)
-    cases = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        f = gen_cdnf(rng, n)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        cases.append(EvalCase(f"cdnf-{seed}-{idx:03d}", "cdnf", f, d, gen_costs(rng, n)))
-    return cases
+    return _battery("cdnf", gen_cdnf, count, seed, n_lo, n_hi)
 
 
 def disjunction_battery(count: int, seed: int, n_lo: int = 2, n_hi: int = 10) -> list:
-    rng = random.Random(seed)
-    cases = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        f = disjunction_formula(n)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        cases.append(
-            EvalCase(f"disjunction-{seed}-{idx:03d}", "disjunction", f, d, gen_costs(rng, n))
-        )
-    return cases
+    return _battery("disjunction", lambda rng, n: disjunction_formula(n), count, seed, n_lo, n_hi)
 
 
 def threshold_set_battery(
     count: int, seed: int, m_hi: int = 3, n_lo: int = 4, n_hi: int = 10
 ) -> list:
-    rng = random.Random(seed)
-    cases = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        m = rng.randint(1, m_hi)
-        f = gen_threshold_set(rng, m, n)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        cases.append(
-            EvalCase(f"thresholds-{seed}-{idx:03d}", "thresholds", f, d, gen_costs(rng, n))
-        )
-    return cases
+    make = lambda rng, n: gen_threshold_set(rng, rng.randint(1, m_hi), n)
+    return _battery("thresholds", make, count, seed, n_lo, n_hi)
 
 
 def truth_table_battery(count: int, seed: int, n_lo: int = 2, n_hi: int = 6) -> list:
-    rng = random.Random(seed)
-    cases = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        f = gen_truth_table(rng, n)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        cases.append(
-            EvalCase(f"truthtable-{seed}-{idx:03d}", "truthtable", f, d, gen_costs(rng, n))
-        )
-    return cases
+    return _battery("truthtable", gen_truth_table, count, seed, n_lo, n_hi)
 
 
 def knapsack_battery(count: int, seed: int, n_lo: int = 3, n_hi: int = 15) -> list:
@@ -355,13 +366,5 @@ def knapsack_battery(count: int, seed: int, n_lo: int = 3, n_hi: int = 15) -> li
 def linear_system_battery(
     count: int, seed: int, m_hi: int = 4, n_lo: int = 2, n_hi: int = 8
 ) -> list:
-    rng = random.Random(seed)
-    out = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        m = rng.randint(2, m_hi)
-        sys = gen_linear_system(rng, m, n, duplicate_prob=0.25)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        out.append(
-            EvalCase(f"linear-system-{seed}-{idx:03d}", "linear-system", sys, d, gen_costs(rng, n))
-        )
-    return out
+    make = lambda rng, n: gen_linear_system(rng, rng.randint(2, m_hi), n, duplicate_prob=0.25)
+    return _battery("linear-system", make, count, seed, n_lo, n_hi)

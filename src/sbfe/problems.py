@@ -277,8 +277,8 @@ class KnapsackInstance:
             raise ValueError("one weight per value required")
         if any(v < 0 for v in self.values):
             raise ValueError("values must be nonnegative")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= w < float("inf") for w in self.weights):
+            raise ValueError("weights must be finite and nonnegative")
         if sum(self.values) < self.threshold:
             raise ValueError("infeasible: total value below the threshold")
 

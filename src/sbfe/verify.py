@@ -328,6 +328,14 @@ class RatioReport:
         return tuple(r for r in self.rows if not r.ok)
 
 
+def cost_ratio(cost: float, opt: float, tol: float = 1e-6) -> float:
+    """cost / opt; against an optimum of 0 the ratio is 1 when cost is
+    within ``tol`` of 0 as well, and infinite otherwise."""
+    if opt <= 0.0:
+        return 1.0 if cost <= tol else float("inf")
+    return cost / opt
+
+
 def ratio_vs_opt(
     driver: Callable[[EvalCase], tuple],
     battery,
@@ -345,10 +353,7 @@ def ratio_vs_opt(
     for case in battery:
         cost, bound = driver(case)
         opt, _ = optimal_expected_cost(case.f, case.dist, case.costs, limit=opt_limit)
-        if opt <= 0.0:
-            ratio = 1.0 if cost <= tol else float("inf")
-        else:
-            ratio = cost / opt
+        ratio = cost_ratio(cost, opt, tol)
         worst = max(worst, ratio)
         rows.append(RatioRow(case.id, cost, opt, ratio, bound, cost <= bound * opt + tol))
     return RatioReport(tuple(rows), worst, all(r.ok for r in rows))

@@ -4,6 +4,7 @@ import pytest
 
 from sbfe.core import all_assignments
 from sbfe.instances import (
+    KINDS,
     InstanceFormatError,
     cdnf_battery,
     disjunction_battery,
@@ -21,11 +22,8 @@ from sbfe.instances import (
 )
 
 
-ALL_KINDS = ("threshold", "thresholds", "cdnf", "truthtable", "linear-system", "knapsack", "disjunction")
-
-
 class TestSerialization:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip(self, kind):
         inst = generate_instance(kind, 5, seed=42, m=2)
         again = loads(dumps(inst))
@@ -34,7 +32,7 @@ class TestSerialization:
         assert again.n == inst.n
         assert dumps(again) == dumps(inst)
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", KINDS)
     def test_byte_determinism(self, kind):
         a = dumps(generate_instance(kind, 6, seed=7, m=3))
         b = dumps(generate_instance(kind, 6, seed=7, m=3))
@@ -83,6 +81,10 @@ class TestGenerators:
         rng = random.Random(2)
         for _ in range(20):
             assert gen_truth_table(rng, 4).constant_value() is None
+
+    def test_truth_table_size_cap(self):
+        with pytest.raises(InstanceFormatError):
+            generate_instance("truthtable", 13, seed=1)
 
     def test_knapsacks_feasible(self):
         rng = random.Random(3)
