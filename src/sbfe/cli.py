@@ -45,13 +45,11 @@ from .utility import (
     truth_table_utility,
 )
 from .verify import (
+    ALPHA_MAX_N,
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
     cost_ratio,
-    make_adg_driver,
-    make_greedy_driver,
-    make_policy_driver,
     observed_alpha,
     ratio_vs_opt,
 )
@@ -152,6 +150,19 @@ def _report_row(inst: Instance, engine: str, cost, opt, bound, alpha) -> dict:
     }
 
 
+def engine_policy(engine: str, g, inst: Instance, alpha: Optional[float] = None) -> tuple:
+    """The policy an ``--engine`` runs on ``inst`` with utility ``g``, and the
+    bound the paper claims for it: ln(goal) + 1 for greedy, the kind's
+    dual-greedy bound (3, the largest coefficient mass, or the observed
+    ``alpha``) for adg, and n for the increasing-cost baseline."""
+    if engine == "greedy":
+        return GreedyPolicy(g, inst.dist, inst.costs), bounds(g).lnq_bound
+    _, oracle, adg_bound = _EVAL[inst.kind]
+    if engine == "adg":
+        return DualGreedyPolicy(g, inst.dist, inst.costs), adg_bound(inst.f, alpha)
+    return cost_order_policy(inst.costs, oracle(inst.f)), float(inst.n)
+
+
 def eval_instance(inst: Instance, args) -> dict:
     """One report row; ``args`` holds the ``eval`` flags."""
     if inst.kind == "knapsack":
@@ -159,31 +170,16 @@ def eval_instance(inst: Instance, args) -> dict:
         _, opt = min_knapsack_bruteforce(inst.f)
         return _report_row(inst, "adg", cost, opt, 2.0, None)
 
-    build, oracle, adg_bound = _EVAL[inst.kind]
+    build, oracle, _ = _EVAL[inst.kind]
+    engine, alpha = args.engine, None
     try:
         g = build(inst.f)
     except ConstantFunctionError:
-        g = None
-
-    alpha = None
-    if g is None:
-        cost = 0.0
-        bound = 0.0
-    elif args.engine == "greedy":
-        policy = GreedyPolicy(g, inst.dist, inst.costs)
-        bound = bounds(g).lnq_bound
-    elif args.engine == "adg":
-        policy = DualGreedyPolicy(g, inst.dist, inst.costs)
-        if inst.n <= min(args.max_n, 12):
-            alpha = observed_alpha(g, inst.dist, inst.costs)
-        bound = adg_bound(inst.f, alpha)
-    elif args.engine == "baseline":
-        policy = cost_order_policy(inst.costs, oracle(inst.f))
-        bound = float(inst.n)
+        engine, cost, bound = "constant", 0.0, 0.0
     else:
-        raise InstanceFormatError(f"unknown engine {args.engine!r}")
-
-    if g is not None:
+        if engine == "adg" and inst.n <= min(args.max_n, ALPHA_MAX_N):
+            alpha = observed_alpha(g, inst.dist, inst.costs)
+        policy, bound = engine_policy(engine, g, inst, alpha)
         if inst.n <= args.max_n:
             cost = expected_cost(policy, inst.dist, inst.costs)
         else:
@@ -192,7 +188,7 @@ def eval_instance(inst: Instance, args) -> dict:
     opt = None
     if inst.n <= args.max_n:
         opt, _ = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs, limit=args.max_n)
-    return _report_row(inst, args.engine if g is not None else "constant", cost, opt, bound, alpha)
+    return _report_row(inst, engine, cost, opt, bound, alpha)
 
 
 def cmd_eval(args) -> int:
@@ -274,46 +270,40 @@ def _verify_lines(args):
         )
 
     # Cost ratios against the exhaustive optimum.
+    def drive(engine):
+        """The policy and the bound `sbfe eval --engine` reports for a case."""
+        return lambda case: engine_policy(engine, _EVAL[case.kind][0](case.f), case)
+
+    def single_gain(case):
+        g = cdnf_utility(case.f)
+        return GreedyPolicy(g, case.dist, case.costs), bounds(g).p_bound
+
     n_hi = min(args.max_n, 8)
     rep = ratio_vs_opt(
-        make_adg_driver(threshold_utility, lambda case, g: 3.0),
-        inst_mod.threshold_battery(10, seed + 7, n_lo=3, n_hi=n_hi),
+        drive("adg"), inst_mod.threshold_battery(10, seed + 7, n_lo=3, n_hi=n_hi)
     )
     record(f"threshold adg ratio <= 3 (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(
-        make_greedy_driver(cdnf_utility, "goal"),
-        inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi),
-    )
+    rep = ratio_vs_opt(drive("greedy"), inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi))
     record(f"cdnf greedy ratio <= ln(kd)+1 (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(
-        make_greedy_driver(cdnf_utility, "single"),
-        inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi),
-    )
+    rep = ratio_vs_opt(single_gain, inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi))
     record(f"cdnf greedy ratio <= 2(ln P + 1) (worst {rep.worst_ratio:.3f})", rep.ok)
     rep = ratio_vs_opt(
-        make_policy_driver(
-            lambda case: cp_ratio_policy(case.dist, case.costs, "or"),
-            lambda case: 1.0,
-        ),
+        lambda case: (cp_ratio_policy(case.dist, case.costs, "or"), 1.0),
         inst_mod.disjunction_battery(12, seed + 9, n_lo=2, n_hi=n_hi),
         tol=1e-9,
     )
     record(f"disjunction cost/prob ordering exact (worst {rep.worst_ratio:.9f})", rep.ok)
     rep = ratio_vs_opt(
-        make_policy_driver(
-            lambda case: cost_order_policy(case.costs, case.f),
-            lambda case: float(case.f.arity),
-        ),
-        inst_mod.cdnf_battery(8, seed + 10, n_lo=3, n_hi=n_hi),
+        drive("baseline"), inst_mod.cdnf_battery(8, seed + 10, n_lo=3, n_hi=n_hi)
     )
     record(f"increasing-cost baseline ratio <= n (worst {rep.worst_ratio:.3f})", rep.ok)
     rep = ratio_vs_opt(
-        make_greedy_driver(lambda fs: fs.utility(), "goal"),
+        drive("greedy"),
         inst_mod.threshold_set_battery(6, seed + 11, m_hi=3, n_lo=3, n_hi=n_hi),
     )
     record(f"simultaneous greedy ratio <= ln(sum goals)+1 (worst {rep.worst_ratio:.3f})", rep.ok)
     rep = ratio_vs_opt(
-        make_adg_driver(lambda fs: fs.utility(), lambda case, g: float(case.f.d_max)),
+        drive("adg"),
         inst_mod.threshold_set_battery(6, seed + 11, m_hi=3, n_lo=3, n_hi=n_hi),
     )
     record(f"simultaneous adg ratio <= max coefficient mass (worst {rep.worst_ratio:.3f})", rep.ok)

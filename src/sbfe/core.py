@@ -15,6 +15,12 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 STAR = 2  # "not yet tested" marker; 0/1/STAR all fit in two bits
 
+# Size limits of the exhaustive oracles.
+NEIGHBOR_MAX_N = 16
+ENUMERATION_MAX_STARS = 20
+CERTIFICATE_TABLE_MAX_N = 14
+CERTIFICATE_COST_MAX_N = 10
+
 Partial = tuple
 Assignment = tuple
 
@@ -43,7 +49,8 @@ class PolicyError(SbfeError):
 
 
 class LimitError(SbfeError):
-    """An exhaustive oracle was asked to exceed its configured size limit."""
+    """A size limit was exceeded: an exhaustive oracle's, or the 63-bit range
+    of a utility goal."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +62,6 @@ def stars(n: int) -> Partial:
     if n < 1:
         raise ValueError("need at least one position")
     return (STAR,) * n
-
-
-def dom(b: Partial) -> tuple:
-    """Indices already tested in b."""
-    return tuple(i for i, v in enumerate(b) if v != STAR)
 
 
 def num_stars(b: Partial) -> int:
@@ -90,11 +92,6 @@ def restrict(b: Partial, keep: Sequence[int]) -> Partial:
     """Keep only the positions in ``keep``; star out everything else."""
     kept = set(keep)
     return tuple(v if i in kept else STAR for i, v in enumerate(b))
-
-
-def extends(a: Partial, b: Partial) -> bool:
-    """True when a agrees with b on every tested position of b."""
-    return all(bv == STAR or av == bv for av, bv in zip(a, b))
 
 
 def extensions(b: Partial) -> Iterator[Assignment]:
@@ -302,11 +299,11 @@ def tree_depth_ok(t: DecisionTree, n: int) -> bool:
     return True
 
 
-def neighbor_property_holds(t: DecisionTree, n: int, *, limit: int = 16) -> bool:
+def neighbor_property_holds(t: DecisionTree, n: int) -> bool:
     """Check that flipping one bit of the input never changes whether that
     bit gets tested.  Exhaustive over all 2^n inputs."""
-    if n > limit:
-        raise LimitError(f"neighbor check limited to n <= {limit}, got {n}")
+    if n > NEIGHBOR_MAX_N:
+        raise LimitError(f"neighbor check limited to n <= {NEIGHBOR_MAX_N}, got {n}")
     tested = {x: set(tree_tests_on(t, x)) for x in all_assignments(n)}
     for x, tset in tested.items():
         for j in range(n):
@@ -319,16 +316,18 @@ def neighbor_property_holds(t: DecisionTree, n: int, *, limit: int = 16) -> bool
 # ---------------------------------------------------------------------------
 # certificates
 
-# An instance is any object with an integer ``arity`` and an
-# ``evaluate(x) -> label`` method on full assignments.  Instances may also
-# provide a fast ``certificate(b) -> label | None``; formula classes do.
+# An instance is any object with an integer ``arity``, an
+# ``evaluate(x) -> label`` method on full assignments and a fast
+# ``certificate(b) -> label | None`` on partial ones.
 
 
-def certificate_by_enumeration(f, b: Partial, *, limit: int = 20) -> Optional[object]:
+def certificate_by_enumeration(f, b: Partial) -> Optional[object]:
     """Label forced by b on every extension, or None.  Brute force over 2^stars."""
     s = num_stars(b)
-    if s > limit:
-        raise LimitError(f"enumeration limited to {limit} untested positions, got {s}")
+    if s > ENUMERATION_MAX_STARS:
+        raise LimitError(
+            f"enumeration limited to {ENUMERATION_MAX_STARS} untested positions, got {s}"
+        )
     it = extensions(b)
     first = f.evaluate(next(it))
     for x in it:
@@ -338,11 +337,8 @@ def certificate_by_enumeration(f, b: Partial, *, limit: int = 20) -> Optional[ob
 
 
 def certificate_check(f, b: Partial) -> Optional[object]:
-    """Instance-specific shortcut when available, else exhaustive enumeration."""
-    fast = getattr(f, "certificate", None)
-    if fast is not None:
-        return fast(b)
-    return certificate_by_enumeration(f, b)
+    """Label forced by b, from the instance's own certificate shortcut."""
+    return f.certificate(b)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +480,15 @@ def optimal_expected_cost(f, d, c, *, limit: int = 14):
     return value, build(root, encode(root))
 
 
-def certificate_table(f, *, limit: int = 14) -> dict:
+def certificate_table(f) -> dict:
     """Forced label for every partial assignment, keyed by encode(b).
 
     Bottom-up over the first untested position: b forces a label iff both
     one-step extensions force the same label.
     """
     n = f.arity
-    if n > limit:
-        raise LimitError(f"certificate table limited to n <= {limit}, got {n}")
+    if n > CERTIFICATE_TABLE_MAX_N:
+        raise LimitError(f"certificate table limited to n <= {CERTIFICATE_TABLE_MAX_N}, got {n}")
     pow4 = [1 << (2 * i) for i in range(n)]
     memo = {}
 
@@ -515,18 +511,20 @@ def certificate_table(f, *, limit: int = 14) -> dict:
     return memo
 
 
-def expected_certificate_cost(f, d, c, *, limit: int = 10) -> float:
+def expected_certificate_cost(f, d, c) -> float:
     """Expected cost of the cheapest certificate contained in a random input.
 
     This lower-bounds the cost of any testing strategy but is not in general
     attainable by one.
     """
     n = f.arity
-    if n > limit:
-        raise LimitError(f"certificate-cost oracle limited to n <= {limit}, got {n}")
+    if n > CERTIFICATE_COST_MAX_N:
+        raise LimitError(
+            f"certificate-cost oracle limited to n <= {CERTIFICATE_COST_MAX_N}, got {n}"
+        )
     p = as_probabilities(d)
     cc = as_costs(c)
-    table = certificate_table(f, limit=limit)
+    table = certificate_table(f)
 
     full_masks = 1 << n
     total = 0.0
@@ -568,7 +566,6 @@ class RunTrace:
     outcomes: tuple
     total_cost: float
     dual_values: tuple = ()
-    alpha_samples: tuple = ()
 
     def __post_init__(self):
         if len(self.tested) != len(set(self.tested)):

@@ -15,7 +15,6 @@ from typing import Callable
 from .core import Branch, ConstantFunctionError, CostVector, Leaf, ProductDistribution
 from .problems import KnapsackInstance, ThresholdSet, disjunction_formula
 from .utility import CdnfFormula, LinearSystem, ThresholdFormula, TruthTable, decision_tree_to_cdnf
-from .verify import EvalCase
 
 FORMAT = "sbfe-1"
 
@@ -36,10 +35,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return self.f.arity if hasattr(self.f, "arity") else self.f.n
-
-    def case(self) -> EvalCase:
-        return EvalCase(self.id, self.kind, self.f, self.dist, self.costs)
+        return self.f.arity
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +98,10 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError(f"bad instance payload: {exc}") from exc
     if not len(dist.p) == len(costs) == n:
         raise InstanceFormatError(f"n is {n} but p has {len(dist.p)} and c {len(costs)} entries")
-    if getattr(f, "arity", n) != n:
+    if f.arity != n:
         raise InstanceFormatError("declared n disagrees with the formula arity")
+    if row.covering and costs != f.weights:
+        raise InstanceFormatError("c must equal the weights: a covering test costs its weight")
     return Instance(ident, kind, f, dist, costs)
 
 
@@ -285,6 +283,16 @@ def _kind(kind: str) -> _Kind:
         raise InstanceFormatError(f"unknown kind {kind!r}; expected one of {KINDS}") from None
 
 
+def _instance(ident: str, kind: str, f, rng: random.Random) -> Instance:
+    """Bundle ``f`` with probabilities and costs drawn from ``rng`` after it.
+    A covering kind draws nothing: every test succeeds and costs its weight."""
+    n = f.arity
+    if _TABLE[kind].covering:
+        return Instance(ident, kind, f, ProductDistribution.certain_ones(n), f.weights)
+    dist = ProductDistribution(gen_probabilities(rng, n))
+    return Instance(ident, kind, f, dist, gen_costs(rng, n))
+
+
 def generate_instance(kind: str, n: int, seed: int, *, m: int = 2) -> Instance:
     """One self-contained instance for the CLI; deterministic in (spec, seed)."""
     if n < 1:
@@ -294,14 +302,7 @@ def generate_instance(kind: str, n: int, seed: int, *, m: int = 2) -> Instance:
     row = _kind(kind)
     rng = random.Random(seed)
     ident = f"{kind}-m{m}-n{n}-s{seed}" if row.has_m else f"{kind}-n{n}-s{seed}"
-    f = row.generate(rng, n, m)
-    if row.covering:
-        dist = ProductDistribution.certain_ones(n)
-        costs = f.weights
-    else:
-        dist = ProductDistribution(gen_probabilities(rng, n))
-        costs = gen_costs(rng, n)
-    return Instance(ident, kind, f, dist, tuple(costs))
+    return _instance(ident, kind, row.generate(rng, n, m), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +319,13 @@ def _sizes(count: int, lo: int, hi: int, rng: random.Random) -> list:
 
 
 def _battery(kind: str, make, count: int, seed: int, n_lo: int, n_hi: int) -> list:
-    """``count`` seeded cases of one kind: ``make(rng, n)`` draws each
+    """``count`` seeded instances of one kind: ``make(rng, n)`` draws each
     formula, then its probabilities and costs come from the same stream."""
     rng = random.Random(seed)
-    cases = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        f = make(rng, n)
-        d = ProductDistribution(gen_probabilities(rng, n))
-        cases.append(EvalCase(f"{kind}-{seed}-{idx:03d}", kind, f, d, gen_costs(rng, n)))
-    return cases
+    return [
+        _instance(f"{kind}-{seed}-{idx:03d}", kind, make(rng, n), rng)
+        for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng))
+    ]
 
 
 def threshold_battery(
@@ -356,11 +355,7 @@ def truth_table_battery(count: int, seed: int, n_lo: int = 2, n_hi: int = 6) -> 
 
 
 def knapsack_battery(count: int, seed: int, n_lo: int = 3, n_hi: int = 15) -> list:
-    rng = random.Random(seed)
-    out = []
-    for idx, n in enumerate(_sizes(count, n_lo, n_hi, rng)):
-        out.append((f"knapsack-{seed}-{idx:03d}", gen_knapsack(rng, n)))
-    return out
+    return _battery("knapsack", gen_knapsack, count, seed, n_lo, n_hi)
 
 
 def linear_system_battery(

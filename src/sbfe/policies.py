@@ -44,7 +44,6 @@ class BoundReport:
     lnq_bound: float
     p_bound: float
     max_single_gain: int
-    alpha_observed: Optional[float] = None
 
 
 def bounds(g: UtilityFunction) -> BoundReport:
@@ -269,16 +268,9 @@ def cost_order_policy(c, f=None) -> FixedOrderPolicy:
 # running policies against concrete outcomes
 
 
-def _as_oracle(outcomes):
-    if callable(outcomes):
-        return outcomes
-    seq = tuple(outcomes)
-    return lambda i: seq[i]
-
-
 def _run(policy, outcomes, n: int, c) -> tuple:
     """Drive one run; returns (trace fields, final state)."""
-    oracle = _as_oracle(outcomes)
+    outcomes = tuple(outcomes)
     cc = as_costs(c)
     b = stars(n)
     state = policy.initial_state()
@@ -291,16 +283,14 @@ def _run(policy, outcomes, n: int, c) -> tuple:
             break
         if not 0 <= i < n or b[i] != STAR:
             raise PolicyError(f"illegal test {i} at {to_string(b)}")
-        v = oracle(i)
+        v = outcomes[i]
         if v not in (0, 1):
-            raise ValueError(f"oracle returned {v!r} for test {i}")
+            raise ValueError(f"outcome {v!r} for test {i} is not a bit")
         state = policy.advance(b, state, i, v)
         b = extend(b, i, v)
         tested.append(i)
         outs.append(v)
         cost += cc[i]
-        if len(tested) > n:
-            raise PolicyError("policy did not terminate within n tests")
     return tuple(tested), tuple(outs), cost, state
 
 
@@ -317,10 +307,9 @@ def adaptive_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
 
 def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     """Run the dual-credit greedy; the trace records the dual value given to
-    each prefix of the realized test sequence and the per-prefix ratio
-    samples that certify the run's approximation factor."""
+    each prefix of the realized test sequence.  ``prefix_ratios`` of its
+    steps gives the samples that certify the run's approximation factor."""
     tested, outs, cost, state = _run(DualGreedyPolicy(g, d, c), outcomes, g.arity, c)
     _, ys = state
-    samples = prefix_ratios(g, tuple(zip(tested, outs)))
-    return RunTrace(tested, outs, cost, dual_values=ys, alpha_samples=samples)
+    return RunTrace(tested, outs, cost, dual_values=ys)
 

@@ -29,6 +29,7 @@ from .utility import (
 )
 
 _EMPTY = RunTrace((), (), 0.0)
+KNAPSACK_MAX_N = 20  # the exact min-knapsack enumerates 2^n subsets
 
 
 def _engine(name: str):
@@ -283,7 +284,7 @@ class KnapsackInstance:
             raise ValueError("infeasible: total value below the threshold")
 
     @property
-    def n(self) -> int:
+    def arity(self) -> int:
         return len(self.values)
 
 
@@ -295,16 +296,16 @@ def min_knapsack_adg(kp: KnapsackInstance) -> tuple:
     if f.constant_value() == 1:
         return (), 0.0
     g = threshold_utility(f)
-    d = ProductDistribution.certain_ones(kp.n)
-    trace = adaptive_dual_greedy(g, d, kp.weights, (1,) * kp.n)
+    d = ProductDistribution.certain_ones(kp.arity)
+    trace = adaptive_dual_greedy(g, d, kp.weights, (1,) * kp.arity)
     return trace.tested, trace.total_cost
 
 
-def min_knapsack_bruteforce(kp: KnapsackInstance, *, limit: int = 20) -> tuple:
+def min_knapsack_bruteforce(kp: KnapsackInstance) -> tuple:
     """Exact optimum by subset enumeration; ties go to the smallest bitmask."""
-    n = kp.n
-    if n > limit:
-        raise LimitError(f"knapsack enumeration limited to n <= {limit}, got {n}")
+    n = kp.arity
+    if n > KNAPSACK_MAX_N:
+        raise LimitError(f"knapsack enumeration limited to n <= {KNAPSACK_MAX_N}, got {n}")
     size = 1 << n
     value = [0] * size
     weight = [0.0] * size

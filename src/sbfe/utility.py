@@ -20,6 +20,7 @@ from .core import (
     Assignment,
     ConstantFunctionError,
     InvalidUtilityError,
+    LimitError,
     Partial,
     all_assignments,
     extend,
@@ -42,13 +43,10 @@ class UtilityFunction:
         if self.goal < 0:
             raise ValueError("goal must be nonnegative")
         if self.goal > MAX_GOAL:
-            raise ValueError(f"goal {self.goal} exceeds {MAX_GOAL}")
+            raise LimitError(f"goal {self.goal} exceeds {MAX_GOAL}")
 
     def value(self, b: Partial) -> int:
         return self.fn(b)
-
-    def covered(self, b: Partial) -> bool:
-        return self.fn(b) >= self.goal
 
 
 def marginal(g: UtilityFunction, b: Partial, i: int, l: int) -> int:
@@ -98,7 +96,7 @@ def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
     q0, q1 = g0.goal, g1.goal
     goal = q0 * q1
     if goal > MAX_GOAL:
-        raise ValueError(f"combined goal {goal} exceeds {MAX_GOAL}")
+        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
     f0, f1 = g0.fn, g1.fn
     return UtilityFunction(g0.arity, goal, lambda b: goal - (q0 - f0(b)) * (q1 - f1(b)))
 
@@ -109,7 +107,7 @@ def combine_and(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
         raise ValueError("combine_and needs equal arities")
     goal = g0.goal + g1.goal
     if goal > MAX_GOAL:
-        raise ValueError(f"combined goal {goal} exceeds {MAX_GOAL}")
+        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
     f0, f1 = g0.fn, g1.fn
     return UtilityFunction(g0.arity, goal, lambda b: f0(b) + f1(b))
 
@@ -123,7 +121,7 @@ def combine_and_all(gs) -> UtilityFunction:
         raise ValueError("combine_and_all needs equal arities")
     goal = sum(g.goal for g in gs)
     if goal > MAX_GOAL:
-        raise ValueError(f"combined goal {goal} exceeds {MAX_GOAL}")
+        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
     fns = [g.fn for g in gs]
     return UtilityFunction(n, goal, lambda b: sum(fn(b) for fn in fns))
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     STAR,
@@ -26,10 +26,14 @@ from .core import (
     prob_of,
     walk_policy,
 )
-from .policies import DualGreedyPolicy, GreedyPolicy, bounds, prefix_ratios
+from .policies import DualGreedyPolicy, prefix_ratios
 from .utility import UtilityFunction
 
 DUAL_EPS = 1e-9
+# Size limits of the exhaustive checks.
+GOAL_CERTIFICATE_MAX_N = 8
+DUAL_MAX_N = 12
+ALPHA_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -130,16 +134,18 @@ def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckRep
 # goal-certificate equivalence
 
 
-def check_goal_certificate(g: UtilityFunction, f, *, limit: int = 8) -> CheckReport:
+def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
     """The utility reaches its goal exactly on the partial assignments that
     force the instance's output.  Certificates come from an enumeration table
     built only from f.evaluate, independent of any formula shortcut."""
     n = g.arity
-    if n > limit:
-        raise LimitError(f"goal-certificate check limited to n <= {limit}, got {n}")
+    if n > GOAL_CERTIFICATE_MAX_N:
+        raise LimitError(
+            f"goal-certificate check limited to n <= {GOAL_CERTIFICATE_MAX_N}, got {n}"
+        )
     if f.arity != n:
         raise ValueError("arity mismatch")
-    table = certificate_table(f, limit=limit)
+    table = certificate_table(f)
     checked = 0
     for b in all_partials(n):
         checked += 1
@@ -181,9 +187,7 @@ class DualCertificate:
         return not self.violations
 
 
-def check_dual_feasibility(
-    g: UtilityFunction, d, c, *, limit: int = 12, eps: float = DUAL_EPS
-) -> DualCertificate:
+def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     """Run the dual greedy on all 2^n inputs and verify its dual solution.
 
     For every position j and every assignment w of the other positions, the
@@ -193,8 +197,8 @@ def check_dual_feasibility(
     cost equals the dual objective mass (within accumulation error).
     """
     n = g.arity
-    if n > limit:
-        raise LimitError(f"dual check limited to n <= {limit}, got {n}")
+    if n > DUAL_MAX_N:
+        raise LimitError(f"dual check limited to n <= {DUAL_MAX_N}, got {n}")
     p = as_probabilities(d)
     cc = as_costs(c)
 
@@ -252,9 +256,9 @@ def check_dual_feasibility(
             s = cc[j] - h
             slack[w] = s
             tight[w] = tested1
-            if tested1 and abs(s) > eps:
+            if tested1 and abs(s) > DUAL_EPS:
                 violations.append((w, f"tested coordinate not tight: slack {s}"))
-            elif not tested1 and s < -eps:
+            elif not tested1 and s < -DUAL_EPS:
                 violations.append((w, f"dual constraint violated: slack {s}"))
 
     lhs = 0.0
@@ -273,7 +277,7 @@ def check_dual_feasibility(
     )
 
 
-def observed_alpha(g: UtilityFunction, d, c, *, limit: int = 12) -> float:
+def observed_alpha(g: UtilityFunction, d, c) -> float:
     """Worst per-prefix ratio of the dual greedy over every possible input.
 
     Walks the policy's decision tree once instead of rerunning it on each of
@@ -281,8 +285,8 @@ def observed_alpha(g: UtilityFunction, d, c, *, limit: int = 12) -> float:
     paths cover all (input, prefix) pairs.
     """
     n = g.arity
-    if n > limit:
-        raise LimitError(f"alpha scan limited to n <= {limit}, got {n}")
+    if n > ALPHA_MAX_N:
+        raise LimitError(f"alpha scan limited to n <= {ALPHA_MAX_N}, got {n}")
     return walk_policy(
         DualGreedyPolicy(g, d, c),
         n,
@@ -293,18 +297,6 @@ def observed_alpha(g: UtilityFunction, d, c, *, limit: int = 12) -> float:
 
 # ---------------------------------------------------------------------------
 # empirical cost-versus-optimum certification
-
-
-@dataclass(frozen=True)
-class EvalCase:
-    """One instance for ratio certification: a formula-like object together
-    with its distribution and costs."""
-
-    id: str
-    kind: str
-    f: object
-    dist: object
-    costs: tuple
 
 
 @dataclass(frozen=True)
@@ -336,61 +328,17 @@ def cost_ratio(cost: float, opt: float, tol: float = 1e-6) -> float:
     return cost / opt
 
 
-def ratio_vs_opt(
-    driver: Callable[[EvalCase], tuple],
-    battery,
-    seed: Optional[int] = None,
-    *,
-    tol: float = 1e-6,
-    opt_limit: int = 14,
-) -> RatioReport:
-    """Compare a driver's exact expected cost with the exhaustive optimum on
-    every battery instance; flag any instance exceeding its claimed bound."""
-    if callable(battery):
-        battery = battery(seed)
+def ratio_vs_opt(drive, battery, *, tol: float = 1e-6) -> RatioReport:
+    """Compare a policy's exact expected cost with the exhaustive optimum on
+    every battery instance; flag any instance exceeding its claimed bound.
+    ``drive(case)`` gives the policy to run on the case and that bound."""
     rows = []
     worst = 0.0
     for case in battery:
-        cost, bound = driver(case)
-        opt, _ = optimal_expected_cost(case.f, case.dist, case.costs, limit=opt_limit)
+        policy, bound = drive(case)
+        cost = expected_cost(policy, case.dist, case.costs)
+        opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
         ratio = cost_ratio(cost, opt, tol)
         worst = max(worst, ratio)
         rows.append(RatioRow(case.id, cost, opt, ratio, bound, cost <= bound * opt + tol))
     return RatioReport(tuple(rows), worst, all(r.ok for r in rows))
-
-
-def make_greedy_driver(utility_builder, bound: str = "goal"):
-    """Driver running the greedy policy; bound "goal" is ln(goal)+1, bound
-    "single" is the single-test bound 2(ln P + 1)."""
-
-    def drive(case: EvalCase):
-        g = utility_builder(case.f)
-        cost = expected_cost(GreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
-        rep = bounds(g)
-        return cost, rep.lnq_bound if bound == "goal" else rep.p_bound
-
-    return drive
-
-
-def make_adg_driver(utility_builder, bound_fn):
-    """Driver running the dual greedy; bound_fn(case, utility) names the
-    claimed factor (3 for thresholds, the coefficient-magnitude maximum for
-    simultaneous sets, or an observed alpha)."""
-
-    def drive(case: EvalCase):
-        g = utility_builder(case.f)
-        cost = expected_cost(DualGreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
-        return cost, bound_fn(case, g)
-
-    return drive
-
-
-def make_policy_driver(policy_builder, bound_fn):
-    """Driver for fixed-order baselines; policy_builder(case) -> policy."""
-
-    def drive(case: EvalCase):
-        policy = policy_builder(case)
-        cost = expected_cost(policy, case.dist, case.costs)
-        return cost, bound_fn(case)
-
-    return drive

@@ -245,11 +245,12 @@ def test_criterion_07_min_knapsack_two_approx():
     on 200 instances up to 15 items, and always covers the threshold."""
     cases = knapsack_battery(200, seed=1010, n_lo=3, n_hi=15)
     worst = 0.0
-    for ident, kp in cases:
+    for case in cases:
+        kp = case.f
         items, cost = min_knapsack_adg(kp)
         _, opt = min_knapsack_bruteforce(kp)
-        assert sum(kp.values[i] for i in items) >= kp.threshold, ident
-        assert cost <= 2.0 * opt + EXACT_TOL, (ident, cost, opt)
+        assert sum(kp.values[i] for i in items) >= kp.threshold, case.id
+        assert cost <= 2.0 * opt + EXACT_TOL, (case.id, cost, opt)
         if opt > 0:
             worst = max(worst, cost / opt)
     report(

@@ -46,33 +46,51 @@ GOLDEN = {
     "verify 0": "3de2a079246f56d830fc4c929d9f5228327b41f0e8030c6a417f41264d7884a3",
 }
 
-# Edits of a generated file that the loader must reject: (kind, field, edit).
+# Edits of a generated file that `sbfe eval` must reject with exit 2:
+# (kind, {field: edit of its value}).
 BAD_PAYLOADS = [
-    pytest.param("threshold", "p", lambda p: p[:3], id="p-short"),
-    pytest.param("threshold", "c", lambda c: c[:3], id="c-short"),
-    pytest.param("threshold", "p", lambda p: [1.5] + p[1:], id="p-above-one"),
-    pytest.param("threshold", "p", lambda p: [0.0] + p[1:], id="p-zero"),
-    pytest.param("threshold", "c", lambda c: [-1] + c[1:], id="c-negative"),
-    pytest.param("threshold", "c", lambda c: [math.nan] + c[1:], id="c-nan"),
-    pytest.param("threshold", "c", lambda c: [math.inf] + c[1:], id="c-inf"),
-    pytest.param("threshold", "c", lambda c: [-math.inf] + c[1:], id="c-minus-inf"),
-    pytest.param("threshold", "n", lambda n: n + 0.5, id="n-fraction"),
-    pytest.param("threshold", "theta", lambda t: 2.7, id="theta-fraction"),
-    pytest.param("threshold", "theta", lambda t: True, id="theta-bool"),
-    pytest.param("threshold", "coefficients", lambda a: [a[0] + 0.5] + a[1:], id="coeff-fraction"),
-    pytest.param("threshold", "coefficients", lambda a: [True] + a[1:], id="coeff-bool"),
+    pytest.param("threshold", {"p": lambda p: p[:3]}, id="p-short"),
+    pytest.param("threshold", {"c": lambda c: c[:3]}, id="c-short"),
+    pytest.param("threshold", {"p": lambda p: [1.5] + p[1:]}, id="p-above-one"),
+    pytest.param("threshold", {"p": lambda p: [0.0] + p[1:]}, id="p-zero"),
+    pytest.param("threshold", {"c": lambda c: [-1] + c[1:]}, id="c-negative"),
+    pytest.param("threshold", {"c": lambda c: [math.nan] + c[1:]}, id="c-nan"),
+    pytest.param("threshold", {"c": lambda c: [math.inf] + c[1:]}, id="c-inf"),
+    pytest.param("threshold", {"c": lambda c: [-math.inf] + c[1:]}, id="c-minus-inf"),
+    pytest.param("threshold", {"n": lambda n: n + 0.5}, id="n-fraction"),
+    pytest.param("threshold", {"theta": lambda t: 2.7}, id="theta-fraction"),
+    pytest.param("threshold", {"theta": lambda t: True}, id="theta-bool"),
     pytest.param(
-        "thresholds", "formulas", lambda fs: [{**fs[0], "theta": 0.5}] + fs[1:], id="formula-theta"
+        "threshold", {"coefficients": lambda a: [a[0] + 0.5] + a[1:]}, id="coeff-fraction"
+    ),
+    pytest.param("threshold", {"coefficients": lambda a: [True] + a[1:]}, id="coeff-bool"),
+    pytest.param(
+        "thresholds",
+        {"formulas": lambda fs: [{**fs[0], "theta": 0.5}] + fs[1:]},
+        id="formula-theta",
     ),
     pytest.param(
-        "linear-system", "functions", lambda rows: [[0.5] + rows[0][1:]] + rows[1:], id="functions"
+        "linear-system",
+        {"functions": lambda rows: [[0.5] + rows[0][1:]] + rows[1:]},
+        id="functions",
     ),
-    pytest.param("knapsack", "values", lambda v: [v[0] + 0.5] + v[1:], id="values-fraction"),
-    pytest.param("knapsack", "theta", lambda t: t + 0.5, id="knapsack-theta"),
-    pytest.param("knapsack", "weights", lambda w: [math.nan] + w[1:], id="weights-nan"),
-    pytest.param("knapsack", "weights", lambda w: [math.inf] + w[1:], id="weights-inf"),
-    pytest.param("truthtable", "table", lambda t: [True] + t[1:], id="table-bool"),
-    pytest.param("truthtable", "table", lambda t: [0.5] + t[1:], id="table-fraction"),
+    pytest.param("knapsack", {"values": lambda v: [v[0] + 0.5] + v[1:]}, id="values-fraction"),
+    pytest.param("knapsack", {"theta": lambda t: t + 0.5}, id="knapsack-theta"),
+    pytest.param("knapsack", {"weights": lambda w: [math.nan] + w[1:]}, id="weights-nan"),
+    pytest.param("knapsack", {"weights": lambda w: [math.inf] + w[1:]}, id="weights-inf"),
+    pytest.param("truthtable", {"table": lambda t: [True] + t[1:]}, id="table-bool"),
+    pytest.param("truthtable", {"table": lambda t: [0.5] + t[1:]}, id="table-fraction"),
+    pytest.param("knapsack", {"c": lambda c: [9.0] * len(c)}, id="knapsack-c-not-weights"),
+    pytest.param(
+        "knapsack",
+        {"n": lambda n: n + 1, "p": lambda p: p + [1.0], "c": lambda c: c + [1.0]},
+        id="knapsack-n-not-items",
+    ),
+    pytest.param(
+        "threshold",
+        {"coefficients": lambda a: [2**34, -(2**34), 2**34, 1, 1], "theta": lambda t: 2**34},
+        id="goal-overflow",
+    ),
 ]
 
 
@@ -160,11 +178,12 @@ class TestEval:
         assert code == 2
         assert "bad.json" in err
 
-    @pytest.mark.parametrize("kind,field,edit", BAD_PAYLOADS)
-    def test_bad_payload_exits_two(self, tmp_path, capsys, kind, field, edit):
+    @pytest.mark.parametrize("kind,edits", BAD_PAYLOADS)
+    def test_bad_payload_exits_two(self, tmp_path, capsys, kind, edits):
         path = self._gen(tmp_path, kind, 5, 3)
         data = json.loads(path.read_text())
-        data[field] = edit(data[field])
+        for field, edit in edits.items():
+            data[field] = edit(data[field])
         path.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "eval", str(path))
         assert code == 2

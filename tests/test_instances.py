@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+import sbfe.instances
 from sbfe.core import all_assignments
 from sbfe.instances import (
     KINDS,
@@ -93,7 +95,44 @@ class TestGenerators:
             assert sum(kp.values) >= kp.threshold
 
 
+# sha256 of each battery's instances, six per call, written out with dumps
+# (id, kind, n, p, c and the formula), at seeds 0, 7 and 1234.  The seeded
+# batteries feed `sbfe verify` and the acceptance suite, so their contents
+# stay fixed; a change that alters them on purpose updates these digests.
+BATTERY_GOLDEN = {
+    ("threshold_battery", 0): "b29f68dbf301a1b5a1bc7805ce33c111ad948b547d0f5ae78197d4003de2d67b",
+    ("threshold_battery", 7): "a985836dd23aacfacb62bf20ff7ee63297f3b3a2dcf0d178127b07ce78b5a819",
+    ("threshold_battery", 1234): "4d68da0449cfbdfc2faf65bc39d1c25f0fe12784dc0969ca90d94b8a6ee8bc38",
+    ("cdnf_battery", 0): "14a6926a7a589e96e272c003420edb942f12e80b72a10c098b4afb87773ab0d0",
+    ("cdnf_battery", 7): "7da162cf8dc9bab15c103d4deb80ae513edae89db9d64640ce01987d795814fa",
+    ("cdnf_battery", 1234): "2c712337ec2734bf47b9607790a965f0e103ef04c767cf272925f1363c545da3",
+    ("disjunction_battery", 0): "ee150352da4299a5bf46a3b99b84246d3d32689341bb80baf764d4f910fd70af",
+    ("disjunction_battery", 7): "17cfd7b3f36e662fbcbc91d11ebc5355942f8c9dbb591d210b9621bb3c4ccce6",
+    ("disjunction_battery", 1234): "8f76865c94f77ade7d019fa6c9d0b2e0e7ed97fa08208439a94ba799134ac9cc",
+    ("threshold_set_battery", 0): "98b5dad974e7a7d69a45c72a47331ffc582818cd0f2c8070cae16594f997d4d7",
+    ("threshold_set_battery", 7): "1756efefb034fc95197f5a627b5c5cf938fdda655602e91838ecaefc41d964b9",
+    ("threshold_set_battery", 1234): "8fefd8e2fe55f928a03c6646fab0b7dd86a703c28cb8c2bcfb8e7eda3d20d3fe",
+    ("truth_table_battery", 0): "39845f1b440195adcbac8a09c2a390538f5040d43de539c8e838f95c5295bd80",
+    ("truth_table_battery", 7): "92e73522cf6677ddd08643e3a3fefe2f3b01ced6ad6851080fd684ec1eee9544",
+    ("truth_table_battery", 1234): "64883b2f7634abb3a0b0150b1614283a72e1962b427d60a27acf645cc76df718",
+    ("knapsack_battery", 0): "91e05cbfbfb4ea64c44eb8d12eb6ba998ff71ed1cff7642dd7b794ab2d51ab68",
+    ("knapsack_battery", 7): "c197246652b0f2d94a5a58aea0575cde7ce2f1a886c2aa4158cb5c8b0a16b198",
+    ("knapsack_battery", 1234): "1a11e79405d4acfc591a76c804ac7dba7ad9907ed5da9b90346b54aa94c82062",
+    ("linear_system_battery", 0): "4ec6560c447640a7dde08b36ac5c4cbeb7d9690e73aa5c9e5eadf308669a8cb7",
+    ("linear_system_battery", 7): "47753b8f5885c4d76cde587faabbc11dc265dbf6ff41c571ec5706ccb3191784",
+    ("linear_system_battery", 1234): "68c520d9c81f4a70fc9c6961fe740cfc31f92cf4ad88fb327986a57535faae87",
+}
+BATTERIES = sorted({name for name, _ in BATTERY_GOLDEN})
+
+
 class TestBatteries:
+    @pytest.mark.parametrize("name", BATTERIES)
+    def test_golden_contents(self, name):
+        for seed in (0, 7, 1234):
+            cases = getattr(sbfe.instances, name)(6, seed)
+            text = "".join(dumps(case) for case in cases)
+            assert hashlib.sha256(text.encode()).hexdigest() == BATTERY_GOLDEN[(name, seed)]
+
     def test_sizes_and_ids(self):
         cases = threshold_battery(20, seed=5, n_lo=3, n_hi=10)
         assert len(cases) == 20

@@ -25,6 +25,7 @@ from sbfe.policies import (
     bounds,
     cost_order_policy,
     cp_ratio_policy,
+    prefix_ratios,
 )
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
@@ -213,12 +214,13 @@ class TestAlpha:
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution.uniform(2)
         tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (0, 1))
+        samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)))
         # at the empty prefix the denominator is the whole goal
         expect = sum(
             g.value(extend(stars(2), i, v)) for i, v in zip(tr.tested, tr.outcomes)
         ) / g.goal
-        assert dict(tr.alpha_samples)[0] == pytest.approx(expect)
-        assert alpha_of_trace(g, (0, 1), tr) == pytest.approx(max(r for _, r in tr.alpha_samples))
+        assert dict(samples)[0] == pytest.approx(expect)
+        assert alpha_of_trace(g, (0, 1), tr) == pytest.approx(max(r for _, r in samples))
 
     def test_inconsistent_assignment_rejected(self):
         g = cdnf_utility(disjunction_formula(2))

@@ -247,11 +247,12 @@ class TestMinKnapsack:
             KnapsackInstance((1, 1), (1.0, 1.0), 3)
 
     def test_battery_two_approximation_and_feasibility(self):
-        for ident, kp in knapsack_battery(20, seed=131, n_lo=2, n_hi=10):
+        for case in knapsack_battery(20, seed=131, n_lo=2, n_hi=10):
+            kp = case.f
             items, cost = min_knapsack_adg(kp)
             _, opt = min_knapsack_bruteforce(kp)
-            assert sum(kp.values[i] for i in items) >= kp.threshold, ident
-            assert cost <= 2 * opt + 1e-9, ident
+            assert sum(kp.values[i] for i in items) >= kp.threshold, case.id
+            assert cost <= 2 * opt + 1e-9, case.id
 
 
 class TestGapFamily:

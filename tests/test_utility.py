@@ -12,6 +12,7 @@ from sbfe.core import (
     ConstantFunctionError,
     InvalidUtilityError,
     Leaf,
+    LimitError,
     ProductDistribution,
     all_assignments,
     all_partials,
@@ -146,7 +147,7 @@ class TestCombinators:
 
     def test_goal_overflow_rejected(self):
         big = UtilityFunction(1, 2**32, lambda b: 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(LimitError):
             combine_or(big, big)
 
 

@@ -15,15 +15,19 @@ from sbfe.instances import (
     gen_threshold,
     threshold_battery,
 )
-from sbfe.policies import adaptive_dual_greedy, cp_ratio_policy
+from sbfe.policies import (
+    DualGreedyPolicy,
+    GreedyPolicy,
+    adaptive_dual_greedy,
+    bounds,
+    cp_ratio_policy,
+    prefix_ratios,
+)
 from sbfe.utility import ThresholdFormula, UtilityFunction, cdnf_utility, threshold_utility
 from sbfe.verify import (
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
-    make_adg_driver,
-    make_greedy_driver,
-    make_policy_driver,
     observed_alpha,
     ratio_vs_opt,
 )
@@ -127,33 +131,37 @@ class TestObservedAlpha:
             per_input = 1.0
             for x in all_assignments(g.arity):
                 tr = adaptive_dual_greedy(g, case.dist, case.costs, x)
-                for _, r in tr.alpha_samples:
+                for _, r in prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes))):
                     per_input = max(per_input, r)
             assert walked == pytest.approx(per_input, abs=1e-12)
 
 
+def threshold_adg(bound):
+    """Drive running the dual greedy on a threshold case, claiming ``bound``."""
+    return lambda case: (
+        DualGreedyPolicy(threshold_utility(case.f), case.dist, case.costs),
+        bound,
+    )
+
+
+def cdnf_greedy(case):
+    g = cdnf_utility(case.f)
+    return GreedyPolicy(g, case.dist, case.costs), bounds(g).lnq_bound
+
+
 class TestRatioVsOpt:
     def test_threshold_adg_within_three(self):
-        rep = ratio_vs_opt(
-            make_adg_driver(threshold_utility, lambda case, g: 3.0),
-            threshold_battery(6, seed=11, n_lo=2, n_hi=6),
-        )
+        rep = ratio_vs_opt(threshold_adg(3.0), threshold_battery(6, seed=11, n_lo=2, n_hi=6))
         assert rep.ok
         assert rep.worst_ratio <= 3.0 + 1e-6
 
     def test_cdnf_greedy_within_goal_bound(self):
-        rep = ratio_vs_opt(
-            make_greedy_driver(cdnf_utility, "goal"),
-            cdnf_battery(6, seed=12, n_lo=2, n_hi=6),
-        )
-        assert rep.ok
+        rep = ratio_vs_opt(cdnf_greedy, cdnf_battery(6, seed=12, n_lo=2, n_hi=6))
+        assert rep.ok and len(rep.rows) == 6
 
     def test_disjunction_cp_exact(self):
         rep = ratio_vs_opt(
-            make_policy_driver(
-                lambda case: cp_ratio_policy(case.dist, case.costs, "or"),
-                lambda case: 1.0,
-            ),
+            lambda case: (cp_ratio_policy(case.dist, case.costs, "or"), 1.0),
             disjunction_battery(8, seed=13, n_lo=2, n_hi=6),
             tol=1e-9,
         )
@@ -161,17 +169,6 @@ class TestRatioVsOpt:
         assert rep.worst_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_violations_flagged(self):
-        rep = ratio_vs_opt(
-            make_adg_driver(threshold_utility, lambda case, g: 0.01),
-            threshold_battery(3, seed=14, n_lo=3, n_hi=4),
-        )
+        rep = ratio_vs_opt(threshold_adg(0.01), threshold_battery(3, seed=14, n_lo=3, n_hi=4))
         assert not rep.ok
         assert rep.violations
-
-    def test_battery_can_be_callable(self):
-        rep = ratio_vs_opt(
-            make_greedy_driver(cdnf_utility, "goal"),
-            lambda seed: cdnf_battery(2, seed=seed, n_lo=2, n_hi=3),
-            seed=15,
-        )
-        assert rep.ok and len(rep.rows) == 2
