@@ -46,6 +46,7 @@ from .utility import (
 )
 from .verify import (
     ALPHA_MAX_N,
+    adg_cost_and_alpha,
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
@@ -53,6 +54,12 @@ from .verify import (
     observed_alpha,
     ratio_vs_opt,
 )
+
+# `eval --engine adg` takes its cost and alpha from one adg_cost_and_alpha
+# walk and calls neither observed_alpha nor expected_cost.  observed_alpha
+# (unused here) and expected_cost stay module globals all the same, because
+# benchmark/tracer.py replaces both by name through sbfe.cli.__dict__ to
+# time them as layers.
 
 COLUMNS = (
     "instance-id",
@@ -177,12 +184,13 @@ def eval_instance(inst: Instance, args) -> dict:
     except ConstantFunctionError:
         engine, cost, bound = "constant", 0.0, 0.0
     else:
-        if engine == "adg" and inst.n <= min(args.max_n, ALPHA_MAX_N):
-            alpha = observed_alpha(g, inst.dist, inst.costs)
+        exact = inst.n <= args.max_n
+        if engine == "adg" and exact and inst.n <= ALPHA_MAX_N:
+            cost, alpha = adg_cost_and_alpha(g, inst.dist, inst.costs)
         policy, bound = engine_policy(engine, g, inst, alpha)
-        if inst.n <= args.max_n:
+        if alpha is None and exact:
             cost = expected_cost(policy, inst.dist, inst.costs)
-        else:
+        elif alpha is None:
             cost = _sampled_cost(policy, inst, max(1, args.trials), args.seed)
 
     opt = None

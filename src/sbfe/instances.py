@@ -102,6 +102,8 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError("declared n disagrees with the formula arity")
     if row.covering and costs != f.weights:
         raise InstanceFormatError("c must equal the weights: a covering test costs its weight")
+    if row.covering and any(v != 1.0 for v in dist.p):
+        raise InstanceFormatError("p must be all ones: every covering test succeeds")
     return Instance(ident, kind, f, dist, costs)
 
 

@@ -26,7 +26,7 @@ from .core import (
     stars,
     to_string,
 )
-from .utility import UtilityFunction, expected_gain, marginal
+from .utility import UtilityFunction, expected_gain, gains_at, marginal
 
 EPS = 1e-9  # tolerance for all ratio comparisons; utilities themselves are exact
 
@@ -75,18 +75,22 @@ def alpha_of_trace(g: UtilityFunction, a: Optional[Assignment], trace: RunTrace)
     return max([0.0] + [r for _, r in samples])
 
 
-def prefix_ratios(g: UtilityFunction, steps) -> tuple:
+def prefix_ratios(g: UtilityFunction, steps, gains=None) -> tuple:
     """(t, ratio) for each prefix t of a run, given as (index, outcome) steps,
     that is short of the goal: the utility the steps from t on would each add
-    at that prefix, summed, over the utility still missing there."""
-    fn = g.fn
+    at that prefix, summed, over the utility still missing there.
+
+    ``gains(b)`` gives (g(b), down, up, ...) at a prefix, as `gains_at` does
+    by default; a dual greedy's `DualGreedyPolicy.gains` record serves the
+    prefixes of its own runs without calling the utility again."""
+    gains = gains or (lambda b: gains_at(g, b))
     b = stars(g.arity)
     samples = []
     for t, (i, v) in enumerate(steps):
-        base_v = fn(b)
-        denom = g.goal - base_v
+        base, down, up = gains(b)[:3]
+        denom = g.goal - base
         if denom > 0:
-            total = sum(fn(extend(b, j, w)) - base_v for j, w in steps[t:])
+            total = sum(up[j] if w else down[j] for j, w in steps[t:])
             samples.append((t, total / denom))
         b = extend(b, i, v)
     return tuple(samples)
@@ -147,11 +151,18 @@ class GreedyPolicy:
 class DualGreedyPolicy:
     """Greedy selection with dual credit subtracted from each cost.
 
-    State is the realized sequence of prefix assignments together with the
-    dual value assigned to each prefix when its test was chosen.  The credit
-    of candidate j is the sum over earlier prefixes S of
-    y_S * (expected gain of j at S); selection minimizes
-    (c_j - credit) / (expected gain of j now).
+    State is ``(prefixes, ys, credit)``: the realized sequence of prefix
+    assignments, the dual value y given to each prefix when its test was
+    chosen, and per position j the credit, the sum over those prefixes S of
+    y_S * (expected gain of j at S).  Selection minimizes
+    (c_j - credit_j) / (expected gain of j now).  Closing a prefix with a
+    nonzero y adds y times each expected gain there to the credit, in the
+    order of the prefixes, so no earlier prefix is ever looked at again.
+
+    Gains depend only on the partial assignment, so each one is computed
+    once per policy: `gains(b)` keeps g(b), the integer gains of setting
+    each position to 0 or 1 and the expected gains, and `next_test`, both
+    `advance` calls at b, `prefix_ratios` and the dual check all read it.
     """
 
     def __init__(self, g: UtilityFunction, d, c):
@@ -160,19 +171,27 @@ class DualGreedyPolicy:
         self.c = as_costs(c)
         if len(self.p) != g.arity or len(self.c) != g.arity:
             raise ValueError("arity mismatch")
+        self._gains = {}
 
     def initial_state(self):
-        return ((stars(self.g.arity),), ())
+        n = self.g.arity
+        return ((stars(n),), (), (0.0,) * n)
+
+    def gains(self, b: Partial) -> tuple:
+        """(g(b), down, up, eg) at b: `gains_at` plus the expected gains
+        p_j * up_j + (1 - p_j) * down_j; all but g(b) are None at the goal."""
+        rec = self._gains.get(b)
+        if rec is None:
+            base, down, up = gains_at(self.g, b)
+            eg = None
+            if down is not None:
+                p = self.p
+                eg = tuple(p[j] * up[j] + (1.0 - p[j]) * down[j] for j in range(len(p)))
+            rec = self._gains[b] = (base, down, up, eg)
+        return rec
 
     def _adjusted(self, state, j: int) -> float:
-        prefixes, ys = state
-        g = self.g
-        credit = 0.0
-        for t, y in enumerate(ys):
-            if y != 0.0:
-                pfx = prefixes[t]
-                credit += y * expected_gain(g, pfx, j, self.p, g.fn(pfx))
-        num = self.c[j] - credit
+        num = self.c[j] - state[2][j]
         if num < -EPS:
             raise InvalidUtilityError(
                 f"dual-adjusted cost of {j} is {num}; dual feasibility broken"
@@ -180,17 +199,15 @@ class DualGreedyPolicy:
         return num
 
     def next_test(self, b: Partial, state) -> Optional[int]:
-        g = self.g
-        base = g.fn(b)
-        if base >= g.goal:
+        eg = self.gains(b)[3]
+        if eg is None:
             return None
         best = None
         best_ratio = 0.0
-        for j in range(g.arity):
-            eg = expected_gain(g, b, j, self.p, base)
-            if eg <= 0.0:
+        for j, e in enumerate(eg):
+            if e <= 0.0:
                 continue
-            ratio = self._adjusted(state, j) / eg
+            ratio = self._adjusted(state, j) / e
             if best is None or ratio < best_ratio:
                 best = j
                 best_ratio = ratio
@@ -202,10 +219,12 @@ class DualGreedyPolicy:
         return best
 
     def advance(self, b: Partial, state, i: int, outcome: int):
-        prefixes, ys = state
-        g = self.g
-        y = max(0.0, self._adjusted(state, i) / expected_gain(g, b, i, self.p, g.fn(b)))
-        return (prefixes + (extend(b, i, outcome),), ys + (y,))
+        prefixes, ys, credit = state
+        eg = self.gains(b)[3]
+        y = max(0.0, self._adjusted(state, i) / eg[i])
+        if y != 0.0:
+            credit = tuple(cr + y * e for cr, e in zip(credit, eg))
+        return (prefixes + (extend(b, i, outcome),), ys + (y,), credit)
 
 
 class FixedOrderPolicy:
@@ -310,6 +329,6 @@ def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     each prefix of the realized test sequence.  ``prefix_ratios`` of its
     steps gives the samples that certify the run's approximation factor."""
     tested, outs, cost, state = _run(DualGreedyPolicy(g, d, c), outcomes, g.arity, c)
-    _, ys = state
+    _, ys, _ = state
     return RunTrace(tested, outs, cost, dual_values=ys)
 

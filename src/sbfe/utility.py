@@ -76,6 +76,26 @@ def expected_gain(g: UtilityFunction, b: Partial, i: int, p, base: int) -> float
     return p[i] * up + (1.0 - p[i]) * down
 
 
+def gains_at(g: UtilityFunction, b: Partial) -> tuple:
+    """(g(b), down, up) with down[j] and up[j] the utility gained by setting
+    position j to 0 and to 1 (0 for tested positions), checked for
+    monotonicity.  Once b reaches the goal no test is bought there, so down
+    and up are None and only g(b) is computed."""
+    fn = g.fn
+    base = fn(b)
+    if base >= g.goal:
+        return base, None, None
+    down = [0] * len(b)
+    up = [0] * len(b)
+    for j, v in enumerate(b):
+        if v == STAR:
+            up[j] = fn(extend(b, j, 1)) - base
+            down[j] = fn(extend(b, j, 0)) - base
+            if up[j] < 0 or down[j] < 0:
+                raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
+    return base, tuple(down), tuple(up)
+
+
 def constant_zero_utility(n: int) -> UtilityFunction:
     """Goal-0 utility: already covered, contributes nothing."""
     return UtilityFunction(n, 0, lambda b: 0)

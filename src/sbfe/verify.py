@@ -209,7 +209,7 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     prefix_cache = {}
 
     def leaf(b, state, path):
-        prefixes, ys = state
+        prefixes, ys, _ = state
         tested = tuple(idx for idx, _ in path)
         outs = tuple(v for _, v in path)
         cost = sum(cc[idx] for idx in tested)
@@ -220,12 +220,9 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
 
     walk_policy(pol, n, leaf, lambda i, if0, if1: None)
 
-    fn = g.fn
-
     def prefix_gain(pfx, j, v):
-        if pfx[j] != STAR:
-            return 0
-        return fn(extend(pfx, j, v)) - fn(pfx)
+        _, down, up, _ = pol.gains(pfx)
+        return up[j] if v else down[j]
 
     y_values = {}
     for a, tr in traces.items():
@@ -277,22 +274,37 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     )
 
 
-def observed_alpha(g: UtilityFunction, d, c) -> float:
-    """Worst per-prefix ratio of the dual greedy over every possible input.
+def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:
+    """Exact expected cost of the dual greedy and its observed alpha, the
+    worst per-prefix ratio over every possible input, from one walk of its
+    decision tree.
 
-    Walks the policy's decision tree once instead of rerunning it on each of
-    the 2^n inputs; every input follows some root-to-leaf path, so the leaf
-    paths cover all (input, prefix) pairs.
+    Every input follows some root-to-leaf path, so the leaf paths cover all
+    (input, prefix) pairs; the ratios read the policy's gain record, so the
+    second quantity costs no utility calls.
     """
     n = g.arity
     if n > ALPHA_MAX_N:
         raise LimitError(f"alpha scan limited to n <= {ALPHA_MAX_N}, got {n}")
+    pol = DualGreedyPolicy(g, d, c)
+    p, cc = pol.p, pol.c
     return walk_policy(
-        DualGreedyPolicy(g, d, c),
+        pol,
         n,
-        lambda b, state, path: max([1.0] + [r for _, r in prefix_ratios(g, path)]),
-        lambda i, if0, if1: max(if0, if1),
+        lambda b, state, path: (
+            0.0,
+            max([1.0] + [r for _, r in prefix_ratios(g, path, pol.gains)]),
+        ),
+        lambda i, lo, hi: (
+            cc[i] + p[i] * hi[0] + (1.0 - p[i]) * lo[0],
+            max(lo[1], hi[1]),
+        ),
     )
+
+
+def observed_alpha(g: UtilityFunction, d, c) -> float:
+    """Worst per-prefix ratio of the dual greedy over every possible input."""
+    return adg_cost_and_alpha(g, d, c)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ BAD_PAYLOADS = [
     pytest.param("truthtable", {"table": lambda t: [True] + t[1:]}, id="table-bool"),
     pytest.param("truthtable", {"table": lambda t: [0.5] + t[1:]}, id="table-fraction"),
     pytest.param("knapsack", {"c": lambda c: [9.0] * len(c)}, id="knapsack-c-not-weights"),
+    pytest.param("knapsack", {"p": lambda p: [0.5] * len(p)}, id="knapsack-p-not-one"),
     pytest.param(
         "knapsack",
         {"n": lambda n: n + 1, "p": lambda p: p + [1.0], "c": lambda c: c + [1.0]},

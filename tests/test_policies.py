@@ -1,10 +1,18 @@
+import dataclasses
 import math
 
 import pytest
 
-from helpers import conjunction_formula, enumeration_expected_cost
+from helpers import (
+    ReferenceDualGreedy,
+    conjunction_formula,
+    enumeration_expected_cost,
+    reference_alpha,
+)
+from sbfe.cli import _EVAL
 from sbfe.core import (
     STAR,
+    ConstantFunctionError,
     InvalidUtilityError,
     ProductDistribution,
     RunTrace,
@@ -12,9 +20,20 @@ from sbfe.core import (
     expected_cost,
     extend,
     optimal_expected_cost,
+    policy_tree,
     stars,
+    walk_policy,
 )
-from sbfe.instances import cdnf_battery, threshold_battery
+from sbfe.instances import (
+    cdnf_battery,
+    disjunction_battery,
+    generate_instance,
+    knapsack_battery,
+    linear_system_battery,
+    threshold_battery,
+    threshold_set_battery,
+    truth_table_battery,
+)
 from sbfe.policies import (
     EPS,
     DualGreedyPolicy,
@@ -36,7 +55,7 @@ from sbfe.utility import (
     threshold_utility,
 )
 from sbfe.utility import ThresholdFormula
-from sbfe.verify import observed_alpha
+from sbfe.verify import adg_cost_and_alpha, observed_alpha
 
 
 class TestAdaptiveGreedy:
@@ -205,6 +224,69 @@ class TestDualGreedyAgainstLiteralRule:
                     assert a == pytest.approx(b, abs=1e-12)
 
 
+_ADG_BATTERIES = {
+    "threshold": lambda: threshold_battery(12, seed=1004, n_lo=3, n_hi=8),
+    "cdnf": lambda: cdnf_battery(12, seed=1006, n_lo=3, n_hi=8),
+    "truthtable": lambda: truth_table_battery(12, seed=1014, n_lo=2, n_hi=7),
+    "thresholds": lambda: threshold_set_battery(8, seed=1013, m_hi=3, n_lo=4, n_hi=8),
+    "linear-system": lambda: linear_system_battery(10, seed=1011, m_hi=3, n_lo=2, n_hi=6),
+    "disjunction": lambda: disjunction_battery(10, seed=1009, n_lo=2, n_hi=8),
+    "knapsack": lambda: knapsack_battery(12, seed=1010, n_lo=3, n_hi=10),
+}
+
+
+def _adg_utility(case):
+    """The utility `sbfe eval` gives the dual greedy on a case."""
+    if case.kind == "knapsack":
+        return threshold_utility(ThresholdFormula(case.f.values, case.f.threshold))
+    return _EVAL[case.kind][0](case.f)
+
+
+class TestDualGreedyAgainstReference:
+    """The carried credit and the gain record change no float: the policy
+    and the recomputing reference agree with == on every battery."""
+
+    @pytest.mark.parametrize("kind", sorted(_ADG_BATTERIES))
+    def test_same_trees_duals_alpha_and_cost(self, kind):
+        leaf_ys = lambda b, state, path: [state[1]]
+        join = lambda i, lo, hi: lo + hi
+        checked = 0
+        for case in _ADG_BATTERIES[kind]():
+            try:
+                g = _adg_utility(case)
+            except ConstantFunctionError:
+                continue
+            n, d, c = g.arity, case.dist, case.costs
+            fast = DualGreedyPolicy(g, d, c)
+            slow = ReferenceDualGreedy(g, d, c)
+            assert policy_tree(fast, n, tuple) == policy_tree(slow, n, tuple), case.id
+            assert walk_policy(fast, n, leaf_ys, join) == walk_policy(slow, n, leaf_ys, join)
+            cost, alpha = adg_cost_and_alpha(g, d, c)
+            assert alpha == reference_alpha(g, d, c) == observed_alpha(g, d, c), case.id
+            assert cost == expected_cost(slow, d, c) == expected_cost(fast, d, c), case.id
+            checked += 1
+        assert checked >= 5
+
+    def test_utility_calls_within_twice_greedy(self):
+        # sbfe gen --kind threshold --n 10 --seed 3; the recomputing
+        # reference makes 12,024 calls here against the greedy's 1,039
+        inst = generate_instance("threshold", 10, 3, m=2)
+        plain = threshold_utility(inst.f)
+
+        def calls(policy_class):
+            count = [0]
+
+            def fn(b):
+                count[0] += 1
+                return plain.fn(b)
+
+            g = dataclasses.replace(plain, fn=fn)
+            expected_cost(policy_class(g, inst.dist, inst.costs), inst.dist, inst.costs)
+            return count[0]
+
+        assert calls(DualGreedyPolicy) <= 2 * calls(GreedyPolicy)
+
+
 class TestAlpha:
     def test_empty_trace(self):
         g = constant_zero_utility(2)
@@ -284,8 +366,6 @@ class TestFixedOrderPolicies:
         assert cost_order_policy((1.0, 1.0, 1.0)).order == (0, 1, 2)
 
     def test_cp_exact_on_disjunctions(self):
-        from sbfe.instances import disjunction_battery
-
         for case in disjunction_battery(10, seed=71, n_lo=2, n_hi=7):
             pol = cp_ratio_policy(case.dist, case.costs, "or")
             cost = expected_cost(pol, case.dist, case.costs)
