@@ -178,13 +178,17 @@ def eval_instance(inst: Instance, args) -> dict:
         return _report_row(inst, "adg", cost, opt, 2.0, None)
 
     build, oracle, _ = _EVAL[inst.kind]
+    exact = inst.n <= args.max_n
+    # The optimum goes first, so that one over OPTIMUM_MAX_N fails at once.
+    opt = None
+    if exact:
+        opt, _ = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs)
     engine, alpha = args.engine, None
     try:
         g = build(inst.f)
     except ConstantFunctionError:
         engine, cost, bound = "constant", 0.0, 0.0
     else:
-        exact = inst.n <= args.max_n
         if engine == "adg" and exact and inst.n <= ALPHA_MAX_N:
             cost, alpha = adg_cost_and_alpha(g, inst.dist, inst.costs)
         policy, bound = engine_policy(engine, g, inst, alpha)
@@ -192,10 +196,6 @@ def eval_instance(inst: Instance, args) -> dict:
             cost = expected_cost(policy, inst.dist, inst.costs)
         elif alpha is None:
             cost = _sampled_cost(policy, inst, max(1, args.trials), args.seed)
-
-    opt = None
-    if inst.n <= args.max_n:
-        opt, _ = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs, limit=args.max_n)
     return _report_row(inst, engine, cost, opt, bound, alpha)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -18,7 +19,7 @@ STAR = 2  # "not yet tested" marker; 0/1/STAR all fit in two bits
 # Size limits of the exhaustive oracles.
 NEIGHBOR_MAX_N = 16
 ENUMERATION_MAX_STARS = 20
-CERTIFICATE_TABLE_MAX_N = 14
+OPTIMUM_MAX_N = 14  # the optimum and the certificate table hold 3^n states
 CERTIFICATE_COST_MAX_N = 10
 
 Partial = tuple
@@ -113,10 +114,12 @@ def all_assignments(n: int) -> Iterator[Assignment]:
 
 
 def encode(b: Partial) -> int:
-    """Canonical integer key for b, two bits per position."""
+    """Index of b in the 3^n tables: sum of b_i * 3^(n-1-i), so that key
+    order is all_partials order and both extensions of b at an untested
+    position have smaller keys."""
     key = 0
-    for i, v in enumerate(b):
-        key |= v << (2 * i)
+    for v in b:
+        key = 3 * key + v
     return key
 
 
@@ -317,8 +320,11 @@ def neighbor_property_holds(t: DecisionTree, n: int) -> bool:
 # certificates
 
 # An instance is any object with an integer ``arity``, an
-# ``evaluate(x) -> label`` method on full assignments and a fast
-# ``certificate(b) -> label | None`` on partial ones.
+# ``evaluate(x) -> label`` method on full assignments, a fast
+# ``certificate(b) -> label | None`` on partial ones, and
+# ``join(l0, l1) -> label | None`` giving certificate(b) from the labels of
+# the two extensions of b at any one untested position.  An instance whose
+# certificate is exactly "every extension agrees" uses ``join_exact``.
 
 
 def certificate_by_enumeration(f, b: Partial) -> Optional[object]:
@@ -339,6 +345,44 @@ def certificate_by_enumeration(f, b: Partial) -> Optional[object]:
 def certificate_check(f, b: Partial) -> Optional[object]:
     """Label forced by b, from the instance's own certificate shortcut."""
     return f.certificate(b)
+
+
+def join_exact(l0, l1) -> Optional[object]:
+    """b forces a label iff both of its extensions at a position force it."""
+    return l0 if l0 == l1 else None
+
+
+def certificate_table(f) -> list:
+    """certificate(b) for every partial assignment b, indexed by encode(b).
+
+    Built bottom-up with no certificate call: f.evaluate labels the 2^n full
+    assignments, then one position at a time, last to first, each star
+    slice is the f.join of its 0 and 1 slices, 3^n - 2^n joins in all.
+    Equal labels share one object.
+    """
+    n = f.arity
+    if n > OPTIMUM_MAX_N:
+        raise LimitError(f"certificate table limited to n <= {OPTIMUM_MAX_N}, got {n}")
+    join = f.join
+    intern = {}.setdefault
+    # After k rounds the last k positions are ternary and the rest still
+    # binary: an index is the binary prefix times 3^k plus the ternary
+    # suffix, position 0 most significant in both.
+    labels = list(map(f.evaluate, all_assignments(n)))
+    labels = list(map(intern, labels, labels))
+    width = 1
+    for _ in range(n):
+        widened = []
+        for lo in range(0, len(labels), 2 * width):
+            zero = labels[lo : lo + width]
+            one = labels[lo + width : lo + 2 * width]
+            star = list(map(join, zero, one))
+            widened += zero
+            widened += one
+            widened += map(intern, star, star)
+        labels = widened
+        width *= 3
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -407,108 +451,78 @@ def policy_tree(policy, n: int, label_fn: Callable[[Partial], object]) -> Decisi
 # exhaustive optimal oracle
 
 
-def optimal_expected_cost(f, d, c, *, limit: int = 14):
+def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
     """Minimum expected evaluation cost and an optimal strategy tree.
 
-    Memoized recursion over partial assignments: a state costs nothing once
-    it certifies the instance's output; otherwise it costs
-    min_i c_i + p_i * OPT(b with i=1) + (1-p_i) * OPT(b with i=0) over the
-    untested i, ties broken toward the lowest index.
+    Dynamic program over the 3^n partial assignments, indexed by encode(b):
+    a state costs nothing once certificate_table says it forces a label;
+    otherwise it costs min_i c_i + p_i * OPT(b with i=1) + (1-p_i) *
+    OPT(b with i=0) over the untested i, ties broken toward the lowest index.
+    Both extensions have smaller keys, so one pass in key order fills every
+    value.  A state takes about 17 bytes (a label pointer, an 8-byte value
+    and a 1-byte choice), so n = 14 needs about 81 MB.  ``limit`` can only
+    lower the cap OPTIMUM_MAX_N.
     """
     n = f.arity
     p = as_probabilities(d)
     cc = as_costs(c)
-    if n > limit:
-        raise LimitError(f"exhaustive optimum limited to n <= {limit}, got {n}")
+    cap = min(limit, OPTIMUM_MAX_N)
+    if n > cap:
+        raise LimitError(f"exhaustive optimum limited to n <= {cap}, got {n}")
     if len(p) != n or len(cc) != n:
         raise ValueError("arity mismatch")
     for i, v in enumerate(p):
         if v in (0.0, 1.0):
             raise ValueError(f"p[{i}] = {v}: optimum oracle needs 0 < p_i < 1")
 
-    pow4 = [1 << (2 * i) for i in range(n)]
-    memo = {}  # key -> (value, ("leaf", label) | ("test", index))
+    labels = certificate_table(f)
+    size = len(labels)
+    value = array("d", bytes(8 * size))
+    choice = bytearray(size)
+    weight = [3 ** (n - 1 - i) for i in range(n)]
+    step = [(weight[i], 2 * weight[i], i, cc[i], p[i], 1.0 - p[i]) for i in range(n)]
 
-    def solve(b, key):
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        label = certificate_check(f, b)
-        if label is not None:
-            memo[key] = (0.0, ("leaf", label))
-            return 0.0
-        best = None
-        best_i = -1
-        for i in range(n):
-            if b[i] != STAR:
-                continue
-            shift = pow4[i]
-            v = (
-                cc[i]
-                + p[i] * solve(extend(b, i, 1), key - shift)
-                + (1.0 - p[i]) * solve(extend(b, i, 0), key - 2 * shift)
-            )
-            if best is None or v < best:
-                best = v
-                best_i = i
-        memo[key] = (best, ("test", best_i))
-        return best
+    # A key splits into high digits (positions before n - low) and low
+    # digits; the untested positions of each half are tabulated once.
+    low = n // 2
+    low_size = 3**low
 
-    root = stars(n)
-    value = solve(root, encode(root))
+    def untested(positions):
+        return [
+            tuple(step[i] for i, v in zip(positions, digits) if v == STAR)
+            for digits in itertools.product((0, 1, STAR), repeat=len(positions))
+        ]
+
+    low_steps = untested(range(n - low, n))
+    for high, high_steps in enumerate(untested(range(n - low))):
+        base = high * low_size
+        uncertified = [label is None for label in labels[base : base + low_size]]
+        for lo in itertools.compress(range(low_size), uncertified):
+            key = base + lo
+            best = None
+            for w1, w0, i, ci, pi, qi in high_steps + low_steps[lo]:
+                v = ci + pi * value[key - w1] + qi * value[key - w0]
+                if best is None or v < best:
+                    best = v
+                    best_i = i
+            value[key] = best
+            choice[key] = best_i
 
     nodes = {}
 
-    def build(b, key):
+    def build(key):
         node = nodes.get(key)
-        if node is not None:
-            return node
-        _, action = memo[key]
-        if action[0] == "leaf":
-            node = Leaf(action[1])
-        else:
-            i = action[1]
-            shift = pow4[i]
-            node = Branch(
-                i,
-                build(extend(b, i, 0), key - 2 * shift),
-                build(extend(b, i, 1), key - shift),
-            )
-        nodes[key] = node
+        if node is None:
+            if labels[key] is not None:
+                node = Leaf(labels[key])
+            else:
+                i = choice[key]
+                node = Branch(i, build(key - 2 * weight[i]), build(key - weight[i]))
+            nodes[key] = node
         return node
 
-    return value, build(root, encode(root))
-
-
-def certificate_table(f) -> dict:
-    """Forced label for every partial assignment, keyed by encode(b).
-
-    Bottom-up over the first untested position: b forces a label iff both
-    one-step extensions force the same label.
-    """
-    n = f.arity
-    if n > CERTIFICATE_TABLE_MAX_N:
-        raise LimitError(f"certificate table limited to n <= {CERTIFICATE_TABLE_MAX_N}, got {n}")
-    pow4 = [1 << (2 * i) for i in range(n)]
-    memo = {}
-
-    def status(b, key):
-        if key in memo:
-            return memo[key]
-        star = next((i for i, v in enumerate(b) if v == STAR), None)
-        if star is None:
-            out = f.evaluate(b)
-        else:
-            shift = pow4[star]
-            s1 = status(extend(b, star, 1), key - shift)
-            s0 = status(extend(b, star, 0), key - 2 * shift)
-            out = s1 if (s1 is not None and s1 == s0) else None
-        memo[key] = out
-        return out
-
-    for b in all_partials(n):
-        status(b, encode(b))
-    return memo
+    root = size - 1
+    return value[root], build(root)
 
 
 def expected_certificate_cost(f, d, c) -> float:
@@ -530,9 +544,10 @@ def expected_certificate_cost(f, d, c) -> float:
     total = 0.0
     key_arr = [0] * full_masks
     cost_arr = [0.0] * full_masks
-    star_key = encode(stars(n))
+    star_key = len(table) - 1
+    weight = [3 ** (n - 1 - i) for i in range(n)]
     for x in all_assignments(n):
-        contrib = [(x[i] - STAR) << (2 * i) for i in range(n)]
+        contrib = [(x[i] - STAR) * weight[i] for i in range(n)]
         key_arr[0] = star_key
         cost_arr[0] = 0.0
         best = None

@@ -14,6 +14,7 @@ from .core import (
     RunTrace,
     as_costs,
     as_probabilities,
+    join_exact,
 )
 from .policies import adaptive_dual_greedy, adaptive_greedy
 from .utility import (
@@ -126,6 +127,8 @@ class ThresholdSet:
             out.append(v)
         return tuple(out)
 
+    join = staticmethod(join_exact)
+
     def utility(self) -> UtilityFunction:
         """Sum of the per-formula utilities; covered when every formula is
         certified.  Constant formulas contribute an already-covered goal 0."""
@@ -188,6 +191,23 @@ class RankingInstance:
                 if not (le or ge):
                     return None
                 out.append((le, ge))
+        return tuple(out)
+
+    @staticmethod
+    def join(l0, l1) -> Optional[tuple]:
+        """A pair's order is forced at b iff it is forced on both extensions,
+        so the (le, ge) flags AND pair by pair; b is uncertified when either
+        extension is or when some pair keeps neither flag.  Plain equality
+        would be wrong: a pair can be decided while its flags differ."""
+        if l0 is None or l1 is None:
+            return None
+        out = []
+        for (le0, ge0), (le1, ge1) in zip(l0, l1):
+            le = le0 and le1
+            ge = ge0 and ge1
+            if not (le or ge):
+                return None
+            out.append((le, ge))
         return tuple(out)
 
 

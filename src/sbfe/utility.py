@@ -24,6 +24,7 @@ from .core import (
     Partial,
     all_assignments,
     extend,
+    join_exact,
     to_string,
     tree_leaf_paths,
 )
@@ -257,6 +258,8 @@ class CdnfFormula:
             return 0
         return None
 
+    join = staticmethod(join_exact)
+
 
 def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
     """Covering utility for a CNF/DNF pair: satisfied-clause and falsified-term
@@ -370,6 +373,8 @@ class ThresholdFormula:
             return 0
         return None
 
+    join = staticmethod(join_exact)
+
 
 def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
     """Covering utility for a threshold formula.
@@ -446,6 +451,8 @@ class TruthTable:
         if self.count_extensions(b, 1) == 0:
             return 0
         return None
+
+    join = staticmethod(join_exact)
 
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:

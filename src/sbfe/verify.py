@@ -18,7 +18,6 @@ from .core import (
     as_probabilities,
     certificate_table,
     clear,
-    encode,
     expected_cost,
     extend,
     extensions,
@@ -136,8 +135,9 @@ def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckRep
 
 def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
     """The utility reaches its goal exactly on the partial assignments that
-    force the instance's output.  Certificates come from an enumeration table
-    built only from f.evaluate, independent of any formula shortcut."""
+    force the instance's output.  Certificates come from certificate_table,
+    built from f.evaluate and f.join, independent of the certificate
+    shortcut."""
     n = g.arity
     if n > GOAL_CERTIFICATE_MAX_N:
         raise LimitError(
@@ -145,12 +145,11 @@ def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
         )
     if f.arity != n:
         raise ValueError("arity mismatch")
-    table = certificate_table(f)
     checked = 0
-    for b in all_partials(n):
+    for b, label in zip(all_partials(n), certificate_table(f)):
         checked += 1
         covered = g.fn(b) >= g.goal
-        certified = table[encode(b)] is not None
+        certified = label is not None
         if covered != certified:
             return CheckReport(
                 False,

@@ -8,7 +8,10 @@ extrema from brute force instead of the closed forms.
 from __future__ import annotations
 
 from sbfe.core import (
+    STAR,
+    Branch,
     InvalidUtilityError,
+    Leaf,
     all_assignments,
     as_costs,
     as_probabilities,
@@ -35,6 +38,45 @@ def brute_certificate(f, b):
     """Forced output of f on every extension of b, scanning all of them."""
     values = {f.evaluate(x) for x in extensions(b)}
     return values.pop() if len(values) == 1 else None
+
+
+def reference_optimum(f, d, c):
+    """The exhaustive optimum as first written, the reference for the
+    table-driven `optimal_expected_cost`: a memoized recursion over tuples
+    that asks `f.certificate` at every state it visits, ties broken toward
+    the lowest index."""
+    n = f.arity
+    p = as_probabilities(d)
+    cc = as_costs(c)
+    memo = {}  # b -> (value, ("leaf", label) | ("test", index))
+
+    def solve(b):
+        hit = memo.get(b)
+        if hit is not None:
+            return hit[0]
+        label = f.certificate(b)
+        if label is not None:
+            memo[b] = (0.0, ("leaf", label))
+            return 0.0
+        best = None
+        best_i = -1
+        for i in range(n):
+            if b[i] != STAR:
+                continue
+            v = cc[i] + p[i] * solve(extend(b, i, 1)) + (1.0 - p[i]) * solve(extend(b, i, 0))
+            if best is None or v < best:
+                best = v
+                best_i = i
+        memo[b] = (best, ("test", best_i))
+        return best
+
+    def build(b):
+        kind, arg = memo[b][1]
+        if kind == "leaf":
+            return Leaf(arg)
+        return Branch(arg, build(extend(b, arg, 0)), build(extend(b, arg, 1)))
+
+    return solve(stars(n)), build(stars(n))
 
 
 def brute_diff_extrema(coeffs, b):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sbfe.cli import main
+from sbfe.core import OPTIMUM_MAX_N
 from sbfe.instances import KINDS
 
 ENGINES = ("greedy", "adg", "baseline")
@@ -198,6 +199,16 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", str(path), "--engine", engine)
         assert code == 0
         assert sha256(out) == GOLDEN[f"eval {kind} {engine}"]
+
+    def test_optimum_over_cap_exits_two(self, tmp_path, capsys):
+        n = OPTIMUM_MAX_N + 1
+        path = self._gen(tmp_path, "threshold", n, 3)
+        code, out, err = run_cli(capsys, "eval", str(path), "--max-n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: exhaustive optimum limited to n <= {OPTIMUM_MAX_N}, got {n}\n"
+        )
 
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         path = self._gen(tmp_path, "threshold", 5, 11)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_certificate, conjunction_formula, enumeration_expected_cost
+from helpers import (
+    brute_certificate,
+    conjunction_formula,
+    enumeration_expected_cost,
+    reference_optimum,
+)
 from sbfe.core import (
     STAR,
     CostVector,
@@ -15,8 +20,11 @@ from sbfe.core import (
     ProductDistribution,
     RunTrace,
     Branch,
+    OPTIMUM_MAX_N,
+    all_partials,
     certificate_by_enumeration,
     certificate_check,
+    certificate_table,
     encode,
     expected_certificate_cost,
     expected_cost,
@@ -32,7 +40,14 @@ from sbfe.core import (
     tree_expected_cost,
     tree_tests_on,
 )
-from sbfe.instances import cdnf_battery, threshold_battery
+from sbfe.instances import (
+    cdnf_battery,
+    disjunction_battery,
+    linear_system_battery,
+    threshold_battery,
+    threshold_set_battery,
+    truth_table_battery,
+)
 from sbfe.policies import (
     DualGreedyPolicy,
     FixedOrderPolicy,
@@ -40,7 +55,7 @@ from sbfe.policies import (
     cost_order_policy,
     cp_ratio_policy,
 )
-from sbfe.problems import disjunction_formula, harmonic_gap_instance
+from sbfe.problems import RankingInstance, disjunction_formula, harmonic_gap_instance
 from sbfe.utility import CdnfFormula, ThresholdFormula, cdnf_utility
 
 
@@ -60,6 +75,9 @@ class TestPartialAssignments:
     def test_encode_distinct(self):
         keys = {encode(b) for b in [(0, 0), (0, 1), (1, 0), (1, 1), (STAR, STAR), (0, STAR)]}
         assert len(keys) == 6
+
+    def test_encode_is_all_partials_order(self):
+        assert [encode(b) for b in all_partials(3)] == list(range(27))
 
 
 class TestProbOf:
@@ -221,6 +239,11 @@ class TestOptimalOracle:
         f = disjunction_formula(4)
         with pytest.raises(LimitError):
             optimal_expected_cost(f, ProductDistribution.uniform(4), (1.0,) * 4, limit=3)
+        n = OPTIMUM_MAX_N + 1  # a larger limit cannot lift the cap
+        with pytest.raises(LimitError):
+            optimal_expected_cost(
+                disjunction_formula(n), ProductDistribution.uniform(n), (1.0,) * n, limit=n
+            )
         with pytest.raises(ValueError):
             optimal_expected_cost(
                 f, ProductDistribution((1.0, 0.5, 0.5, 0.5), mode="sssc"), (1.0,) * 4
@@ -238,6 +261,40 @@ class TestOptimalOracle:
         for case in threshold_battery(4, seed=29, n_lo=2, n_hi=8):
             _, tree = optimal_expected_cost(case.f, case.dist, case.costs)
             assert tree_depth_ok(tree, case.f.arity)
+
+
+# Battery of every kind the optimum serves; linear systems are evaluated
+# through RankingInstance, whose join is not plain equality.
+ORACLE_BATTERIES = {
+    "threshold": threshold_battery,
+    "cdnf": cdnf_battery,
+    "truthtable": truth_table_battery,
+    "thresholds": threshold_set_battery,
+    "linear-system": linear_system_battery,
+    "disjunction": disjunction_battery,
+}
+
+
+def _oracle(case):
+    return RankingInstance(case.f) if case.kind == "linear-system" else case.f
+
+
+class TestOptimumAgainstReference:
+    @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
+    def test_same_value_and_tree(self, kind):
+        battery = ORACLE_BATTERIES[kind]
+        cases = battery(8, seed=41, n_lo=2, n_hi=8) + battery(1, seed=42, n_lo=10, n_hi=10)
+        for case in cases:
+            f = _oracle(case)
+            got = optimal_expected_cost(f, case.dist, case.costs)
+            assert got == reference_optimum(f, case.dist, case.costs), case.id
+
+    @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
+    def test_status_table_is_the_certificate(self, kind):
+        for case in ORACLE_BATTERIES[kind](8, seed=43, n_lo=2, n_hi=6):
+            f = _oracle(case)
+            want = [f.certificate(b) for b in all_partials(f.arity)]
+            assert certificate_table(f) == want, case.id
 
 
 class TestCertificates:
