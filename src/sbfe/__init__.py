@@ -37,7 +37,6 @@ from .policies import (
     GreedyPolicy,
     adaptive_dual_greedy,
     adaptive_greedy,
-    alpha_of_trace,
     bounds,
     cost_order_policy,
     cp_ratio_policy,
@@ -65,8 +64,6 @@ from .utility import (
     combine_and,
     combine_or,
     decision_tree_to_cdnf,
-    expected_gain,
-    marginal,
     ranking_pair_utility,
     threshold_utility,
     truth_table_utility,

@@ -74,6 +74,7 @@ COLUMNS = (
     "pass",
 )
 RATIO_TOL = 1e-6
+VERIFY_MIN_N = 3  # the smallest size the verify batteries draw
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def eval_instance(inst: Instance, args) -> dict:
         if alpha is None and exact:
             cost = expected_cost(policy, inst.dist, inst.costs)
         elif alpha is None:
-            cost = _sampled_cost(policy, inst, max(1, args.trials), args.seed)
+            cost = _sampled_cost(policy, inst, args.trials, args.seed)
     return _report_row(inst, engine, cost, opt, bound, alpha)
 
 
@@ -319,6 +320,9 @@ def _verify_lines(args):
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < VERIFY_MIN_N:
+        print(f"error: --max-n must be at least {VERIFY_MIN_N}, got {args.max_n}", file=sys.stderr)
+        return 2
     lines = _verify_lines(args)
     _write("\n".join(line for _, line in lines) + "\n", args.out)
     ok = all(flag for flag, _ in lines)
@@ -335,7 +339,9 @@ def cmd_gap_demo(args) -> int:
     try:
         ns = [int(s) for s in args.ns.split(",") if s]
     except ValueError:
-        print(f"error: bad --ns value {args.ns!r}", file=sys.stderr)
+        ns = None
+    if ns is None or any(n < 1 for n in ns):
+        print(f"error: bad --ns value {args.ns!r}; sizes are positive integers", file=sys.stderr)
         return 2
     rows = []
     for n in ns:
@@ -360,6 +366,14 @@ def cmd_gap_demo(args) -> int:
 # argument parsing
 
 
+def trial_count(text: str) -> int:
+    """The ``--trials`` type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbfe",
@@ -380,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--engine", default="greedy", choices=("greedy", "adg", "baseline"))
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--max-n", type=int, default=14, dest="max_n")
-    ev.add_argument("--trials", type=int, default=200)
+    ev.add_argument("--trials", type=trial_count, default=200)
     ev.add_argument("--format", default="csv", choices=("csv", "json"))
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_eval)
@@ -388,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-n", type=int, default=8, dest="max_n")
-    ver.add_argument("--trials", type=int, default=2000)
+    ver.add_argument("--trials", type=trial_count, default=2000)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 

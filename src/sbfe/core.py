@@ -588,9 +588,6 @@ class RunTrace:
         if len(self.tested) != len(self.outcomes):
             raise ValueError("one outcome per test required")
 
-    def __len__(self) -> int:
-        return len(self.tested)
-
     def final(self, n: int) -> Partial:
         b = list(stars(n))
         for i, v in zip(self.tested, self.outcomes):

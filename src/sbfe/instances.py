@@ -196,6 +196,13 @@ def gen_linear_system(
     return LinearSystem(tuple(rows))
 
 
+def _ranked(system: LinearSystem) -> LinearSystem:
+    """``system``, which must have the two functions a ranking compares."""
+    if system.m < 2:
+        raise InstanceFormatError(f"a linear system needs at least two functions, got {system.m}")
+    return system
+
+
 def gen_threshold_set(rng: random.Random, m: int, n: int, max_coeff: int = 3) -> ThresholdSet:
     return ThresholdSet(tuple(gen_threshold(rng, n, max_coeff) for _ in range(m)))
 
@@ -253,10 +260,10 @@ _TABLE = {
     ),
     "linear-system": _Kind(
         encode=lambda f: {"m": f.m, "functions": [list(row) for row in f.coeffs]},
-        decode=lambda data, n: LinearSystem(
-            tuple(_ints(row, "functions") for row in data["functions"])
+        decode=lambda data, n: _ranked(
+            LinearSystem(tuple(_ints(row, "functions") for row in data["functions"]))
         ),
-        generate=lambda rng, n, m: gen_linear_system(rng, m, n, duplicate_prob=0.15),
+        generate=lambda rng, n, m: _ranked(gen_linear_system(rng, m, n, duplicate_prob=0.15)),
         has_m=True,
     ),
     "knapsack": _Kind(

@@ -14,7 +14,6 @@ from typing import Callable, Optional, Sequence
 
 from .core import (
     STAR,
-    Assignment,
     InvalidUtilityError,
     Partial,
     PolicyError,
@@ -26,7 +25,7 @@ from .core import (
     stars,
     to_string,
 )
-from .utility import UtilityFunction, expected_gain, gains_at, marginal
+from .utility import UtilityFunction, gains_at
 
 EPS = 1e-9  # tolerance for all ratio comparisons; utilities themselves are exact
 
@@ -50,40 +49,20 @@ def bounds(g: UtilityFunction) -> BoundReport:
     if g.goal == 0:
         return BoundReport(0.0, 0.0, 0)
     lnq = math.log(g.goal) + 1.0
-    root = stars(g.arity)
-    p_max = max(
-        marginal(g, root, i, l) for i in range(g.arity) for l in (0, 1)
-    )
+    _, down, up = gains_at(g, stars(g.arity))
+    p_max = max(max(down), max(up)) if down is not None else 0
     p_bound = 2.0 * (math.log(p_max) + 1.0) if p_max > 0 else 0.0
     return BoundReport(lnq, p_bound, p_max)
 
 
-def alpha_of_trace(g: UtilityFunction, a: Optional[Assignment], trace: RunTrace) -> float:
-    """Worst ratio, over prefixes of the run, of the total utility the tested
-    set could still add at that prefix to the utility still missing there.
-
-    The run's own outcomes determine every quantity; when the full hidden
-    assignment ``a`` is supplied it is only cross-checked for consistency.
-    """
-    if a is not None:
-        for i, v in zip(trace.tested, trace.outcomes):
-            if a[i] != v:
-                raise ValueError("trace outcomes disagree with the given assignment")
-    if not trace.tested:
-        return 1.0
-    samples = prefix_ratios(g, tuple(zip(trace.tested, trace.outcomes)))
-    return max([0.0] + [r for _, r in samples])
-
-
-def prefix_ratios(g: UtilityFunction, steps, gains=None) -> tuple:
+def prefix_ratios(g: UtilityFunction, steps, gains) -> tuple:
     """(t, ratio) for each prefix t of a run, given as (index, outcome) steps,
     that is short of the goal: the utility the steps from t on would each add
     at that prefix, summed, over the utility still missing there.
 
-    ``gains(b)`` gives (g(b), down, up, ...) at a prefix, as `gains_at` does
-    by default; a dual greedy's `DualGreedyPolicy.gains` record serves the
-    prefixes of its own runs without calling the utility again."""
-    gains = gains or (lambda b: gains_at(g, b))
+    ``gains(b)`` gives (g(b), down, up, ...) at a prefix: `gains_at` does, and
+    so does a policy's `GreedyPolicy.gains`, whose record in a dual greedy
+    serves the prefixes of its own runs without calling the utility again."""
     b = stars(g.arity)
     samples = []
     for t, (i, v) in enumerate(steps):
@@ -100,13 +79,43 @@ def prefix_ratios(g: UtilityFunction, steps, gains=None) -> tuple:
 # policies
 
 
-class GreedyPolicy:
-    """Test the position with the best expected utility gain per unit cost.
+def _cheapest(eg, cost) -> Optional[int]:
+    """The position with the least cost per unit of expected gain, or None
+    when ``eg`` is None (the goal is reached).
 
     Positions whose expected gain is zero are never selected: they add cost
     but cannot add utility.  Zero-cost positive-gain positions have ratio 0
-    and are taken immediately.  Ties go to the lowest index.
+    and are taken immediately.  The comparison is strict, so exact ties
+    (bitwise-equal ratios, common with integer gains and unit costs) keep the
+    lowest index and the dual update always sees the true minimum.
     """
+    if eg is None:
+        return None
+    best = None
+    best_ratio = 0.0
+    for j, e in enumerate(eg):
+        if e <= 0.0:
+            continue
+        num = cost[j]
+        if num < -EPS:
+            raise InvalidUtilityError(
+                f"dual-adjusted cost of {j} is {num}; dual feasibility broken"
+            )
+        ratio = num / e
+        if best is None or ratio < best_ratio:
+            best = j
+            best_ratio = ratio
+    if best is None:
+        raise InvalidUtilityError(
+            "no untested position has positive expected gain but the goal "
+            "is not reached; utility is not assignment feasible"
+        )
+    return best
+
+
+class GreedyPolicy:
+    """Test the position with the best expected utility gain per unit cost
+    (see `_cheapest`)."""
 
     def __init__(self, g: UtilityFunction, d, c):
         self.g = g
@@ -121,110 +130,59 @@ class GreedyPolicy:
     def advance(self, b, state, i, outcome):
         return None
 
-    def next_test(self, b: Partial, state) -> Optional[int]:
-        g = self.g
-        base = g.fn(b)
-        if base >= g.goal:
-            return None
-        best = None
-        best_ratio = 0.0
-        p, c = self.p, self.c
-        for j in range(g.arity):
-            eg = expected_gain(g, b, j, p, base)
-            if eg <= 0.0:
-                continue
-            # strict comparison: exact ties (bitwise-equal ratios, common
-            # with integer marginals and unit costs) keep the lowest index,
-            # and the dual update below always sees the true minimum
-            ratio = c[j] / eg
-            if best is None or ratio < best_ratio:
-                best = j
-                best_ratio = ratio
-        if best is None:
-            raise InvalidUtilityError(
-                "no untested position has positive expected gain but the goal "
-                "is not reached; utility is not assignment feasible"
-            )
-        return best
-
-
-class DualGreedyPolicy:
-    """Greedy selection with dual credit subtracted from each cost.
-
-    State is ``(prefixes, ys, credit)``: the realized sequence of prefix
-    assignments, the dual value y given to each prefix when its test was
-    chosen, and per position j the credit, the sum over those prefixes S of
-    y_S * (expected gain of j at S).  Selection minimizes
-    (c_j - credit_j) / (expected gain of j now).  Closing a prefix with a
-    nonzero y adds y times each expected gain there to the credit, in the
-    order of the prefixes, so no earlier prefix is ever looked at again.
-
-    Gains depend only on the partial assignment, so each one is computed
-    once per policy: `gains(b)` keeps g(b), the integer gains of setting
-    each position to 0 or 1 and the expected gains, and `next_test`, both
-    `advance` calls at b, `prefix_ratios` and the dual check all read it.
-    """
-
-    def __init__(self, g: UtilityFunction, d, c):
-        self.g = g
-        self.p = as_probabilities(d)
-        self.c = as_costs(c)
-        if len(self.p) != g.arity or len(self.c) != g.arity:
-            raise ValueError("arity mismatch")
-        self._gains = {}
-
-    def initial_state(self):
-        n = self.g.arity
-        return ((stars(n),), (), (0.0,) * n)
-
     def gains(self, b: Partial) -> tuple:
         """(g(b), down, up, eg) at b: `gains_at` plus the expected gains
         p_j * up_j + (1 - p_j) * down_j; all but g(b) are None at the goal."""
-        rec = self._gains.get(b)
-        if rec is None:
-            base, down, up = gains_at(self.g, b)
-            eg = None
-            if down is not None:
-                p = self.p
-                eg = tuple(p[j] * up[j] + (1.0 - p[j]) * down[j] for j in range(len(p)))
-            rec = self._gains[b] = (base, down, up, eg)
-        return rec
-
-    def _adjusted(self, state, j: int) -> float:
-        num = self.c[j] - state[2][j]
-        if num < -EPS:
-            raise InvalidUtilityError(
-                f"dual-adjusted cost of {j} is {num}; dual feasibility broken"
-            )
-        return num
+        base, down, up = gains_at(self.g, b)
+        if down is None:
+            return base, None, None, None
+        p = self.p
+        return base, down, up, tuple(p[j] * up[j] + (1.0 - p[j]) * down[j] for j in range(len(p)))
 
     def next_test(self, b: Partial, state) -> Optional[int]:
-        eg = self.gains(b)[3]
-        if eg is None:
-            return None
-        best = None
-        best_ratio = 0.0
-        for j, e in enumerate(eg):
-            if e <= 0.0:
-                continue
-            ratio = self._adjusted(state, j) / e
-            if best is None or ratio < best_ratio:
-                best = j
-                best_ratio = ratio
-        if best is None:
-            raise InvalidUtilityError(
-                "no untested position has positive expected gain but the goal "
-                "is not reached; utility is not assignment feasible"
-            )
-        return best
+        return _cheapest(self.gains(b)[3], self.c)
+
+
+class DualGreedyPolicy(GreedyPolicy):
+    """The greedy with dual credit subtracted from each cost: selection
+    minimizes (c_j - credit_j) / (expected gain of j now).  The greedy is
+    this policy with zero credit.
+
+    State is ``(ys, credit)``: the dual value y given to each prefix of the
+    realized test sequence when its test was chosen, and per position j the
+    credit, the sum over those prefixes S of y_S * (expected gain of j at S).
+    Closing a prefix with a nonzero y adds y times each expected gain there
+    to the credit, in the order of the prefixes, so no earlier prefix is
+    ever looked at again.
+
+    Gains depend only on the partial assignment, so `gains(b)` keeps each
+    record: `next_test`, both `advance` calls at b, `prefix_ratios` and the
+    dual check all read it.
+    """
+
+    def __init__(self, g: UtilityFunction, d, c):
+        super().__init__(g, d, c)
+        self._gains = {}
+
+    def initial_state(self):
+        return (), (0.0,) * self.g.arity
+
+    def gains(self, b: Partial) -> tuple:
+        rec = self._gains.get(b)
+        if rec is None:
+            rec = self._gains[b] = super().gains(b)
+        return rec
+
+    def next_test(self, b: Partial, state) -> Optional[int]:
+        return _cheapest(self.gains(b)[3], [c - cr for c, cr in zip(self.c, state[1])])
 
     def advance(self, b: Partial, state, i: int, outcome: int):
-        prefixes, ys, credit = state
+        ys, credit = state
         eg = self.gains(b)[3]
-        y = max(0.0, self._adjusted(state, i) / eg[i])
+        y = max(0.0, (self.c[i] - credit[i]) / eg[i])
         if y != 0.0:
             credit = tuple(cr + y * e for cr, e in zip(credit, eg))
-        return (prefixes + (extend(b, i, outcome),), ys + (y,), credit)
+        return ys + (y,), credit
 
 
 class FixedOrderPolicy:
@@ -329,6 +287,5 @@ def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     each prefix of the realized test sequence.  ``prefix_ratios`` of its
     steps gives the samples that certify the run's approximation factor."""
     tested, outs, cost, state = _run(DualGreedyPolicy(g, d, c), outcomes, g.arity, c)
-    _, ys, _ = state
-    return RunTrace(tested, outs, cost, dual_values=ys)
+    return RunTrace(tested, outs, cost, dual_values=state[0])
 

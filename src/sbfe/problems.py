@@ -111,10 +111,6 @@ class ThresholdSet:
     def d_max(self) -> int:
         return max(f.total_magnitude for f in self.formulas)
 
-    @property
-    def d_avg(self) -> float:
-        return sum(f.total_magnitude for f in self.formulas) / self.m
-
     def evaluate(self, x: Assignment) -> tuple:
         return tuple(f.evaluate(x) for f in self.formulas)
 

@@ -50,33 +50,6 @@ class UtilityFunction:
         return self.fn(b)
 
 
-def marginal(g: UtilityFunction, b: Partial, i: int, l: int) -> int:
-    """Utility gained by setting position i to l; 0 when i is already tested."""
-    if b[i] != STAR:
-        return 0
-    gain = g.fn(extend(b, i, l)) - g.fn(b)
-    if gain < 0:
-        raise InvalidUtilityError(
-            f"monotonicity violated at {b} with position {i} set to {l}"
-        )
-    return gain
-
-
-def expected_gain(g: UtilityFunction, b: Partial, i: int, p, base: int) -> float:
-    """p_i * gain(i, 1) + (1 - p_i) * gain(i, 0); 0 when i is already tested.
-
-    ``p`` is the tuple of probabilities and ``base`` the value g.fn(b), which
-    callers scanning many positions at one b compute once.
-    """
-    if b[i] != STAR:
-        return 0.0
-    up = g.fn(extend(b, i, 1)) - base
-    down = g.fn(extend(b, i, 0)) - base
-    if up < 0 or down < 0:
-        raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {i}")
-    return p[i] * up + (1.0 - p[i]) * down
-
-
 def gains_at(g: UtilityFunction, b: Partial) -> tuple:
     """(g(b), down, up) with down[j] and up[j] the utility gained by setting
     position j to 0 and to 1 (0 for tested positions), checked for
@@ -509,10 +482,6 @@ class LinearSystem:
     @property
     def d_max(self) -> int:
         return max(self.d_values)
-
-    @property
-    def d_avg(self) -> float:
-        return sum(self.d_values) / self.m
 
     def known_le(self, i: int, j: int, b: Partial) -> bool:
         """True when b already forces f_i(x) <= f_j(x) on every extension."""

@@ -168,13 +168,11 @@ def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
 class DualCertificate:
     """Assembled dual solution from running the dual greedy on every input.
 
-    ``y_values`` maps (prefix tuple, input) to the dual value that run gave
-    the prefix.  ``slack`` maps each one-star assignment w to
-    c_{j(w)} - h'_w(Y): the constraint slack of the dual program.  Slack must
-    be nonnegative everywhere and zero exactly where j(w) is tested.
+    ``slack`` maps each one-star assignment w to c_{j(w)} - h'_w(Y): the
+    constraint slack of the dual program.  Slack must be nonnegative
+    everywhere and zero exactly where j(w) is tested.
     """
 
-    y_values: dict
     slack: dict
     tight: dict
     violations: tuple
@@ -208,11 +206,11 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     prefix_cache = {}
 
     def leaf(b, state, path):
-        prefixes, ys, _ = state
         tested = tuple(idx for idx, _ in path)
         outs = tuple(v for _, v in path)
         cost = sum(cc[idx] for idx in tested)
-        tr = RunTrace(tested, outs, cost, dual_values=ys)
+        tr = RunTrace(tested, outs, cost, dual_values=state[0])
+        prefixes = tr.prefixes(n)
         for a in extensions(b):
             traces[a] = tr
             prefix_cache[a] = prefixes
@@ -222,11 +220,6 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     def prefix_gain(pfx, j, v):
         _, down, up, _ = pol.gains(pfx)
         return up[j] if v else down[j]
-
-    y_values = {}
-    for a, tr in traces.items():
-        for t, y in enumerate(tr.dual_values):
-            y_values[(tr.tested[:t], a)] = y
 
     slack = {}
     tight = {}
@@ -268,9 +261,7 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
             pfx = prefix_cache[a][t]
             gain_sum = sum(prefix_gain(pfx, i, v) for i, v in zip(tr.tested, tr.outcomes))
             rhs += pa * y * gain_sum
-    return DualCertificate(
-        y_values, slack, tight, tuple(violations), abs(lhs - rhs), len(traces)
-    )
+    return DualCertificate(slack, tight, tuple(violations), abs(lhs - rhs), len(traces))
 
 
 def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:

@@ -22,7 +22,7 @@ from sbfe.core import (
     walk_policy,
 )
 from sbfe.policies import EPS, run_policy
-from sbfe.utility import CdnfFormula, expected_gain
+from sbfe.utility import CdnfFormula
 
 
 def enumeration_expected_cost(policy, d, c, n: int) -> float:
@@ -91,9 +91,21 @@ def conjunction_formula(n: int) -> CdnfFormula:
     return CdnfFormula(n, clauses, (frozenset(range(1, n + 1)),))
 
 
+def expected_gain(g, b, i, p, base):
+    """p_i * gain(i, 1) + (1 - p_i) * gain(i, 0) at b, from fresh utility
+    calls; 0 when i is already tested.  ``base`` is g.fn(b)."""
+    if b[i] != STAR:
+        return 0.0
+    up = g.fn(extend(b, i, 1)) - base
+    down = g.fn(extend(b, i, 0)) - base
+    if up < 0 or down < 0:
+        raise InvalidUtilityError(f"monotonicity violated at {b}, position {i}")
+    return p[i] * up + (1.0 - p[i]) * down
+
+
 class ReferenceDualGreedy:
     """The dual greedy as first written, the reference for the incremental
-    `DualGreedyPolicy`: state is (prefixes, ys), and every decision
+    `DualGreedyPolicy`: state is (ys, prefixes), and every decision
     recomputes each candidate's credit from all earlier prefixes, calling
     the utility again at each of them."""
 
@@ -103,10 +115,10 @@ class ReferenceDualGreedy:
         self.c = as_costs(c)
 
     def initial_state(self):
-        return ((stars(self.g.arity),), ())
+        return ((), (stars(self.g.arity),))
 
     def _adjusted(self, state, j):
-        prefixes, ys = state
+        ys, prefixes = state
         g = self.g
         credit = 0.0
         for t, y in enumerate(ys):
@@ -138,10 +150,10 @@ class ReferenceDualGreedy:
         return best
 
     def advance(self, b, state, i, outcome):
-        prefixes, ys = state
+        ys, prefixes = state
         g = self.g
         y = max(0.0, self._adjusted(state, i) / expected_gain(g, b, i, self.p, g.fn(b)))
-        return (prefixes + (extend(b, i, outcome),), ys + (y,))
+        return (ys + (y,), prefixes + (extend(b, i, outcome),))
 
 
 def reference_alpha(g, d, c) -> float:

@@ -75,6 +75,7 @@ BAD_PAYLOADS = [
         {"functions": lambda rows: [[0.5] + rows[0][1:]] + rows[1:]},
         id="functions",
     ),
+    pytest.param("linear-system", {"functions": lambda rows: rows[:1]}, id="functions-one"),
     pytest.param("knapsack", {"values": lambda v: [v[0] + 0.5] + v[1:]}, id="values-fraction"),
     pytest.param("knapsack", {"theta": lambda t: t + 0.5}, id="knapsack-theta"),
     pytest.param("knapsack", {"weights": lambda w: [math.nan] + w[1:]}, id="weights-nan"),
@@ -124,6 +125,14 @@ class TestGen:
     def test_bad_kind_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--kind", "nope", "--n", "4", "--seed", "1")
         assert code == 2
+
+    def test_one_function_linear_system_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "linear-system", "--n", "3", "--seed", "1", "--m", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a linear system needs at least two functions, got 1\n"
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_golden_bytes(self, capsys, kind):
@@ -254,13 +263,39 @@ class TestGapDemo:
             assert rows[n]["certificate_cost"] < 2.0
 
     def test_bad_ns_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "gap-demo", "--ns", "4,x")
-        assert code == 2
+        for ns in ("4,x", "0", "-1", "4,0"):
+            code, out, err = run_cli(capsys, "gap-demo", "--ns", ns)
+            assert code == 2, ns
+            assert out == "", ns
+            assert err.startswith("error: ") and err.count("\n") == 1, ns
 
 
 class TestUsage:
     def test_no_command_exits_two(self, capsys):
         assert main([]) == 2
+
+    def test_bad_numeric_flag_exits_two(self, tmp_path, capsys):
+        # n = 5 is above --max-n 3, so eval would sample --trials runs
+        path = tmp_path / "t.json"
+        gen = ["gen", "--kind", "threshold", "--n", "5", "--seed", "1", "--out", str(path)]
+        assert main(gen) == 0
+        for argv in (
+            ["verify", "--max-n", "2"],
+            ["verify", "--max-n", "0"],
+            ["verify", "--trials", "0"],
+            ["verify", "--trials", "-5"],
+            ["eval", str(path), "--max-n", "3", "--trials", "0"],
+            ["eval", str(path), "--max-n", "3", "--trials", "-5"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == "", argv
+            assert "error: " in err, argv
+
+    def test_verify_max_n_below_three_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "2")
+        assert code == 2
+        assert err == "error: --max-n must be at least 3, got 2\n"
 
     def test_unknown_flag_exits_two(self, capsys):
         for argv in (

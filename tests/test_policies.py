@@ -7,6 +7,7 @@ from helpers import (
     ReferenceDualGreedy,
     conjunction_formula,
     enumeration_expected_cost,
+    expected_gain,
     reference_alpha,
 )
 from sbfe.cli import _EVAL
@@ -15,7 +16,6 @@ from sbfe.core import (
     ConstantFunctionError,
     InvalidUtilityError,
     ProductDistribution,
-    RunTrace,
     all_assignments,
     expected_cost,
     extend,
@@ -40,7 +40,6 @@ from sbfe.policies import (
     GreedyPolicy,
     adaptive_dual_greedy,
     adaptive_greedy,
-    alpha_of_trace,
     bounds,
     cost_order_policy,
     cp_ratio_policy,
@@ -51,7 +50,7 @@ from sbfe.utility import (
     UtilityFunction,
     cdnf_utility,
     constant_zero_utility,
-    expected_gain,
+    gains_at,
     threshold_utility,
 )
 from sbfe.utility import ThresholdFormula
@@ -248,7 +247,7 @@ class TestDualGreedyAgainstReference:
 
     @pytest.mark.parametrize("kind", sorted(_ADG_BATTERIES))
     def test_same_trees_duals_alpha_and_cost(self, kind):
-        leaf_ys = lambda b, state, path: [state[1]]
+        leaf_ys = lambda b, state, path: [state[0]]
         join = lambda i, lo, hi: lo + hi
         checked = 0
         for case in _ADG_BATTERIES[kind]():
@@ -288,28 +287,16 @@ class TestDualGreedyAgainstReference:
 
 
 class TestAlpha:
-    def test_empty_trace(self):
-        g = constant_zero_utility(2)
-        assert alpha_of_trace(g, None, RunTrace((), (), 0.0)) == 1.0
-
     def test_root_prefix_ratio(self):
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution.uniform(2)
         tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (0, 1))
-        samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)))
+        samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)), lambda b: gains_at(g, b))
         # at the empty prefix the denominator is the whole goal
         expect = sum(
             g.value(extend(stars(2), i, v)) for i, v in zip(tr.tested, tr.outcomes)
         ) / g.goal
         assert dict(samples)[0] == pytest.approx(expect)
-        assert alpha_of_trace(g, (0, 1), tr) == pytest.approx(max(r for _, r in samples))
-
-    def test_inconsistent_assignment_rejected(self):
-        g = cdnf_utility(disjunction_formula(2))
-        d = ProductDistribution.uniform(2)
-        tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (0, 1))
-        with pytest.raises(ValueError):
-            alpha_of_trace(g, (1, 1), tr)
 
     def test_threshold_alpha_below_three(self):
         for case in threshold_battery(8, seed=61, n_lo=2, n_hi=7):

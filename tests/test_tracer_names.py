@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps sbfe functions and methods by the names its
+callers look them up under.  Installing it on the real modules here makes a
+rename fail in the test suite, not only in a traced benchmark run."""
+import importlib
+import types
+from pathlib import Path
+
+import sbfe.cli
+import sbfe.core
+import sbfe.instances
+import sbfe.policies
+import sbfe.problems
+import sbfe.utility
+import sbfe.verify
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def test_tracer_installs_and_counts_an_adg_eval(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    tracing = importlib.import_module("tracer")
+    modules = types.SimpleNamespace(
+        cli=sbfe.cli, core=sbfe.core, instances=sbfe.instances, policies=sbfe.policies,
+        problems=sbfe.problems, utility=sbfe.utility, verify=sbfe.verify,
+    )
+    path = tmp_path / "t.json"
+    gen = ["gen", "--kind", "threshold", "--n", "5", "--seed", "3", "--out", str(path)]
+    assert sbfe.cli.main(gen) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        assert sbfe.cli.main(["eval", str(path), "--engine", "adg"]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.counts.get("policies.adg_steps", 0) > 0
+    assert tracer.call_count("utility.fn") > 0

@@ -18,6 +18,7 @@ from sbfe.core import (
     all_partials,
 )
 from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
+from sbfe.policies import GreedyPolicy
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
     CdnfFormula,
@@ -29,8 +30,7 @@ from sbfe.utility import (
     combine_and,
     combine_or,
     decision_tree_to_cdnf,
-    expected_gain,
-    marginal,
+    gains_at,
     ranking_pair_utility,
     threshold_utility,
     truth_table_utility,
@@ -52,31 +52,40 @@ def truncated_modular(n, weights, cap) -> UtilityFunction:
 
 
 class TestMarginals:
+    """`gains_at` gives (g(b), down, up); `GreedyPolicy.gains` adds the
+    expected gains."""
+
     def test_cdnf_jump_to_goal(self):
         g = cdnf_utility(conjunction_formula(2))
         assert g.goal == 2
-        assert marginal(g, (STAR, STAR), 0, 0) == 2
+        _, down, _ = gains_at(g, (STAR, STAR))
+        assert down[0] == 2
 
     def test_tested_position_gains_nothing(self):
         g = cdnf_utility(conjunction_formula(2))
-        assert marginal(g, (1, STAR), 0, 0) == 0
-        assert expected_gain(g, (1, STAR), 0, (0.5, 0.5), g.fn((1, STAR))) == 0.0
+        b = (1, STAR)
+        _, down, up = gains_at(g, b)
+        assert down[0] == up[0] == 0
+        eg = GreedyPolicy(g, ProductDistribution.uniform(2), (1.0, 1.0)).gains(b)[3]
+        assert eg[0] == 0.0
 
     def test_threshold_jump(self):
         g = threshold_utility(ThresholdFormula((1, 1), 1))
         assert g.goal == 2
-        assert marginal(g, (STAR, STAR), 0, 1) == 2
+        _, _, up = gains_at(g, (STAR, STAR))
+        assert up[0] == 2
 
     def test_expected_gain_or(self):
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution.uniform(2)
-        assert expected_gain(g, (STAR, STAR), 0, d.p, 0) == pytest.approx(1.5)
-        assert expected_gain(g, (STAR, STAR), 1, d.p, 0) == pytest.approx(1.5)
+        eg = GreedyPolicy(g, d, (1.0, 1.0)).gains((STAR, STAR))[3]
+        assert eg == pytest.approx((1.5, 1.5))
 
     def test_broken_utility_detected(self):
-        g = UtilityFunction(1, 1, lambda b: 1 if b[0] == STAR else 0)
+        # goal 2, so the root is short of it and its gains are computed
+        g = UtilityFunction(1, 2, lambda b: 1 if b[0] == STAR else 0)
         with pytest.raises(InvalidUtilityError):
-            marginal(g, (STAR,), 0, 1)
+            gains_at(g, (STAR,))
 
 
 class TestCombinators:

@@ -23,7 +23,13 @@ from sbfe.policies import (
     cp_ratio_policy,
     prefix_ratios,
 )
-from sbfe.utility import ThresholdFormula, UtilityFunction, cdnf_utility, threshold_utility
+from sbfe.utility import (
+    ThresholdFormula,
+    UtilityFunction,
+    cdnf_utility,
+    gains_at,
+    threshold_utility,
+)
 from sbfe.verify import (
     check_axioms,
     check_dual_feasibility,
@@ -131,7 +137,8 @@ class TestObservedAlpha:
             per_input = 1.0
             for x in all_assignments(g.arity):
                 tr = adaptive_dual_greedy(g, case.dist, case.costs, x)
-                for _, r in prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes))):
+                steps = tuple(zip(tr.tested, tr.outcomes))
+                for _, r in prefix_ratios(g, steps, lambda b: gains_at(g, b)):
                     per_input = max(per_input, r)
             assert walked == pytest.approx(per_input, abs=1e-12)
 
