@@ -182,8 +182,7 @@ class RankingInstance:
         out = []
         for i in range(self.sys.m):
             for j in range(i + 1, self.sys.m):
-                le = self.sys.known_le(i, j, b)
-                ge = self.sys.known_ge(i, j, b)
+                le, ge = self.sys.known_order(i, j, b)
                 if not (le or ge):
                     return None
                 out.append((le, ge))

@@ -11,7 +11,7 @@ negation.  Test positions everywhere else are 0-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -34,11 +34,19 @@ MAX_GOAL = 2**63 - 1  # goals can blow up combinatorially; fail loudly, never wr
 
 @dataclass(frozen=True)
 class UtilityFunction:
-    """Integer-valued utility with a goal; ``fn`` evaluates partial assignments."""
+    """Integer-valued utility with a goal; ``fn`` evaluates partial assignments.
+
+    ``step``, when present, gives the values of every one-test extension in
+    one pass: ``step(b)`` is ``(zero, one)`` with ``zero[j]`` the value at b
+    with position j set to 0 and ``one[j]`` with it set to 1; a tested
+    position carries g(b) in both.  Without it `gains_at` calls ``fn`` on
+    each extension.
+    """
 
     arity: int
     goal: int
     fn: Callable[[Partial], int] = field(repr=False)
+    step: Optional[Callable[[Partial], tuple]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.goal < 0:
@@ -54,29 +62,58 @@ def gains_at(g: UtilityFunction, b: Partial) -> tuple:
     """(g(b), down, up) with down[j] and up[j] the utility gained by setting
     position j to 0 and to 1 (0 for tested positions), checked for
     monotonicity.  Once b reaches the goal no test is bought there, so down
-    and up are None and only g(b) is computed."""
+    and up are None and only g(b) is computed.  The extension values come
+    from ``g.step`` when the utility has one, else from ``g.fn`` on each."""
     fn = g.fn
     base = fn(b)
     if base >= g.goal:
         return base, None, None
-    down = [0] * len(b)
-    up = [0] * len(b)
-    for j, v in enumerate(b):
-        if v == STAR:
-            up[j] = fn(extend(b, j, 1)) - base
-            down[j] = fn(extend(b, j, 0)) - base
-            if up[j] < 0 or down[j] < 0:
-                raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
-    return base, tuple(down), tuple(up)
+    if g.step is None:
+        down = [0] * len(b)
+        up = [0] * len(b)
+        for j, v in enumerate(b):
+            if v == STAR:
+                up[j] = fn(extend(b, j, 1)) - base
+                down[j] = fn(extend(b, j, 0)) - base
+        down, up = tuple(down), tuple(up)
+    else:
+        zero, one = g.step(b)
+        down = tuple(v - base for v in zero)
+        up = tuple(v - base for v in one)
+    if min(down, default=0) < 0 or min(up, default=0) < 0:
+        j = next(j for j in range(len(b)) if down[j] < 0 or up[j] < 0)
+        raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
+    return base, down, up
 
 
 def constant_zero_utility(n: int) -> UtilityFunction:
     """Goal-0 utility: already covered, contributes nothing."""
-    return UtilityFunction(n, 0, lambda b: 0)
+    zeros = (0,) * n
+    return UtilityFunction(n, 0, lambda b: 0, lambda b: (zeros, zeros))
 
 
 # ---------------------------------------------------------------------------
 # combinators
+
+
+def _combined_step(gs, combine):
+    """Step of a utility built from the parts ``gs``: ``combine`` turns the
+    list of the parts' value vectors into the utility's, for the
+    0-extensions and the 1-extensions alike.  None when some part has no
+    step."""
+    steps = [g.step for g in gs]
+    if None in steps:
+        return None
+
+    def step(b):
+        parts = [s(b) for s in steps]
+        return combine([zero for zero, _ in parts]), combine([one for _, one in parts])
+
+    return step
+
+
+def _add(vectors) -> tuple:
+    return tuple(map(sum, zip(*vectors)))
 
 
 def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
@@ -92,7 +129,14 @@ def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
     if goal > MAX_GOAL:
         raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
     f0, f1 = g0.fn, g1.fn
-    return UtilityFunction(g0.arity, goal, lambda b: goal - (q0 - f0(b)) * (q1 - f1(b)))
+    return UtilityFunction(
+        g0.arity,
+        goal,
+        lambda b: goal - (q0 - f0(b)) * (q1 - f1(b)),
+        _combined_step(
+            (g0, g1), lambda vs: tuple(goal - (q0 - v0) * (q1 - v1) for v0, v1 in zip(*vs))
+        ),
+    )
 
 
 def combine_and(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
@@ -103,7 +147,12 @@ def combine_and(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
     if goal > MAX_GOAL:
         raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
     f0, f1 = g0.fn, g1.fn
-    return UtilityFunction(g0.arity, goal, lambda b: f0(b) + f1(b))
+    return UtilityFunction(
+        g0.arity,
+        goal,
+        lambda b: f0(b) + f1(b),
+        _combined_step((g0, g1), _add),
+    )
 
 
 def combine_and_all(gs) -> UtilityFunction:
@@ -117,7 +166,12 @@ def combine_and_all(gs) -> UtilityFunction:
     if goal > MAX_GOAL:
         raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
     fns = [g.fn for g in gs]
-    return UtilityFunction(n, goal, lambda b: sum(fn(b) for fn in fns))
+    return UtilityFunction(
+        n,
+        goal,
+        lambda b: sum(fn(b) for fn in fns),
+        _combined_step(gs, _add),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +299,31 @@ def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
             "tautological clauses or contradictory terms are not supported here; "
             "drop them from the formula first"
         )
-    g1 = UtilityFunction(f.arity, f.k, f.clauses_satisfied)
-    g0 = UtilityFunction(f.arity, f.d, f.terms_falsified)
+    g1 = UtilityFunction(f.arity, f.k, f.clauses_satisfied, _hit_count_step(f.clauses, 1))
+    g0 = UtilityFunction(f.arity, f.d, f.terms_falsified, _hit_count_step(f.terms, -1))
     return combine_or(g1, g0)
+
+
+def _hit_count_step(groups, sign: int):
+    """Step of the number of groups holding a literal made true by b, each
+    literal's sign multiplied by ``sign``: with 1 that counts satisfied
+    clauses, with -1 falsified terms.  An open group counts toward the
+    extension of each untested position that makes one of its literals true."""
+    hits = tuple(tuple((abs(l) - 1, int(l * sign > 0)) for l in lits) for lits in groups)
+
+    def step(b):
+        here = 0
+        opened = ([0] * len(b), [0] * len(b))  # by the outcome that closes a group
+        for group in hits:
+            if any(b[j] == bit for j, bit in group):
+                here += 1
+                continue
+            for j, bit in group:
+                if b[j] == STAR:
+                    opened[bit][j] += 1
+        return tuple(here + k for k in opened[0]), tuple(here + k for k in opened[1])
+
+    return step
 
 
 def decision_tree_to_cdnf(t, arity: int) -> CdnfFormula:
@@ -340,9 +416,10 @@ class ThresholdFormula:
         return int(sum(a * v for a, v in zip(self.coeffs, x)) >= self.theta)
 
     def certificate(self, b: Partial) -> Optional[int]:
-        if self.min_of(b) >= 0:
+        lo, hi = _restricted_extrema(self.coeffs, b)
+        if lo >= self.theta:
             return 1
-        if self.max_of(b) < 0:
+        if hi < self.theta:
             return 0
         return None
 
@@ -365,7 +442,39 @@ def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
 
     g1 = UtilityFunction(f.arity, q1, lambda b: min(q1, f.min_of(b) - r_min))
     g0 = UtilityFunction(f.arity, q0, lambda b: min(q0, r_max - f.max_of(b)))
-    return combine_or(g1, g0)
+    return _with_extrema_step(combine_or(g1, g0), f.coeffs, q1, q0)
+
+
+def _with_extrema_step(g: UtilityFunction, coeffs, cap_min: int, cap_max: int) -> UtilityFunction:
+    """``g``, the `combine_or` of two sides over sum(a_j * x_j) on the
+    extensions of b: how far the minimum has risen from its all-untested
+    value, capped at ``cap_min``, and how far the maximum has fallen from
+    its own, capped at ``cap_max``; with a step that takes both sides of
+    every extension from one `_restricted_extrema` of b.  With a_j's
+    positive part ap and negative part an, setting x_j to 1 raises the
+    minimum by ap and lowers the maximum by an; setting it to 0 raises the
+    minimum by an and lowers the maximum by ap."""
+    pos = tuple(max(a, 0) for a in coeffs)
+    neg = tuple(max(-a, 0) for a in coeffs)
+    lo_full = cap_min - sum(neg)  # the minimum at which its side is full
+    hi_full = sum(pos) - cap_max  # the maximum at which its side is full
+    goal = cap_min * cap_max
+
+    def step(b):
+        lo, hi = _restricted_extrema(coeffs, b)
+        need_lo, need_hi = lo_full - lo, hi - hi_full  # each side's distance to full
+        here = goal - max(0, need_lo) * max(0, need_hi)
+        zero = tuple(
+            here if v != STAR else goal - max(0, need_lo - an) * max(0, need_hi - ap)
+            for ap, an, v in zip(pos, neg, b)
+        )
+        one = tuple(
+            here if v != STAR else goal - max(0, need_lo - ap) * max(0, need_hi - an)
+            for ap, an, v in zip(pos, neg, b)
+        )
+        return zero, one
+
+    return replace(g, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +592,15 @@ class LinearSystem:
     def d_max(self) -> int:
         return max(self.d_values)
 
+    def known_order(self, i: int, j: int, b: Partial) -> tuple:
+        """(le, ge): whether b already forces f_i(x) <= f_j(x), and whether it
+        forces f_i(x) >= f_j(x), on every extension."""
+        lo, hi = _restricted_extrema(self.diff(i, j), b)
+        return hi <= 0, lo >= 0
+
     def known_le(self, i: int, j: int, b: Partial) -> bool:
         """True when b already forces f_i(x) <= f_j(x) on every extension."""
-        _, hi = _restricted_extrema(self.diff(i, j), b)
-        return hi <= 0
-
-    def known_ge(self, i: int, j: int, b: Partial) -> bool:
-        lo, _ = _restricted_extrema(self.diff(i, j), b)
-        return lo >= 0
+        return self.known_order(i, j, b)[0]
 
 
 def ranking_pair_utility(sys: LinearSystem, i: int, j: int) -> UtilityFunction:
@@ -520,4 +630,4 @@ def ranking_pair_utility(sys: LinearSystem, i: int, j: int) -> UtilityFunction:
         g_ge = UtilityFunction(
             n, -r_lo, lambda b: min(-r_lo, _restricted_extrema(delta, b)[0] - r_lo)
         )
-    return combine_or(g_le, g_ge)
+    return _with_extrema_step(combine_or(g_le, g_ge), delta, -r_lo, r_hi)

@@ -54,7 +54,10 @@ def check_axioms(
 
     Exhaustive mode scans every pair (b, b') with b' extending b (arity <= 6);
     random mode samples such pairs.  Reports the first violating
-    (b, b', i, l) tuple.
+    (b, b', i, l) tuple.  When the utility has a ``step``, which `gains_at`
+    reads in place of ``fn`` on each extension, exhaustive mode also checks
+    it against the ``fn`` values at every state and reports the first state
+    (b,) where they differ.
     """
     n = g.arity
     if mode == "exhaustive":
@@ -72,13 +75,17 @@ def _check_axioms_exhaustive(g: UtilityFunction) -> CheckReport:
     checked = 0
     for b in val:
         vb = val[b]
+        ext = ([vb] * n, [vb] * n)  # what g.step(b) must give
         for i in range(n):
             if b[i] != STAR:
                 continue
             for l in (0, 1):
                 checked += 1
-                if val[extend(b, i, l)] < vb:
+                ext[l][i] = val[extend(b, i, l)]
+                if ext[l][i] < vb:
                     return CheckReport(False, checked, (b, b, i, l), "monotonicity violated")
+        if g.step is not None and g.step(b) != (tuple(ext[0]), tuple(ext[1])):
+            return CheckReport(False, checked, (b,), "step disagrees with fn")
     for bp in val:  # bp is the later (more tested) state
         tested = [i for i, v in enumerate(bp) if v != STAR]
         untested = [i for i, v in enumerate(bp) if v == STAR]

@@ -19,6 +19,7 @@ from sbfe.core import (
     extensions,
     prob_of,
     stars,
+    to_string,
     walk_policy,
 )
 from sbfe.policies import EPS, run_policy
@@ -38,6 +39,24 @@ def brute_certificate(f, b):
     """Forced output of f on every extension of b, scanning all of them."""
     values = {f.evaluate(x) for x in extensions(b)}
     return values.pop() if len(values) == 1 else None
+
+
+def reference_gains_at(g, b):
+    """`gains_at` as first written, the reference for the one-pass
+    ``step`` of a utility: g.fn at b and at each one-test extension, 2n + 1
+    calls, with the same monotonicity check and message."""
+    base = g.fn(b)
+    if base >= g.goal:
+        return base, None, None
+    down = [0] * len(b)
+    up = [0] * len(b)
+    for j, v in enumerate(b):
+        if v == STAR:
+            up[j] = g.fn(extend(b, j, 1)) - base
+            down[j] = g.fn(extend(b, j, 0)) - base
+            if up[j] < 0 or down[j] < 0:
+                raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
+    return base, tuple(down), tuple(up)
 
 
 def reference_optimum(f, d, c):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import brute_certificate, brute_diff_extrema, conjunction_formula
+from helpers import (
+    brute_certificate,
+    brute_diff_extrema,
+    conjunction_formula,
+    reference_gains_at,
+)
 from sbfe.core import (
     STAR,
     Branch,
@@ -16,10 +21,18 @@ from sbfe.core import (
     ProductDistribution,
     all_assignments,
     all_partials,
+    extend,
+    to_string,
 )
-from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
+from sbfe.instances import (
+    gen_cdnf,
+    gen_knapsack,
+    gen_linear_system,
+    gen_threshold,
+    gen_truth_table,
+)
 from sbfe.policies import GreedyPolicy
-from sbfe.problems import disjunction_formula
+from sbfe.problems import ThresholdSet, disjunction_formula, ranking_utility
 from sbfe.utility import (
     CdnfFormula,
     LinearSystem,
@@ -86,6 +99,87 @@ class TestMarginals:
         g = UtilityFunction(1, 2, lambda b: 1 if b[0] == STAR else 0)
         with pytest.raises(InvalidUtilityError):
             gains_at(g, (STAR,))
+
+
+def _knapsack_utility(rng, n):
+    """The covering utility `min_knapsack_adg` runs on."""
+    while True:
+        kp = gen_knapsack(rng, n)
+        f = ThresholdFormula(kp.values, kp.threshold)
+        if f.constant_value() is None:
+            return threshold_utility(f)
+
+
+# every construction that carries a step, built at arity n
+STEP_KINDS = {
+    "threshold": lambda rng, n: threshold_utility(gen_threshold(rng, n)),
+    "thresholds-one-constant": lambda rng, n: ThresholdSet(
+        (gen_threshold(rng, n), ThresholdFormula((1,) * n, 0))
+    ).utility(),
+    "cdnf": lambda rng, n: cdnf_utility(gen_cdnf(rng, n)),
+    "disjunction": lambda rng, n: cdnf_utility(disjunction_formula(n)),
+    "linear-system": lambda rng, n: ranking_utility(gen_linear_system(rng, 3, n)),
+    "knapsack": _knapsack_utility,
+    "and-threshold-cdnf": lambda rng, n: combine_and(
+        threshold_utility(gen_threshold(rng, n)), cdnf_utility(gen_cdnf(rng, n))
+    ),
+}
+
+
+class TestStep:
+    """`gains_at` through a utility's one-pass ``step`` equals the 2n + 1
+    ``fn`` calls of `reference_gains_at`, compared with ``==``."""
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_every_partial_small(self, kind):
+        rng = random.Random(41)
+        for n in range(1, 7):
+            for _ in range(3):
+                g = STEP_KINDS[kind](rng, n)
+                assert g.step is not None
+                for b in all_partials(n):
+                    assert gains_at(g, b) == reference_gains_at(g, b), (kind, b)
+
+    @pytest.mark.parametrize("n", (24, 32))
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_random_partials_large(self, kind, n):
+        rng = random.Random(n)
+        g = STEP_KINDS[kind](rng, n)
+        for _ in range(500):
+            b = [STAR] * n
+            for j in rng.sample(range(n), rng.randint(0, n)):
+                b[j] = rng.randrange(2)
+            b = tuple(b)
+            assert gains_at(g, b) == reference_gains_at(g, b), (kind, b)
+
+    def test_truth_table_has_no_step(self):
+        g = truth_table_utility(TruthTable(2, (0, 1, 1, 1)))
+        assert g.step is None
+        for b in all_partials(2):
+            assert gains_at(g, b) == reference_gains_at(g, b)
+
+    def test_monotonicity_guard_on_step_path(self):
+        # setting position 1 to 0, or position 2 to 1, loses utility
+        def fn(b):
+            return 3 + 2 * sum(v != STAR for v in b) - 3 * (b[1] == 0) - 3 * (b[2] == 1)
+
+        def step(b):
+            return tuple(
+                tuple(fn(extend(b, j, l)) if v == STAR else fn(b) for j, v in enumerate(b))
+                for l in (0, 1)
+            )
+
+        slow = UtilityFunction(3, 100, fn)
+        fast = UtilityFunction(3, 100, fn, step)
+        for b in ((STAR, STAR, STAR), (1, STAR, STAR), (STAR, STAR, 0)):
+            with pytest.raises(InvalidUtilityError) as slow_error:
+                gains_at(slow, b)
+            with pytest.raises(InvalidUtilityError) as fast_error:
+                gains_at(fast, b)
+            message = f"monotonicity violated at {to_string(b)}, position 1"
+            assert str(fast_error.value) == str(slow_error.value) == message
+            with pytest.raises(InvalidUtilityError, match=message.replace("*", r"\*")):
+                reference_gains_at(slow, b)
 
 
 class TestCombinators:
@@ -273,6 +367,7 @@ class TestThreshold:
                 lo, hi = brute_diff_extrema(f.coeffs, b)
                 assert f.min_of(b) == lo - f.theta
                 assert f.max_of(b) == hi - f.theta
+                assert f.certificate(b) == brute_certificate(f, b)
 
     def test_axioms(self):
         rng = random.Random(17)
@@ -335,6 +430,7 @@ class TestRankingPairs:
                 lo, hi = brute_diff_extrema(delta, b)
                 decided = hi <= 0 or lo >= 0
                 assert (g.value(b) == g.goal) == decided
+                assert sys.known_order(0, 1, b) == (hi <= 0, lo >= 0)
 
     def test_axioms(self):
         rng = random.Random(29)

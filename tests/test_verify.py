@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from sbfe.core import (
+    STAR,
     ProductDistribution,
     all_assignments,
     is_full,
@@ -60,6 +62,24 @@ class TestAxiomCheck:
         b, bp, i, l = rep.counterexample
         # replay the violation: gain at the earlier state is smaller
         assert g.fn((*bp[:i], l, *bp[i + 1 :])) - g.fn(bp) > g.fn((*b[:i], l, *b[i + 1 :])) - g.fn(b)
+
+    @pytest.mark.parametrize("delta", (1, -1))
+    def test_step_off_by_one_reported(self, delta):
+        g = threshold_utility(ThresholdFormula((2, -1, 1), 1))
+        bad = (STAR, 0, STAR)
+        assert g.fn(bad) < g.goal  # gains_at reads the step here
+
+        def step(b):
+            zero, one = g.step(b)
+            if b == bad:
+                zero = (zero[0] + delta, *zero[1:])
+            return zero, one
+
+        assert check_axioms(g, "exhaustive").ok
+        rep = check_axioms(dataclasses.replace(g, step=step), "exhaustive")
+        assert not rep.ok
+        assert rep.message == "step disagrees with fn"
+        assert rep.counterexample == (bad,)
 
     def test_limit(self):
         g = UtilityFunction(8, 1, lambda b: int(is_full(b)))
