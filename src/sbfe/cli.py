@@ -241,81 +241,116 @@ def _verify_lines(args):
     n_small = min(args.max_n, 6)
     lines = []
 
-    def record(name: str, ok: bool, detail: str = ""):
-        lines.append((ok, f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else "")))
+    def suite(check, *names):
+        """Add the (ok, text) lines ``check()`` gives.  If it raises, each of
+        ``names`` gets a FAIL line naming the exception instead, and the
+        remaining suites still run."""
+        try:
+            results = check()
+        except Exception as exc:
+            results = [(False, f"{name}: {type(exc).__name__}: {exc}") for name in names]
+        lines.extend((ok, f"[{'PASS' if ok else 'FAIL'}] {text}") for ok, text in results)
+
+    def reported(name: str, rep) -> list:
+        return [(rep.ok, name + (f": {rep.message}" if rep.message else ""))]
 
     # Utility axioms, exhaustive at small arity and randomized larger.
-    axiom_cases = []
-    for case in inst_mod.threshold_battery(3, seed, n_lo=3, n_hi=4):
-        axiom_cases.append(("threshold", threshold_utility(case.f)))
-    for case in inst_mod.cdnf_battery(3, seed + 1, n_lo=3, n_hi=4):
-        axiom_cases.append(("cdnf", cdnf_utility(case.f)))
-    for case in inst_mod.truth_table_battery(2, seed + 2, n_lo=3, n_hi=4):
-        axiom_cases.append(("truthtable", truth_table_utility(case.f)))
-    for name, g in axiom_cases:
-        rep = check_axioms(g, "exhaustive")
-        record(f"axioms exhaustive {name} (n={g.arity})", rep.ok, rep.message)
-    for case in inst_mod.threshold_battery(2, seed + 3, n_lo=8, n_hi=8):
-        g = threshold_utility(case.f)
+    for build, battery in (
+        (threshold_utility, inst_mod.threshold_battery(3, seed, n_lo=3, n_hi=4)),
+        (cdnf_utility, inst_mod.cdnf_battery(3, seed + 1, n_lo=3, n_hi=4)),
+        (truth_table_utility, inst_mod.truth_table_battery(2, seed + 2, n_lo=3, n_hi=4)),
+    ):
+        for case in battery:
+            label = f"axioms exhaustive {case.kind} (n={case.n})"
+            suite(lambda: reported(label, check_axioms(build(case.f), "exhaustive")), label)
+
+    def random_axioms(g):
         rep = check_axioms(g, "random", trials=args.trials, seed=seed)
-        record(f"axioms random threshold (n={g.arity}, {rep.checked} checks)", rep.ok, rep.message)
+        return reported(f"axioms random threshold (n={g.arity}, {rep.checked} checks)", rep)
+
+    for case in inst_mod.threshold_battery(2, seed + 3, n_lo=8, n_hi=8):
+        label = f"axioms random threshold (n={case.n})"
+        suite(lambda: random_axioms(threshold_utility(case.f)), label)
 
     # Goal-certificate equivalence.
-    for case in inst_mod.threshold_battery(3, seed + 4, n_lo=3, n_hi=n_small):
-        rep = check_goal_certificate(threshold_utility(case.f), case.f)
-        record(f"goal-certificate {case.id}", rep.ok, rep.message)
-    for case in inst_mod.cdnf_battery(3, seed + 5, n_lo=3, n_hi=n_small):
-        rep = check_goal_certificate(cdnf_utility(case.f), case.f)
-        record(f"goal-certificate {case.id}", rep.ok, rep.message)
+    for build, battery in (
+        (threshold_utility, inst_mod.threshold_battery(3, seed + 4, n_lo=3, n_hi=n_small)),
+        (cdnf_utility, inst_mod.cdnf_battery(3, seed + 5, n_lo=3, n_hi=n_small)),
+    ):
+        for case in battery:
+            label = f"goal-certificate {case.id}"
+            suite(lambda: reported(label, check_goal_certificate(build(case.f), case.f)), label)
 
     # Dual feasibility and the objective identity.
-    for case in inst_mod.threshold_battery(3, seed + 6, n_lo=3, n_hi=n_small):
+    def dual(case):
         cert = check_dual_feasibility(threshold_utility(case.f), case.dist, case.costs)
-        record(
-            f"dual-feasibility {case.id} ({cert.runs} runs)",
-            cert.ok and cert.objective_gap <= 1e-6,
-            f"objective gap {cert.objective_gap:.2e}"
-            + ("" if cert.ok else f"; {len(cert.violations)} violations"),
-        )
+        detail = f"objective gap {cert.objective_gap:.2e}"
+        if not cert.ok:
+            detail += f"; {len(cert.violations)} violations"
+        ok = cert.ok and cert.objective_gap <= 1e-6
+        return [(ok, f"dual-feasibility {case.id} ({cert.runs} runs): {detail}")]
 
-    # Cost ratios against the exhaustive optimum.
-    def drive(engine):
-        """The policy and the bound `sbfe eval --engine` reports for a case."""
-        return lambda case: engine_policy(engine, _EVAL[case.kind][0](case.f), case)
+    for case in inst_mod.threshold_battery(3, seed + 6, n_lo=3, n_hi=n_small):
+        suite(lambda: dual(case), f"dual-feasibility {case.id}")
 
-    def single_gain(case):
+    # Cost ratios against the exhaustive optimum: one line per name, each
+    # battery built and its optima computed once.
+    def ratios(battery, drive, *names, places=3, tol=1e-6):
+        def check():
+            reports = ratio_vs_opt(drive, battery, tol=tol)
+            return [
+                (rep.ok, f"{name} (worst {rep.worst_ratio:.{places}f})")
+                for name, rep in zip(names, reports)
+            ]
+
+        suite(check, *names)
+
+    def drive(*engines):
+        """The policies and bounds `sbfe eval --engine` reports for a case,
+        one per engine, all on one utility."""
+
+        def policies(case):
+            g = _EVAL[case.kind][0](case.f)
+            return [engine_policy(engine, g, case) for engine in engines]
+
+        return policies
+
+    def cdnf_greedy(case):
+        """The greedy on a cdnf case, under both of its bounds."""
         g = cdnf_utility(case.f)
-        return GreedyPolicy(g, case.dist, case.costs), bounds(g).p_bound
+        policy, lnq_bound = engine_policy("greedy", g, case)
+        return [(policy, lnq_bound), (policy, bounds(g).p_bound)]
 
     n_hi = min(args.max_n, 8)
-    rep = ratio_vs_opt(
-        drive("adg"), inst_mod.threshold_battery(10, seed + 7, n_lo=3, n_hi=n_hi)
+    ratios(
+        inst_mod.threshold_battery(10, seed + 7, n_lo=3, n_hi=n_hi),
+        drive("adg"),
+        "threshold adg ratio <= 3",
     )
-    record(f"threshold adg ratio <= 3 (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(drive("greedy"), inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi))
-    record(f"cdnf greedy ratio <= ln(kd)+1 (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(single_gain, inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi))
-    record(f"cdnf greedy ratio <= 2(ln P + 1) (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(
-        lambda case: (cp_ratio_policy(case.dist, case.costs, "or"), 1.0),
+    ratios(
+        inst_mod.cdnf_battery(10, seed + 8, n_lo=3, n_hi=n_hi),
+        cdnf_greedy,
+        "cdnf greedy ratio <= ln(kd)+1",
+        "cdnf greedy ratio <= 2(ln P + 1)",
+    )
+    ratios(
         inst_mod.disjunction_battery(12, seed + 9, n_lo=2, n_hi=n_hi),
+        lambda case: [(cp_ratio_policy(case.dist, case.costs, "or"), 1.0)],
+        "disjunction cost/prob ordering exact",
+        places=9,
         tol=1e-9,
     )
-    record(f"disjunction cost/prob ordering exact (worst {rep.worst_ratio:.9f})", rep.ok)
-    rep = ratio_vs_opt(
-        drive("baseline"), inst_mod.cdnf_battery(8, seed + 10, n_lo=3, n_hi=n_hi)
+    ratios(
+        inst_mod.cdnf_battery(8, seed + 10, n_lo=3, n_hi=n_hi),
+        drive("baseline"),
+        "increasing-cost baseline ratio <= n",
     )
-    record(f"increasing-cost baseline ratio <= n (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(
-        drive("greedy"),
+    ratios(
         inst_mod.threshold_set_battery(6, seed + 11, m_hi=3, n_lo=3, n_hi=n_hi),
+        drive("greedy", "adg"),
+        "simultaneous greedy ratio <= ln(sum goals)+1",
+        "simultaneous adg ratio <= max coefficient mass",
     )
-    record(f"simultaneous greedy ratio <= ln(sum goals)+1 (worst {rep.worst_ratio:.3f})", rep.ok)
-    rep = ratio_vs_opt(
-        drive("adg"),
-        inst_mod.threshold_set_battery(6, seed + 11, m_hi=3, n_lo=3, n_hi=n_hi),
-    )
-    record(f"simultaneous adg ratio <= max coefficient mass (worst {rep.worst_ratio:.3f})", rep.ok)
     return lines
 
 

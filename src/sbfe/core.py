@@ -321,10 +321,13 @@ def neighbor_property_holds(t: DecisionTree, n: int) -> bool:
 
 # An instance is any object with an integer ``arity``, an
 # ``evaluate(x) -> label`` method on full assignments, a fast
-# ``certificate(b) -> label | None`` on partial ones, and
-# ``join(l0, l1) -> label | None`` giving certificate(b) from the labels of
-# the two extensions of b at any one untested position.  An instance whose
-# certificate is exactly "every extension agrees" uses ``join_exact``.
+# ``certificate(b) -> label | None`` on partial ones, and a flag encoding of
+# its labels: ``flags(x)`` gives K two-bit fields for the label of a full
+# assignment x, and ``label(fields)`` is its inverse.  The fields of a
+# partial assignment b are the AND of the fields of its extensions, and b
+# forces a label exactly when every field stays nonzero; ``label`` decodes
+# it.  Instances with a Boolean output use ``output_flags`` and
+# ``output_label``: bit v of the one field means "every extension gives v".
 
 
 def certificate_by_enumeration(f, b: Partial) -> Optional[object]:
@@ -347,42 +350,61 @@ def certificate_check(f, b: Partial) -> Optional[object]:
     return f.certificate(b)
 
 
-def join_exact(l0, l1) -> Optional[object]:
-    """b forces a label iff both of its extensions at a position force it."""
-    return l0 if l0 == l1 else None
+def output_flags(f, x: Assignment) -> tuple:
+    """The one flag field of a Boolean output v: 1 << v."""
+    return (1 << f.evaluate(x),)
 
 
-def certificate_table(f) -> list:
-    """certificate(b) for every partial assignment b, indexed by encode(b).
+def output_label(fields: tuple) -> int:
+    """The Boolean output whose flag field is ``fields[0]``."""
+    return fields[0] >> 1
 
-    Built bottom-up with no certificate call: f.evaluate labels the 2^n full
+
+_NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
+_ZERO_ONE_SWAP = bytes([1, 0]) + bytes(254)
+
+
+def certificate_table(f) -> tuple:
+    """(certified, planes) for every partial assignment b, indexed by encode(b).
+
+    ``planes`` holds one bytes per flag field of the instance's labels, each
+    byte the AND of that field over every extension of b; ``certified`` is
+    1 where every field is nonzero, that is where b forces the label
+    ``f.label`` decodes from its fields, and 0 elsewhere.
+
+    Built bottom-up with no certificate call: f.flags encodes the 2^n full
     assignments, then one position at a time, last to first, each star
-    slice is the f.join of its 0 and 1 slices, 3^n - 2^n joins in all.
-    Equal labels share one object.
+    slice of a plane is one bitwise AND of its 0 and 1 slices read as
+    integers, 2^n - 1 ANDs per plane in all.
     """
     n = f.arity
     if n > OPTIMUM_MAX_N:
         raise LimitError(f"certificate table limited to n <= {OPTIMUM_MAX_N}, got {n}")
-    join = f.join
-    intern = {}.setdefault
+    size = 3**n
+    planes = []
     # After k rounds the last k positions are ternary and the rest still
     # binary: an index is the binary prefix times 3^k plus the ternary
     # suffix, position 0 most significant in both.
-    labels = list(map(f.evaluate, all_assignments(n)))
-    labels = list(map(intern, labels, labels))
-    width = 1
-    for _ in range(n):
-        widened = []
-        for lo in range(0, len(labels), 2 * width):
-            zero = labels[lo : lo + width]
-            one = labels[lo + width : lo + 2 * width]
-            star = list(map(join, zero, one))
-            widened += zero
-            widened += one
-            widened += map(intern, star, star)
-        labels = widened
-        width *= 3
-    return labels
+    for column in zip(*map(f.flags, all_assignments(n))):
+        plane = bytes(column)
+        width = 1
+        for _ in range(n):
+            view = memoryview(plane)
+            widened = bytearray()
+            for lo in range(0, len(plane), 2 * width):
+                zero = view[lo : lo + width]
+                one = view[lo + width : lo + 2 * width]
+                star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
+                widened += zero
+                widened += one
+                widened += star.to_bytes(width, "little")
+            plane = bytes(widened)
+            width *= 3
+        planes.append(plane)
+    mask = int.from_bytes(bytes([1]) * size, "little")
+    for plane in planes:
+        mask &= int.from_bytes(plane.translate(_NONZERO_TO_ONE), "little")
+    return mask.to_bytes(size, "little"), tuple(planes)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +480,12 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
     a state costs nothing once certificate_table says it forces a label;
     otherwise it costs min_i c_i + p_i * OPT(b with i=1) + (1-p_i) *
     OPT(b with i=0) over the untested i, ties broken toward the lowest index.
-    Both extensions have smaller keys, so one pass in key order fills every
-    value.  A state takes about 17 bytes (a label pointer, an 8-byte value
-    and a 1-byte choice), so n = 14 needs about 81 MB.  ``limit`` can only
-    lower the cap OPTIMUM_MAX_N.
+    Both extensions have smaller keys, so one pass in key order over the
+    uncertified states fills every value.  A leaf's label is decoded from
+    the table's flag planes.  A state takes 11 + K bytes for K flag fields
+    (an 8-byte value, a 1-byte choice, its certified and uncertified mask
+    bytes and one byte per field), so n = 14 with one field needs about
+    57 MB.  ``limit`` can only lower the cap OPTIMUM_MAX_N.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -475,8 +499,9 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
         if v in (0.0, 1.0):
             raise ValueError(f"p[{i}] = {v}: optimum oracle needs 0 < p_i < 1")
 
-    labels = certificate_table(f)
-    size = len(labels)
+    certified, planes = certificate_table(f)
+    uncertified = certified.translate(_ZERO_ONE_SWAP)
+    size = len(certified)
     value = array("d", bytes(8 * size))
     choice = bytearray(size)
     weight = [3 ** (n - 1 - i) for i in range(n)]
@@ -496,13 +521,12 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
     low_steps = untested(range(n - low, n))
     for high, high_steps in enumerate(untested(range(n - low))):
         base = high * low_size
-        uncertified = [label is None for label in labels[base : base + low_size]]
-        for lo in itertools.compress(range(low_size), uncertified):
+        for lo in itertools.compress(range(low_size), uncertified[base : base + low_size]):
             key = base + lo
-            best = None
+            best = math.inf  # an uncertified state has an untested position
             for w1, w0, i, ci, pi, qi in high_steps + low_steps[lo]:
                 v = ci + pi * value[key - w1] + qi * value[key - w0]
-                if best is None or v < best:
+                if v < best:
                     best = v
                     best_i = i
             value[key] = best
@@ -513,8 +537,8 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
     def build(key):
         node = nodes.get(key)
         if node is None:
-            if labels[key] is not None:
-                node = Leaf(labels[key])
+            if certified[key]:
+                node = Leaf(f.label(tuple(plane[key] for plane in planes)))
             else:
                 i = choice[key]
                 node = Branch(i, build(key - 2 * weight[i]), build(key - weight[i]))
@@ -538,13 +562,13 @@ def expected_certificate_cost(f, d, c) -> float:
         )
     p = as_probabilities(d)
     cc = as_costs(c)
-    table = certificate_table(f)
+    certified, _ = certificate_table(f)
 
     full_masks = 1 << n
     total = 0.0
     key_arr = [0] * full_masks
     cost_arr = [0.0] * full_masks
-    star_key = len(table) - 1
+    star_key = len(certified) - 1
     weight = [3 ** (n - 1 - i) for i in range(n)]
     for x in all_assignments(n):
         contrib = [(x[i] - STAR) * weight[i] for i in range(n)]
@@ -557,10 +581,10 @@ def expected_certificate_cost(f, d, c) -> float:
             prev = mask ^ low
             key_arr[mask] = key_arr[prev] + contrib[i]
             cost_arr[mask] = cost_arr[prev] + cc[i]
-            if table[key_arr[mask]] is not None:
+            if certified[key_arr[mask]]:
                 if best is None or cost_arr[mask] < best:
                     best = cost_arr[mask]
-        if table[star_key] is not None:
+        if certified[star_key]:
             best = 0.0
         if best is None:
             raise InvalidUtilityError("input admits no certificate")

@@ -89,15 +89,19 @@ def instance_from_dict(data: dict) -> Instance:
         row = _kind(kind)
         n = _int(data["n"], "n")
         ident = str(data.get("id", f"{kind}-n{n}"))
-        f = row.decode(data, n)
         dist = ProductDistribution(data["p"], mode="sssc" if row.covering else "sbfe")
         costs = CostVector(data["c"]).c
+        # n is held to the lengths of p and c before a formula of arity n is
+        # built, so a huge n fails here instead of exhausting memory.
+        if not len(dist.p) == len(costs) == n:
+            raise InstanceFormatError(
+                f"n is {n} but p has {len(dist.p)} and c {len(costs)} entries"
+            )
+        f = row.decode(data, n)
     except InstanceFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"bad instance payload: {exc}") from exc
-    if not len(dist.p) == len(costs) == n:
-        raise InstanceFormatError(f"n is {n} but p has {len(dist.p)} and c {len(costs)} entries")
     if f.arity != n:
         raise InstanceFormatError("declared n disagrees with the formula arity")
     if row.covering and costs != f.weights:
@@ -249,7 +253,9 @@ _TABLE = {
             "clauses": list(map(sorted, f.clauses)), "terms": list(map(sorted, f.terms))
         },
         decode=lambda data, n: CdnfFormula(
-            n, tuple(map(frozenset, data["clauses"])), tuple(map(frozenset, data["terms"]))
+            n,
+            tuple(frozenset(_ints(cl, "clauses")) for cl in data["clauses"]),
+            tuple(frozenset(_ints(t, "terms")) for t in data["terms"]),
         ),
         generate=lambda rng, n, m: gen_cdnf(rng, n),
     ),

@@ -14,7 +14,6 @@ from .core import (
     RunTrace,
     as_costs,
     as_probabilities,
-    join_exact,
 )
 from .policies import adaptive_dual_greedy, adaptive_greedy
 from .utility import (
@@ -123,7 +122,13 @@ class ThresholdSet:
             out.append(v)
         return tuple(out)
 
-    join = staticmethod(join_exact)
+    def flags(self, x: Assignment) -> tuple:
+        """One Boolean flag field per member: 1 << its output."""
+        return tuple(1 << v for v in self.evaluate(x))
+
+    @staticmethod
+    def label(fields: tuple) -> tuple:
+        return tuple(v >> 1 for v in fields)
 
     def utility(self) -> UtilityFunction:
         """Sum of the per-formula utilities; covered when every formula is
@@ -188,22 +193,14 @@ class RankingInstance:
                 out.append((le, ge))
         return tuple(out)
 
+    def flags(self, x: Assignment) -> tuple:
+        """One field per pair, le | ge << 1: a pair's order is forced at b
+        while its le flag, or its ge flag, holds on every extension."""
+        return tuple(le | ge << 1 for le, ge in self.evaluate(x))
+
     @staticmethod
-    def join(l0, l1) -> Optional[tuple]:
-        """A pair's order is forced at b iff it is forced on both extensions,
-        so the (le, ge) flags AND pair by pair; b is uncertified when either
-        extension is or when some pair keeps neither flag.  Plain equality
-        would be wrong: a pair can be decided while its flags differ."""
-        if l0 is None or l1 is None:
-            return None
-        out = []
-        for (le0, ge0), (le1, ge1) in zip(l0, l1):
-            le = le0 and le1
-            ge = ge0 and ge1
-            if not (le or ge):
-                return None
-            out.append((le, ge))
-        return tuple(out)
+    def label(fields: tuple) -> tuple:
+        return tuple((bool(v & 1), bool(v & 2)) for v in fields)
 
 
 def ranking_utility(sys: LinearSystem) -> UtilityFunction:

@@ -24,7 +24,8 @@ from .core import (
     Partial,
     all_assignments,
     extend,
-    join_exact,
+    output_flags,
+    output_label,
     to_string,
     tree_leaf_paths,
 )
@@ -285,7 +286,8 @@ class CdnfFormula:
             return 0
         return None
 
-    join = staticmethod(join_exact)
+    flags = output_flags
+    label = staticmethod(output_label)
 
 
 def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
@@ -423,7 +425,8 @@ class ThresholdFormula:
             return 0
         return None
 
-    join = staticmethod(join_exact)
+    flags = output_flags
+    label = staticmethod(output_label)
 
 
 def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
@@ -534,7 +537,8 @@ class TruthTable:
             return 0
         return None
 
-    join = staticmethod(join_exact)
+    flags = output_flags
+    label = staticmethod(output_label)
 
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:

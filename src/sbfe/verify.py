@@ -142,9 +142,9 @@ def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckRep
 
 def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
     """The utility reaches its goal exactly on the partial assignments that
-    force the instance's output.  Certificates come from certificate_table,
-    built from f.evaluate and f.join, independent of the certificate
-    shortcut."""
+    force the instance's output.  Certificates come from the certified
+    mask of certificate_table, built from f.flags on full assignments,
+    independent of the certificate shortcut."""
     n = g.arity
     if n > GOAL_CERTIFICATE_MAX_N:
         raise LimitError(
@@ -153,10 +153,11 @@ def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
     if f.arity != n:
         raise ValueError("arity mismatch")
     checked = 0
-    for b, label in zip(all_partials(n), certificate_table(f)):
+    mask, _ = certificate_table(f)
+    for b, flag in zip(all_partials(n), mask):
         checked += 1
         covered = g.fn(b) >= g.goal
-        certified = label is not None
+        certified = flag == 1
         if covered != certified:
             return CheckReport(
                 False,
@@ -337,17 +338,24 @@ def cost_ratio(cost: float, opt: float, tol: float = 1e-6) -> float:
     return cost / opt
 
 
-def ratio_vs_opt(drive, battery, *, tol: float = 1e-6) -> RatioReport:
-    """Compare a policy's exact expected cost with the exhaustive optimum on
+def ratio_vs_opt(drive, battery, *, tol: float = 1e-6) -> tuple:
+    """Compare policies' exact expected costs with the exhaustive optimum on
     every battery instance; flag any instance exceeding its claimed bound.
-    ``drive(case)`` gives the policy to run on the case and that bound."""
-    rows = []
-    worst = 0.0
+    ``drive(case)`` gives a list of (policy, bound) pairs, and the result
+    holds one report per position in that list.  Each case's optimum is
+    computed once, and a policy object listed twice is costed once."""
+    rows = {}  # position in drive's list -> its rows
     for case in battery:
-        policy, bound = drive(case)
-        cost = expected_cost(policy, case.dist, case.costs)
         opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
-        ratio = cost_ratio(cost, opt, tol)
-        worst = max(worst, ratio)
-        rows.append(RatioRow(case.id, cost, opt, ratio, bound, cost <= bound * opt + tol))
-    return RatioReport(tuple(rows), worst, all(r.ok for r in rows))
+        costs = {}
+        for k, (policy, bound) in enumerate(drive(case)):
+            if id(policy) not in costs:
+                costs[id(policy)] = expected_cost(policy, case.dist, case.costs)
+            cost = costs[id(policy)]
+            ratio = cost_ratio(cost, opt, tol)
+            ok = cost <= bound * opt + tol
+            rows.setdefault(k, []).append(RatioRow(case.id, cost, opt, ratio, bound, ok))
+    return tuple(
+        RatioReport(tuple(r), max(row.ratio for row in r), all(row.ok for row in r))
+        for r in rows.values()
+    )

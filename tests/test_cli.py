@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sbfe.cli import main
-from sbfe.core import OPTIMUM_MAX_N
+from sbfe.core import OPTIMUM_MAX_N, PolicyError
 from sbfe.instances import KINDS
 
 ENGINES = ("greedy", "adg", "baseline")
@@ -58,6 +58,10 @@ BAD_PAYLOADS = [
     pytest.param("threshold", {"c": lambda c: [math.nan] + c[1:]}, id="c-nan"),
     pytest.param("threshold", {"c": lambda c: [math.inf] + c[1:]}, id="c-inf"),
     pytest.param("threshold", {"c": lambda c: [-math.inf] + c[1:]}, id="c-minus-inf"),
+    pytest.param("threshold", {"c": lambda c: [10**400] + c[1:]}, id="c-overflow"),
+    pytest.param(
+        "cdnf", {"clauses": lambda cs: [[True]], "terms": lambda ts: [[True]]}, id="literal-bool"
+    ),
     pytest.param("threshold", {"n": lambda n: n + 0.5}, id="n-fraction"),
     pytest.param("threshold", {"theta": lambda t: 2.7}, id="theta-fraction"),
     pytest.param("threshold", {"theta": lambda t: True}, id="theta-bool"),
@@ -250,6 +254,35 @@ class TestVerify:
         assert code == 1
         assert "[FAIL]" in out
         assert "failed" in err
+
+    def test_raising_suite_keeps_the_report(self, capsys, monkeypatch):
+        import sbfe.cli as cli_mod
+
+        argv = ("verify", "--seed", "1", "--max-n", "5", "--trials", "100")
+        code, passing, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def broken(g, d, c):
+            raise PolicyError("policy requested illegal test 2 at **0**")
+
+        monkeypatch.setattr(cli_mod, "check_dual_feasibility", broken)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in out + err
+        want = passing.splitlines()
+        got = out.splitlines()
+        assert len(got) == len(want)
+        dual = [k for k, text in enumerate(want) if text.startswith("[PASS] dual-feasibility ")]
+        assert len(dual) == 3
+        for k, (w, g) in enumerate(zip(want, got)):
+            if k in dual:
+                case_id = w.split()[2]
+                assert g == (
+                    f"[FAIL] dual-feasibility {case_id}: PolicyError: "
+                    "policy requested illegal test 2 at **0**"
+                )
+            else:
+                assert g == w
 
 
 class TestGapDemo:

@@ -1,7 +1,10 @@
 import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbfe.instances
 from sbfe.core import all_assignments
@@ -57,6 +60,17 @@ class TestSerialization:
     def test_rejects_missing_fields(self):
         with pytest.raises(InstanceFormatError):
             loads('{"format": "sbfe-1", "kind": "threshold", "n": 2}')
+
+    def test_n_is_checked_before_the_formula_is_built(self, monkeypatch):
+        data = json.loads(dumps(generate_instance("disjunction", 3, seed=1)))
+        data["n"] = 10**12
+
+        def refuse(n):
+            raise AssertionError(f"built a formula of arity {n}")
+
+        monkeypatch.setattr(sbfe.instances, "disjunction_formula", refuse)
+        with pytest.raises(InstanceFormatError, match="but p has 3"):
+            loads(json.dumps(data))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(InstanceFormatError):
@@ -151,3 +165,65 @@ class TestBatteries:
         assert threshold_set_battery(3, seed=2)
         assert knapsack_battery(3, seed=3)
         assert linear_system_battery(3, seed=4)
+
+
+# Hypothesis: every generated file survives a load and a dump byte for byte,
+# and any mutation of one either loads or fails with InstanceFormatError.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _generated(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(2, 6))
+    return dumps(generate_instance(kind, n, draw(st.integers(0, 2**32)), m=draw(st.integers(2, 3))))
+
+
+def _paths(value, path=()):
+    """Every position inside a JSON value, as key and index steps."""
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _paths(v, path + (k,))
+
+
+@st.composite
+def _mutated(draw):
+    text = draw(_generated())
+    if draw(st.booleans()):  # an edit of the text itself
+        lo = draw(st.integers(0, len(text)))
+        hi = draw(st.integers(lo, min(len(text), lo + 8)))
+        return text[:lo] + draw(st.text(max_size=8)) + text[hi:]
+    data = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(data))[1:]))
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON)
+    return json.dumps(data)
+
+
+class TestFormatProperties:
+    @settings(max_examples=60)
+    @given(_generated())
+    def test_dumps_loads_is_identity(self, text):
+        assert dumps(loads(text)) == text
+
+    @settings(max_examples=300)
+    @given(_mutated())
+    def test_mutated_payload_raises_only_format_errors(self, text):
+        try:
+            loads(text)
+        except InstanceFormatError:
+            pass

@@ -16,13 +16,18 @@ import sbfe.verify
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
-def test_tracer_installs_and_counts_an_adg_eval(tmp_path, monkeypatch, capsys):
+def _tracing(monkeypatch):
+    """The benchmark's tracer module and the sbfe modules it installs on."""
     monkeypatch.syspath_prepend(str(BENCHMARK))
-    tracing = importlib.import_module("tracer")
     modules = types.SimpleNamespace(
         cli=sbfe.cli, core=sbfe.core, instances=sbfe.instances, policies=sbfe.policies,
         problems=sbfe.problems, utility=sbfe.utility, verify=sbfe.verify,
     )
+    return importlib.import_module("tracer"), modules
+
+
+def test_tracer_installs_and_counts_an_adg_eval(tmp_path, monkeypatch, capsys):
+    tracing, modules = _tracing(monkeypatch)
     path = tmp_path / "t.json"
     gen = ["gen", "--kind", "threshold", "--n", "5", "--seed", "3", "--out", str(path)]
     assert sbfe.cli.main(gen) == 0
@@ -34,3 +39,15 @@ def test_tracer_installs_and_counts_an_adg_eval(tmp_path, monkeypatch, capsys):
         tracer.restore()
     assert tracer.counts.get("policies.adg_steps", 0) > 0
     assert tracer.call_count("utility.fn") > 0
+
+
+def test_tracer_counts_the_optimum_and_the_table_in_verify(monkeypatch, capsys):
+    tracing, modules = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        assert sbfe.cli.main(["verify", "--seed", "0", "--max-n", "5", "--trials", "100"]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.call_count("core.optimum") > 0
+    assert tracer.call_count("core.certificate_table") > 0

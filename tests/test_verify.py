@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sbfe.verify
 from sbfe.core import (
     STAR,
     ProductDistribution,
@@ -165,30 +166,29 @@ class TestObservedAlpha:
 
 def threshold_adg(bound):
     """Drive running the dual greedy on a threshold case, claiming ``bound``."""
-    return lambda case: (
-        DualGreedyPolicy(threshold_utility(case.f), case.dist, case.costs),
-        bound,
-    )
+    return lambda case: [
+        (DualGreedyPolicy(threshold_utility(case.f), case.dist, case.costs), bound)
+    ]
 
 
 def cdnf_greedy(case):
     g = cdnf_utility(case.f)
-    return GreedyPolicy(g, case.dist, case.costs), bounds(g).lnq_bound
+    return [(GreedyPolicy(g, case.dist, case.costs), bounds(g).lnq_bound)]
 
 
 class TestRatioVsOpt:
     def test_threshold_adg_within_three(self):
-        rep = ratio_vs_opt(threshold_adg(3.0), threshold_battery(6, seed=11, n_lo=2, n_hi=6))
+        (rep,) = ratio_vs_opt(threshold_adg(3.0), threshold_battery(6, seed=11, n_lo=2, n_hi=6))
         assert rep.ok
         assert rep.worst_ratio <= 3.0 + 1e-6
 
     def test_cdnf_greedy_within_goal_bound(self):
-        rep = ratio_vs_opt(cdnf_greedy, cdnf_battery(6, seed=12, n_lo=2, n_hi=6))
+        (rep,) = ratio_vs_opt(cdnf_greedy, cdnf_battery(6, seed=12, n_lo=2, n_hi=6))
         assert rep.ok and len(rep.rows) == 6
 
     def test_disjunction_cp_exact(self):
-        rep = ratio_vs_opt(
-            lambda case: (cp_ratio_policy(case.dist, case.costs, "or"), 1.0),
+        (rep,) = ratio_vs_opt(
+            lambda case: [(cp_ratio_policy(case.dist, case.costs, "or"), 1.0)],
             disjunction_battery(8, seed=13, n_lo=2, n_hi=6),
             tol=1e-9,
         )
@@ -196,6 +196,33 @@ class TestRatioVsOpt:
         assert rep.worst_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_violations_flagged(self):
-        rep = ratio_vs_opt(threshold_adg(0.01), threshold_battery(3, seed=14, n_lo=3, n_hi=4))
+        (rep,) = ratio_vs_opt(threshold_adg(0.01), threshold_battery(3, seed=14, n_lo=3, n_hi=4))
         assert not rep.ok
         assert rep.violations
+
+    def test_one_optimum_and_one_cost_per_case(self, monkeypatch):
+        calls = {"opt": 0, "cost": 0}
+
+        def counting(name, key):
+            original = getattr(sbfe.verify, name)
+
+            def wrapped(*args):
+                calls[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(sbfe.verify, name, wrapped)
+
+        counting("optimal_expected_cost", "opt")
+        counting("expected_cost", "cost")
+
+        def both_bounds(case):
+            g = cdnf_utility(case.f)
+            policy = GreedyPolicy(g, case.dist, case.costs)
+            return [(policy, bounds(g).lnq_bound), (policy, bounds(g).p_bound)]
+
+        battery = cdnf_battery(4, seed=15, n_lo=2, n_hi=5)
+        lnq, pb = ratio_vs_opt(both_bounds, battery)
+        assert calls == {"opt": 4, "cost": 4}
+        assert [(r.cost, r.opt) for r in lnq.rows] == [(r.cost, r.opt) for r in pb.rows]
+        (alone,) = ratio_vs_opt(cdnf_greedy, battery)
+        assert alone == lnq
