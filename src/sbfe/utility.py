@@ -10,7 +10,6 @@ negation.  Test positions everywhere else are 0-based.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -64,7 +63,8 @@ def gains_at(g: UtilityFunction, b: Partial) -> tuple:
     position j to 0 and to 1 (0 for tested positions), checked for
     monotonicity.  Once b reaches the goal no test is bought there, so down
     and up are None and only g(b) is computed.  The extension values come
-    from ``g.step`` when the utility has one, else from ``g.fn`` on each."""
+    from ``g.step``; every construction in this module has one.  A
+    hand-built utility without one gets ``g.fn`` called on each extension."""
     fn = g.fn
     base = fn(b)
     if base >= g.goal:
@@ -504,36 +504,48 @@ class TruthTable:
             idx |= v << i
         return self.table[idx]
 
-    def count_extensions(self, b: Partial, value: int) -> int:
+    @cached_property
+    def _planes(self) -> tuple:
+        """(ones, zeros): bit idx of ``ones`` is set when table[idx] is 1, of
+        ``zeros`` when it is 0."""
+        ones = int("".join(map(str, reversed(self.table))), 2)
+        return ones, ones ^ ((1 << len(self.table)) - 1)
+
+    @staticmethod
+    def _subcube(b: Partial) -> tuple:
+        """(base, mask): the table indices that extend b are base + s for each
+        set bit s of ``mask``.  base holds the tested-1 bits and s ranges over
+        the subsets of the untested ones, so the sum never carries."""
         base = 0
-        star_bits = []
+        mask = 1
         for i, v in enumerate(b):
             if v == 1:
                 base |= 1 << i
             elif v == STAR:
-                star_bits.append(1 << i)
-        count = 0
-        for pattern in itertools.product((0, 1), repeat=len(star_bits)):
-            idx = base
-            for bit, on in zip(star_bits, pattern):
-                if on:
-                    idx |= bit
-            if self.table[idx] == value:
-                count += 1
-        return count
+                mask |= mask << (1 << i)
+        return base, mask
+
+    def count_extensions(self, b: Partial, value: int) -> int:
+        """Number of completions x of b with f(x) == value."""
+        ones, zeros = self._planes
+        plane = ones if value == 1 else zeros if value == 0 else 0
+        base, mask = self._subcube(b)
+        return ((plane >> base) & mask).bit_count()
 
     def constant_value(self) -> Optional[int]:
-        total = sum(self.table)
-        if total == len(self.table):
+        ones, zeros = self._planes
+        if not zeros:
             return 1
-        if total == 0:
+        if not ones:
             return 0
         return None
 
     def certificate(self, b: Partial) -> Optional[int]:
-        if self.count_extensions(b, 0) == 0:
+        base, mask = self._subcube(b)
+        ones, zeros = self._planes
+        if not (zeros >> base) & mask:
             return 1
-        if self.count_extensions(b, 1) == 0:
+        if not (ones >> base) & mask:
             return 0
         return None
 
@@ -543,15 +555,43 @@ class TruthTable:
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:
     """Generic covering utility: count how many 0-rows and 1-rows of the table
-    the tested bits have ruled out, disjunctively combined."""
+    the tested bits have ruled out, disjunctively combined.
+
+    Its step counts both planes on the subcube of b once, and each
+    extension's counts from that by one AND with the indices whose bit j is
+    set: the completions of b with x_j = 1 are those, with x_j = 0 the rest."""
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
-    ones = sum(f.table)
-    zeros = len(f.table) - ones
-    g1 = UtilityFunction(f.arity, ones, lambda b: ones - f.count_extensions(b, 1))
-    g0 = UtilityFunction(f.arity, zeros, lambda b: zeros - f.count_extensions(b, 0))
-    return combine_or(g1, g0)
+    n = f.arity
+    ones_plane, zeros_plane = f._planes
+    ones = ones_plane.bit_count()
+    zeros = zeros_plane.bit_count()
+    goal = ones * zeros
+    # has_bit[j]: the indices below 2^n with bit j set, h = 2^j of each 2h
+    has_bit = tuple(
+        int(("1" * h + "0" * h) * ((1 << n) // (2 * h)), 2) for h in (1 << j for j in range(n))
+    )
+
+    def step(b):
+        base, mask = f._subcube(b)
+        o = (ones_plane >> base) & mask
+        z = (zeros_plane >> base) & mask
+        co, cz = o.bit_count(), z.bit_count()
+        here = goal - co * cz
+        zero = [here] * n
+        one = [here] * n
+        for j, v in enumerate(b):
+            if v == STAR:
+                o1 = (o & has_bit[j]).bit_count()
+                z1 = (z & has_bit[j]).bit_count()
+                one[j] = goal - o1 * z1
+                zero[j] = goal - (co - o1) * (cz - z1)
+        return tuple(zero), tuple(one)
+
+    g1 = UtilityFunction(n, ones, lambda b: ones - f.count_extensions(b, 1))
+    g0 = UtilityFunction(n, zeros, lambda b: zeros - f.count_extensions(b, 0))
+    return replace(combine_or(g1, g0), step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ extrema from brute force instead of the closed forms.
 """
 from __future__ import annotations
 
+import itertools
+
 from sbfe.core import (
     STAR,
     Branch,
@@ -39,6 +41,28 @@ def brute_certificate(f, b):
     """Forced output of f on every extension of b, scanning all of them."""
     values = {f.evaluate(x) for x in extensions(b)}
     return values.pop() if len(values) == 1 else None
+
+
+def reference_count_extensions(table, b, value):
+    """`TruthTable.count_extensions` as first written, the reference for the
+    popcount over bit planes: build the index of every completion of b and
+    read the table there."""
+    base = 0
+    star_bits = []
+    for i, v in enumerate(b):
+        if v == 1:
+            base |= 1 << i
+        elif v == STAR:
+            star_bits.append(1 << i)
+    count = 0
+    for pattern in itertools.product((0, 1), repeat=len(star_bits)):
+        idx = base
+        for bit, on in zip(star_bits, pattern):
+            if on:
+                idx |= bit
+        if table.table[idx] == value:
+            count += 1
+    return count
 
 
 def reference_gains_at(g, b):

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +310,20 @@ class TestGapDemo:
 class TestUsage:
     def test_no_command_exits_two(self, capsys):
         assert main([]) == 2
+
+    def test_python_dash_m(self, capsys):
+        argv = ["gen", "--kind", "truthtable", "--n", "3", "--seed", "1"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "sbfe", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["format"] == "sbfe-1"
+        assert done.stdout == run_cli(capsys, *argv)[1]
 
     def test_bad_numeric_flag_exits_two(self, tmp_path, capsys):
         # n = 5 is above --max-n 3, so eval would sample --trials runs

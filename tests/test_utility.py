@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from helpers import (
     brute_certificate,
     brute_diff_extrema,
     conjunction_formula,
+    reference_count_extensions,
     reference_gains_at,
 )
 from sbfe.core import (
@@ -62,6 +64,16 @@ def truncated_modular(n, weights, cap) -> UtilityFunction:
         return min(cap, total)
 
     return UtilityFunction(n, cap, fn)
+
+
+def random_partials(rng, n, count):
+    """``count`` partial assignments, each with a uniform number of tested
+    positions, so that shallow and deep states are drawn alike."""
+    for _ in range(count):
+        b = [STAR] * n
+        for j in rng.sample(range(n), rng.randint(0, n)):
+            b[j] = rng.randrange(2)
+        yield tuple(b)
 
 
 class TestMarginals:
@@ -145,18 +157,31 @@ class TestStep:
     def test_random_partials_large(self, kind, n):
         rng = random.Random(n)
         g = STEP_KINDS[kind](rng, n)
-        for _ in range(500):
-            b = [STAR] * n
-            for j in rng.sample(range(n), rng.randint(0, n)):
-                b[j] = rng.randrange(2)
-            b = tuple(b)
+        for b in random_partials(rng, n, 500):
             assert gains_at(g, b) == reference_gains_at(g, b), (kind, b)
 
-    def test_truth_table_has_no_step(self):
-        g = truth_table_utility(TruthTable(2, (0, 1, 1, 1)))
-        assert g.step is None
-        for b in all_partials(2):
-            assert gains_at(g, b) == reference_gains_at(g, b)
+    def test_truth_table_step(self):
+        rng = random.Random(43)
+        for n in range(2, 7):
+            for _ in range(3):
+                g = truth_table_utility(gen_truth_table(rng, n))
+                assert g.step is not None
+                for b in all_partials(n):
+                    assert gains_at(g, b) == reference_gains_at(g, b), b
+
+    def test_truth_table_step_large(self):
+        rng = random.Random(12)
+        g = truth_table_utility(gen_truth_table(rng, 12))
+        for b in random_partials(rng, 12, 500):
+            assert gains_at(g, b) == reference_gains_at(g, b), b
+
+    def test_fn_fallback_without_step(self):
+        # the path a hand-built utility without a step takes
+        rng = random.Random(47)
+        for n in range(2, 7):
+            g = dataclasses.replace(truth_table_utility(gen_truth_table(rng, n)), step=None)
+            for b in all_partials(n):
+                assert gains_at(g, b) == reference_gains_at(g, b), b
 
     def test_monotonicity_guard_on_step_path(self):
         # setting position 1 to 0, or position 2 to 1, loses utility
@@ -399,6 +424,42 @@ class TestTruthTable:
         for _ in range(4):
             f = gen_truth_table(rng, 4)
             assert check_axioms(truth_table_utility(f), "exhaustive").ok
+
+    @staticmethod
+    def assert_counts_match(f, partials):
+        for b in partials:
+            for value in (0, 1):
+                expected = reference_count_extensions(f, b, value)
+                assert f.count_extensions(b, value) == expected, (b, value)
+
+    def test_counts_every_partial_small(self):
+        rng = random.Random(53)
+        for n in range(1, 7):
+            for _ in range(3):
+                f = gen_truth_table(rng, n)
+                self.assert_counts_match(f, all_partials(n))
+
+    def test_counts_random_partials_n12(self):
+        rng = random.Random(59)
+        f = gen_truth_table(rng, 12)
+        self.assert_counts_match(f, random_partials(rng, 12, 500))
+
+    def test_counts_random_partials_n16(self):
+        # above the generator's cap, so built directly.  Each position is
+        # 0, 1 or untested alike (a uniform partial assignment): the
+        # reference enumerates 2^(untested) completions, and a uniform
+        # number of tested positions would take it through 2^16 often.
+        rng = random.Random(61)
+        f = TruthTable(16, [rng.randrange(2) for _ in range(1 << 16)])
+        partials = [tuple(rng.choice((0, 1, STAR)) for _ in range(16)) for _ in range(500)]
+        self.assert_counts_match(f, [(STAR,) * 16] + partials)
+
+    def test_certificate_from_counts(self):
+        rng = random.Random(67)
+        for n in range(1, 6):
+            f = gen_truth_table(rng, n)
+            for b in all_partials(n):
+                assert f.certificate(b) == brute_certificate(f, b), b
 
 
 class TestRankingPairs:
