@@ -372,7 +372,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gap_demo(args) -> int:
     try:
-        ns = [int(s) for s in args.ns.split(",") if s]
+        ns = [int(s) for s in args.ns.split(",")]  # an empty field is an error
     except ValueError:
         ns = None
     if ns is None or any(n < 1 for n in ns):

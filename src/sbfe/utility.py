@@ -10,7 +10,7 @@ negation.  Test positions everywhere else are 0-based.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -21,7 +21,6 @@ from .core import (
     InvalidUtilityError,
     LimitError,
     Partial,
-    all_assignments,
     extend,
     output_flags,
     output_label,
@@ -199,7 +198,8 @@ class CdnfFormula:
 
     ``clauses`` and ``terms`` are frozensets of signed 1-based literals.
     Both representations must compute the same function; this is checked
-    exhaustively for arity <= 12 and is a caller obligation above that.
+    at every assignment for arity <= 12, by bit planes over the 2^n
+    assignments (`_check_agreement`), and is a caller obligation above that.
     A clause containing complementary literals is a tautology and a term
     containing them is a contradiction; a formula whose clauses are all
     tautologies (terms all contradictions) is identically 1 (0).
@@ -222,11 +222,39 @@ class CdnfFormula:
                     if lit == 0 or abs(lit) > self.arity:
                         raise ValueError(f"literal {lit} out of range for arity {self.arity}")
         if self.arity <= 12:
-            for x in all_assignments(self.arity):
-                if self._eval_cnf(x) != self._eval_dnf(x):
-                    raise ValueError(
-                        f"CNF and DNF disagree at {x}; not the same function"
-                    )
+            self._check_agreement()
+
+    def _check_agreement(self) -> None:
+        """Raise unless the CNF and the DNF agree at all 2^n assignments.
+        Each literal is one integer over the assignments, bit r set where
+        the literal holds at the assignment of rank r in `all_assignments`
+        order (x_1 most significant); clauses OR their literals, terms AND
+        them, and the first disagreement is the lowest set bit of the XOR."""
+        n = self.arity
+        size = 1 << n
+        everywhere = (1 << size) - 1
+        planes = {}
+        for i in range(1, n + 1):
+            h = 1 << (n - i)  # x_i flips every h ranks, starting at 0
+            planes[i] = int(("1" * h + "0" * h) * (size // (2 * h)), 2)
+            planes[-i] = planes[i] ^ everywhere
+        cnf = everywhere
+        for cl in self.clauses:
+            sat = 0
+            for lit in cl:
+                sat |= planes[lit]
+            cnf &= sat
+        dnf = 0
+        for t in self.terms:
+            sat = everywhere
+            for lit in t:
+                sat &= planes[lit]
+            dnf |= sat
+        diff = cnf ^ dnf
+        if diff:
+            r = (diff & -diff).bit_length() - 1
+            x = tuple((r >> (n - i)) & 1 for i in range(1, n + 1))
+            raise ValueError(f"CNF and DNF disagree at {x}; not the same function")
 
     @property
     def k(self) -> int:
@@ -236,14 +264,8 @@ class CdnfFormula:
     def d(self) -> int:
         return len(self.terms)
 
-    def _eval_cnf(self, x: Assignment) -> int:
-        return int(all(any(_literal_true(l, x) for l in cl) for cl in self.clauses))
-
-    def _eval_dnf(self, x: Assignment) -> int:
-        return int(any(all(_literal_true(l, x) for l in t) for t in self.terms))
-
     def evaluate(self, x: Assignment) -> int:
-        return self._eval_dnf(x)
+        return int(any(all(_literal_true(l, x) for l in t) for t in self.terms))
 
     def clauses_satisfied(self, b: Partial) -> int:
         """Number of clauses with some literal already made true by b."""
@@ -439,29 +461,29 @@ def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
-    q1 = -f.r_min
-    q0 = f.r_max + 1
-    r_min, r_max = f.r_min, f.r_max
-
-    g1 = UtilityFunction(f.arity, q1, lambda b: min(q1, f.min_of(b) - r_min))
-    g0 = UtilityFunction(f.arity, q0, lambda b: min(q0, r_max - f.max_of(b)))
-    return _with_extrema_step(combine_or(g1, g0), f.coeffs, q1, q0)
+    return _extrema_utility(f.arity, f.coeffs, -f.r_min, f.r_max + 1)
 
 
-def _with_extrema_step(g: UtilityFunction, coeffs, cap_min: int, cap_max: int) -> UtilityFunction:
-    """``g``, the `combine_or` of two sides over sum(a_j * x_j) on the
-    extensions of b: how far the minimum has risen from its all-untested
-    value, capped at ``cap_min``, and how far the maximum has fallen from
-    its own, capped at ``cap_max``; with a step that takes both sides of
-    every extension from one `_restricted_extrema` of b.  With a_j's
-    positive part ap and negative part an, setting x_j to 1 raises the
-    minimum by ap and lowers the maximum by an; setting it to 0 raises the
-    minimum by an and lowers the maximum by ap."""
+def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunction:
+    """The `combine_or` of two sides over sum(a_j * x_j) on the extensions
+    of b: how far the minimum has risen from its all-untested value, capped
+    at ``cap_min``, and how far the maximum has fallen from its own, capped
+    at ``cap_max``.  Goal cap_min * cap_max.  ``fn`` takes both sides from
+    one `_restricted_extrema` of b, and so does ``step`` for every
+    extension: with a_j's positive part ap and negative part an, setting
+    x_j to 1 raises the minimum by ap and lowers the maximum by an; setting
+    it to 0 raises the minimum by an and lowers the maximum by ap."""
     pos = tuple(max(a, 0) for a in coeffs)
     neg = tuple(max(-a, 0) for a in coeffs)
     lo_full = cap_min - sum(neg)  # the minimum at which its side is full
     hi_full = sum(pos) - cap_max  # the maximum at which its side is full
     goal = cap_min * cap_max
+    if goal > MAX_GOAL:
+        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
+
+    def fn(b):
+        lo, hi = _restricted_extrema(coeffs, b)
+        return goal - max(0, lo_full - lo) * max(0, hi - hi_full)
 
     def step(b):
         lo, hi = _restricted_extrema(coeffs, b)
@@ -477,7 +499,7 @@ def _with_extrema_step(g: UtilityFunction, coeffs, cap_min: int, cap_max: int) -
         )
         return zero, one
 
-    return replace(g, step=step)
+    return UtilityFunction(n, goal, fn, step)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +577,12 @@ class TruthTable:
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:
     """Generic covering utility: count how many 0-rows and 1-rows of the table
-    the tested bits have ruled out, disjunctively combined.
+    the tested bits have ruled out, disjunctively combined.  Goal #1 * #0.
 
-    Its step counts both planes on the subcube of b once, and each
-    extension's counts from that by one AND with the indices whose bit j is
-    set: the completions of b with x_j = 1 are those, with x_j = 0 the rest."""
+    ``fn`` counts both planes on the subcube of b once, and so does its step,
+    which takes each extension's counts from that by one AND with the
+    indices whose bit j is set: the completions of b with x_j = 1 are those,
+    with x_j = 0 the rest."""
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
@@ -572,6 +595,11 @@ def truth_table_utility(f: TruthTable) -> UtilityFunction:
     has_bit = tuple(
         int(("1" * h + "0" * h) * ((1 << n) // (2 * h)), 2) for h in (1 << j for j in range(n))
     )
+
+    def fn(b):
+        base, mask = f._subcube(b)
+        co = ((ones_plane >> base) & mask).bit_count()
+        return goal - co * ((zeros_plane >> base) & mask).bit_count()
 
     def step(b):
         base, mask = f._subcube(b)
@@ -589,9 +617,7 @@ def truth_table_utility(f: TruthTable) -> UtilityFunction:
                 zero[j] = goal - (co - o1) * (cz - z1)
         return tuple(zero), tuple(one)
 
-    g1 = UtilityFunction(n, ones, lambda b: ones - f.count_extensions(b, 1))
-    g0 = UtilityFunction(n, zeros, lambda b: zeros - f.count_extensions(b, 0))
-    return replace(combine_or(g1, g0), step=step)
+    return UtilityFunction(n, goal, fn, step)
 
 
 # ---------------------------------------------------------------------------
@@ -660,18 +686,4 @@ def ranking_pair_utility(sys: LinearSystem, i: int, j: int) -> UtilityFunction:
     delta = sys.diff(i, j)
     r_lo = sum(a for a in delta if a < 0)
     r_hi = sum(a for a in delta if a > 0)
-    n = sys.arity
-
-    if r_hi <= 0:
-        g_le = constant_zero_utility(n)
-    else:
-        g_le = UtilityFunction(
-            n, r_hi, lambda b: min(r_hi, r_hi - _restricted_extrema(delta, b)[1])
-        )
-    if r_lo >= 0:
-        g_ge = constant_zero_utility(n)
-    else:
-        g_ge = UtilityFunction(
-            n, -r_lo, lambda b: min(-r_lo, _restricted_extrema(delta, b)[0] - r_lo)
-        )
-    return _with_extrema_step(combine_or(g_le, g_ge), delta, -r_lo, r_hi)
+    return _extrema_utility(sys.arity, delta, -r_lo, r_hi)

@@ -111,23 +111,22 @@ def _check_axioms_exhaustive(g: UtilityFunction) -> CheckReport:
 def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckReport:
     n = g.arity
     rng = random.Random(seed)
+    choice, coin, randrange = rng.choice, rng.random, rng.randrange
+    outcomes = (0, 1, STAR)
     fn = g.fn
     checked = 0
     for _ in range(trials):
-        bp = tuple(rng.choice((0, 1, STAR)) for _ in range(n))
+        bp = tuple([choice(outcomes) for _ in range(n)])
         untested = [i for i, v in enumerate(bp) if v == STAR]
         if not untested:
             continue
-        tested = [i for i, v in enumerate(bp) if v != STAR]
-        b = bp
-        for i in tested:
-            if rng.random() < 0.5:
-                b = clear(b, i)
-        i = rng.choice(untested)
-        l = rng.randrange(2)
+        # each tested position of bp is cleared in b on a coin flip, in order
+        b = tuple([STAR if v != STAR and coin() < 0.5 else v for v in bp])
+        i = choice(untested)
+        l = randrange(2)
         vb, vbp = fn(b), fn(bp)
-        early = fn(extend(b, i, l)) - vb
-        late = fn(extend(bp, i, l)) - vbp
+        early = fn(b[:i] + (l,) + b[i + 1 :]) - vb
+        late = fn(bp[:i] + (l,) + bp[i + 1 :]) - vbp
         checked += 1
         if late < 0 or early < 0:
             return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")

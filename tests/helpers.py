@@ -8,15 +8,18 @@ extrema from brute force instead of the closed forms.
 from __future__ import annotations
 
 import itertools
+import random
 
 from sbfe.core import (
     STAR,
     Branch,
+    ConstantFunctionError,
     InvalidUtilityError,
     Leaf,
     all_assignments,
     as_costs,
     as_probabilities,
+    clear,
     extend,
     extensions,
     prob_of,
@@ -25,7 +28,14 @@ from sbfe.core import (
     walk_policy,
 )
 from sbfe.policies import EPS, run_policy
-from sbfe.utility import CdnfFormula
+from sbfe.utility import (
+    CdnfFormula,
+    UtilityFunction,
+    _restricted_extrema,
+    combine_or,
+    constant_zero_utility,
+)
+from sbfe.verify import CheckReport
 
 
 def enumeration_expected_cost(policy, d, c, n: int) -> float:
@@ -63,6 +73,109 @@ def reference_count_extensions(table, b, value):
         if table.table[idx] == value:
             count += 1
     return count
+
+
+def reference_threshold_utility(f):
+    """`threshold_utility` as first written, the reference for its one-pass
+    ``fn``: the `combine_or` of a side for the guaranteed minimum and a side
+    for the achievable maximum, each from its own restricted extremum.  It
+    has no step."""
+    cv = f.constant_value()
+    if cv is not None:
+        raise ConstantFunctionError(cv)
+    q1 = -f.r_min
+    q0 = f.r_max + 1
+    r_min, r_max = f.r_min, f.r_max
+    g1 = UtilityFunction(f.arity, q1, lambda b: min(q1, f.min_of(b) - r_min))
+    g0 = UtilityFunction(f.arity, q0, lambda b: min(q0, r_max - f.max_of(b)))
+    return combine_or(g1, g0)
+
+
+def reference_ranking_pair_utility(sys, i, j):
+    """`ranking_pair_utility` as first written, the reference for its
+    one-pass ``fn``: a side for f_i - f_j forced <= 0 and a side for it
+    forced >= 0, a vacuous side being the goal-0 utility, `combine_or`-ed.
+    It has no step."""
+    if not i < j:
+        raise ValueError("require i < j")
+    delta = sys.diff(i, j)
+    r_lo = sum(a for a in delta if a < 0)
+    r_hi = sum(a for a in delta if a > 0)
+    n = sys.arity
+    if r_hi <= 0:
+        g_le = constant_zero_utility(n)
+    else:
+        g_le = UtilityFunction(
+            n, r_hi, lambda b: min(r_hi, r_hi - _restricted_extrema(delta, b)[1])
+        )
+    if r_lo >= 0:
+        g_ge = constant_zero_utility(n)
+    else:
+        g_ge = UtilityFunction(
+            n, -r_lo, lambda b: min(-r_lo, _restricted_extrema(delta, b)[0] - r_lo)
+        )
+    return combine_or(g_le, g_ge)
+
+
+def reference_truth_table_utility(f):
+    """`truth_table_utility` as first written, the reference for its
+    one-pass ``fn``: the `combine_or` of the 1-rows and the 0-rows ruled
+    out, each side from its own `count_extensions`.  It has no step."""
+    cv = f.constant_value()
+    if cv is not None:
+        raise ConstantFunctionError(cv)
+    ones = sum(f.table)
+    zeros = len(f.table) - ones
+    g1 = UtilityFunction(f.arity, ones, lambda b: ones - f.count_extensions(b, 1))
+    g0 = UtilityFunction(f.arity, zeros, lambda b: zeros - f.count_extensions(b, 0))
+    return combine_or(g1, g0)
+
+
+def reference_check_axioms_random(g, trials, seed):
+    """The random mode of `check_axioms` as first written, the reference
+    for its loop: a generator expression per state, one `clear` per coin
+    that comes up, and `extend` for both extensions."""
+    n = g.arity
+    rng = random.Random(seed)
+    fn = g.fn
+    checked = 0
+    for _ in range(trials):
+        bp = tuple(rng.choice((0, 1, STAR)) for _ in range(n))
+        untested = [i for i, v in enumerate(bp) if v == STAR]
+        if not untested:
+            continue
+        tested = [i for i, v in enumerate(bp) if v != STAR]
+        b = bp
+        for i in tested:
+            if rng.random() < 0.5:
+                b = clear(b, i)
+        i = rng.choice(untested)
+        l = rng.randrange(2)
+        vb, vbp = fn(b), fn(bp)
+        early = fn(extend(b, i, l)) - vb
+        late = fn(extend(bp, i, l)) - vbp
+        checked += 1
+        if late < 0 or early < 0:
+            return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")
+        if early < late:
+            return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
+    return CheckReport(True, checked)
+
+
+def reference_cdnf_agreement(arity, clauses, terms):
+    """The CNF/DNF agreement check of `CdnfFormula` as first written, the
+    reference for its bit planes: evaluate both forms at every assignment
+    in `all_assignments` order and raise the same ``ValueError`` at the
+    first one where they differ."""
+
+    def holds(lit, x):
+        return x[abs(lit) - 1] == (1 if lit > 0 else 0)
+
+    for x in all_assignments(arity):
+        cnf = int(all(any(holds(l, x) for l in cl) for cl in clauses))
+        dnf = int(any(all(holds(l, x) for l in t) for t in terms))
+        if cnf != dnf:
+            raise ValueError(f"CNF and DNF disagree at {x}; not the same function")
 
 
 def reference_gains_at(g, b):

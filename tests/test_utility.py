@@ -10,8 +10,12 @@ from helpers import (
     brute_certificate,
     brute_diff_extrema,
     conjunction_formula,
+    reference_cdnf_agreement,
     reference_count_extensions,
     reference_gains_at,
+    reference_ranking_pair_utility,
+    reference_threshold_utility,
+    reference_truth_table_utility,
 )
 from sbfe.core import (
     STAR,
@@ -31,6 +35,7 @@ from sbfe.instances import (
     gen_knapsack,
     gen_linear_system,
     gen_threshold,
+    gen_threshold_set,
     gen_truth_table,
 )
 from sbfe.policies import GreedyPolicy
@@ -43,7 +48,9 @@ from sbfe.utility import (
     UtilityFunction,
     cdnf_utility,
     combine_and,
+    combine_and_all,
     combine_or,
+    constant_zero_utility,
     decision_tree_to_cdnf,
     gains_at,
     ranking_pair_utility,
@@ -113,67 +120,103 @@ class TestMarginals:
             gains_at(g, (STAR,))
 
 
-def _knapsack_utility(rng, n):
-    """The covering utility `min_knapsack_adg` runs on."""
+def _knapsack_formula(rng, n):
+    """The covering threshold formula `min_knapsack_adg` runs on."""
     while True:
         kp = gen_knapsack(rng, n)
         f = ThresholdFormula(kp.values, kp.threshold)
         if f.constant_value() is None:
-            return threshold_utility(f)
+            return f
 
 
-# every construction that carries a step, built at arity n
+def _thresholds(rng, n):
+    return ThresholdSet((gen_threshold(rng, n), ThresholdFormula((1,) * n, 0)))
+
+
+def _reference_thresholds_utility(fs):
+    """`ThresholdSet.utility` over `reference_threshold_utility`."""
+    return combine_and_all(
+        reference_threshold_utility(f) if f.constant_value() is None
+        else constant_zero_utility(fs.arity)
+        for f in fs.formulas
+    )
+
+
+def _reference_ranking_utility(sys):
+    """`ranking_utility` over `reference_ranking_pair_utility`."""
+    return combine_and_all(
+        reference_ranking_pair_utility(sys, i, j)
+        for i in range(sys.m)
+        for j in range(i + 1, sys.m)
+    )
+
+
+# every construction that carries a step: (its instance at arity n, the
+# utility, a reference utility on the same instance whose fn is built apart
+# from that step; the CNF/DNF fn is its own reference, two counters that
+# share nothing with `_hit_count_step`)
 STEP_KINDS = {
-    "threshold": lambda rng, n: threshold_utility(gen_threshold(rng, n)),
-    "thresholds-one-constant": lambda rng, n: ThresholdSet(
-        (gen_threshold(rng, n), ThresholdFormula((1,) * n, 0))
-    ).utility(),
-    "cdnf": lambda rng, n: cdnf_utility(gen_cdnf(rng, n)),
-    "disjunction": lambda rng, n: cdnf_utility(disjunction_formula(n)),
-    "linear-system": lambda rng, n: ranking_utility(gen_linear_system(rng, 3, n)),
-    "knapsack": _knapsack_utility,
-    "and-threshold-cdnf": lambda rng, n: combine_and(
-        threshold_utility(gen_threshold(rng, n)), cdnf_utility(gen_cdnf(rng, n))
+    "threshold": (gen_threshold, threshold_utility, reference_threshold_utility),
+    "thresholds-one-constant": (_thresholds, ThresholdSet.utility, _reference_thresholds_utility),
+    "cdnf": (gen_cdnf, cdnf_utility, cdnf_utility),
+    "disjunction": (lambda rng, n: disjunction_formula(n), cdnf_utility, cdnf_utility),
+    "linear-system": (
+        lambda rng, n: gen_linear_system(rng, 3, n),
+        ranking_utility,
+        _reference_ranking_utility,
+    ),
+    "knapsack": (_knapsack_formula, threshold_utility, reference_threshold_utility),
+    "and-threshold-cdnf": (
+        lambda rng, n: (gen_threshold(rng, n), gen_cdnf(rng, n)),
+        lambda fs: combine_and(threshold_utility(fs[0]), cdnf_utility(fs[1])),
+        lambda fs: combine_and(reference_threshold_utility(fs[0]), cdnf_utility(fs[1])),
     ),
 }
 
 
 class TestStep:
     """`gains_at` through a utility's one-pass ``step`` equals the 2n + 1
-    ``fn`` calls of `reference_gains_at`, compared with ``==``."""
+    ``fn`` calls of `reference_gains_at` on the reference utility, compared
+    with ``==``."""
 
     @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
     def test_every_partial_small(self, kind):
+        make, build, reference = STEP_KINDS[kind]
         rng = random.Random(41)
         for n in range(1, 7):
             for _ in range(3):
-                g = STEP_KINDS[kind](rng, n)
+                inst = make(rng, n)
+                g, ref = build(inst), reference(inst)
                 assert g.step is not None
                 for b in all_partials(n):
-                    assert gains_at(g, b) == reference_gains_at(g, b), (kind, b)
+                    assert gains_at(g, b) == reference_gains_at(ref, b), (kind, b)
 
     @pytest.mark.parametrize("n", (24, 32))
     @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
     def test_random_partials_large(self, kind, n):
+        make, build, reference = STEP_KINDS[kind]
         rng = random.Random(n)
-        g = STEP_KINDS[kind](rng, n)
+        inst = make(rng, n)
+        g, ref = build(inst), reference(inst)
         for b in random_partials(rng, n, 500):
-            assert gains_at(g, b) == reference_gains_at(g, b), (kind, b)
+            assert gains_at(g, b) == reference_gains_at(ref, b), (kind, b)
 
     def test_truth_table_step(self):
         rng = random.Random(43)
         for n in range(2, 7):
             for _ in range(3):
-                g = truth_table_utility(gen_truth_table(rng, n))
+                f = gen_truth_table(rng, n)
+                g, ref = truth_table_utility(f), reference_truth_table_utility(f)
                 assert g.step is not None
                 for b in all_partials(n):
-                    assert gains_at(g, b) == reference_gains_at(g, b), b
+                    assert gains_at(g, b) == reference_gains_at(ref, b), b
 
     def test_truth_table_step_large(self):
         rng = random.Random(12)
-        g = truth_table_utility(gen_truth_table(rng, 12))
+        f = gen_truth_table(rng, 12)
+        g, ref = truth_table_utility(f), reference_truth_table_utility(f)
         for b in random_partials(rng, 12, 500):
-            assert gains_at(g, b) == reference_gains_at(g, b), b
+            assert gains_at(g, b) == reference_gains_at(ref, b), b
 
     def test_fn_fallback_without_step(self):
         # the path a hand-built utility without a step takes
@@ -205,6 +248,77 @@ class TestStep:
             assert str(fast_error.value) == str(slow_error.value) == message
             with pytest.raises(InvalidUtilityError, match=message.replace("*", r"\*")):
                 reference_gains_at(slow, b)
+
+
+# the utilities whose fn is one pass: (instance at arity n, utility,
+# reference utility, arities of the random partial assignments)
+FN_KINDS = {
+    "threshold": (gen_threshold, threshold_utility, reference_threshold_utility, (24, 32)),
+    "thresholds": (
+        lambda rng, n: gen_threshold_set(rng, 3, n),
+        ThresholdSet.utility,
+        _reference_thresholds_utility,
+        (24, 32),
+    ),
+    "knapsack": (_knapsack_formula, threshold_utility, reference_threshold_utility, (24, 32)),
+    "linear-system": (
+        lambda rng, n: gen_linear_system(rng, 4, n, duplicate_prob=0.3),
+        ranking_utility,
+        _reference_ranking_utility,
+        (24, 32),
+    ),
+    "truthtable": (gen_truth_table, truth_table_utility, reference_truth_table_utility, (12,)),
+}
+
+
+class TestOnePassFn:
+    """The one-pass ``fn`` of the threshold, ranking-pair and truth-table
+    utilities equals the two-sided `combine_or` of its reference, compared
+    with ``==``; so do the goals."""
+
+    @pytest.mark.parametrize("kind", sorted(FN_KINDS))
+    def test_every_partial_small(self, kind):
+        make, build, reference, _ = FN_KINDS[kind]
+        rng = random.Random(53)
+        for n in range(1, 7):
+            for _ in range(3):
+                inst = make(rng, n)
+                g, ref = build(inst), reference(inst)
+                assert g.goal == ref.goal
+                for b in all_partials(n):
+                    assert g.fn(b) == ref.fn(b), (kind, b)
+
+    @pytest.mark.parametrize("kind", sorted(FN_KINDS))
+    def test_random_partials_large(self, kind):
+        make, build, reference, sizes = FN_KINDS[kind]
+        for n in sizes:
+            rng = random.Random(n)
+            inst = make(rng, n)
+            g, ref = build(inst), reference(inst)
+            assert g.goal == ref.goal
+            for b in random_partials(rng, n, 500):
+                assert g.fn(b) == ref.fn(b), (kind, b)
+
+    def test_vacuous_ranking_sides(self):
+        # f0 <= f1, f0 >= f2 and f1 >= f2 hold on every input, so those pairs
+        # have goal 0; f0 against f3 can go either way
+        sys = LinearSystem(((1, 2, 0), (2, 3, 1), (0, 1, -1), (0, 0, 5)))
+        for i, j in itertools.combinations(range(4), 2):
+            g = ranking_pair_utility(sys, i, j)
+            ref = reference_ranking_pair_utility(sys, i, j)
+            assert g.goal == ref.goal
+            assert (g.goal == 0) == (j < 3)
+            for b in all_partials(3):
+                assert g.fn(b) == ref.fn(b), (i, j, b)
+                assert gains_at(g, b) == reference_gains_at(ref, b), (i, j, b)
+
+    def test_goal_overflow_rejected(self):
+        # each coefficient fits, but the goals (2^40 + 1) * 2^40 and
+        # 2^40 * 2^40 do not
+        with pytest.raises(LimitError, match="combined goal"):
+            threshold_utility(ThresholdFormula((2**40, -(2**40)), 1))
+        with pytest.raises(LimitError, match="combined goal"):
+            ranking_pair_utility(LinearSystem(((2**40, 0), (0, 2**40))), 0, 1)
 
 
 class TestCombinators:
@@ -321,6 +435,53 @@ class TestCdnf:
             f = gen_cdnf(rng, 4)
             assert check_axioms(cdnf_utility(f), "exhaustive").ok
 
+
+    @staticmethod
+    def _agreement(check, n, clauses, terms):
+        """The message ``check`` raises for the sets, or None if it accepts."""
+        try:
+            check(n, clauses, terms)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def test_agreement_planes_match_enumeration(self):
+        # a third each: consistent pairs, consistent pairs with one literal
+        # negated, and random sets; the last two mostly disagree
+        rng = random.Random(59)
+        rejected = 0
+        for trial in range(360):
+            n = 1 + trial % 6
+            f = gen_cdnf(rng, n)
+            clauses, terms = [list(cl) for cl in f.clauses], [list(t) for t in f.terms]
+            if trial % 3 == 1:
+                group = rng.choice(clauses + terms)
+                k = rng.randrange(len(group))
+                group[k] = -group[k]
+            elif trial % 3 == 2:
+                clauses, terms = (
+                    [
+                        [rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+                        for _ in range(rng.randint(1, 4))
+                    ]
+                    for _ in range(2)
+                )
+            expected = self._agreement(reference_cdnf_agreement, n, clauses, terms)
+            assert self._agreement(CdnfFormula, n, clauses, terms) == expected, (n, clauses, terms)
+            rejected += expected is not None
+        assert 100 <= rejected <= 260
+
+    def test_agreement_at_twelve(self):
+        f = conjunction_formula(12)
+        reference_cdnf_agreement(12, f.clauses, f.terms)
+        short = (frozenset(range(1, 12)),)  # x_12 dropped from the one term
+        message = f"CNF and DNF disagree at {(1,) * 11 + (0,)}; not the same function"
+        with pytest.raises(ValueError) as exc:
+            reference_cdnf_agreement(12, f.clauses, short)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            CdnfFormula(12, f.clauses, short)
+        assert str(exc.value) == message
 
 class TestDecisionTreeConversion:
     def test_single_test_tree(self):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import sbfe.verify
+from helpers import reference_check_axioms_random
 from sbfe.core import (
     STAR,
     ProductDistribution,
@@ -15,7 +16,9 @@ from sbfe.instances import (
     cdnf_battery,
     disjunction_battery,
     gen_cdnf,
+    gen_linear_system,
     gen_threshold,
+    gen_truth_table,
     threshold_battery,
 )
 from sbfe.policies import (
@@ -26,12 +29,14 @@ from sbfe.policies import (
     cp_ratio_policy,
     prefix_ratios,
 )
+from sbfe.problems import ranking_utility
 from sbfe.utility import (
     ThresholdFormula,
     UtilityFunction,
     cdnf_utility,
     gains_at,
     threshold_utility,
+    truth_table_utility,
 )
 from sbfe.verify import (
     check_axioms,
@@ -87,6 +92,42 @@ class TestAxiomCheck:
         with pytest.raises(Exception):
             check_axioms(g, "exhaustive")
 
+
+class TestRandomAxiomStream:
+    """The random axiom check makes the draws of
+    `reference_check_axioms_random` in the same order, so its whole
+    `CheckReport` (verdict, count, counterexample, message) is equal."""
+
+    @pytest.mark.parametrize("n", (8, 12))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold(self, n, seed):
+        g = threshold_utility(gen_threshold(random.Random(100 + seed), n))
+        rep = check_axioms(g, "random", trials=2000, seed=seed)
+        assert rep.ok
+        assert rep == reference_check_axioms_random(g, 2000, seed)
+
+    def test_truth_table_and_ranking(self):
+        rng = random.Random(61)
+        for g in (
+            truth_table_utility(gen_truth_table(rng, 12)),
+            ranking_utility(gen_linear_system(rng, 3, 12)),
+        ):
+            for seed in (0, 1):
+                rep = check_axioms(g, "random", trials=2000, seed=seed)
+                assert rep.ok
+                assert rep == reference_check_axioms_random(g, 2000, seed)
+
+    def test_supermodular_counterexample(self):
+        # the square of the count of ones: each 1 gains more than the last
+        g = UtilityFunction(8, 64, lambda b: sum(v == 1 for v in b) ** 2)
+        for seed in range(4):
+            rep = check_axioms(g, "random", trials=2000, seed=seed)
+            assert not rep.ok and rep.message == "submodularity violated"
+            assert rep == reference_check_axioms_random(g, 2000, seed)
+            b, bp, i, l = rep.counterexample
+            early = g.fn((*b[:i], l, *b[i + 1 :])) - g.fn(b)
+            late = g.fn((*bp[:i], l, *bp[i + 1 :])) - g.fn(bp)
+            assert early < late
 
 class TestGoalCertificateCheck:
     def test_passes_for_constructions(self):
