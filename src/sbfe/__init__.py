@@ -19,12 +19,9 @@ from .core import (
     RunTrace,
     SbfeError,
     Branch,
-    certificate_by_enumeration,
     certificate_check,
-    expected_certificate_cost,
     expected_cost,
     extend,
-    neighbor_property_holds,
     optimal_expected_cost,
     prob_of,
     sample_input,
@@ -61,7 +58,6 @@ from .utility import (
     TruthTable,
     UtilityFunction,
     cdnf_utility,
-    combine_and,
     combine_or,
     decision_tree_to_cdnf,
     ranking_pair_utility,

@@ -75,6 +75,7 @@ COLUMNS = (
 )
 RATIO_TOL = 1e-6
 VERIFY_MIN_N = 3  # the smallest size the verify batteries draw
+GAP_DEMO_MAX_N = 512  # expected_cost recurses once per test along the all-zeros path
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +184,7 @@ def eval_instance(inst: Instance, args) -> dict:
     # The optimum goes first, so that one over OPTIMUM_MAX_N fails at once.
     opt = None
     if exact:
-        opt, _ = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs)
+        opt = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs)
     engine, alpha = args.engine, None
     try:
         g = build(inst.f)
@@ -375,8 +376,11 @@ def cmd_gap_demo(args) -> int:
         ns = [int(s) for s in args.ns.split(",")]  # an empty field is an error
     except ValueError:
         ns = None
-    if ns is None or any(n < 1 for n in ns):
-        print(f"error: bad --ns value {args.ns!r}; sizes are positive integers", file=sys.stderr)
+    if ns is None or any(not 1 <= n <= GAP_DEMO_MAX_N for n in ns):
+        print(
+            f"error: bad --ns value {args.ns!r}; sizes are integers from 1 to {GAP_DEMO_MAX_N}",
+            file=sys.stderr,
+        )
         return 2
     rows = []
     for n in ns:

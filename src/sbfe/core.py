@@ -12,15 +12,11 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional
 
 STAR = 2  # "not yet tested" marker; 0/1/STAR all fit in two bits
 
-# Size limits of the exhaustive oracles.
-NEIGHBOR_MAX_N = 16
-ENUMERATION_MAX_STARS = 20
 OPTIMUM_MAX_N = 14  # the optimum and the certificate table hold 3^n states
-CERTIFICATE_COST_MAX_N = 10
 
 Partial = tuple
 Assignment = tuple
@@ -65,14 +61,6 @@ def stars(n: int) -> Partial:
     return (STAR,) * n
 
 
-def num_stars(b: Partial) -> int:
-    return sum(1 for v in b if v == STAR)
-
-
-def is_full(b: Partial) -> bool:
-    return all(v != STAR for v in b)
-
-
 def extend(b: Partial, i: int, l: int) -> Partial:
     """Copy of b with position i set to outcome l.  Requires b[i] untested."""
     if not 0 <= i < len(b):
@@ -87,12 +75,6 @@ def extend(b: Partial, i: int, l: int) -> Partial:
 def clear(b: Partial, i: int) -> Partial:
     """Copy of b with position i reset to untested."""
     return b[:i] + (STAR,) + b[i + 1 :]
-
-
-def restrict(b: Partial, keep: Sequence[int]) -> Partial:
-    """Keep only the positions in ``keep``; star out everything else."""
-    kept = set(keep)
-    return tuple(v if i in kept else STAR for i, v in enumerate(b))
 
 
 def extensions(b: Partial) -> Iterator[Assignment]:
@@ -121,15 +103,6 @@ def encode(b: Partial) -> int:
     for v in b:
         key = 3 * key + v
     return key
-
-
-def from_string(s: str) -> Partial:
-    """Parse a partial assignment written like '01*1'."""
-    table = {"0": 0, "1": 1, "*": STAR}
-    try:
-        return tuple(table[ch] for ch in s)
-    except KeyError as exc:
-        raise ValueError(f"bad symbol {exc.args[0]!r} in partial assignment") from None
 
 
 def to_string(b: Partial) -> str:
@@ -246,42 +219,11 @@ class Leaf:
 @dataclass(frozen=True)
 class Branch:
     index: int
-    if0: "DecisionTree"
-    if1: "DecisionTree"
+    if0: "Leaf | Branch"
+    if1: "Leaf | Branch"
 
 
-DecisionTree = Union[Leaf, Branch]
-
-
-def tree_decide(t: DecisionTree, x: Assignment):
-    while isinstance(t, Branch):
-        t = t.if1 if x[t.index] == 1 else t.if0
-    return t.label
-
-
-def tree_tests_on(t: DecisionTree, x: Assignment) -> tuple:
-    """Indices tested on input x, in order."""
-    out = []
-    while isinstance(t, Branch):
-        out.append(t.index)
-        t = t.if1 if x[t.index] == 1 else t.if0
-    return tuple(out)
-
-
-def tree_expected_cost(t: DecisionTree, d, c) -> float:
-    p = as_probabilities(d)
-    cc = as_costs(c)
-
-    def rec(node):
-        if isinstance(node, Leaf):
-            return 0.0
-        i = node.index
-        return cc[i] + p[i] * rec(node.if1) + (1.0 - p[i]) * rec(node.if0)
-
-    return rec(t)
-
-
-def tree_leaf_paths(t: DecisionTree) -> Iterator[tuple]:
+def tree_leaf_paths(t) -> Iterator[tuple]:
     """Yield (path, label) pairs; a path is a tuple of (index, outcome) steps."""
     stack = [(t, ())]
     while stack:
@@ -293,29 +235,6 @@ def tree_leaf_paths(t: DecisionTree) -> Iterator[tuple]:
             stack.append((node.if0, path + ((node.index, 0),)))
 
 
-def tree_depth_ok(t: DecisionTree, n: int) -> bool:
-    """No index repeats on any root-to-leaf path."""
-    for path, _ in tree_leaf_paths(t):
-        seen = [i for i, _ in path]
-        if len(seen) != len(set(seen)) or any(not 0 <= i < n for i in seen):
-            return False
-    return True
-
-
-def neighbor_property_holds(t: DecisionTree, n: int) -> bool:
-    """Check that flipping one bit of the input never changes whether that
-    bit gets tested.  Exhaustive over all 2^n inputs."""
-    if n > NEIGHBOR_MAX_N:
-        raise LimitError(f"neighbor check limited to n <= {NEIGHBOR_MAX_N}, got {n}")
-    tested = {x: set(tree_tests_on(t, x)) for x in all_assignments(n)}
-    for x, tset in tested.items():
-        for j in range(n):
-            y = x[:j] + (1 - x[j],) + x[j + 1 :]
-            if (j in tset) != (j in tested[y]):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -323,26 +242,10 @@ def neighbor_property_holds(t: DecisionTree, n: int) -> bool:
 # ``evaluate(x) -> label`` method on full assignments, a fast
 # ``certificate(b) -> label | None`` on partial ones, and a flag encoding of
 # its labels: ``flags(x)`` gives K two-bit fields for the label of a full
-# assignment x, and ``label(fields)`` is its inverse.  The fields of a
-# partial assignment b are the AND of the fields of its extensions, and b
-# forces a label exactly when every field stays nonzero; ``label`` decodes
-# it.  Instances with a Boolean output use ``output_flags`` and
-# ``output_label``: bit v of the one field means "every extension gives v".
-
-
-def certificate_by_enumeration(f, b: Partial) -> Optional[object]:
-    """Label forced by b on every extension, or None.  Brute force over 2^stars."""
-    s = num_stars(b)
-    if s > ENUMERATION_MAX_STARS:
-        raise LimitError(
-            f"enumeration limited to {ENUMERATION_MAX_STARS} untested positions, got {s}"
-        )
-    it = extensions(b)
-    first = f.evaluate(next(it))
-    for x in it:
-        if f.evaluate(x) != first:
-            return None
-    return first
+# assignment x.  The fields of a partial assignment b are the AND of the
+# fields of its extensions, and b forces a label exactly when every field
+# stays nonzero.  Instances with a Boolean output use ``output_flags``: bit
+# v of the one field means "every extension gives v".
 
 
 def certificate_check(f, b: Partial) -> Optional[object]:
@@ -355,27 +258,19 @@ def output_flags(f, x: Assignment) -> tuple:
     return (1 << f.evaluate(x),)
 
 
-def output_label(fields: tuple) -> int:
-    """The Boolean output whose flag field is ``fields[0]``."""
-    return fields[0] >> 1
-
-
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
 _ZERO_ONE_SWAP = bytes([1, 0]) + bytes(254)
 
 
-def certificate_table(f) -> tuple:
-    """(certified, planes) for every partial assignment b, indexed by encode(b).
-
-    ``planes`` holds one bytes per flag field of the instance's labels, each
-    byte the AND of that field over every extension of b; ``certified`` is
-    1 where every field is nonzero, that is where b forces the label
-    ``f.label`` decodes from its fields, and 0 elsewhere.
+def certificate_table(f) -> bytes:
+    """Certified mask of every partial assignment b, indexed by encode(b):
+    byte 1 where b forces the instance's label, 0 elsewhere.
 
     Built bottom-up with no certificate call: f.flags encodes the 2^n full
     assignments, then one position at a time, last to first, each star
-    slice of a plane is one bitwise AND of its 0 and 1 slices read as
-    integers, 2^n - 1 ANDs per plane in all.
+    slice of a flag field's plane is one bitwise AND of its 0 and 1 slices
+    read as integers, 2^n - 1 ANDs per plane in all.  b is certified where
+    the plane of every field is nonzero.
     """
     n = f.arity
     if n > OPTIMUM_MAX_N:
@@ -404,7 +299,7 @@ def certificate_table(f) -> tuple:
     mask = int.from_bytes(bytes([1]) * size, "little")
     for plane in planes:
         mask &= int.from_bytes(plane.translate(_NONZERO_TO_ONE), "little")
-    return mask.to_bytes(size, "little"), tuple(planes)
+    return mask.to_bytes(size, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +358,21 @@ def expected_cost(policy, d, c) -> float:
     )
 
 
-def policy_tree(policy, n: int, label_fn: Callable[[Partial], object]) -> DecisionTree:
-    """Materialize a policy as an explicit decision tree; leaves are labelled
-    by ``label_fn`` applied to the final partial assignment."""
-    return walk_policy(policy, n, lambda b, state, path: Leaf(label_fn(b)), Branch)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive optimal oracle
 
 
-def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
-    """Minimum expected evaluation cost and an optimal strategy tree.
+def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
+    """Minimum expected evaluation cost over all testing strategies.
 
     Dynamic program over the 3^n partial assignments, indexed by encode(b):
     a state costs nothing once certificate_table says it forces a label;
     otherwise it costs min_i c_i + p_i * OPT(b with i=1) + (1-p_i) *
-    OPT(b with i=0) over the untested i, ties broken toward the lowest index.
-    Both extensions have smaller keys, so one pass in key order over the
-    uncertified states fills every value.  A leaf's label is decoded from
-    the table's flag planes.  A state takes 11 + K bytes for K flag fields
-    (an 8-byte value, a 1-byte choice, its certified and uncertified mask
-    bytes and one byte per field), so n = 14 with one field needs about
-    57 MB.  ``limit`` can only lower the cap OPTIMUM_MAX_N.
+    OPT(b with i=0) over the untested i.  Both extensions have smaller
+    keys, so one pass in key order over the uncertified states fills every
+    value.  A state takes 9 bytes (an 8-byte value and its uncertified mask
+    byte), so n = 14 needs about 43 MB.  ``limit`` can only lower the cap
+    OPTIMUM_MAX_N.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -499,13 +386,11 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
         if v in (0.0, 1.0):
             raise ValueError(f"p[{i}] = {v}: optimum oracle needs 0 < p_i < 1")
 
-    certified, planes = certificate_table(f)
-    uncertified = certified.translate(_ZERO_ONE_SWAP)
-    size = len(certified)
+    uncertified = certificate_table(f).translate(_ZERO_ONE_SWAP)
+    size = len(uncertified)
     value = array("d", bytes(8 * size))
-    choice = bytearray(size)
     weight = [3 ** (n - 1 - i) for i in range(n)]
-    step = [(weight[i], 2 * weight[i], i, cc[i], p[i], 1.0 - p[i]) for i in range(n)]
+    step = [(weight[i], 2 * weight[i], cc[i], p[i], 1.0 - p[i]) for i in range(n)]
 
     # A key splits into high digits (positions before n - low) and low
     # digits; the untested positions of each half are tabulated once.
@@ -524,72 +409,12 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N):
         for lo in itertools.compress(range(low_size), uncertified[base : base + low_size]):
             key = base + lo
             best = math.inf  # an uncertified state has an untested position
-            for w1, w0, i, ci, pi, qi in high_steps + low_steps[lo]:
+            for w1, w0, ci, pi, qi in high_steps + low_steps[lo]:
                 v = ci + pi * value[key - w1] + qi * value[key - w0]
                 if v < best:
                     best = v
-                    best_i = i
             value[key] = best
-            choice[key] = best_i
-
-    nodes = {}
-
-    def build(key):
-        node = nodes.get(key)
-        if node is None:
-            if certified[key]:
-                node = Leaf(f.label(tuple(plane[key] for plane in planes)))
-            else:
-                i = choice[key]
-                node = Branch(i, build(key - 2 * weight[i]), build(key - weight[i]))
-            nodes[key] = node
-        return node
-
-    root = size - 1
-    return value[root], build(root)
-
-
-def expected_certificate_cost(f, d, c) -> float:
-    """Expected cost of the cheapest certificate contained in a random input.
-
-    This lower-bounds the cost of any testing strategy but is not in general
-    attainable by one.
-    """
-    n = f.arity
-    if n > CERTIFICATE_COST_MAX_N:
-        raise LimitError(
-            f"certificate-cost oracle limited to n <= {CERTIFICATE_COST_MAX_N}, got {n}"
-        )
-    p = as_probabilities(d)
-    cc = as_costs(c)
-    certified, _ = certificate_table(f)
-
-    full_masks = 1 << n
-    total = 0.0
-    key_arr = [0] * full_masks
-    cost_arr = [0.0] * full_masks
-    star_key = len(certified) - 1
-    weight = [3 ** (n - 1 - i) for i in range(n)]
-    for x in all_assignments(n):
-        contrib = [(x[i] - STAR) * weight[i] for i in range(n)]
-        key_arr[0] = star_key
-        cost_arr[0] = 0.0
-        best = None
-        for mask in range(1, full_masks):
-            low = mask & -mask
-            i = low.bit_length() - 1
-            prev = mask ^ low
-            key_arr[mask] = key_arr[prev] + contrib[i]
-            cost_arr[mask] = cost_arr[prev] + cc[i]
-            if certified[key_arr[mask]]:
-                if best is None or cost_arr[mask] < best:
-                    best = cost_arr[mask]
-        if certified[star_key]:
-            best = 0.0
-        if best is None:
-            raise InvalidUtilityError("input admits no certificate")
-        total += prob_of(x, p) * best
-    return total
+    return value[size - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ ranking of linear functions, and min-knapsack via the dual greedy."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     Assignment,
@@ -126,10 +126,6 @@ class ThresholdSet:
         """One Boolean flag field per member: 1 << its output."""
         return tuple(1 << v for v in self.evaluate(x))
 
-    @staticmethod
-    def label(fields: tuple) -> tuple:
-        return tuple(v >> 1 for v in fields)
-
     def utility(self) -> UtilityFunction:
         """Sum of the per-formula utilities; covered when every formula is
         certified.  Constant formulas contribute an already-covered goal 0."""
@@ -146,14 +142,6 @@ def simultaneous_thresholds(fs, d, c, outcomes, engine: str = "greedy") -> tuple
     """Evaluate every formula on the same hidden input with one policy run."""
     inst = fs if isinstance(fs, ThresholdSet) else ThresholdSet(tuple(fs))
     return _evaluate(inst.utility, engine, inst.certificate, d, c, outcomes)
-
-
-def or_threshold(n: int, members: Sequence[int]) -> ThresholdFormula:
-    """Disjunction of the given 0-based variables, as a threshold formula."""
-    coeffs = [0] * n
-    for i in members:
-        coeffs[i] = 1
-    return ThresholdFormula(tuple(coeffs), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +185,6 @@ class RankingInstance:
         """One field per pair, le | ge << 1: a pair's order is forced at b
         while its le flag, or its ge flag, holds on every extension."""
         return tuple(le | ge << 1 for le, ge in self.evaluate(x))
-
-    @staticmethod
-    def label(fields: tuple) -> tuple:
-        return tuple((bool(v & 1), bool(v & 2)) for v in fields)
 
 
 def ranking_utility(sys: LinearSystem) -> UtilityFunction:

@@ -23,7 +23,6 @@ from .core import (
     Partial,
     extend,
     output_flags,
-    output_label,
     to_string,
     tree_leaf_paths,
 )
@@ -52,9 +51,6 @@ class UtilityFunction:
             raise ValueError("goal must be nonnegative")
         if self.goal > MAX_GOAL:
             raise LimitError(f"goal {self.goal} exceeds {MAX_GOAL}")
-
-    def value(self, b: Partial) -> int:
-        return self.fn(b)
 
 
 def gains_at(g: UtilityFunction, b: Partial) -> tuple:
@@ -139,23 +135,8 @@ def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
     )
 
 
-def combine_and(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
-    """Utility covered only when both inputs are covered: pointwise sum."""
-    if g0.arity != g1.arity:
-        raise ValueError("combine_and needs equal arities")
-    goal = g0.goal + g1.goal
-    if goal > MAX_GOAL:
-        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
-    f0, f1 = g0.fn, g1.fn
-    return UtilityFunction(
-        g0.arity,
-        goal,
-        lambda b: f0(b) + f1(b),
-        _combined_step((g0, g1), _add),
-    )
-
-
 def combine_and_all(gs) -> UtilityFunction:
+    """Utility covered only when every input is covered: pointwise sum."""
     gs = list(gs)
     if not gs:
         raise ValueError("need at least one utility")
@@ -309,7 +290,6 @@ class CdnfFormula:
         return None
 
     flags = output_flags
-    label = staticmethod(output_label)
 
 
 def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
@@ -448,7 +428,6 @@ class ThresholdFormula:
         return None
 
     flags = output_flags
-    label = staticmethod(output_label)
 
 
 def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
@@ -572,7 +551,6 @@ class TruthTable:
         return None
 
     flags = output_flags
-    label = staticmethod(output_label)
 
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:

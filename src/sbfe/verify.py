@@ -152,7 +152,7 @@ def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
     if f.arity != n:
         raise ValueError("arity mismatch")
     checked = 0
-    mask, _ = certificate_table(f)
+    mask = certificate_table(f)
     for b, flag in zip(all_partials(n), mask):
         checked += 1
         covered = g.fn(b) >= g.goal
@@ -345,7 +345,7 @@ def ratio_vs_opt(drive, battery, *, tol: float = 1e-6) -> tuple:
     computed once, and a policy object listed twice is costed once."""
     rows = {}  # position in drive's list -> its rows
     for case in battery:
-        opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
+        opt = optimal_expected_cost(case.f, case.dist, case.costs)
         costs = {}
         for k, (policy, bound) in enumerate(drive(case)):
             if id(policy) not in costs:

@@ -1,4 +1,5 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles shared by the test modules, and the tree and
+partial-assignment tools that only tests use.
 
 Everything here deliberately avoids the code paths it is used to check:
 expected costs come from per-input simulation instead of tree recursion,
@@ -16,9 +17,11 @@ from sbfe.core import (
     ConstantFunctionError,
     InvalidUtilityError,
     Leaf,
+    LimitError,
     all_assignments,
     as_costs,
     as_probabilities,
+    certificate_table,
     clear,
     extend,
     extensions,
@@ -30,6 +33,7 @@ from sbfe.core import (
 from sbfe.policies import EPS, run_policy
 from sbfe.utility import (
     CdnfFormula,
+    ThresholdFormula,
     UtilityFunction,
     _restricted_extrema,
     combine_or,
@@ -199,40 +203,30 @@ def reference_gains_at(g, b):
 def reference_optimum(f, d, c):
     """The exhaustive optimum as first written, the reference for the
     table-driven `optimal_expected_cost`: a memoized recursion over tuples
-    that asks `f.certificate` at every state it visits, ties broken toward
-    the lowest index."""
+    that asks `f.certificate` at every state it visits."""
     n = f.arity
     p = as_probabilities(d)
     cc = as_costs(c)
-    memo = {}  # b -> (value, ("leaf", label) | ("test", index))
+    memo = {}  # b -> value
 
     def solve(b):
         hit = memo.get(b)
         if hit is not None:
-            return hit[0]
-        label = f.certificate(b)
-        if label is not None:
-            memo[b] = (0.0, ("leaf", label))
+            return hit
+        if f.certificate(b) is not None:
+            memo[b] = 0.0
             return 0.0
         best = None
-        best_i = -1
         for i in range(n):
             if b[i] != STAR:
                 continue
             v = cc[i] + p[i] * solve(extend(b, i, 1)) + (1.0 - p[i]) * solve(extend(b, i, 0))
             if best is None or v < best:
                 best = v
-                best_i = i
-        memo[b] = (best, ("test", best_i))
+        memo[b] = best
         return best
 
-    def build(b):
-        kind, arg = memo[b][1]
-        if kind == "leaf":
-            return Leaf(arg)
-        return Branch(arg, build(extend(b, arg, 0)), build(extend(b, arg, 1)))
-
-    return solve(stars(n)), build(stars(n))
+    return solve(stars(n))
 
 
 def brute_diff_extrema(coeffs, b):
@@ -331,3 +325,108 @@ def reference_alpha(g, d, c) -> float:
     return walk_policy(
         ReferenceDualGreedy(g, d, c), g.arity, leaf_alpha, lambda i, lo, hi: max(lo, hi)
     )
+
+
+def or_threshold(n: int, members) -> ThresholdFormula:
+    """Disjunction of the given 0-based variables, as a threshold formula."""
+    coeffs = [0] * n
+    for i in members:
+        coeffs[i] = 1
+    return ThresholdFormula(tuple(coeffs), 1)
+
+
+def is_full(b) -> bool:
+    return all(v != STAR for v in b)
+
+
+def restrict(b, keep):
+    """Keep only the positions in ``keep``; star out everything else."""
+    kept = set(keep)
+    return tuple(v if i in kept else STAR for i, v in enumerate(b))
+
+
+# ---------------------------------------------------------------------------
+# policies as explicit decision trees
+
+
+def policy_tree(policy, n: int, label_fn):
+    """Materialize a policy as an explicit decision tree; leaves are labelled
+    by ``label_fn`` applied to the final partial assignment."""
+    return walk_policy(policy, n, lambda b, state, path: Leaf(label_fn(b)), Branch)
+
+
+def tree_decide(t, x):
+    while isinstance(t, Branch):
+        t = t.if1 if x[t.index] == 1 else t.if0
+    return t.label
+
+
+def tree_tests_on(t, x) -> tuple:
+    """Indices tested on input x, in order."""
+    out = []
+    while isinstance(t, Branch):
+        out.append(t.index)
+        t = t.if1 if x[t.index] == 1 else t.if0
+    return tuple(out)
+
+
+def neighbor_property_holds(t, n: int) -> bool:
+    """Check that flipping one bit of the input never changes whether that
+    bit gets tested.  Exhaustive over all 2^n inputs."""
+    tested = {x: set(tree_tests_on(t, x)) for x in all_assignments(n)}
+    for x, tset in tested.items():
+        for j in range(n):
+            y = x[:j] + (1 - x[j],) + x[j + 1 :]
+            if (j in tset) != (j in tested[y]):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# expected cheapest-certificate cost
+
+CERTIFICATE_COST_MAX_N = 10
+
+
+def expected_certificate_cost(f, d, c) -> float:
+    """Expected cost of the cheapest certificate contained in a random input,
+    the reference for the closed form `expected_certificate_cost_disjunction`.
+
+    This lower-bounds the cost of any testing strategy but is not in general
+    attainable by one.
+    """
+    n = f.arity
+    if n > CERTIFICATE_COST_MAX_N:
+        raise LimitError(
+            f"certificate-cost oracle limited to n <= {CERTIFICATE_COST_MAX_N}, got {n}"
+        )
+    p = as_probabilities(d)
+    cc = as_costs(c)
+    certified = certificate_table(f)
+
+    full_masks = 1 << n
+    total = 0.0
+    key_arr = [0] * full_masks
+    cost_arr = [0.0] * full_masks
+    star_key = len(certified) - 1
+    weight = [3 ** (n - 1 - i) for i in range(n)]
+    for x in all_assignments(n):
+        contrib = [(x[i] - STAR) * weight[i] for i in range(n)]
+        key_arr[0] = star_key
+        cost_arr[0] = 0.0
+        best = None
+        for mask in range(1, full_masks):
+            low = mask & -mask
+            i = low.bit_length() - 1
+            prev = mask ^ low
+            key_arr[mask] = key_arr[prev] + contrib[i]
+            cost_arr[mask] = cost_arr[prev] + cc[i]
+            if certified[key_arr[mask]]:
+                if best is None or cost_arr[mask] < best:
+                    best = cost_arr[mask]
+        if certified[star_key]:
+            best = 0.0
+        if best is None:
+            raise InvalidUtilityError("input admits no certificate")
+        total += prob_of(x, p) * best
+    return total

@@ -300,7 +300,7 @@ class TestGapDemo:
             assert rows[n]["certificate_cost"] < 2.0
 
     def test_bad_ns_exits_two(self, capsys):
-        for ns in ("4,x", "0", "-1", "4,0", "", ",", "4,,8"):
+        for ns in ("4,x", "0", "-1", "4,0", "", ",", "4,,8", "1000", "4,1000"):
             code, out, err = run_cli(capsys, "gap-demo", "--ns", ns)
             assert code == 2, ns
             assert out == "", ns

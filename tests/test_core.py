@@ -9,7 +9,11 @@ from helpers import (
     brute_certificate,
     conjunction_formula,
     enumeration_expected_cost,
+    expected_certificate_cost,
+    neighbor_property_holds,
+    policy_tree,
     reference_optimum,
+    tree_tests_on,
 )
 from sbfe.core import (
     STAR,
@@ -22,23 +26,15 @@ from sbfe.core import (
     Branch,
     OPTIMUM_MAX_N,
     all_partials,
-    certificate_by_enumeration,
     certificate_check,
     certificate_table,
     encode,
-    expected_certificate_cost,
     expected_cost,
     extend,
-    from_string,
-    neighbor_property_holds,
     optimal_expected_cost,
-    policy_tree,
     prob_of,
     sample_input,
     to_string,
-    tree_decide,
-    tree_expected_cost,
-    tree_tests_on,
 )
 from sbfe.instances import (
     cdnf_battery,
@@ -56,7 +52,7 @@ from sbfe.policies import (
     cp_ratio_policy,
 )
 from sbfe.problems import RankingInstance, disjunction_formula, harmonic_gap_instance
-from sbfe.utility import CdnfFormula, ThresholdFormula, cdnf_utility
+from sbfe.utility import CdnfFormula, ThresholdFormula, cdnf_utility, threshold_utility
 
 
 class TestPartialAssignments:
@@ -69,7 +65,6 @@ class TestPartialAssignments:
             extend((1, STAR), 0, 0)
 
     def test_string_roundtrip(self):
-        assert from_string("01*") == (0, 1, STAR)
         assert to_string((0, 1, STAR)) == "01*"
 
     def test_encode_distinct(self):
@@ -196,35 +191,23 @@ class TestExpectedCost:
 class TestOptimalOracle:
     def test_disjunction_two_vars(self):
         f = disjunction_formula(2)
-        val, tree = optimal_expected_cost(f, ProductDistribution.uniform(2), (1.0, 1.0))
+        val = optimal_expected_cost(f, ProductDistribution.uniform(2), (1.0, 1.0))
         assert val == pytest.approx(1.5)
-        assert tree_expected_cost(tree, ProductDistribution.uniform(2), (1.0, 1.0)) == pytest.approx(val)
 
     def test_constant_true_formula(self):
         # all clauses tautological: identically-true pair, zero-cost answer
         f = CdnfFormula(1, (frozenset({1, -1}),), (frozenset({1}), frozenset({-1})))
-        val, tree = optimal_expected_cost(f, ProductDistribution.uniform(1), (1.0,))
-        assert val == 0.0
-        assert isinstance(tree, Leaf) and tree.label == 1
+        assert optimal_expected_cost(f, ProductDistribution.uniform(1), (1.0,)) == 0.0
 
     def test_conjunction_prefers_less_likely_variable(self):
         # testing x2 first: 1 + 0.5 * 1 = 1.5; testing x1 first: 1 + 0.9 = 1.9
         f = conjunction_formula(2)
         d = ProductDistribution((0.9, 0.5))
-        val, tree = optimal_expected_cost(f, d, (1.0, 1.0))
-        assert val == pytest.approx(1.5)
-        assert isinstance(tree, Branch) and tree.index == 1
-
-    def test_tree_value_agreement_battery(self):
-        for case in threshold_battery(6, seed=3, n_lo=2, n_hi=6):
-            val, tree = optimal_expected_cost(case.f, case.dist, case.costs)
-            assert tree_expected_cost(tree, case.dist, case.costs) == pytest.approx(val, abs=1e-9)
-            for x in [(0,) * case.f.arity, (1,) * case.f.arity]:
-                assert tree_decide(tree, x) == case.f.evaluate(x)
+        assert optimal_expected_cost(f, d, (1.0, 1.0)) == pytest.approx(1.5)
 
     def test_optimal_lower_bounds_policies(self):
         for case in cdnf_battery(6, seed=5, n_lo=2, n_hi=6):
-            opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
+            opt = optimal_expected_cost(case.f, case.dist, case.costs)
             g = cdnf_utility(case.f)
             greedy = expected_cost(GreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
             baseline = expected_cost(
@@ -251,16 +234,8 @@ class TestOptimalOracle:
 
     def test_single_variable(self):
         f = disjunction_formula(1)
-        val, tree = optimal_expected_cost(f, ProductDistribution((0.3,)), (2.5,))
+        val = optimal_expected_cost(f, ProductDistribution((0.3,)), (2.5,))
         assert val == pytest.approx(2.5)  # the one bit must always be bought
-        assert isinstance(tree, Branch) and tree.index == 0
-
-    def test_trees_never_repeat_an_index(self):
-        from sbfe.core import tree_depth_ok
-
-        for case in threshold_battery(4, seed=29, n_lo=2, n_hi=8):
-            _, tree = optimal_expected_cost(case.f, case.dist, case.costs)
-            assert tree_depth_ok(tree, case.f.arity)
 
 
 # Battery of every kind the optimum serves; linear systems are evaluated
@@ -293,19 +268,17 @@ class TestOptimumAgainstReference:
     def test_status_table_is_the_certificate(self, kind):
         for case in ORACLE_BATTERIES[kind](8, seed=43, n_lo=2, n_hi=6):
             f = _oracle(case)
-            certified, planes = certificate_table(f)
+            certified = certificate_table(f)
+            assert len(certified) == 3**f.arity, case.id
             for key, b in enumerate(all_partials(f.arity)):
-                want = f.certificate(b)
-                assert certified[key] == (want is not None), (case.id, b)
-                if want is not None:
-                    assert f.label(tuple(plane[key] for plane in planes)) == want, (case.id, b)
+                assert certified[key] == (f.certificate(b) is not None), (case.id, b)
 
 
 class TestCertificates:
     def test_conjunction_zero_cert(self):
         f = conjunction_formula(2)
         assert certificate_check(f, (0, STAR)) == 0
-        assert certificate_by_enumeration(f, (0, STAR)) == 0
+        assert brute_certificate(f, (0, STAR)) == 0
 
     def test_disjunction_open(self):
         f = disjunction_formula(2)
@@ -327,11 +300,6 @@ class TestCertificates:
 
 
 class TestNeighborProperty:
-    def test_optimal_trees(self):
-        for case in threshold_battery(4, seed=9, n_lo=2, n_hi=6):
-            _, tree = optimal_expected_cost(case.f, case.dist, case.costs)
-            assert neighbor_property_holds(tree, case.f.arity)
-
     def test_greedy_policy_trees(self):
         for case in cdnf_battery(4, seed=10, n_lo=2, n_hi=6):
             g = cdnf_utility(case.f)
@@ -341,8 +309,10 @@ class TestNeighborProperty:
             assert neighbor_property_holds(tree, g.arity)
 
     def test_wide_instance(self):
+        # the dual greedy's dual solution relies on the property
         case = threshold_battery(1, seed=12, n_lo=10, n_hi=10)[0]
-        _, tree = optimal_expected_cost(case.f, case.dist, case.costs)
+        g = threshold_utility(case.f)
+        tree = policy_tree(DualGreedyPolicy(g, case.dist, case.costs), 10, lambda b: None)
         assert neighbor_property_holds(tree, 10)
 
     def test_tests_on_input(self):
@@ -364,7 +334,7 @@ class TestExpectedCertificateCost:
         d = ProductDistribution((0.3, 0.6, 0.5))
         c = (1.0, 2.0, 1.5)
         total = expected_certificate_cost(f, d, c)
-        opt, _ = optimal_expected_cost(f, d, c)
+        opt = optimal_expected_cost(f, d, c)
         assert total <= opt + 1e-9
 
 

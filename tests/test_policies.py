@@ -8,7 +8,9 @@ from helpers import (
     conjunction_formula,
     enumeration_expected_cost,
     expected_gain,
+    policy_tree,
     reference_alpha,
+    restrict,
 )
 from sbfe.cli import _EVAL
 from sbfe.core import (
@@ -20,7 +22,6 @@ from sbfe.core import (
     expected_cost,
     extend,
     optimal_expected_cost,
-    policy_tree,
     stars,
     walk_policy,
 )
@@ -114,7 +115,7 @@ class TestAdaptiveGreedy:
             for x in [(0,) * g.arity, (1,) * g.arity]:
                 tr = adaptive_greedy(g, case.dist, case.costs, x)
                 assert len(tr.tested) <= g.arity
-                assert g.value(tr.final(g.arity)) == g.goal
+                assert g.fn(tr.final(g.arity)) == g.goal
 
 
 class TestAdaptiveDualGreedy:
@@ -149,7 +150,7 @@ class TestAdaptiveDualGreedy:
             for x in all_assignments(g.arity):
                 tr = adaptive_dual_greedy(g, case.dist, case.costs, x)
                 assert all(y >= 0.0 for y in tr.dual_values)
-                assert g.value(tr.final(g.arity)) == g.goal
+                assert g.fn(tr.final(g.arity)) == g.goal
 
     def test_expected_cost_matches_enumeration(self):
         for case in threshold_battery(4, seed=59, n_lo=2, n_hi=5):
@@ -164,7 +165,7 @@ def _dual_greedy_by_the_book(g, d, c, x):
     """Literal transcription of the dual-credit selection rule, used as an
     independent oracle: duals keyed by explicit index subsets, every
     restricted-gain expectation recomputed from scratch."""
-    from sbfe.core import as_costs, as_probabilities, restrict
+    from sbfe.core import as_costs, as_probabilities
 
     p = as_probabilities(d)
     cc = as_costs(c)
@@ -294,7 +295,7 @@ class TestAlpha:
         samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)), lambda b: gains_at(g, b))
         # at the empty prefix the denominator is the whole goal
         expect = sum(
-            g.value(extend(stars(2), i, v)) for i, v in zip(tr.tested, tr.outcomes)
+            g.fn(extend(stars(2), i, v)) for i, v in zip(tr.tested, tr.outcomes)
         ) / g.goal
         assert dict(samples)[0] == pytest.approx(expect)
 
@@ -356,5 +357,5 @@ class TestFixedOrderPolicies:
         for case in disjunction_battery(10, seed=71, n_lo=2, n_hi=7):
             pol = cp_ratio_policy(case.dist, case.costs, "or")
             cost = expected_cost(pol, case.dist, case.costs)
-            opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
+            opt = optimal_expected_cost(case.f, case.dist, case.costs)
             assert cost == pytest.approx(opt, abs=1e-9)

@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from helpers import brute_certificate, conjunction_formula
+from helpers import brute_certificate, conjunction_formula, expected_certificate_cost, or_threshold
 from sbfe.core import (
     ProductDistribution,
     all_assignments,
-    expected_certificate_cost,
     expected_cost,
     optimal_expected_cost,
 )
@@ -29,7 +28,6 @@ from sbfe.problems import (
     harmonic_gap_instance,
     min_knapsack_adg,
     min_knapsack_bruteforce,
-    or_threshold,
     rank_linear_functions,
     ranking_utility,
     simultaneous_thresholds,
@@ -111,7 +109,7 @@ class TestEvaluateThreshold:
         for case in threshold_battery(10, seed=105, n_lo=2, n_hi=6):
             g = threshold_utility(case.f)
             cost = expected_cost(GreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
-            opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
+            opt = optimal_expected_cost(case.f, case.dist, case.costs)
             assert cost <= bounds(g).lnq_bound * opt + 1e-6
 
     def test_drivers_exhaustive_at_width_nine(self):
@@ -159,7 +157,7 @@ class TestSimultaneous:
             if g.goal == 0:
                 continue
             cost = expected_cost(DualGreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
-            opt, _ = optimal_expected_cost(case.f, case.dist, case.costs)
+            opt = optimal_expected_cost(case.f, case.dist, case.costs)
             assert cost <= case.f.d_max * opt + 1e-6
 
     def test_or_formulas_single_gain_bound(self):
@@ -220,7 +218,7 @@ class TestRanking:
             if g.goal == 0:
                 continue
             cost = expected_cost(GreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
-            opt, _ = optimal_expected_cost(RankingInstance(case.f), case.dist, case.costs)
+            opt = optimal_expected_cost(RankingInstance(case.f), case.dist, case.costs)
             assert cost <= bounds(g).lnq_bound * opt + 1e-6
 
 

@@ -16,6 +16,7 @@ from helpers import (
     reference_ranking_pair_utility,
     reference_threshold_utility,
     reference_truth_table_utility,
+    tree_decide,
 )
 from sbfe.core import (
     STAR,
@@ -47,7 +48,6 @@ from sbfe.utility import (
     TruthTable,
     UtilityFunction,
     cdnf_utility,
-    combine_and,
     combine_and_all,
     combine_or,
     constant_zero_utility,
@@ -168,8 +168,8 @@ STEP_KINDS = {
     "knapsack": (_knapsack_formula, threshold_utility, reference_threshold_utility),
     "and-threshold-cdnf": (
         lambda rng, n: (gen_threshold(rng, n), gen_cdnf(rng, n)),
-        lambda fs: combine_and(threshold_utility(fs[0]), cdnf_utility(fs[1])),
-        lambda fs: combine_and(reference_threshold_utility(fs[0]), cdnf_utility(fs[1])),
+        lambda fs: combine_and_all([threshold_utility(fs[0]), cdnf_utility(fs[1])]),
+        lambda fs: combine_and_all([reference_threshold_utility(fs[0]), cdnf_utility(fs[1])]),
     ),
 }
 
@@ -327,24 +327,24 @@ class TestCombinators:
         g1 = UtilityFunction(1, 2, lambda b: 1)
         g = combine_or(g0, g1)
         assert g.goal == 6
-        assert g.value((STAR,)) == 6 - (3 - 2) * (2 - 1)
+        assert g.fn((STAR,)) == 6 - (3 - 2) * (2 - 1)
 
     def test_or_zero_factor(self):
         g0 = UtilityFunction(1, 3, lambda b: 3)
         g1 = UtilityFunction(1, 2, lambda b: 0)
-        assert combine_or(g0, g1).value((STAR,)) == 6
+        assert combine_or(g0, g1).fn((STAR,)) == 6
 
     def test_or_at_zero(self):
         g0 = UtilityFunction(1, 3, lambda b: 0)
         g1 = UtilityFunction(1, 2, lambda b: 0)
-        assert combine_or(g0, g1).value((STAR,)) == 0
+        assert combine_or(g0, g1).fn((STAR,)) == 0
 
     def test_and_formula(self):
         g0 = UtilityFunction(1, 3, lambda b: 2)
         g1 = UtilityFunction(1, 2, lambda b: 2)
-        g = combine_and(g0, g1)
+        g = combine_and_all([g0, g1])
         assert g.goal == 5
-        assert g.value((STAR,)) == 4
+        assert g.fn((STAR,)) == 4
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -357,12 +357,12 @@ class TestCombinators:
         g0 = threshold_utility(f_thr)
         g1 = cdnf_utility(f_cdnf)
         g_or = combine_or(g0, g1)
-        g_and = combine_and(g0, g1)
+        g_and = combine_and_all([g0, g1])
         for b in all_partials(3):
-            at0 = g0.value(b) == g0.goal
-            at1 = g1.value(b) == g1.goal
-            assert (g_or.value(b) == g_or.goal) == (at0 or at1)
-            assert (g_and.value(b) == g_and.goal) == (at0 and at1)
+            at0 = g0.fn(b) == g0.goal
+            at1 = g1.fn(b) == g1.goal
+            assert (g_or.fn(b) == g_or.goal) == (at0 or at1)
+            assert (g_and.fn(b) == g_and.goal) == (at0 and at1)
 
     @given(
         st.integers(2, 4).flatmap(
@@ -385,7 +385,7 @@ class TestCombinators:
         g1 = truncated_modular(n, w1, cap1)
         assert check_axioms(g0, "exhaustive").ok
         assert check_axioms(combine_or(g0, g1), "exhaustive").ok
-        assert check_axioms(combine_and(g0, g1), "exhaustive").ok
+        assert check_axioms(combine_and_all([g0, g1]), "exhaustive").ok
 
     def test_goal_overflow_rejected(self):
         big = UtilityFunction(1, 2**32, lambda b: 0)
@@ -398,9 +398,9 @@ class TestCdnf:
         f = conjunction_formula(2)
         g = cdnf_utility(f)
         assert g.goal == f.k * f.d == 2
-        assert g.value((1, STAR)) == 1
-        assert g.value((0, STAR)) == 2
-        assert g.value((STAR, STAR)) == 0
+        assert g.fn((1, STAR)) == 1
+        assert g.fn((0, STAR)) == 2
+        assert g.fn((STAR, STAR)) == 0
 
     def test_goal_is_kd(self):
         rng = random.Random(7)
@@ -510,8 +510,6 @@ class TestDecisionTreeConversion:
             except ConstantFunctionError:
                 continue
             assert f.k + f.d == leaves
-            from sbfe.core import tree_decide
-
             for x in all_assignments(4):
                 assert f.evaluate(x) == tree_decide(t, x)
 
@@ -535,9 +533,9 @@ class TestThreshold:
         assert (f.r_min, f.r_max) == (-1, 1)
         g = threshold_utility(f)
         assert g.goal == (-f.r_min) * (f.r_max + 1) == 2
-        assert g.value((0, STAR)) == 1
-        assert g.value((0, 0)) == 2
-        assert g.value((STAR, STAR)) == 0
+        assert g.fn((0, STAR)) == 1
+        assert g.fn((0, 0)) == 2
+        assert g.fn((STAR, STAR)) == 0
 
     def test_constant_false_short_circuit(self):
         f = ThresholdFormula((1, 1), 3)
@@ -567,14 +565,14 @@ class TestTruthTable:
         f = TruthTable(1, (0, 1))
         g = truth_table_utility(f)
         assert g.goal == 1
-        assert g.value((1,)) == 1
+        assert g.fn((1,)) == 1
 
     def test_or_table(self):
         f = TruthTable(2, (0, 1, 1, 1))
         g = truth_table_utility(f)
         assert g.goal == 3
-        assert g.value((1, STAR)) == 3
-        assert g.value((STAR, STAR)) == 0
+        assert g.fn((1, STAR)) == 3
+        assert g.fn((STAR, STAR)) == 0
 
     def test_constant_short_circuit(self):
         with pytest.raises(ConstantFunctionError):
@@ -628,14 +626,14 @@ class TestRankingPairs:
         sys = LinearSystem(((1, 0), (0, 1)))
         g = ranking_pair_utility(sys, 0, 1)
         assert g.goal == 1
-        assert g.value((1, STAR)) == 1
-        assert g.value((STAR, STAR)) == 0
+        assert g.fn((1, STAR)) == 1
+        assert g.fn((STAR, STAR)) == 0
 
     def test_identical_functions_trivial(self):
         sys = LinearSystem(((1, 2), (1, 2)))
         g = ranking_pair_utility(sys, 0, 1)
         assert g.goal == 0
-        assert g.value((STAR, STAR)) == 0
+        assert g.fn((STAR, STAR)) == 0
 
     def test_requires_ordered_pair(self):
         sys = LinearSystem(((1, 0), (0, 1)))
@@ -651,7 +649,7 @@ class TestRankingPairs:
             for b in all_partials(3):
                 lo, hi = brute_diff_extrema(delta, b)
                 decided = hi <= 0 or lo >= 0
-                assert (g.value(b) == g.goal) == decided
+                assert (g.fn(b) == g.goal) == decided
                 assert sys.known_order(0, 1, b) == (hi <= 0, lo >= 0)
 
     def test_axioms(self):
@@ -676,4 +674,4 @@ class TestGoalCertificate:
         f = gen_cdnf(rng, 4)
         g = cdnf_utility(f)
         for b in all_partials(4):
-            assert (g.value(b) == g.goal) == (brute_certificate(f, b) is not None)
+            assert (g.fn(b) == g.goal) == (brute_certificate(f, b) is not None)

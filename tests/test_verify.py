@@ -4,12 +4,11 @@ import random
 import pytest
 
 import sbfe.verify
-from helpers import reference_check_axioms_random
+from helpers import is_full, reference_check_axioms_random
 from sbfe.core import (
     STAR,
     ProductDistribution,
     all_assignments,
-    is_full,
     prob_of,
 )
 from sbfe.instances import (
