@@ -56,6 +56,13 @@ def _ints(values, field: str) -> tuple:
     return tuple(_int(v, field) for v in values)
 
 
+def _numbers(values, field: str) -> list:
+    """A list of JSON numbers: booleans and strings are refused, not converted."""
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise InstanceFormatError(f"{field} must be a list of numbers, got {values!r}")
+    return values
+
+
 def _threshold_fields(f: ThresholdFormula) -> dict:
     return {"coefficients": list(f.coeffs), "theta": f.theta}
 
@@ -89,8 +96,8 @@ def instance_from_dict(data: dict) -> Instance:
         row = _kind(kind)
         n = _int(data["n"], "n")
         ident = str(data.get("id", f"{kind}-n{n}"))
-        dist = ProductDistribution(data["p"], mode="sssc" if row.covering else "sbfe")
-        costs = CostVector(data["c"]).c
+        dist = ProductDistribution(_numbers(data["p"], "p"), "sssc" if row.covering else "sbfe")
+        costs = CostVector(_numbers(data["c"], "c")).c
         # n is held to the lengths of p and c before a formula of arity n is
         # built, so a huge n fails here instead of exhausting memory.
         if not len(dist.p) == len(costs) == n:
@@ -277,7 +284,8 @@ _TABLE = {
             "values": list(f.values), "weights": list(f.weights), "theta": f.threshold
         },
         decode=lambda data, n: KnapsackInstance(
-            _ints(data["values"], "values"), tuple(data["weights"]), _int(data["theta"], "theta")
+            _ints(data["values"], "values"), _numbers(data["weights"], "weights"),
+            _int(data["theta"], "theta"),
         ),
         generate=lambda rng, n, m: gen_knapsack(rng, n),
         covering=True,

@@ -19,6 +19,7 @@ from sbfe.core import (
     Leaf,
     LimitError,
     all_assignments,
+    all_partials,
     as_costs,
     as_probabilities,
     certificate_table,
@@ -30,14 +31,20 @@ from sbfe.core import (
     to_string,
     walk_policy,
 )
+from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
 from sbfe.policies import EPS, run_policy
 from sbfe.utility import (
     CdnfFormula,
     ThresholdFormula,
     UtilityFunction,
     _restricted_extrema,
+    cdnf_utility,
+    combine_and_all,
     combine_or,
     constant_zero_utility,
+    ranking_pair_utility,
+    threshold_utility,
+    truth_table_utility,
 )
 from sbfe.verify import CheckReport
 
@@ -163,6 +170,62 @@ def reference_check_axioms_random(g, trials, seed):
             return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")
         if early < late:
             return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
+    return CheckReport(True, checked)
+
+
+def axiom_utilities(rng: random.Random, n: int):
+    """(name, utility) for each of the six constructions whose axioms the
+    acceptance suite checks, drawn from ``rng`` in a fixed order."""
+    yield "cdnf", cdnf_utility(gen_cdnf(rng, n))
+    yield "threshold", threshold_utility(gen_threshold(rng, n))
+    yield "truthtable", truth_table_utility(gen_truth_table(rng, n))
+    yield "ranking-pair", ranking_pair_utility(gen_linear_system(rng, 2, n), 0, 1)
+    g0 = threshold_utility(gen_threshold(rng, n))
+    g1 = cdnf_utility(gen_cdnf(rng, n))
+    yield "combine-or", combine_or(g0, g1)
+    yield "combine-and", combine_and_all([g0, g1])
+
+
+def reference_check_axioms_exhaustive(g):
+    """The exhaustive mode of `check_axioms` as first written, the reference
+    for the one-step test: every state b' against every b made by clearing
+    a nonempty subset of its tested positions, after a first pass that
+    checks monotonicity and the step at every state."""
+    n = g.arity
+    val = {b: g.fn(b) for b in all_partials(n)}
+    checked = 0
+    for b in val:
+        vb = val[b]
+        ext = ([vb] * n, [vb] * n)
+        for i in range(n):
+            if b[i] != STAR:
+                continue
+            for l in (0, 1):
+                checked += 1
+                ext[l][i] = val[extend(b, i, l)]
+                if ext[l][i] < vb:
+                    return CheckReport(False, checked, (b, b, i, l), "monotonicity violated")
+        if g.step is not None and g.step(b) != (tuple(ext[0]), tuple(ext[1])):
+            return CheckReport(False, checked, (b,), "step disagrees with fn")
+    for bp in val:  # bp is the later (more tested) state
+        tested = [i for i, v in enumerate(bp) if v != STAR]
+        untested = [i for i, v in enumerate(bp) if v == STAR]
+        vbp = val[bp]
+        for r in range(1, len(tested) + 1):
+            for drop in itertools.combinations(tested, r):
+                b = bp
+                for i in drop:
+                    b = clear(b, i)
+                vb = val[b]
+                for i in untested:
+                    for l in (0, 1):
+                        checked += 1
+                        early = val[extend(b, i, l)] - vb
+                        late = val[extend(bp, i, l)] - vbp
+                        if early < late:
+                            return CheckReport(
+                                False, checked, (b, bp, i, l), "submodularity violated"
+                            )
     return CheckReport(True, checked)
 
 

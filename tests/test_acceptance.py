@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_diff_extrema
+from helpers import axiom_utilities, brute_diff_extrema
 from sbfe.core import (
     all_assignments,
     all_partials,
@@ -22,9 +22,7 @@ from sbfe.core import (
 from sbfe.instances import (
     cdnf_battery,
     disjunction_battery,
-    gen_cdnf,
     gen_linear_system,
-    gen_threshold,
     gen_truth_table,
     knapsack_battery,
     linear_system_battery,
@@ -42,8 +40,6 @@ from sbfe.problems import (
 from sbfe.utility import (
     LinearSystem,
     cdnf_utility,
-    combine_and_all,
-    combine_or,
     ranking_pair_utility,
     threshold_utility,
     truth_table_utility,
@@ -67,30 +63,22 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def _axiom_utilities(rng: random.Random, n: int):
-    yield "cdnf", cdnf_utility(gen_cdnf(rng, n))
-    yield "threshold", threshold_utility(gen_threshold(rng, n))
-    yield "truthtable", truth_table_utility(gen_truth_table(rng, n))
-    yield "ranking-pair", ranking_pair_utility(gen_linear_system(rng, 2, n), 0, 1)
-    g0 = threshold_utility(gen_threshold(rng, n))
-    g1 = cdnf_utility(gen_cdnf(rng, n))
-    yield "combine-or", combine_or(g0, g1)
-    yield "combine-and", combine_and_all([g0, g1])
-
-
 def test_criterion_01_utility_axioms():
-    """Monotonicity and submodularity: exhaustive to arity 6, then at least
-    ten thousand random checks per construction at arity 12; under a minute."""
+    """Monotonicity and submodularity: exhaustive to arity 8, then at least
+    ten thousand random checks per construction at arity 12; under a minute.
+    Arities 7 and 8 draw from their own generator, so the arity 3-6 and 12
+    utilities are the ones drawn before they were added."""
     start = time.time()
     rng = random.Random(1001)
+    larger = random.Random(1003)
     exhaustive = 0
-    for n in (3, 4, 5, 6):
-        for name, g in _axiom_utilities(rng, n):
+    for source, n in ((rng, 3), (rng, 4), (rng, 5), (rng, 6), (larger, 7), (larger, 8)):
+        for name, g in axiom_utilities(source, n):
             rep = check_axioms(g, "exhaustive")
             assert rep.ok, (name, n, rep.counterexample, rep.message)
             exhaustive += rep.checked
     randomized = 0
-    for name, g in _axiom_utilities(rng, 12):
+    for name, g in axiom_utilities(rng, 12):
         rep = check_axioms(g, "random", trials=10600, seed=1002)
         assert rep.ok, (name, rep.counterexample, rep.message)
         assert rep.checked >= 10000, (name, rep.checked)

@@ -102,6 +102,18 @@ BAD_PAYLOADS = [
         {"coefficients": lambda a: [2**34, -(2**34), 2**34, 1, 1], "theta": lambda t: 2**34},
         id="goal-overflow",
     ),
+    # p, c and weights hold JSON numbers in a list, not whatever float() takes
+    pytest.param("threshold", {"c": lambda c: [True] + c[1:]}, id="c-bool"),
+    pytest.param("threshold", {"c": lambda c: ["2"] + c[1:]}, id="c-string"),
+    pytest.param("threshold", {"c": lambda c: "12345"}, id="c-digit-string"),
+    pytest.param("threshold", {"p": lambda p: ["0.5"] + p[1:]}, id="p-string"),
+    pytest.param("threshold", {"p": lambda p: {str(v): 0 for v in p}}, id="p-dict"),
+    pytest.param("knapsack", {"weights": lambda w: [str(w[0])] + w[1:]}, id="weights-string"),
+    pytest.param(
+        "knapsack",
+        {"weights": lambda w: "".join(str(int(v)) for v in w)},
+        id="weights-digit-string",
+    ),
 ]
 
 

@@ -224,6 +224,28 @@ class TestFormatProperties:
     @given(_mutated())
     def test_mutated_payload_raises_only_format_errors(self, text):
         try:
-            loads(text)
+            inst = loads(text)
         except InstanceFormatError:
-            pass
+            return
+        # what loads is what the file says: p, c and weights hold JSON
+        # numbers (not booleans or strings), each equal to its loaded value
+        data = json.loads(text)
+        fields = [("p", inst.dist.p), ("c", inst.costs)]
+        if inst.kind == "knapsack":
+            fields.append(("weights", inst.f.weights))
+        for name, loaded in fields:
+            assert isinstance(data[name], list), name
+            assert len(data[name]) == len(loaded), name
+            for v, w in zip(data[name], loaded):
+                assert type(v) in (int, float) and v == w, (name, v, w)
+
+    @settings(max_examples=100)
+    @given(_generated(), st.data())
+    def test_number_lists_refuse_what_float_would_take(self, text, pick):
+        # a boolean, or a number written as a string, in p, c or weights
+        data = json.loads(text)
+        name = pick.draw(st.sampled_from([k for k in ("p", "c", "weights") if k in data]))
+        k = pick.draw(st.integers(0, len(data[name]) - 1))
+        data[name][k] = pick.draw(st.sampled_from([True, False, str(data[name][k])]))
+        with pytest.raises(InstanceFormatError):
+            loads(json.dumps(data))

@@ -4,11 +4,18 @@ import random
 import pytest
 
 import sbfe.verify
-from helpers import is_full, reference_check_axioms_random
+from helpers import (
+    axiom_utilities,
+    is_full,
+    reference_check_axioms_exhaustive,
+    reference_check_axioms_random,
+)
 from sbfe.core import (
     STAR,
+    LimitError,
     ProductDistribution,
     all_assignments,
+    extend,
     prob_of,
 )
 from sbfe.instances import (
@@ -38,6 +45,7 @@ from sbfe.utility import (
     truth_table_utility,
 )
 from sbfe.verify import (
+    AXIOMS_EXHAUSTIVE_MAX_N,
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
@@ -87,9 +95,92 @@ class TestAxiomCheck:
         assert rep.counterexample == (bad,)
 
     def test_limit(self):
-        g = UtilityFunction(8, 1, lambda b: int(is_full(b)))
-        with pytest.raises(Exception):
+        g = UtilityFunction(10, 1, lambda b: int(is_full(b)))
+        with pytest.raises(LimitError):
             check_axioms(g, "exhaustive")
+        # at the cap the check runs (and finds the first violation early)
+        g = UtilityFunction(AXIOMS_EXHAUSTIVE_MAX_N, 1, lambda b: int(is_full(b)))
+        assert not check_axioms(g, "exhaustive").ok
+
+
+def _one_step_checks(n: int) -> int:
+    """Checks a passing exhaustive run reports: at a state with u untested
+    positions, 2u monotonicity checks and 4u(u - 1) one-step comparisons."""
+    return 2 * n * 3 ** (n - 1) + 4 * n * (n - 1) * 3 ** (n - 2)
+
+
+def _assert_replays(g, rep):
+    """A failing exhaustive report's witness (b, b', i, l) holds: g drops
+    from b to extend(b, i, l), or b' is one test beyond b and setting i to
+    l gains less at b than at b'."""
+    b, bp, i, l = rep.counterexample
+
+    def gain(s):
+        return g.fn(extend(s, i, l)) - g.fn(s)
+
+    if rep.message == "monotonicity violated":
+        assert bp == b and gain(b) < 0
+    else:
+        assert rep.message == "submodularity violated"
+        beyond = [k for k in range(len(b)) if b[k] != bp[k]]
+        assert len(beyond) == 1 and b[beyond[0]] == STAR
+        assert gain(b) < gain(bp)
+
+
+def _mutants(n: int):
+    yield "full-only", UtilityFunction(n, 1, lambda b: int(is_full(b)))
+    yield "square-of-ones", UtilityFunction(n, n * n, lambda b: sum(v == 1 for v in b) ** 2)
+    # a 0 at position 0 takes back what every other test gained
+    yield "non-monotone", UtilityFunction(n, n, lambda b: 0 if b[0] == 0 else n - b.count(STAR))
+
+
+class TestOneStepAgainstPairwise:
+    """The exhaustive check's one-step test gives the verdict of the
+    pairwise scan it replaced (`reference_check_axioms_exhaustive`)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constructions(self, seed):
+        rng = random.Random(300 + seed)
+        for n in range(2, 7):
+            for name, g in axiom_utilities(rng, n):
+                rep = check_axioms(g, "exhaustive")
+                assert rep.ok == reference_check_axioms_exhaustive(g).ok, (name, n)
+                assert rep.ok and rep.checked == _one_step_checks(n), (name, n)
+
+    def test_check_count(self):
+        assert _one_step_checks(6) == 12636
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_mutants(self, n):
+        for name, g in _mutants(n):
+            rep = check_axioms(g, "exhaustive")
+            ref = reference_check_axioms_exhaustive(g)
+            assert not rep.ok and not ref.ok, name
+            assert rep.message == ref.message, name
+            _assert_replays(g, rep)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_bumps(self, seed):
+        # a threshold utility plus w whenever two random positions are both
+        # 1: still monotone, and submodular only where the threshold's own
+        # gains absorb the bump, so both verdicts occur
+        rng = random.Random(400 + seed)
+        verdicts = set()
+        for _ in range(25):
+            n = rng.randint(3, 5)
+            g = threshold_utility(gen_threshold(rng, n))
+            i, j = rng.sample(range(n), 2)
+            w = rng.randint(1, 3)
+            bumped = UtilityFunction(
+                n, g.goal + w, lambda b, fn=g.fn, i=i, j=j, w=w: fn(b) + w * (b[i] == b[j] == 1)
+            )
+            rep = check_axioms(bumped, "exhaustive")
+            ref = reference_check_axioms_exhaustive(bumped)
+            assert (rep.ok, rep.message) == (ref.ok, ref.message)
+            if not rep.ok:
+                _assert_replays(bumped, rep)
+            verdicts.add(rep.ok)
+        assert verdicts == {True, False}
 
 
 class TestRandomAxiomStream:
