@@ -3,6 +3,7 @@ ranking of linear functions, and min-knapsack via the dual greedy."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Optional
 
 from .core import (
@@ -150,8 +151,8 @@ def simultaneous_thresholds(fs, d, c, outcomes, engine: str = "greedy") -> tuple
 
 @dataclass(frozen=True)
 class RankingResult:
-    """A valid ordering of function indices plus the tie classes that were
-    collapsed while extracting it."""
+    """The function indices in increasing order of value, and the classes
+    of functions forced equal, in that order."""
 
     permutation: tuple
     equality_classes: tuple
@@ -169,7 +170,11 @@ class RankingInstance:
         return self.sys.arity
 
     def evaluate(self, x: Assignment) -> tuple:
-        return self.certificate(x)
+        """(f_i(x) <= f_j(x), f_i(x) >= f_j(x)) for each pair i < j."""
+        values = [self.sys.value(j, x) for j in range(self.sys.m)]
+        return tuple(
+            (vi <= vj, vi >= vj) for i, vi in enumerate(values) for vj in values[i + 1 :]
+        )
 
     def certificate(self, b: Partial) -> Optional[tuple]:
         out = []
@@ -195,49 +200,29 @@ def ranking_utility(sys: LinearSystem) -> UtilityFunction:
     )
 
 
-def _extract_ranking(sys: LinearSystem, b: Partial) -> RankingResult:
+def _extract_ranking(sys: LinearSystem, b: Partial) -> Optional[RankingResult]:
+    """The order of the functions that b forces, or None while the order of
+    some pair is open.  `LinearSystem.known_order` is exact over the
+    extensions of b, so forced <= chains; once every pair is decided it is
+    a total preorder, and one stable sort reads the permutation off it.
+    Adjacent entries forced equal form the classes, each in index order."""
     m = sys.m
-    le = [[True if i == j else sys.known_le(i, j, b) for j in range(m)] for i in range(m)]
-    members = {i: [i] for i in range(m)}
-    remaining = list(range(m))
-    classes = []
-    while remaining:
-        emit = None
-        for i in remaining:
-            if all(le[i][j] for j in remaining if j != i):
-                emit = i
-                break
-        if emit is not None:
-            # anything mutually <= with the minimum is forced equal to it
-            group = [emit] + [j for j in remaining if j != emit and le[j][emit]]
-            cls = []
-            for i in group:
-                cls.extend(members.pop(i))
-                remaining.remove(i)
-            classes.append(tuple(sorted(cls)))
-            continue
-        # No known minimum: follow blocking witnesses until a cycle closes.
-        # Around the cycle each step j -> k has f_k <= f_j known, so all the
-        # cycle's functions are equal; collapse them into one class.
-        pos = {}
-        path = []
-        cur = remaining[0]
-        while cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = next(j for j in remaining if j != cur and not le[cur][j])
-        cycle = path[pos[cur] :]
-        rep = min(cycle)
-        for other in cycle:
-            if other == rep:
-                continue
-            members[rep].extend(members.pop(other))
-            remaining.remove(other)
-            for k in range(m):
-                le[rep][k] = le[rep][k] or le[other][k]
-                le[k][rep] = le[k][rep] or le[k][other]
-    permutation = tuple(i for cls in classes for i in cls)
-    return RankingResult(permutation, tuple(classes))
+    cmp = {}  # (i, j) -> -1, 0 or 1 as f_i is forced below, equal to or above f_j
+    for i in range(m):
+        for j in range(i + 1, m):
+            le, ge = sys.known_order(i, j, b)
+            if not (le or ge):
+                return None
+            cmp[i, j] = ge - le
+            cmp[j, i] = le - ge
+    permutation = sorted(range(m), key=cmp_to_key(lambda i, j: cmp[i, j]))
+    classes = [[permutation[0]]]
+    for i, j in zip(permutation, permutation[1:]):
+        if cmp[i, j]:
+            classes.append([j])
+        else:
+            classes[-1].append(j)
+    return RankingResult(tuple(permutation), tuple(map(tuple, classes)))
 
 
 def rank_linear_functions(sys: LinearSystem, d, c, outcomes) -> tuple:

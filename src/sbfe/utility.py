@@ -159,18 +159,17 @@ def combine_and_all(gs) -> UtilityFunction:
 # CNF/DNF pairs
 
 
-def _literal_true(lit: int, b: Partial) -> bool:
-    v = b[abs(lit) - 1]
-    if v == STAR:
-        return False
-    return v == (1 if lit > 0 else 0)
-
-
-def _literal_false(lit: int, b: Partial) -> bool:
-    v = b[abs(lit) - 1]
-    if v == STAR:
-        return False
-    return v == (0 if lit > 0 else 1)
+def _hits(groups, sign: int) -> tuple:
+    """For each group of literals, the (position, bit) pairs that make one
+    of its literals true, each literal's sign multiplied by ``sign``: with 1
+    the tests that satisfy a clause, with -1 those that falsify a term.  A
+    group holding a literal and its negation is left out: as a clause it
+    always holds and as a term it never does, so it decides nothing."""
+    return tuple(
+        tuple((abs(l) - 1, int(l * sign > 0)) for l in lits)
+        for lits in groups
+        if not any(-l in lits for l in lits)
+    )
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,10 @@ class CdnfFormula:
     at every assignment for arity <= 12, by bit planes over the 2^n
     assignments (`_check_agreement`), and is a caller obligation above that.
     A clause containing complementary literals is a tautology and a term
-    containing them is a contradiction; a formula whose clauses are all
-    tautologies (terms all contradictions) is identically 1 (0).
+    containing them is a contradiction; neither changes the function, and
+    both are left out of the `_hits` tables that `evaluate`, `certificate`,
+    `constant_value` and `cdnf_utility` read.  A formula whose clauses are
+    all tautologies (terms all contradictions) is identically 1 (0).
     """
 
     arity: int
@@ -245,47 +246,31 @@ class CdnfFormula:
     def d(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def _clause_hits(self) -> tuple:
+        """The (position, bit) pairs that satisfy each clause."""
+        return _hits(self.clauses, 1)
+
+    @cached_property
+    def _term_misses(self) -> tuple:
+        """The (position, bit) pairs that falsify each term."""
+        return _hits(self.terms, -1)
+
     def evaluate(self, x: Assignment) -> int:
-        return int(any(all(_literal_true(l, x) for l in t) for t in self.terms))
-
-    def clauses_satisfied(self, b: Partial) -> int:
-        """Number of clauses with some literal already made true by b."""
-        return sum(1 for cl in self.clauses if any(_literal_true(l, b) for l in cl))
-
-    def terms_falsified(self, b: Partial) -> int:
-        """Number of terms with some literal already made false by b."""
-        return sum(1 for t in self.terms if any(_literal_false(l, b) for l in t))
-
-    @cached_property
-    def _effective_clauses(self) -> tuple:
-        return tuple(cl for cl in self.clauses if not any(-l in cl for l in cl))
-
-    @cached_property
-    def _effective_terms(self) -> tuple:
-        return tuple(t for t in self.terms if not any(-l in t for l in t))
+        """The DNF's value: 1 unless x falsifies every term."""
+        return int(not all(any(x[j] == bit for j, bit in t) for t in self._term_misses))
 
     def constant_value(self) -> Optional[int]:
-        if not self._effective_clauses:
+        if not self._clause_hits:
             return 1
-        if not self._effective_terms:
+        if not self._term_misses:
             return 0
         return None
 
-    @property
-    def degenerate(self) -> bool:
-        """True when some but not all clauses/terms are tautological or
-        contradictory; such formulas are evaluable but carry slack counts."""
-        if self.constant_value() is not None:
-            return False
-        return len(self._effective_clauses) != self.k or len(self._effective_terms) != self.d
-
     def certificate(self, b: Partial) -> Optional[int]:
-        cv = self.constant_value()
-        if cv is not None:
-            return cv
-        if all(any(_literal_true(l, b) for l in cl) for cl in self._effective_clauses):
+        if all(any(b[j] == bit for j, bit in cl) for cl in self._clause_hits):
             return 1
-        if all(any(_literal_false(l, b) for l in t) for t in self._effective_terms):
+        if all(any(b[j] == bit for j, bit in t) for t in self._term_misses):
             return 0
         return None
 
@@ -293,27 +278,25 @@ class CdnfFormula:
 
 
 def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
-    """Covering utility for a CNF/DNF pair: satisfied-clause and falsified-term
-    counters, disjunctively combined.  Goal is k*d."""
+    """Covering utility for a CNF/DNF pair: the satisfied-clause and
+    falsified-term counters, disjunctively combined.  Tautological clauses
+    and contradictory terms count on neither side, so the goal is the number
+    of clauses that are not tautologies times the number of terms that are
+    not contradictions: k*d when there are none."""
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
-    if f.degenerate:
-        raise ValueError(
-            "tautological clauses or contradictory terms are not supported here; "
-            "drop them from the formula first"
-        )
-    g1 = UtilityFunction(f.arity, f.k, f.clauses_satisfied, _hit_count_step(f.clauses, 1))
-    g0 = UtilityFunction(f.arity, f.d, f.terms_falsified, _hit_count_step(f.terms, -1))
-    return combine_or(g1, g0)
+    return combine_or(_hit_count(f.arity, f._clause_hits), _hit_count(f.arity, f._term_misses))
 
 
-def _hit_count_step(groups, sign: int):
-    """Step of the number of groups holding a literal made true by b, each
-    literal's sign multiplied by ``sign``: with 1 that counts satisfied
-    clauses, with -1 falsified terms.  An open group counts toward the
-    extension of each untested position that makes one of its literals true."""
-    hits = tuple(tuple((abs(l) - 1, int(l * sign > 0)) for l in lits) for lits in groups)
+def _hit_count(n: int, hits) -> UtilityFunction:
+    """The number of groups in ``hits``, a `_hits` table, with some pair
+    (j, bit) that b holds; goal the number of groups.  In ``step`` an open
+    group counts toward the extension of each untested position that
+    closes it."""
+
+    def fn(b):
+        return sum(1 for group in hits if any(b[j] == bit for j, bit in group))
 
     def step(b):
         here = 0
@@ -327,7 +310,7 @@ def _hit_count_step(groups, sign: int):
                     opened[bit][j] += 1
         return tuple(here + k for k in opened[0]), tuple(here + k for k in opened[1])
 
-    return step
+    return UtilityFunction(n, len(hits), fn, step)
 
 
 def decision_tree_to_cdnf(t, arity: int) -> CdnfFormula:
@@ -632,23 +615,11 @@ class LinearSystem:
     def diff(self, i: int, j: int) -> tuple:
         return tuple(a - b for a, b in zip(self.coeffs[i], self.coeffs[j]))
 
-    @cached_property
-    def d_values(self) -> tuple:
-        return tuple(sum(abs(a) for a in row) for row in self.coeffs)
-
-    @property
-    def d_max(self) -> int:
-        return max(self.d_values)
-
     def known_order(self, i: int, j: int, b: Partial) -> tuple:
         """(le, ge): whether b already forces f_i(x) <= f_j(x), and whether it
         forces f_i(x) >= f_j(x), on every extension."""
         lo, hi = _restricted_extrema(self.diff(i, j), b)
         return hi <= 0, lo >= 0
-
-    def known_le(self, i: int, j: int, b: Partial) -> bool:
-        """True when b already forces f_i(x) <= f_j(x) on every extension."""
-        return self.known_order(i, j, b)[0]
 
 
 def ranking_pair_utility(sys: LinearSystem, i: int, j: int) -> UtilityFunction:

@@ -245,6 +245,93 @@ def reference_cdnf_agreement(arity, clauses, terms):
             raise ValueError(f"CNF and DNF disagree at {x}; not the same function")
 
 
+def reference_cdnf_utility(f):
+    """`cdnf_utility` written from the literals, the reference for the
+    `_hits` tables its ``fn`` and ``step`` share: count the clauses with a
+    literal b makes true and the terms with a literal b makes false, over
+    the clauses that are not tautologies and the terms that are not
+    contradictions, `combine_or`-ed.  It has no step."""
+
+    def holds(lit, b):
+        v = b[abs(lit) - 1]
+        return v != STAR and v == (1 if lit > 0 else 0)
+
+    clauses = [cl for cl in f.clauses if not any(-l in cl for l in cl)]
+    terms = [t for t in f.terms if not any(-l in t for l in t)]
+    if not clauses:
+        raise ConstantFunctionError(1)
+    if not terms:
+        raise ConstantFunctionError(0)
+    n = f.arity
+    g1 = UtilityFunction(
+        n, len(clauses), lambda b: sum(any(holds(l, b) for l in cl) for cl in clauses)
+    )
+    g0 = UtilityFunction(
+        n, len(terms), lambda b: sum(any(holds(-l, b) for l in t) for t in terms)
+    )
+    return combine_or(g1, g0)
+
+
+def gen_cdnf_with_tautologies(rng: random.Random, n: int) -> CdnfFormula:
+    """`gen_cdnf` with one to three tautological clauses and one to three
+    contradictory terms inserted at random places: the same function, with
+    clauses and terms that decide nothing."""
+    f = gen_cdnf(rng, n)
+    clauses, terms = list(f.clauses), list(f.terms)
+    for group in (clauses, terms):
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(1, n)
+            extra = {rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(rng.randint(0, 2))}
+            group.insert(rng.randint(0, len(group)), frozenset({i, -i} | extra))
+    return CdnfFormula(n, tuple(clauses), tuple(terms))
+
+
+def reference_extract_ranking(sys, b):
+    """`_extract_ranking` as first written, the reference for its sort:
+    repeatedly emit a function known <= every remaining one, with those
+    known equal to it as its class, and when none is known collapse a cycle
+    of blocking witnesses into one class.  On a state with some pair
+    undecided it still returns an order."""
+    m = sys.m
+    le = [[i == j or sys.known_order(i, j, b)[0] for j in range(m)] for i in range(m)]
+    members = {i: [i] for i in range(m)}
+    remaining = list(range(m))
+    classes = []
+    while remaining:
+        emit = None
+        for i in remaining:
+            if all(le[i][j] for j in remaining if j != i):
+                emit = i
+                break
+        if emit is not None:
+            group = [emit] + [j for j in remaining if j != emit and le[j][emit]]
+            cls = []
+            for i in group:
+                cls.extend(members.pop(i))
+                remaining.remove(i)
+            classes.append(tuple(sorted(cls)))
+            continue
+        pos = {}
+        path = []
+        cur = remaining[0]
+        while cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = next(j for j in remaining if j != cur and not le[cur][j])
+        cycle = path[pos[cur] :]
+        rep = min(cycle)
+        for other in cycle:
+            if other == rep:
+                continue
+            members[rep].extend(members.pop(other))
+            remaining.remove(other)
+            for k in range(m):
+                le[rep][k] = le[rep][k] or le[other][k]
+                le[k][rep] = le[k][rep] or le[k][other]
+    permutation = tuple(i for cls in classes for i in cls)
+    return permutation, tuple(classes)
+
+
 def reference_gains_at(g, b):
     """`gains_at` as first written, the reference for the one-pass
     ``step`` of a utility: g.fn at b and at each one-test extension, 2n + 1

@@ -202,6 +202,20 @@ class TestEval:
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["bound"]) == 5.0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("terms", ([[1]], [[1], [2, -2]]), ids=("x1", "contradiction"))
+    def test_tautological_clause_evaluates(self, tmp_path, capsys, terms, engine):
+        # x_1 with a clause that always holds, and then also a term that never does
+        path = self._gen(tmp_path, "cdnf", 2, 1)
+        data = json.loads(path.read_text())
+        data.update(clauses=[[1, -1], [1]], terms=terms)
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "eval", str(path), "--engine", engine)
+        assert (code, err) == (0, "")
+        header, row = out.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["pass"] == "true"
+
     def test_broken_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -3,14 +3,24 @@ import random
 
 import pytest
 
-from helpers import brute_certificate, conjunction_formula, expected_certificate_cost, or_threshold
+import sbfe.problems
+from helpers import (
+    brute_certificate,
+    brute_diff_extrema,
+    conjunction_formula,
+    expected_certificate_cost,
+    or_threshold,
+    reference_extract_ranking,
+)
 from sbfe.core import (
     ProductDistribution,
     all_assignments,
+    all_partials,
     expected_cost,
     optimal_expected_cost,
 )
 from sbfe.instances import (
+    gen_linear_system,
     gen_threshold_set,
     knapsack_battery,
     linear_system_battery,
@@ -21,6 +31,7 @@ from sbfe.problems import (
     KnapsackInstance,
     RankingInstance,
     ThresholdSet,
+    _extract_ranking,
     evaluate_cdnf,
     evaluate_threshold_adg,
     evaluate_threshold_greedy,
@@ -32,7 +43,7 @@ from sbfe.problems import (
     ranking_utility,
     simultaneous_thresholds,
 )
-from sbfe.utility import CdnfFormula, LinearSystem, ThresholdFormula
+from sbfe.utility import CdnfFormula, LinearSystem, ThresholdFormula, constant_zero_utility
 
 
 class TestEvaluateCdnf:
@@ -209,7 +220,7 @@ class TestRanking:
                 for pos, i in enumerate(result.permutation):
                     for j in result.permutation[pos + 1 :]:
                         assert any(sys.known_order(i, j, b))
-                        if not sys.known_le(i, j, b):
+                        if not sys.known_order(i, j, b)[0]:
                             assert values[i] == values[j]
 
     def test_greedy_within_goal_bound(self):
@@ -220,6 +231,37 @@ class TestRanking:
             cost = expected_cost(GreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
             opt = optimal_expected_cost(RankingInstance(case.f), case.dist, case.costs)
             assert cost <= bounds(g).lnq_bound * opt + 1e-6
+
+
+    def test_extract_ranking_matches_reference(self):
+        # the sort equals the emit/collapse loop on every state that decides
+        # every pair, and gives None on every state that leaves one open
+        rng = random.Random(137)
+        seen = {True: 0, False: 0}
+        for trial in range(40):
+            m, n = 2 + trial % 4, 1 + trial % 5
+            sys = gen_linear_system(rng, m, n, duplicate_prob=0.3)
+            diffs = [sys.diff(i, j) for i in range(m) for j in range(i + 1, m)]
+            for b in all_partials(n):
+                extrema = [brute_diff_extrema(delta, b) for delta in diffs]
+                decided = all(lo >= 0 or hi <= 0 for lo, hi in extrema)
+                seen[decided] += 1
+                result = _extract_ranking(sys, b)
+                if decided:
+                    got = (result.permutation, result.equality_classes)
+                    assert got == reference_extract_ranking(sys, b), (sys, b)
+                else:
+                    assert result is None, (sys, b)
+        assert min(seen.values()) > 0
+
+    def test_run_stopped_undecided_raises(self, monkeypatch):
+        # a goal-0 utility stops the greedy before any test, with the pair open
+        monkeypatch.setattr(
+            sbfe.problems, "ranking_utility", lambda sys: constant_zero_utility(sys.arity)
+        )
+        sys = LinearSystem(((1, 0), (0, 1)))
+        with pytest.raises(RuntimeError):
+            rank_linear_functions(sys, ProductDistribution.uniform(2), (1.0, 1.0), (1, 0))
 
 
 class TestMinKnapsack:

@@ -51,3 +51,20 @@ def test_tracer_counts_the_optimum_and_the_table_in_verify(monkeypatch, capsys):
         tracer.restore()
     assert tracer.call_count("core.optimum") > 0
     assert tracer.call_count("core.certificate_table") > 0
+
+
+def test_ranking_table_makes_no_certificate_call(tmp_path, monkeypatch, capsys):
+    # the optimum's table reads RankingInstance.flags, which takes each
+    # pair's order from the function values, not from certificate
+    tracing, modules = _tracing(monkeypatch)
+    path = tmp_path / "ls.json"
+    gen = ["gen", "--kind", "linear-system", "--n", "8", "--seed", "3", "--out", str(path)]
+    assert sbfe.cli.main(gen) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        assert sbfe.cli.main(["eval", str(path), "--engine", "greedy"]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.call_count("core.optimum") == 1
+    assert tracer.call_count("utility.certificate") == 0

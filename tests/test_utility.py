@@ -10,7 +10,9 @@ from helpers import (
     brute_certificate,
     brute_diff_extrema,
     conjunction_formula,
+    gen_cdnf_with_tautologies,
     reference_cdnf_agreement,
+    reference_cdnf_utility,
     reference_count_extensions,
     reference_gains_at,
     reference_ranking_pair_utility,
@@ -28,7 +30,9 @@ from sbfe.core import (
     ProductDistribution,
     all_assignments,
     all_partials,
+    expected_cost,
     extend,
+    optimal_expected_cost,
     to_string,
 )
 from sbfe.instances import (
@@ -39,7 +43,7 @@ from sbfe.instances import (
     gen_threshold_set,
     gen_truth_table,
 )
-from sbfe.policies import GreedyPolicy
+from sbfe.policies import GreedyPolicy, bounds
 from sbfe.problems import ThresholdSet, disjunction_formula, ranking_utility
 from sbfe.utility import (
     CdnfFormula,
@@ -153,13 +157,13 @@ def _reference_ranking_utility(sys):
 
 # every construction that carries a step: (its instance at arity n, the
 # utility, a reference utility on the same instance whose fn is built apart
-# from that step; the CNF/DNF fn is its own reference, two counters that
-# share nothing with `_hit_count_step`)
+# from that step)
 STEP_KINDS = {
     "threshold": (gen_threshold, threshold_utility, reference_threshold_utility),
     "thresholds-one-constant": (_thresholds, ThresholdSet.utility, _reference_thresholds_utility),
-    "cdnf": (gen_cdnf, cdnf_utility, cdnf_utility),
-    "disjunction": (lambda rng, n: disjunction_formula(n), cdnf_utility, cdnf_utility),
+    "cdnf": (gen_cdnf, cdnf_utility, reference_cdnf_utility),
+    "cdnf-tautologies": (gen_cdnf_with_tautologies, cdnf_utility, reference_cdnf_utility),
+    "disjunction": (lambda rng, n: disjunction_formula(n), cdnf_utility, reference_cdnf_utility),
     "linear-system": (
         lambda rng, n: gen_linear_system(rng, 3, n),
         ranking_utility,
@@ -169,7 +173,9 @@ STEP_KINDS = {
     "and-threshold-cdnf": (
         lambda rng, n: (gen_threshold(rng, n), gen_cdnf(rng, n)),
         lambda fs: combine_and_all([threshold_utility(fs[0]), cdnf_utility(fs[1])]),
-        lambda fs: combine_and_all([reference_threshold_utility(fs[0]), cdnf_utility(fs[1])]),
+        lambda fs: combine_and_all(
+            [reference_threshold_utility(fs[0]), reference_cdnf_utility(fs[1])]
+        ),
     ),
 }
 
@@ -418,16 +424,36 @@ class TestCdnf:
         with pytest.raises(ConstantFunctionError):
             cdnf_utility(f)
 
-    def test_mixed_degenerate_rejected(self):
+    def test_mixed_degenerate_evaluated(self):
         f = CdnfFormula(
             2,
             (frozenset({1}), frozenset({2, -2})),
             (frozenset({1}),),
         )
         assert f.constant_value() is None
-        assert f.certificate((1, STAR)) == 1  # via effective clauses only
-        with pytest.raises(ValueError):
-            cdnf_utility(f)
+        assert f.certificate((1, STAR)) == 1  # the tautological clause decides nothing
+        g = cdnf_utility(f)
+        assert g.goal == 1  # one clause that is not a tautology, one term
+        assert g.fn((1, STAR)) == g.fn((0, STAR)) == 1
+        assert g.fn((STAR, 0)) == g.fn((STAR, 1)) == 0
+
+    def test_tautologies_inserted(self):
+        # clauses that always hold and terms that never do change neither the
+        # certificates, nor the axioms, nor the greedy's ln(goal) + 1 bound
+        rng = random.Random(61)
+        for trial in range(200):
+            n = 1 + trial % 5
+            f = gen_cdnf_with_tautologies(rng, n)
+            g = cdnf_utility(f)
+            for b in all_partials(n):
+                assert f.certificate(b) == brute_certificate(f, b), (f, b)
+            assert check_axioms(g, "exhaustive").ok, f
+            assert check_goal_certificate(g, f).ok, f
+            d = ProductDistribution(tuple(rng.uniform(0.1, 0.9) for _ in range(n)))
+            c = tuple(float(rng.randint(1, 5)) for _ in range(n))
+            cost = expected_cost(GreedyPolicy(g, d, c), d, c)
+            opt = optimal_expected_cost(f, d, c)
+            assert cost <= bounds(g).lnq_bound * opt + 1e-9, (f, cost, opt)
 
     def test_axioms(self):
         rng = random.Random(13)
