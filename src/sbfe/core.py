@@ -267,37 +267,26 @@ def certificate_table(f) -> bytes:
     byte 1 where b forces the instance's label, 0 elsewhere.
 
     Built bottom-up with no certificate call: f.flags encodes the 2^n full
-    assignments, then one position at a time, last to first, each star
-    slice of a flag field's plane is one bitwise AND of its 0 and 1 slices
-    read as integers, 2^n - 1 ANDs per plane in all.  b is certified where
-    the plane of every field is nonzero.
+    assignments, then each flag field's plane takes n whole-plane steps, one
+    per position from last to first.  b is certified where the plane of
+    every field is nonzero.
     """
     n = f.arity
     if n > OPTIMUM_MAX_N:
         raise LimitError(f"certificate table limited to n <= {OPTIMUM_MAX_N}, got {n}")
     size = 3**n
-    planes = []
-    # After k rounds the last k positions are ternary and the rest still
-    # binary: an index is the binary prefix times 3^k plus the ternary
-    # suffix, position 0 most significant in both.
+    mask = int.from_bytes(bytes([1]) * size, "little")
+    # The positions still binary are the low digits of an index, the last
+    # of them least significant, so a step's 0 and 1 slices are the even
+    # and odd bytes.  Its star slice is their AND, and the three slices
+    # become the step position's ternary digit, above the ones made before;
+    # after n steps the index is encode(b).
     for column in zip(*map(f.flags, all_assignments(n))):
         plane = bytes(column)
-        width = 1
         for _ in range(n):
-            view = memoryview(plane)
-            widened = bytearray()
-            for lo in range(0, len(plane), 2 * width):
-                zero = view[lo : lo + width]
-                one = view[lo + width : lo + 2 * width]
-                star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
-                widened += zero
-                widened += one
-                widened += star.to_bytes(width, "little")
-            plane = bytes(widened)
-            width *= 3
-        planes.append(plane)
-    mask = int.from_bytes(bytes([1]) * size, "little")
-    for plane in planes:
+            zero, one = plane[0::2], plane[1::2]
+            star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
+            plane = b"".join((zero, one, star.to_bytes(len(zero), "little")))
         mask &= int.from_bytes(plane.translate(_NONZERO_TO_ONE), "little")
     return mask.to_bytes(size, "little")
 
@@ -370,9 +359,12 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
     otherwise it costs min_i c_i + p_i * OPT(b with i=1) + (1-p_i) *
     OPT(b with i=0) over the untested i.  Both extensions have smaller
     keys, so one pass in key order over the uncertified states fills every
-    value.  A state takes 9 bytes (an 8-byte value and its uncertified mask
-    byte), so n = 14 needs about 43 MB.  ``limit`` can only lower the cap
-    OPTIMUM_MAX_N.
+    value.  The pass goes one block of keys at a time, a block being the
+    keys that share their high digits: a block with an uncertified state is
+    computed in a Python list, reading its high children as whole earlier
+    blocks, and written back in one slice.  A state takes 9 bytes (an 8-byte
+    value and its uncertified mask byte), so n = 14 needs about 43 MB.
+    ``limit`` can only lower the cap OPTIMUM_MAX_N.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -403,17 +395,35 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
             for digits in itertools.product((0, 1, STAR), repeat=len(positions))
         ]
 
-    low_steps = untested(range(n - low, n))
+    # A low position's children sit in the same block, at these indices.
+    in_block = [
+        tuple((lo - w1, lo - w0, ci, pi, qi) for w1, w0, ci, pi, qi in steps)
+        for lo, steps in enumerate(untested(range(n - low, n)))
+    ]
     for high, high_steps in enumerate(untested(range(n - low))):
         base = high * low_size
-        for lo in itertools.compress(range(low_size), uncertified[base : base + low_size]):
-            key = base + lo
+        sel = uncertified[base : base + low_size]
+        if 1 not in sel:
+            continue  # every state of the block is certified and costs 0
+        # A high position's children are whole earlier blocks, same index.
+        children = [
+            (value[base - w1 : base - w1 + low_size].tolist(),
+             value[base - w0 : base - w0 + low_size].tolist(), ci, pi, qi)
+            for w1, w0, ci, pi, qi in high_steps
+        ]
+        block = [0.0] * low_size
+        for lo in itertools.compress(range(low_size), sel):
             best = math.inf  # an uncertified state has an untested position
-            for w1, w0, ci, pi, qi in high_steps + low_steps[lo]:
-                v = ci + pi * value[key - w1] + qi * value[key - w0]
+            for one, zero, ci, pi, qi in children:
+                v = ci + pi * one[lo] + qi * zero[lo]
                 if v < best:
                     best = v
-            value[key] = best
+            for a1, a0, ci, pi, qi in in_block[lo]:
+                v = ci + pi * block[a1] + qi * block[a0]
+                if v < best:
+                    best = v
+            block[lo] = best
+        value[base : base + low_size] = array("d", block)
     return value[size - 1]
 
 

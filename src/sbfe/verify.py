@@ -103,19 +103,28 @@ def _check_axioms_exhaustive(g: UtilityFunction) -> CheckReport:
 def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckReport:
     n = g.arity
     rng = random.Random(seed)
-    choice, coin, randrange = rng.choice, rng.random, rng.randrange
-    outcomes = (0, 1, STAR)
+    bits, coin = rng.getrandbits, rng.random
+
+    def below(k):
+        # rng.randrange(k) and rng.choice of k items make exactly this draw
+        width = k.bit_length()
+        r = bits(width)
+        while r >= k:
+            r = bits(width)
+        return r
+
     fn = g.fn
     checked = 0
     for _ in range(trials):
-        bp = tuple([choice(outcomes) for _ in range(n)])
+        # an outcome in (0, 1, STAR) is its own index, since STAR == 2
+        bp = tuple([below(3) for _ in range(n)])
         untested = [i for i, v in enumerate(bp) if v == STAR]
         if not untested:
             continue
         # each tested position of bp is cleared in b on a coin flip, in order
         b = tuple([STAR if v != STAR and coin() < 0.5 else v for v in bp])
-        i = choice(untested)
-        l = randrange(2)
+        i = untested[below(len(untested))]
+        l = below(2)
         vb, vbp = fn(b), fn(bp)
         early = fn(b[:i] + (l,) + b[i + 1 :]) - vb
         late = fn(bp[:i] + (l,) + bp[i + 1 :]) - vbp

@@ -350,6 +350,40 @@ def reference_gains_at(g, b):
     return base, tuple(down), tuple(up)
 
 
+def reference_certificate_table(f) -> bytes:
+    """The certified mask as first written, the reference for the
+    whole-plane `certificate_table`: the planes widen one position at a
+    time, last to first, with one bitwise AND per slice of the table, 2^n - 1
+    ANDs per plane in all, and every plane is kept until the mask is made."""
+    n = f.arity
+    size = 3**n
+    planes = []
+    # After k rounds the last k positions are ternary and the rest still
+    # binary: an index is the binary prefix times 3^k plus the ternary
+    # suffix, position 0 most significant in both.
+    for column in zip(*map(f.flags, all_assignments(n))):
+        plane = bytes(column)
+        width = 1
+        for _ in range(n):
+            view = memoryview(plane)
+            widened = bytearray()
+            for lo in range(0, len(plane), 2 * width):
+                zero = view[lo : lo + width]
+                one = view[lo + width : lo + 2 * width]
+                star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
+                widened += zero
+                widened += one
+                widened += star.to_bytes(width, "little")
+            plane = bytes(widened)
+            width *= 3
+        planes.append(plane)
+    nonzero_to_one = bytes([0]) + bytes([1]) * 255
+    mask = int.from_bytes(bytes([1]) * size, "little")
+    for plane in planes:
+        mask &= int.from_bytes(plane.translate(nonzero_to_one), "little")
+    return mask.to_bytes(size, "little")
+
+
 def reference_optimum(f, d, c):
     """The exhaustive optimum as first written, the reference for the
     table-driven `optimal_expected_cost`: a memoized recursion over tuples

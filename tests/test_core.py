@@ -12,6 +12,7 @@ from helpers import (
     expected_certificate_cost,
     neighbor_property_holds,
     policy_tree,
+    reference_certificate_table,
     reference_optimum,
     tree_tests_on,
 )
@@ -258,11 +259,25 @@ class TestOptimumAgainstReference:
     @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
     def test_same_value_and_tree(self, kind):
         battery = ORACLE_BATTERIES[kind]
-        cases = battery(8, seed=41, n_lo=2, n_hi=8) + battery(1, seed=42, n_lo=10, n_hi=10)
+        cases = (
+            battery(8, seed=41, n_lo=2, n_hi=8)
+            + battery(1, seed=42, n_lo=10, n_hi=10)
+            + battery(1, seed=48, n_lo=1, n_hi=1)
+        )
         for case in cases:
             f = _oracle(case)
             got = optimal_expected_cost(f, case.dist, case.costs)
             assert got == reference_optimum(f, case.dist, case.costs), case.id
+
+    # n = 11 splits a key into 6 high and 5 low digits.  Of this
+    # disjunction's 729 blocks 665 are certified throughout and skipped, and
+    # each of the other 64 holds fewer than a quarter uncertified states;
+    # every block of this truth table holds more than a quarter.
+    @pytest.mark.parametrize("kind", ("disjunction", "truthtable"))
+    def test_sparse_and_dense_at_odd_split(self, kind):
+        (case,) = ORACLE_BATTERIES[kind](1, seed=49, n_lo=11, n_hi=11)
+        got = optimal_expected_cost(case.f, case.dist, case.costs)
+        assert got == reference_optimum(case.f, case.dist, case.costs), case.id
 
     @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
     def test_status_table_is_the_certificate(self, kind):
@@ -272,6 +287,21 @@ class TestOptimumAgainstReference:
             assert len(certified) == 3**f.arity, case.id
             for key, b in enumerate(all_partials(f.arity)):
                 assert certified[key] == (f.certificate(b) is not None), (case.id, b)
+
+
+class TestCertificateTableAgainstReference:
+    @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
+    def test_byte_equal(self, kind):
+        battery = ORACLE_BATTERIES[kind]
+        cases = (
+            battery(9, seed=44, n_lo=1, n_hi=9)
+            + battery(1, seed=45, n_lo=11, n_hi=11)
+            + battery(1, seed=46, n_lo=12, n_hi=12)
+        )
+        assert sorted(case.f.arity for case in cases) == [*range(1, 10), 11, 12]
+        for case in cases:
+            f = _oracle(case)
+            assert certificate_table(f) == reference_certificate_table(f), case.id
 
 
 class TestCertificates:
