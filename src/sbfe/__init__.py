@@ -23,7 +23,6 @@ from .core import (
     expected_cost,
     extend,
     optimal_expected_cost,
-    prob_of,
     sample_input,
     stars,
 )

@@ -72,21 +72,6 @@ def extend(b: Partial, i: int, l: int) -> Partial:
     return b[:i] + (l,) + b[i + 1 :]
 
 
-def clear(b: Partial, i: int) -> Partial:
-    """Copy of b with position i reset to untested."""
-    return b[:i] + (STAR,) + b[i + 1 :]
-
-
-def extensions(b: Partial) -> Iterator[Assignment]:
-    """All full assignments extending b."""
-    star_pos = [i for i, v in enumerate(b) if v == STAR]
-    base = list(b)
-    for pattern in itertools.product((0, 1), repeat=len(star_pos)):
-        for i, v in zip(star_pos, pattern):
-            base[i] = v
-        yield tuple(base)
-
-
 def all_partials(n: int) -> Iterator[Partial]:
     return itertools.product((0, 1, STAR), repeat=n)
 
@@ -184,20 +169,6 @@ def as_costs(c) -> tuple:
     if isinstance(c, CostVector):
         return c.c
     return CostVector(tuple(c)).c
-
-
-def prob_of(b: Partial, d) -> float:
-    """Probability mass of the event "outcomes agree with b"; empty product is 1."""
-    p = as_probabilities(d)
-    if len(p) != len(b):
-        raise ValueError("arity mismatch between assignment and distribution")
-    out = 1.0
-    for v, pi in zip(b, p):
-        if v == 1:
-            out *= pi
-        elif v == 0:
-            out *= 1.0 - pi
-    return out
 
 
 def sample_input(d, seed: int) -> Assignment:
@@ -452,12 +423,3 @@ class RunTrace:
         for i, v in zip(self.tested, self.outcomes):
             b[i] = v
         return tuple(b)
-
-    def prefixes(self, n: int) -> tuple:
-        """Partial assignments after 0, 1, ..., T tests."""
-        out = [stars(n)]
-        b = out[0]
-        for i, v in zip(self.tested, self.outcomes):
-            b = extend(b, i, v)
-            out.append(b)
-        return tuple(out)

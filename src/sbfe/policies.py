@@ -156,8 +156,9 @@ class DualGreedyPolicy(GreedyPolicy):
     ever looked at again.
 
     Gains depend only on the partial assignment, so `gains(b)` keeps each
-    record: `next_test`, both `advance` calls at b, `prefix_ratios` and the
-    dual check all read it.
+    record: `next_test` and both `advance` calls at b read it, and so do
+    `prefix_ratios` and `check_dual_feasibility` at every leaf whose path
+    passes through b.
     """
 
     def __init__(self, g: UtilityFunction, d, c):

@@ -21,7 +21,6 @@ from .core import (
     InvalidUtilityError,
     LimitError,
     Partial,
-    extend,
     output_flags,
     to_string,
     tree_leaf_paths,
@@ -34,17 +33,16 @@ MAX_GOAL = 2**63 - 1  # goals can blow up combinatorially; fail loudly, never wr
 class UtilityFunction:
     """Integer-valued utility with a goal; ``fn`` evaluates partial assignments.
 
-    ``step``, when present, gives the values of every one-test extension in
-    one pass: ``step(b)`` is ``(zero, one)`` with ``zero[j]`` the value at b
-    with position j set to 0 and ``one[j]`` with it set to 1; a tested
-    position carries g(b) in both.  Without it `gains_at` calls ``fn`` on
-    each extension.
+    ``step`` gives the values of every one-test extension in one pass:
+    ``step(b)`` is ``(zero, one)`` with ``zero[j]`` the value at b with
+    position j set to 0 and ``one[j]`` with it set to 1; a tested position
+    carries g(b) in both.
     """
 
     arity: int
     goal: int
     fn: Callable[[Partial], int] = field(repr=False)
-    step: Optional[Callable[[Partial], tuple]] = field(default=None, repr=False)
+    step: Callable[[Partial], tuple] = field(repr=False)
 
     def __post_init__(self):
         if self.goal < 0:
@@ -58,24 +56,13 @@ def gains_at(g: UtilityFunction, b: Partial) -> tuple:
     position j to 0 and to 1 (0 for tested positions), checked for
     monotonicity.  Once b reaches the goal no test is bought there, so down
     and up are None and only g(b) is computed.  The extension values come
-    from ``g.step``; every construction in this module has one.  A
-    hand-built utility without one gets ``g.fn`` called on each extension."""
-    fn = g.fn
-    base = fn(b)
+    from ``g.step``."""
+    base = g.fn(b)
     if base >= g.goal:
         return base, None, None
-    if g.step is None:
-        down = [0] * len(b)
-        up = [0] * len(b)
-        for j, v in enumerate(b):
-            if v == STAR:
-                up[j] = fn(extend(b, j, 1)) - base
-                down[j] = fn(extend(b, j, 0)) - base
-        down, up = tuple(down), tuple(up)
-    else:
-        zero, one = g.step(b)
-        down = tuple(v - base for v in zero)
-        up = tuple(v - base for v in one)
+    zero, one = g.step(b)
+    down = tuple(v - base for v in zero)
+    up = tuple(v - base for v in one)
     if min(down, default=0) < 0 or min(up, default=0) < 0:
         j = next(j for j in range(len(b)) if down[j] < 0 or up[j] < 0)
         raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
@@ -95,11 +82,8 @@ def constant_zero_utility(n: int) -> UtilityFunction:
 def _combined_step(gs, combine):
     """Step of a utility built from the parts ``gs``: ``combine`` turns the
     list of the parts' value vectors into the utility's, for the
-    0-extensions and the 1-extensions alike.  None when some part has no
-    step."""
+    0-extensions and the 1-extensions alike."""
     steps = [g.step for g in gs]
-    if None in steps:
-        return None
 
     def step(b):
         parts = [s(b) for s in steps]

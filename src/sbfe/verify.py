@@ -10,18 +10,12 @@ from typing import Optional
 from .core import (
     STAR,
     LimitError,
-    RunTrace,
-    all_assignments,
     all_partials,
-    as_costs,
-    as_probabilities,
     certificate_table,
-    clear,
     expected_cost,
     extend,
-    extensions,
     optimal_expected_cost,
-    prob_of,
+    stars,
     walk_policy,
 )
 from .policies import DualGreedyPolicy, prefix_ratios
@@ -55,10 +49,10 @@ def check_axioms(
     Exhaustive mode (arity <= AXIOMS_EXHAUSTIVE_MAX_N) checks each gain
     against the same gain one test later, which is equivalent to checking
     every pair (b, b') with b' extending b; random mode samples such pairs.
-    Reports the first violating (b, b', i, l) tuple.  When the utility has
-    a ``step``, which `gains_at` reads in place of ``fn`` on each
-    extension, exhaustive mode also checks it against the ``fn`` values at
-    every state and reports the first state (b,) where they differ.
+    Reports the first violating (b, b', i, l) tuple.  Exhaustive mode also
+    checks the utility's ``step``, which `gains_at` reads in place of ``fn``
+    on each extension, against the ``fn`` values at every state and reports
+    the first state (b,) where they differ.
     """
     if mode == "exhaustive":
         if g.arity > AXIOMS_EXHAUSTIVE_MAX_N:
@@ -86,7 +80,7 @@ def _check_axioms_exhaustive(g: UtilityFunction) -> CheckReport:
             here[l][i] = seen[key - drop[i][l]][0] - vb
             if here[l][i] < 0:
                 return CheckReport(False, checked, (b, b, i, l), "monotonicity violated")
-        if g.step is not None and g.step(b) != tuple(tuple([vb + d for d in h]) for h in here):
+        if g.step(b) != tuple(tuple([vb + d for d in h]) for h in here):
             return CheckReport(False, checked, (b,), "step disagrees with fn")
         seen.append((vb, here))
         for j, m in steps:
@@ -176,9 +170,11 @@ def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
 class DualCertificate:
     """Assembled dual solution from running the dual greedy on every input.
 
-    ``slack`` maps each one-star assignment w to c_{j(w)} - h'_w(Y): the
-    constraint slack of the dual program.  Slack must be nonnegative
-    everywhere and zero exactly where j(w) is tested.
+    ``slack`` maps (b, j), a leaf b of the policy's decision tree and a
+    position j, to c_j - h'_w(Y): the slack of the dual constraint of j and
+    any assignment w of the other positions whose completions reach b.
+    ``tight[b, j]`` says whether j is tested at b.  Slack must be
+    nonnegative everywhere and zero exactly where j is tested.
     """
 
     slack: dict
@@ -197,79 +193,62 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
 
     For every position j and every assignment w of the other positions, the
     mixed sum of prefix-gain-weighted dual values must equal c_j when j is
-    tested (on both completions of w, which agree by the neighbor property)
-    and stay at most c_j when it is not.  Also checks that the expected run
-    cost equals the dual objective mass (within accumulation error).
+    tested and stay at most c_j when it is not.  One walk of the policy's
+    decision tree covers every run, since each input consistent with a
+    leaf's outcomes makes that leaf's run.  Both completions of w make the
+    run of one leaf b when j is untested there; when j is tested they share
+    every prefix up to its test, and j gains nothing after it.  So the sum
+    is one number per (b, j), from b's prefixes alone.  Also checks that the
+    expected run cost equals the dual objective mass (within accumulation
+    error), both folded over the tree like `expected_cost`.
     """
     n = g.arity
     if n > DUAL_MAX_N:
         raise LimitError(f"dual check limited to n <= {DUAL_MAX_N}, got {n}")
-    p = as_probabilities(d)
-    cc = as_costs(c)
-
-    # One walk of the policy's decision tree covers all 2^n runs: every
-    # input consistent with a leaf's outcomes produces that leaf's trace.
-    pol = DualGreedyPolicy(g, d, cc)
-    traces = {}
-    prefix_cache = {}
-
-    def leaf(b, state, path):
-        tested = tuple(idx for idx, _ in path)
-        outs = tuple(v for _, v in path)
-        cost = sum(cc[idx] for idx in tested)
-        tr = RunTrace(tested, outs, cost, dual_values=state[0])
-        prefixes = tr.prefixes(n)
-        for a in extensions(b):
-            traces[a] = tr
-            prefix_cache[a] = prefixes
-
-    walk_policy(pol, n, leaf, lambda i, if0, if1: None)
-
-    def prefix_gain(pfx, j, v):
-        _, down, up, _ = pol.gains(pfx)
-        return up[j] if v else down[j]
-
+    pol = DualGreedyPolicy(g, d, c)
+    p, cc = pol.p, pol.c
     slack = {}
     tight = {}
     violations = []
-    for j in range(n):
-        for rest in all_assignments(n - 1):
-            a1 = rest[:j] + (1,) + rest[j:]
-            a0 = rest[:j] + (0,) + rest[j:]
-            w = clear(a1, j)
-            t1, t0 = traces[a1], traces[a0]
-            tested1 = j in t1.tested
-            tested0 = j in t0.tested
-            if tested1 != tested0:
-                violations.append((w, "neighbor property violated"))
-                continue
-            h = 0.0
-            for t, y in enumerate(t1.dual_values):
-                if y != 0.0:
-                    h += p[j] * y * prefix_gain(prefix_cache[a1][t], j, 1)
-            for t, y in enumerate(t0.dual_values):
-                if y != 0.0:
-                    h += (1.0 - p[j]) * y * prefix_gain(prefix_cache[a0][t], j, 0)
-            s = cc[j] - h
-            slack[w] = s
-            tight[w] = tested1
-            if tested1 and abs(s) > DUAL_EPS:
-                violations.append((w, f"tested coordinate not tight: slack {s}"))
-            elif not tested1 and s < -DUAL_EPS:
-                violations.append((w, f"dual constraint violated: slack {s}"))
 
-    lhs = 0.0
-    rhs = 0.0
-    for a, tr in traces.items():
-        pa = prob_of(a, p)
-        lhs += pa * tr.total_cost
-        for t, y in enumerate(tr.dual_values):
-            if y == 0.0:
-                continue
-            pfx = prefix_cache[a][t]
-            gain_sum = sum(prefix_gain(pfx, i, v) for i, v in zip(tr.tested, tr.outcomes))
-            rhs += pa * y * gain_sum
-    return DualCertificate(slack, tight, tuple(violations), abs(lhs - rhs), len(traces))
+    def leaf(b, state, path):
+        # (y, down, up, what the run's tests gain) at each prefix with y != 0
+        records = []
+        pfx = stars(n)
+        for t, ((i, v), y) in enumerate(zip(path, state[0])):
+            if y != 0.0:
+                _, down, up, _ = pol.gains(pfx)
+                records.append((y, down, up, sum(up[k] if w else down[k] for k, w in path[t:])))
+            pfx = extend(pfx, i, v)
+        for j in range(n):
+            h = 0.0
+            for y, _, up, _ in records:
+                h += p[j] * y * up[j]
+            for y, down, _, _ in records:
+                h += (1.0 - p[j]) * y * down[j]
+            s = cc[j] - h
+            slack[b, j] = s
+            tight[b, j] = tested = b[j] != STAR
+            if tested and abs(s) > DUAL_EPS:
+                violations.append(((b, j), f"tested coordinate not tight: slack {s}"))
+            elif not tested and s < -DUAL_EPS:
+                violations.append(((b, j), f"dual constraint violated: slack {s}"))
+        mass = 0.0
+        for y, _, _, gained in records:
+            mass += y * gained
+        return 0.0, mass, 1 << b.count(STAR)
+
+    cost, mass, runs = walk_policy(
+        pol,
+        n,
+        leaf,
+        lambda i, lo, hi: (
+            cc[i] + p[i] * hi[0] + (1.0 - p[i]) * lo[0],
+            p[i] * hi[1] + (1.0 - p[i]) * lo[1],
+            lo[2] + hi[2],
+        ),
+    )
+    return DualCertificate(slack, tight, tuple(violations), abs(cost - mass), runs)
 
 
 def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:

@@ -22,17 +22,15 @@ from sbfe.core import (
     all_partials,
     as_costs,
     as_probabilities,
+    RunTrace,
     certificate_table,
-    clear,
     extend,
-    extensions,
-    prob_of,
     stars,
     to_string,
     walk_policy,
 )
 from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
-from sbfe.policies import EPS, run_policy
+from sbfe.policies import EPS, DualGreedyPolicy, run_policy
 from sbfe.utility import (
     CdnfFormula,
     ThresholdFormula,
@@ -46,7 +44,69 @@ from sbfe.utility import (
     threshold_utility,
     truth_table_utility,
 )
-from sbfe.verify import CheckReport
+from sbfe.verify import DUAL_EPS, DUAL_MAX_N, CheckReport, DualCertificate
+
+
+# ---------------------------------------------------------------------------
+# partial assignments and runs
+
+
+def clear(b, i: int):
+    """Copy of b with position i reset to untested."""
+    return b[:i] + (STAR,) + b[i + 1 :]
+
+
+def extensions(b):
+    """All full assignments extending b."""
+    star_pos = [i for i, v in enumerate(b) if v == STAR]
+    base = list(b)
+    for pattern in itertools.product((0, 1), repeat=len(star_pos)):
+        for i, v in zip(star_pos, pattern):
+            base[i] = v
+        yield tuple(base)
+
+
+def prob_of(b, d) -> float:
+    """Probability mass of the event "outcomes agree with b"; empty product is 1."""
+    p = as_probabilities(d)
+    if len(p) != len(b):
+        raise ValueError("arity mismatch between assignment and distribution")
+    out = 1.0
+    for v, pi in zip(b, p):
+        if v == 1:
+            out *= pi
+        elif v == 0:
+            out *= 1.0 - pi
+    return out
+
+
+def trace_prefixes(trace: RunTrace, n: int) -> tuple:
+    """Partial assignments after 0, 1, ..., T tests of a run."""
+    out = [stars(n)]
+    b = out[0]
+    for i, v in zip(trace.tested, trace.outcomes):
+        b = extend(b, i, v)
+        out.append(b)
+    return tuple(out)
+
+
+def step_from_fn(fn):
+    """A ``step`` for a utility given by ``fn`` alone: ``fn`` at each
+    one-test extension, and g(b) at a tested position."""
+
+    def step(b):
+        here = fn(b)
+        return tuple(
+            tuple(fn(b[:j] + (l,) + b[j + 1 :]) if v == STAR else here for j, v in enumerate(b))
+            for l in (0, 1)
+        )
+
+    return step
+
+
+def utility_from_fn(n: int, goal: int, fn) -> UtilityFunction:
+    """A hand-built utility whose step comes from `step_from_fn`."""
+    return UtilityFunction(n, goal, fn, step_from_fn(fn))
 
 
 def enumeration_expected_cost(policy, d, c, n: int) -> float:
@@ -89,16 +149,16 @@ def reference_count_extensions(table, b, value):
 def reference_threshold_utility(f):
     """`threshold_utility` as first written, the reference for its one-pass
     ``fn``: the `combine_or` of a side for the guaranteed minimum and a side
-    for the achievable maximum, each from its own restricted extremum.  It
-    has no step."""
+    for the achievable maximum, each from its own restricted extremum.  Its
+    step calls ``fn`` (`step_from_fn`)."""
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
     q1 = -f.r_min
     q0 = f.r_max + 1
     r_min, r_max = f.r_min, f.r_max
-    g1 = UtilityFunction(f.arity, q1, lambda b: min(q1, f.min_of(b) - r_min))
-    g0 = UtilityFunction(f.arity, q0, lambda b: min(q0, r_max - f.max_of(b)))
+    g1 = utility_from_fn(f.arity, q1, lambda b: min(q1, f.min_of(b) - r_min))
+    g0 = utility_from_fn(f.arity, q0, lambda b: min(q0, r_max - f.max_of(b)))
     return combine_or(g1, g0)
 
 
@@ -106,7 +166,7 @@ def reference_ranking_pair_utility(sys, i, j):
     """`ranking_pair_utility` as first written, the reference for its
     one-pass ``fn``: a side for f_i - f_j forced <= 0 and a side for it
     forced >= 0, a vacuous side being the goal-0 utility, `combine_or`-ed.
-    It has no step."""
+    Its step calls ``fn`` (`step_from_fn`)."""
     if not i < j:
         raise ValueError("require i < j")
     delta = sys.diff(i, j)
@@ -116,13 +176,13 @@ def reference_ranking_pair_utility(sys, i, j):
     if r_hi <= 0:
         g_le = constant_zero_utility(n)
     else:
-        g_le = UtilityFunction(
+        g_le = utility_from_fn(
             n, r_hi, lambda b: min(r_hi, r_hi - _restricted_extrema(delta, b)[1])
         )
     if r_lo >= 0:
         g_ge = constant_zero_utility(n)
     else:
-        g_ge = UtilityFunction(
+        g_ge = utility_from_fn(
             n, -r_lo, lambda b: min(-r_lo, _restricted_extrema(delta, b)[0] - r_lo)
         )
     return combine_or(g_le, g_ge)
@@ -131,14 +191,15 @@ def reference_ranking_pair_utility(sys, i, j):
 def reference_truth_table_utility(f):
     """`truth_table_utility` as first written, the reference for its
     one-pass ``fn``: the `combine_or` of the 1-rows and the 0-rows ruled
-    out, each side from its own `count_extensions`.  It has no step."""
+    out, each side from its own `count_extensions`.  Its step
+    calls ``fn`` (`step_from_fn`)."""
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
     ones = sum(f.table)
     zeros = len(f.table) - ones
-    g1 = UtilityFunction(f.arity, ones, lambda b: ones - f.count_extensions(b, 1))
-    g0 = UtilityFunction(f.arity, zeros, lambda b: zeros - f.count_extensions(b, 0))
+    g1 = utility_from_fn(f.arity, ones, lambda b: ones - f.count_extensions(b, 1))
+    g0 = utility_from_fn(f.arity, zeros, lambda b: zeros - f.count_extensions(b, 0))
     return combine_or(g1, g0)
 
 
@@ -205,7 +266,7 @@ def reference_check_axioms_exhaustive(g):
                 ext[l][i] = val[extend(b, i, l)]
                 if ext[l][i] < vb:
                     return CheckReport(False, checked, (b, b, i, l), "monotonicity violated")
-        if g.step is not None and g.step(b) != (tuple(ext[0]), tuple(ext[1])):
+        if g.step(b) != (tuple(ext[0]), tuple(ext[1])):
             return CheckReport(False, checked, (b,), "step disagrees with fn")
     for bp in val:  # bp is the later (more tested) state
         tested = [i for i, v in enumerate(bp) if v != STAR]
@@ -250,7 +311,8 @@ def reference_cdnf_utility(f):
     `_hits` tables its ``fn`` and ``step`` share: count the clauses with a
     literal b makes true and the terms with a literal b makes false, over
     the clauses that are not tautologies and the terms that are not
-    contradictions, `combine_or`-ed.  It has no step."""
+    contradictions, `combine_or`-ed.  Its step calls ``fn``
+    (`step_from_fn`)."""
 
     def holds(lit, b):
         v = b[abs(lit) - 1]
@@ -263,10 +325,10 @@ def reference_cdnf_utility(f):
     if not terms:
         raise ConstantFunctionError(0)
     n = f.arity
-    g1 = UtilityFunction(
+    g1 = utility_from_fn(
         n, len(clauses), lambda b: sum(any(holds(l, b) for l in cl) for cl in clauses)
     )
-    g0 = UtilityFunction(
+    g0 = utility_from_fn(
         n, len(terms), lambda b: sum(any(holds(-l, b) for l in t) for t in terms)
     )
     return combine_or(g1, g0)
@@ -509,6 +571,83 @@ def reference_alpha(g, d, c) -> float:
     return walk_policy(
         ReferenceDualGreedy(g, d, c), g.arity, leaf_alpha, lambda i, lo, hi: max(lo, hi)
     )
+
+
+def reference_check_dual_feasibility(g, d, c) -> DualCertificate:
+    """`check_dual_feasibility` as first written, the reference for its
+    one fold: a `RunTrace` and a prefix list for each of the 2^n inputs,
+    then every position j against every assignment w of the others, with
+    ``slack`` and ``tight`` keyed by w (j starred), and the objective
+    identity summed input by input."""
+    n = g.arity
+    if n > DUAL_MAX_N:
+        raise LimitError(f"dual check limited to n <= {DUAL_MAX_N}, got {n}")
+    p = as_probabilities(d)
+    cc = as_costs(c)
+
+    # One walk of the policy's decision tree covers all 2^n runs: every
+    # input consistent with a leaf's outcomes produces that leaf's trace.
+    pol = DualGreedyPolicy(g, d, cc)
+    traces = {}
+    prefix_cache = {}
+
+    def leaf(b, state, path):
+        tested = tuple(idx for idx, _ in path)
+        outs = tuple(v for _, v in path)
+        cost = sum(cc[idx] for idx in tested)
+        tr = RunTrace(tested, outs, cost, dual_values=state[0])
+        prefixes = trace_prefixes(tr, n)
+        for a in extensions(b):
+            traces[a] = tr
+            prefix_cache[a] = prefixes
+
+    walk_policy(pol, n, leaf, lambda i, if0, if1: None)
+
+    def prefix_gain(pfx, j, v):
+        _, down, up, _ = pol.gains(pfx)
+        return up[j] if v else down[j]
+
+    slack = {}
+    tight = {}
+    violations = []
+    for j in range(n):
+        for rest in all_assignments(n - 1):
+            a1 = rest[:j] + (1,) + rest[j:]
+            a0 = rest[:j] + (0,) + rest[j:]
+            w = clear(a1, j)
+            t1, t0 = traces[a1], traces[a0]
+            tested1 = j in t1.tested
+            tested0 = j in t0.tested
+            if tested1 != tested0:
+                violations.append((w, "neighbor property violated"))
+                continue
+            h = 0.0
+            for t, y in enumerate(t1.dual_values):
+                if y != 0.0:
+                    h += p[j] * y * prefix_gain(prefix_cache[a1][t], j, 1)
+            for t, y in enumerate(t0.dual_values):
+                if y != 0.0:
+                    h += (1.0 - p[j]) * y * prefix_gain(prefix_cache[a0][t], j, 0)
+            s = cc[j] - h
+            slack[w] = s
+            tight[w] = tested1
+            if tested1 and abs(s) > DUAL_EPS:
+                violations.append((w, f"tested coordinate not tight: slack {s}"))
+            elif not tested1 and s < -DUAL_EPS:
+                violations.append((w, f"dual constraint violated: slack {s}"))
+
+    lhs = 0.0
+    rhs = 0.0
+    for a, tr in traces.items():
+        pa = prob_of(a, p)
+        lhs += pa * tr.total_cost
+        for t, y in enumerate(tr.dual_values):
+            if y == 0.0:
+                continue
+            pfx = prefix_cache[a][t]
+            gain_sum = sum(prefix_gain(pfx, i, v) for i, v in zip(tr.tested, tr.outcomes))
+            rhs += pa * y * gain_sum
+    return DualCertificate(slack, tight, tuple(violations), abs(lhs - rhs), len(traces))
 
 
 def or_threshold(n: int, members) -> ThresholdFormula:

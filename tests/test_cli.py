@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -48,7 +49,7 @@ GOLDEN = {
     "eval disjunction greedy": "46a18441cfb374bc8e2d7869b44e9313b0cf56d89e2b7f8ed8cc1e2b737e6acc",
     "eval disjunction adg": "06fc2916482eeb6282e4f409a9d5d16ef679d7db2bd519b9014927febc6cc36a",
     "eval disjunction baseline": "2342620b6b81b1893ef95c6ba9d2bdd6e580bdad6a5ce54d51303f6da5b955c6",
-    "verify 0": "3de2a079246f56d830fc4c929d9f5228327b41f0e8030c6a417f41264d7884a3",
+    "verify 0": "99b8c5ac90c4e1bb2530b7be89eef3d06b890aada54cdba301287f12e7f28e12",
 }
 
 # Edits of a generated file that `sbfe eval` must reject with exit 2:
@@ -271,6 +272,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--seed", "0")
         assert code == 0
         assert sha256(out) == GOLDEN["verify 0"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dual_feasibility_line_format(self, capsys, seed):
+        # the shape benchmark/checks.py parses the objective gap from
+        code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))
+        assert code == 0
+        lines = [line for line in out.splitlines() if " dual-feasibility " in line]
+        assert len(lines) == 3
+        for line in lines:
+            assert re.fullmatch(
+                r"\[PASS\] dual-feasibility threshold-\d+-\d{3} \(\d+ runs\): "
+                r"objective gap \d\.\d\de[+-]\d\d",
+                line,
+            ), line
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import sbfe.cli as cli_mod

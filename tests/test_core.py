@@ -12,8 +12,10 @@ from helpers import (
     expected_certificate_cost,
     neighbor_property_holds,
     policy_tree,
+    prob_of,
     reference_certificate_table,
     reference_optimum,
+    trace_prefixes,
     tree_tests_on,
 )
 from sbfe.core import (
@@ -33,7 +35,6 @@ from sbfe.core import (
     expected_cost,
     extend,
     optimal_expected_cost,
-    prob_of,
     sample_input,
     to_string,
 )
@@ -375,7 +376,7 @@ class TestRunTrace:
 
     def test_prefixes(self):
         tr = RunTrace((2, 0), (1, 0), 3.0)
-        assert tr.prefixes(3) == (
+        assert trace_prefixes(tr, 3) == (
             (STAR, STAR, STAR),
             (STAR, STAR, 1),
             (0, STAR, 1),

@@ -11,6 +11,8 @@ from helpers import (
     policy_tree,
     reference_alpha,
     restrict,
+    trace_prefixes,
+    utility_from_fn,
 )
 from sbfe.cli import _EVAL
 from sbfe.core import (
@@ -48,7 +50,6 @@ from sbfe.policies import (
 )
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
-    UtilityFunction,
     cdnf_utility,
     constant_zero_utility,
     gains_at,
@@ -81,7 +82,7 @@ class TestAdaptiveGreedy:
         assert tr.tested == () and tr.total_cost == 0.0
 
     def test_stuck_utility_rejected(self):
-        g = UtilityFunction(2, 1, lambda b: 0)
+        g = utility_from_fn(2, 1, lambda b: 0)
         with pytest.raises(InvalidUtilityError):
             adaptive_greedy(g, ProductDistribution.uniform(2), (1.0, 1.0), (1, 1))
 
@@ -97,7 +98,7 @@ class TestAdaptiveGreedy:
             x = (1, 0) * (g.arity // 2) + (1,) * (g.arity % 2)
             tr = adaptive_greedy(g, case.dist, case.costs, x)
             for t, chosen in enumerate(tr.tested):
-                b = tr.prefixes(g.arity)[t]
+                b = trace_prefixes(tr, g.arity)[t]
                 gains = {
                     j: expected_gain(g, b, j, case.dist.p, g.fn(b))
                     for j in range(g.arity)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -19,6 +18,7 @@ from helpers import (
     reference_threshold_utility,
     reference_truth_table_utility,
     tree_decide,
+    utility_from_fn,
 )
 from sbfe.core import (
     STAR,
@@ -31,7 +31,6 @@ from sbfe.core import (
     all_assignments,
     all_partials,
     expected_cost,
-    extend,
     optimal_expected_cost,
     to_string,
 )
@@ -74,7 +73,7 @@ def truncated_modular(n, weights, cap) -> UtilityFunction:
                 total += weights[i][v]
         return min(cap, total)
 
-    return UtilityFunction(n, cap, fn)
+    return utility_from_fn(n, cap, fn)
 
 
 def random_partials(rng, n, count):
@@ -119,7 +118,7 @@ class TestMarginals:
 
     def test_broken_utility_detected(self):
         # goal 2, so the root is short of it and its gains are computed
-        g = UtilityFunction(1, 2, lambda b: 1 if b[0] == STAR else 0)
+        g = utility_from_fn(1, 2, lambda b: 1 if b[0] == STAR else 0)
         with pytest.raises(InvalidUtilityError):
             gains_at(g, (STAR,))
 
@@ -193,7 +192,6 @@ class TestStep:
             for _ in range(3):
                 inst = make(rng, n)
                 g, ref = build(inst), reference(inst)
-                assert g.step is not None
                 for b in all_partials(n):
                     assert gains_at(g, b) == reference_gains_at(ref, b), (kind, b)
 
@@ -213,7 +211,6 @@ class TestStep:
             for _ in range(3):
                 f = gen_truth_table(rng, n)
                 g, ref = truth_table_utility(f), reference_truth_table_utility(f)
-                assert g.step is not None
                 for b in all_partials(n):
                     assert gains_at(g, b) == reference_gains_at(ref, b), b
 
@@ -224,36 +221,19 @@ class TestStep:
         for b in random_partials(rng, 12, 500):
             assert gains_at(g, b) == reference_gains_at(ref, b), b
 
-    def test_fn_fallback_without_step(self):
-        # the path a hand-built utility without a step takes
-        rng = random.Random(47)
-        for n in range(2, 7):
-            g = dataclasses.replace(truth_table_utility(gen_truth_table(rng, n)), step=None)
-            for b in all_partials(n):
-                assert gains_at(g, b) == reference_gains_at(g, b), b
-
     def test_monotonicity_guard_on_step_path(self):
         # setting position 1 to 0, or position 2 to 1, loses utility
         def fn(b):
             return 3 + 2 * sum(v != STAR for v in b) - 3 * (b[1] == 0) - 3 * (b[2] == 1)
 
-        def step(b):
-            return tuple(
-                tuple(fn(extend(b, j, l)) if v == STAR else fn(b) for j, v in enumerate(b))
-                for l in (0, 1)
-            )
-
-        slow = UtilityFunction(3, 100, fn)
-        fast = UtilityFunction(3, 100, fn, step)
+        g = utility_from_fn(3, 100, fn)
         for b in ((STAR, STAR, STAR), (1, STAR, STAR), (STAR, STAR, 0)):
-            with pytest.raises(InvalidUtilityError) as slow_error:
-                gains_at(slow, b)
-            with pytest.raises(InvalidUtilityError) as fast_error:
-                gains_at(fast, b)
             message = f"monotonicity violated at {to_string(b)}, position 1"
-            assert str(fast_error.value) == str(slow_error.value) == message
+            with pytest.raises(InvalidUtilityError) as error:
+                gains_at(g, b)
+            assert str(error.value) == message
             with pytest.raises(InvalidUtilityError, match=message.replace("*", r"\*")):
-                reference_gains_at(slow, b)
+                reference_gains_at(g, b)
 
 
 # the utilities whose fn is one pass: (instance at arity n, utility,
@@ -329,32 +309,32 @@ class TestOnePassFn:
 
 class TestCombinators:
     def test_or_formula(self):
-        g0 = UtilityFunction(1, 3, lambda b: 2)
-        g1 = UtilityFunction(1, 2, lambda b: 1)
+        g0 = utility_from_fn(1, 3, lambda b: 2)
+        g1 = utility_from_fn(1, 2, lambda b: 1)
         g = combine_or(g0, g1)
         assert g.goal == 6
         assert g.fn((STAR,)) == 6 - (3 - 2) * (2 - 1)
 
     def test_or_zero_factor(self):
-        g0 = UtilityFunction(1, 3, lambda b: 3)
-        g1 = UtilityFunction(1, 2, lambda b: 0)
+        g0 = utility_from_fn(1, 3, lambda b: 3)
+        g1 = utility_from_fn(1, 2, lambda b: 0)
         assert combine_or(g0, g1).fn((STAR,)) == 6
 
     def test_or_at_zero(self):
-        g0 = UtilityFunction(1, 3, lambda b: 0)
-        g1 = UtilityFunction(1, 2, lambda b: 0)
+        g0 = utility_from_fn(1, 3, lambda b: 0)
+        g1 = utility_from_fn(1, 2, lambda b: 0)
         assert combine_or(g0, g1).fn((STAR,)) == 0
 
     def test_and_formula(self):
-        g0 = UtilityFunction(1, 3, lambda b: 2)
-        g1 = UtilityFunction(1, 2, lambda b: 2)
+        g0 = utility_from_fn(1, 3, lambda b: 2)
+        g1 = utility_from_fn(1, 2, lambda b: 2)
         g = combine_and_all([g0, g1])
         assert g.goal == 5
         assert g.fn((STAR,)) == 4
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            combine_or(UtilityFunction(1, 1, lambda b: 0), UtilityFunction(2, 1, lambda b: 0))
+            combine_or(utility_from_fn(1, 1, lambda b: 0), utility_from_fn(2, 1, lambda b: 0))
 
     def test_goal_semantics_exhaustive(self):
         # or-combined covers iff either side covers; and-combined iff both
@@ -394,7 +374,7 @@ class TestCombinators:
         assert check_axioms(combine_and_all([g0, g1]), "exhaustive").ok
 
     def test_goal_overflow_rejected(self):
-        big = UtilityFunction(1, 2**32, lambda b: 0)
+        big = utility_from_fn(1, 2**32, lambda b: 0)
         with pytest.raises(LimitError):
             combine_or(big, big)
 

@@ -6,9 +6,14 @@ import pytest
 import sbfe.verify
 from helpers import (
     axiom_utilities,
+    clear,
+    extensions,
     is_full,
+    prob_of,
     reference_check_axioms_exhaustive,
     reference_check_axioms_random,
+    reference_check_dual_feasibility,
+    utility_from_fn,
 )
 from sbfe.core import (
     STAR,
@@ -16,7 +21,6 @@ from sbfe.core import (
     ProductDistribution,
     all_assignments,
     extend,
-    prob_of,
 )
 from sbfe.instances import (
     cdnf_battery,
@@ -46,6 +50,7 @@ from sbfe.utility import (
 )
 from sbfe.verify import (
     AXIOMS_EXHAUSTIVE_MAX_N,
+    DUAL_MAX_N,
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
@@ -69,7 +74,7 @@ class TestAxiomCheck:
     def test_non_submodular_counterexample(self):
         # all the utility arrives with the last test: delaying a test raises
         # its value, so submodularity must fail
-        g = UtilityFunction(2, 1, lambda b: int(is_full(b)))
+        g = utility_from_fn(2, 1, lambda b: int(is_full(b)))
         rep = check_axioms(g, "exhaustive")
         assert not rep.ok
         b, bp, i, l = rep.counterexample
@@ -95,11 +100,11 @@ class TestAxiomCheck:
         assert rep.counterexample == (bad,)
 
     def test_limit(self):
-        g = UtilityFunction(10, 1, lambda b: int(is_full(b)))
+        g = utility_from_fn(10, 1, lambda b: int(is_full(b)))
         with pytest.raises(LimitError):
             check_axioms(g, "exhaustive")
         # at the cap the check runs (and finds the first violation early)
-        g = UtilityFunction(AXIOMS_EXHAUSTIVE_MAX_N, 1, lambda b: int(is_full(b)))
+        g = utility_from_fn(AXIOMS_EXHAUSTIVE_MAX_N, 1, lambda b: int(is_full(b)))
         assert not check_axioms(g, "exhaustive").ok
 
 
@@ -128,10 +133,10 @@ def _assert_replays(g, rep):
 
 
 def _mutants(n: int):
-    yield "full-only", UtilityFunction(n, 1, lambda b: int(is_full(b)))
-    yield "square-of-ones", UtilityFunction(n, n * n, lambda b: sum(v == 1 for v in b) ** 2)
+    yield "full-only", utility_from_fn(n, 1, lambda b: int(is_full(b)))
+    yield "square-of-ones", utility_from_fn(n, n * n, lambda b: sum(v == 1 for v in b) ** 2)
     # a 0 at position 0 takes back what every other test gained
-    yield "non-monotone", UtilityFunction(n, n, lambda b: 0 if b[0] == 0 else n - b.count(STAR))
+    yield "non-monotone", utility_from_fn(n, n, lambda b: 0 if b[0] == 0 else n - b.count(STAR))
 
 
 class TestOneStepAgainstPairwise:
@@ -171,7 +176,7 @@ class TestOneStepAgainstPairwise:
             g = threshold_utility(gen_threshold(rng, n))
             i, j = rng.sample(range(n), 2)
             w = rng.randint(1, 3)
-            bumped = UtilityFunction(
+            bumped = utility_from_fn(
                 n, g.goal + w, lambda b, fn=g.fn, i=i, j=j, w=w: fn(b) + w * (b[i] == b[j] == 1)
             )
             rep = check_axioms(bumped, "exhaustive")
@@ -209,7 +214,7 @@ class TestRandomAxiomStream:
 
     def test_supermodular_counterexample(self):
         # the square of the count of ones: each 1 gains more than the last
-        g = UtilityFunction(8, 64, lambda b: sum(v == 1 for v in b) ** 2)
+        g = utility_from_fn(8, 64, lambda b: sum(v == 1 for v in b) ** 2)
         for seed in range(4):
             rep = check_axioms(g, "random", trials=2000, seed=seed)
             assert not rep.ok and rep.message == "submodularity violated"
@@ -230,7 +235,7 @@ class TestGoalCertificateCheck:
     def test_detects_mismatched_goal(self):
         f = gen_threshold(random.Random(6), 4)
         g = threshold_utility(f)
-        broken = UtilityFunction(g.arity, g.goal + 1, g.fn)
+        broken = UtilityFunction(g.arity, g.goal + 1, g.fn, g.step)
         rep = check_goal_certificate(broken, f)
         assert not rep.ok
 
@@ -273,6 +278,57 @@ class TestDualFeasibility:
             for a in all_assignments(4)
         )
         assert cert.objective_gap <= 1e-6 * max(1.0, lhs)
+
+
+def _criterion_05_cases():
+    """The 50 cases of acceptance criterion 05."""
+    return (
+        threshold_battery(24, seed=1005, n_lo=3, n_hi=7)
+        + cdnf_battery(24, seed=1006, n_lo=3, n_hi=7)
+        + threshold_battery(1, seed=1007, n_lo=9, n_hi=9)
+        + cdnf_battery(1, seed=1008, n_lo=10, n_hi=10)
+    )
+
+
+def _assert_dual_matches_reference(g, case):
+    """The one-fold check gives the verdict and run count of
+    `reference_check_dual_feasibility`, and its (leaf, position) slack and
+    tightness, expanded to every assignment w of the other positions, are
+    the reference's values at w, compared with ``==``."""
+    cert = check_dual_feasibility(g, case.dist, case.costs)
+    ref = reference_check_dual_feasibility(g, case.dist, case.costs)
+    assert (cert.ok, cert.runs) == (ref.ok, ref.runs), case.id
+    covered = set()
+    for (b, j), s in cert.slack.items():
+        for a in extensions(b):
+            w = clear(a, j)
+            assert ref.slack[w] == s and ref.tight[w] == cert.tight[b, j], (case.id, b, j)
+            covered.add(w)
+    assert covered == set(ref.slack), case.id
+    return cert
+
+
+class TestDualFoldAgainstReference:
+    """`check_dual_feasibility` folds one constraint per (leaf, position);
+    `reference_check_dual_feasibility` is the per-input check it replaced."""
+
+    def test_criterion_05_cases(self):
+        cases = _criterion_05_cases()
+        assert len(cases) == 50
+        for case in cases:
+            build = threshold_utility if case.kind == "threshold" else cdnf_utility
+            assert _assert_dual_matches_reference(build(case.f), case).ok
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_verify_batteries(self, seed):
+        # the dual-feasibility battery of `sbfe verify --seed SEED`
+        for case in threshold_battery(3, seed + 6, n_lo=3, n_hi=6):
+            assert _assert_dual_matches_reference(threshold_utility(case.f), case).ok
+
+    def test_at_the_cap(self):
+        case = threshold_battery(1, seed=12, n_lo=DUAL_MAX_N, n_hi=DUAL_MAX_N)[0]
+        cert = _assert_dual_matches_reference(threshold_utility(case.f), case)
+        assert cert.ok and cert.runs == 2**DUAL_MAX_N
 
 
 class TestObservedAlpha:
