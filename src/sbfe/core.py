@@ -80,6 +80,16 @@ def all_assignments(n: int) -> Iterator[Assignment]:
     return itertools.product((0, 1), repeat=n)
 
 
+def rank_sums(coeffs) -> list:
+    """sum(a_i * x_i) at every full assignment, in all_assignments order, by
+    doubling: the positions are added last to first, each one as the new
+    most significant bit of the rank."""
+    sums = [0]
+    for a in reversed(coeffs):
+        sums += [s + a for s in sums]
+    return sums
+
+
 def encode(b: Partial) -> int:
     """Index of b in the 3^n tables: sum of b_i * 3^(n-1-i), so that key
     order is all_partials order and both extensions of b at an untested
@@ -212,21 +222,18 @@ def tree_leaf_paths(t) -> Iterator[tuple]:
 # An instance is any object with an integer ``arity``, an
 # ``evaluate(x) -> label`` method on full assignments, a fast
 # ``certificate(b) -> label | None`` on partial ones, and a flag encoding of
-# its labels: ``flags(x)`` gives K two-bit fields for the label of a full
-# assignment x.  The fields of a partial assignment b are the AND of the
-# fields of its extensions, and b forces a label exactly when every field
-# stays nonzero.  Instances with a Boolean output use ``output_flags``: bit
-# v of the one field means "every extension gives v".
+# its labels: ``flag_planes()`` gives K planes, one per two-bit flag field,
+# each a ``bytes`` of the field's value at every full assignment in
+# all_assignments rank order.  A Boolean output v is the field 1 << v.  The
+# fields of a partial assignment b are the AND of the fields of its
+# extensions, and b forces a label exactly when every field stays nonzero.
+# The planes are built from the instance's own data, never from
+# ``evaluate`` or ``certificate``.
 
 
 def certificate_check(f, b: Partial) -> Optional[object]:
     """Label forced by b, from the instance's own certificate shortcut."""
     return f.certificate(b)
-
-
-def output_flags(f, x: Assignment) -> tuple:
-    """The one flag field of a Boolean output v: 1 << v."""
-    return (1 << f.evaluate(x),)
 
 
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
@@ -237,10 +244,9 @@ def certificate_table(f) -> bytes:
     """Certified mask of every partial assignment b, indexed by encode(b):
     byte 1 where b forces the instance's label, 0 elsewhere.
 
-    Built bottom-up with no certificate call: f.flags encodes the 2^n full
-    assignments, then each flag field's plane takes n whole-plane steps, one
-    per position from last to first.  b is certified where the plane of
-    every field is nonzero.
+    Built bottom-up with no certificate call: each of f.flag_planes() takes
+    n whole-plane steps, one per position from last to first.  b is
+    certified where the plane of every field is nonzero.
     """
     n = f.arity
     if n > OPTIMUM_MAX_N:
@@ -252,8 +258,7 @@ def certificate_table(f) -> bytes:
     # and odd bytes.  Its star slice is their AND, and the three slices
     # become the step position's ternary digit, above the ones made before;
     # after n steps the index is encode(b).
-    for column in zip(*map(f.flags, all_assignments(n))):
-        plane = bytes(column)
+    for plane in f.flag_planes():
         for _ in range(n):
             zero, one = plane[0::2], plane[1::2]
             star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
@@ -351,7 +356,7 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
 
     uncertified = certificate_table(f).translate(_ZERO_ONE_SWAP)
     size = len(uncertified)
-    value = array("d", bytes(8 * size))
+    value = array("d", [0.0]) * size
     weight = [3 ** (n - 1 - i) for i in range(n)]
     step = [(weight[i], 2 * weight[i], cc[i], p[i], 1.0 - p[i]) for i in range(n)]
 
@@ -361,10 +366,11 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
     low_size = 3**low
 
     def untested(positions):
-        return [
-            tuple(step[i] for i, v in zip(positions, digits) if v == STAR)
-            for digits in itertools.product((0, 1, STAR), repeat=len(positions))
-        ]
+        # one position at a time, as the new lowest digit: 0, 1, STAR
+        lists = [()]
+        for i in positions:
+            lists = [t + e for t in lists for e in ((), (), (step[i],))]
+        return lists
 
     # A low position's children sit in the same block, at these indices.
     in_block = [

@@ -15,6 +15,7 @@ from .core import (
     RunTrace,
     as_costs,
     as_probabilities,
+    rank_sums,
 )
 from .policies import adaptive_dual_greedy, adaptive_greedy
 from .utility import (
@@ -123,9 +124,9 @@ class ThresholdSet:
             out.append(v)
         return tuple(out)
 
-    def flags(self, x: Assignment) -> tuple:
-        """One Boolean flag field per member: 1 << its output."""
-        return tuple(1 << v for v in self.evaluate(x))
+    def flag_planes(self) -> tuple:
+        """One Boolean flag plane per member."""
+        return tuple(plane for f in self.formulas for plane in f.flag_planes())
 
     def utility(self) -> UtilityFunction:
         """Sum of the per-formula utilities; covered when every formula is
@@ -186,10 +187,17 @@ class RankingInstance:
                 out.append((le, ge))
         return tuple(out)
 
-    def flags(self, x: Assignment) -> tuple:
-        """One field per pair, le | ge << 1: a pair's order is forced at b
-        while its le flag, or its ge flag, holds on every extension."""
-        return tuple(le | ge << 1 for le, ge in self.evaluate(x))
+    def flag_planes(self) -> tuple:
+        """One field per pair i < j, le | ge << 1: a pair's order is forced
+        at b while its le flag, or its ge flag, holds on every extension.
+        From the sums of f_i - f_j at every rank, the field is 1 where the
+        difference is negative, 2 where positive and 3 where zero."""
+        m = self.sys.m
+        return tuple(
+            bytes([1 if s < 0 else 2 if s > 0 else 3 for s in rank_sums(self.sys.diff(i, j))])
+            for i in range(m)
+            for j in range(i + 1, m)
+        )
 
 
 def ranking_utility(sys: LinearSystem) -> UtilityFunction:

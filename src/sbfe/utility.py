@@ -21,12 +21,16 @@ from .core import (
     InvalidUtilityError,
     LimitError,
     Partial,
-    output_flags,
+    rank_sums,
     to_string,
     tree_leaf_paths,
 )
 
 MAX_GOAL = 2**63 - 1  # goals can blow up combinatorially; fail loudly, never wrap
+
+# A Boolean output v, written as an ASCII digit, to its flag field 1 << v
+# (see core.certificate_table).
+_DIGIT_FLAG = bytes.maketrans(b"01", bytes([1, 2]))
 
 
 @dataclass(frozen=True)
@@ -190,12 +194,12 @@ class CdnfFormula:
         if self.arity <= 12:
             self._check_agreement()
 
-    def _check_agreement(self) -> None:
-        """Raise unless the CNF and the DNF agree at all 2^n assignments.
-        Each literal is one integer over the assignments, bit r set where
-        the literal holds at the assignment of rank r in `all_assignments`
-        order (x_1 most significant); clauses OR their literals, terms AND
-        them, and the first disagreement is the lowest set bit of the XOR."""
+    @cached_property
+    def _rank_sets(self) -> tuple:
+        """(cnf, dnf): bit r of each is set where that form holds at the
+        assignment of rank r in `all_assignments` order (x_1 most
+        significant).  Each literal is one such integer; clauses OR their
+        literals, terms AND them."""
         n = self.arity
         size = 1 << n
         everywhere = (1 << size) - 1
@@ -216,6 +220,14 @@ class CdnfFormula:
             for lit in t:
                 sat &= planes[lit]
             dnf |= sat
+        return cnf, dnf
+
+    def _check_agreement(self) -> None:
+        """Raise unless the CNF and the DNF agree at all 2^n assignments:
+        the first disagreement is the lowest set bit of the XOR of the
+        `_rank_sets`."""
+        n = self.arity
+        cnf, dnf = self._rank_sets
         diff = cnf ^ dnf
         if diff:
             r = (diff & -diff).bit_length() - 1
@@ -258,7 +270,11 @@ class CdnfFormula:
             return 0
         return None
 
-    flags = output_flags
+    def flag_planes(self) -> tuple:
+        """The DNF's rank set as the plane of the field 1 << f(x): its
+        binary digits, lowest rank first."""
+        bits = format(self._rank_sets[1], f"0{1 << self.arity}b")[::-1]
+        return (bits.encode("ascii").translate(_DIGIT_FLAG),)
 
 
 def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
@@ -394,7 +410,10 @@ class ThresholdFormula:
             return 0
         return None
 
-    flags = output_flags
+    def flag_planes(self) -> tuple:
+        """The plane of the field 1 << f(x), from the sums at every rank."""
+        theta = self.theta
+        return (bytes([2 if s >= theta else 1 for s in rank_sums(self.coeffs)]),)
 
 
 def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
@@ -517,7 +536,12 @@ class TruthTable:
             return 0
         return None
 
-    flags = output_flags
+    def flag_planes(self) -> tuple:
+        """The plane of the field 1 << f(x): the table read in rank order,
+        where rank r holds the index sum(x_i << i) of its assignment."""
+        table = self.table
+        index = rank_sums([1 << i for i in range(self.arity)])
+        return (bytes([2 if table[k] else 1 for k in index]),)
 
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:

@@ -83,14 +83,17 @@ def _check_axioms_exhaustive(g: UtilityFunction) -> CheckReport:
         if g.step(b) != tuple(tuple([vb + d for d in h]) for h in here):
             return CheckReport(False, checked, (b,), "step disagrees with fn")
         seen.append((vb, here))
+        # Δ_{i,l}(b) - Δ_{i,l}(b + jm) = Δ_{j,m}(b) - Δ_{j,m}(b + il), so each
+        # pair of positions is compared once, i < j
         for j, m in steps:
             later = seen[key - drop[j][m]][1]
             for i, l in steps:
-                if i != j:
-                    checked += 1
-                    if here[l][i] < later[l][i]:
-                        bp = extend(b, j, m)
-                        return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
+                if i >= j:
+                    break  # steps go in position order
+                checked += 1
+                if here[l][i] < later[l][i]:
+                    bp = extend(b, j, m)
+                    return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
     return CheckReport(True, checked)
 
 
@@ -137,8 +140,8 @@ def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckRep
 def check_goal_certificate(g: UtilityFunction, f) -> CheckReport:
     """The utility reaches its goal exactly on the partial assignments that
     force the instance's output.  Certificates come from the certified
-    mask of certificate_table, built from f.flags on full assignments,
-    independent of the certificate shortcut."""
+    mask of certificate_table, built from the instance's flag planes, which
+    never call the certificate shortcut."""
     n = g.arity
     if n > GOAL_CERTIFICATE_MAX_N:
         raise LimitError(

@@ -412,6 +412,22 @@ def reference_gains_at(g, b):
     return base, tuple(down), tuple(up)
 
 
+def reference_flag_planes(f) -> tuple:
+    """The flag planes as first written, the reference for each kind's
+    `flag_planes`: one `evaluate` per full assignment in `all_assignments`
+    order, its label encoded as the field 1 << v of a Boolean output, one
+    such field per member of a threshold set, or le | ge << 1 per pair of a
+    ranking, and the fields transposed into one plane each."""
+
+    def fields(x):
+        label = f.evaluate(x)
+        if not isinstance(label, tuple):
+            return (1 << label,)
+        return tuple(v[0] | v[1] << 1 if isinstance(v, tuple) else 1 << v for v in label)
+
+    return tuple(bytes(column) for column in zip(*map(fields, all_assignments(f.arity))))
+
+
 def reference_certificate_table(f) -> bytes:
     """The certified mask as first written, the reference for the
     whole-plane `certificate_table`: the planes widen one position at a
@@ -423,8 +439,7 @@ def reference_certificate_table(f) -> bytes:
     # After k rounds the last k positions are ternary and the rest still
     # binary: an index is the binary prefix times 3^k plus the ternary
     # suffix, position 0 most significant in both.
-    for column in zip(*map(f.flags, all_assignments(n))):
-        plane = bytes(column)
+    for plane in reference_flag_planes(f):
         width = 1
         for _ in range(n):
             view = memoryview(plane)

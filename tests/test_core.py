@@ -10,10 +10,12 @@ from helpers import (
     conjunction_formula,
     enumeration_expected_cost,
     expected_certificate_cost,
+    gen_cdnf_with_tautologies,
     neighbor_property_holds,
     policy_tree,
     prob_of,
     reference_certificate_table,
+    reference_flag_planes,
     reference_optimum,
     trace_prefixes,
     tree_tests_on,
@@ -53,8 +55,20 @@ from sbfe.policies import (
     cost_order_policy,
     cp_ratio_policy,
 )
-from sbfe.problems import RankingInstance, disjunction_formula, harmonic_gap_instance
-from sbfe.utility import CdnfFormula, ThresholdFormula, cdnf_utility, threshold_utility
+from sbfe.problems import (
+    RankingInstance,
+    ThresholdSet,
+    disjunction_formula,
+    harmonic_gap_instance,
+)
+from sbfe.utility import (
+    CdnfFormula,
+    LinearSystem,
+    ThresholdFormula,
+    TruthTable,
+    cdnf_utility,
+    threshold_utility,
+)
 
 
 class TestPartialAssignments:
@@ -303,6 +317,66 @@ class TestCertificateTableAgainstReference:
         for case in cases:
             f = _oracle(case)
             assert certificate_table(f) == reference_certificate_table(f), case.id
+
+    def test_planes_never_evaluate(self, monkeypatch):
+        cases = [
+            case
+            for kind, battery in ORACLE_BATTERIES.items()
+            for case in battery(3, seed=47, n_lo=1, n_hi=7)
+        ]
+        expected = [reference_certificate_table(_oracle(case)) for case in cases]
+
+        def refuse(*args):
+            raise AssertionError("the certificate table called evaluate or certificate")
+
+        for cls in (ThresholdFormula, CdnfFormula, TruthTable, ThresholdSet, RankingInstance):
+            monkeypatch.setattr(cls, "evaluate", refuse)
+            monkeypatch.setattr(cls, "certificate", refuse)
+        for case, table in zip(cases, expected):
+            assert certificate_table(_oracle(case)) == table, case.id
+
+
+class TestFlagPlanesAgainstReference:
+    @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
+    def test_every_size(self, kind):
+        cases = ORACLE_BATTERIES[kind](12, seed=50, n_lo=1, n_hi=12)
+        assert sorted(case.f.arity for case in cases) == [*range(1, 13)]
+        for case in cases:
+            f = _oracle(case)
+            assert f.flag_planes() == reference_flag_planes(f), case.id
+
+    def test_tautological_clauses(self):
+        rng = random.Random(51)
+        for n in range(1, 9):
+            f = gen_cdnf_with_tautologies(rng, n)
+            assert f.flag_planes() == reference_flag_planes(f), n
+
+    def test_negative_coefficients(self):
+        for f in (
+            ThresholdFormula((-3, 2, -1, 4), 0),
+            ThresholdFormula((-1, -1, -1), -2),
+            ThresholdFormula((-2, -5, 1, -1, 3), -4),
+        ):
+            assert f.flag_planes() == reference_flag_planes(f), f
+
+    def test_constant_member(self):
+        constant = ThresholdFormula((1, 2, -1), -5)  # always 1
+        assert constant.constant_value() == 1
+        f = ThresholdSet((ThresholdFormula((2, -1, 1), 1), constant))
+        planes = f.flag_planes()
+        assert planes == reference_flag_planes(f)
+        assert planes[1] == bytes([2]) * 8
+
+    def test_equal_rows(self):
+        f = RankingInstance(LinearSystem(((1, -2, 3), (1, -2, 3), (0, 1, -1))))
+        planes = f.flag_planes()
+        assert planes == reference_flag_planes(f)
+        assert planes[0] == bytes([3]) * 8  # f_0 = f_1 everywhere
+
+    def test_one_row(self):
+        f = RankingInstance(LinearSystem(((1, -2, 3),)))
+        assert f.flag_planes() == reference_flag_planes(f) == ()
+        assert certificate_table(f) == bytes([1]) * 27  # no pair, nothing to decide
 
 
 class TestCertificates:

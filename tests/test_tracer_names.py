@@ -54,8 +54,9 @@ def test_tracer_counts_the_optimum_and_the_table_in_verify(monkeypatch, capsys):
 
 
 def test_ranking_table_makes_no_certificate_call(tmp_path, monkeypatch, capsys):
-    # the optimum's table reads RankingInstance.flags, which takes each
-    # pair's order from the function values, not from certificate
+    # the optimum's table reads RankingInstance.flag_planes, which takes
+    # each pair's order from the sums of the coefficient differences, not
+    # from certificate
     tracing, modules = _tracing(monkeypatch)
     path = tmp_path / "ls.json"
     gen = ["gen", "--kind", "linear-system", "--n", "8", "--seed", "3", "--out", str(path)]

@@ -110,8 +110,9 @@ class TestAxiomCheck:
 
 def _one_step_checks(n: int) -> int:
     """Checks a passing exhaustive run reports: at a state with u untested
-    positions, 2u monotonicity checks and 4u(u - 1) one-step comparisons."""
-    return 2 * n * 3 ** (n - 1) + 4 * n * (n - 1) * 3 ** (n - 2)
+    positions, 2u monotonicity checks and 2u(u - 1) one-step comparisons,
+    one per pair of positions i < j and outcomes l, m."""
+    return 2 * n * 3 ** (n - 1) + 2 * n * (n - 1) * 3 ** (n - 2)
 
 
 def _assert_replays(g, rep):
@@ -153,7 +154,7 @@ class TestOneStepAgainstPairwise:
                 assert rep.ok and rep.checked == _one_step_checks(n), (name, n)
 
     def test_check_count(self):
-        assert _one_step_checks(6) == 12636
+        assert _one_step_checks(6) == 7776
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_mutants(self, n):
