@@ -16,11 +16,17 @@ from typing import Optional
 
 from . import instances as inst_mod
 from .core import (
+    STAR,
     ConstantFunctionError,
     LimitError,
+    PolicyError,
+    as_costs,
     expected_cost,
+    extend,
     optimal_expected_cost,
     sample_input,
+    stars,
+    to_string,
 )
 from .instances import Instance, InstanceFormatError
 from .policies import (
@@ -29,7 +35,6 @@ from .policies import (
     bounds,
     cost_order_policy,
     cp_ratio_policy,
-    run_policy,
 )
 from .problems import (
     RankingInstance,
@@ -45,7 +50,6 @@ from .utility import (
     truth_table_utility,
 )
 from .verify import (
-    ALPHA_MAX_N,
     adg_cost_and_alpha,
     check_axioms,
     check_dual_feasibility,
@@ -131,10 +135,39 @@ _EVAL = {
 
 
 def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
+    """Mean run cost of ``policy`` over ``trials`` inputs drawn from the
+    instance's distribution with seeds ``seed``, ``seed + 1``, ...
+
+    The runs go down the policy's tree together: at each node some input
+    reaches, ``next_test`` is asked once and the child states the inputs
+    need are made right after it, as `core.walk_policy` makes them, so the
+    dual greedy's gain record of that node serves every run through it.
+    Each run's cost is summed along its path and the runs' costs in seed
+    order, the floats one `run_policy` per input gives."""
+    n, cc = inst.n, as_costs(inst.costs)
+    xs = [sample_input(inst.dist, seed + k) for k in range(trials)]
+    costs = [0.0] * trials
+
+    def rec(b, state, ks, cost):
+        i = policy.next_test(b, state)
+        if i is None:
+            for k in ks:
+                costs[k] = cost
+            return
+        if not 0 <= i < n or b[i] != STAR:
+            raise PolicyError(f"illegal test {i} at {to_string(b)}")
+        kids = []
+        for v in (0, 1):
+            sub = [k for k in ks if xs[k][i] == v]
+            if sub:
+                kids.append((extend(b, i, v), policy.advance(b, state, i, v), sub))
+        for child, s, sub in kids:
+            rec(child, s, sub, cost + cc[i])
+
+    rec(stars(n), policy.initial_state(), range(trials), 0.0)
     total = 0.0
-    for k in range(trials):
-        x = sample_input(inst.dist, seed + k)
-        total += run_policy(policy, x, inst.n, inst.costs).total_cost
+    for cost in costs:
+        total += cost
     return total / trials
 
 
@@ -191,7 +224,7 @@ def eval_instance(inst: Instance, args) -> dict:
     except ConstantFunctionError:
         engine, cost, bound = "constant", 0.0, 0.0
     else:
-        if engine == "adg" and exact and inst.n <= ALPHA_MAX_N:
+        if engine == "adg" and exact:
             cost, alpha = adg_cost_and_alpha(g, inst.dist, inst.costs)
         policy, bound = engine_policy(engine, g, inst, alpha)
         if alpha is None and exact:

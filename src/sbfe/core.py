@@ -277,15 +277,27 @@ def certificate_table(f) -> bytes:
 # State must be an immutable value so branches of the evaluation can share it.
 
 
-def walk_policy(policy, n: int, leaf, branch):
+def _append_step(path, b, state, i, outcome):
+    return path + ((i, outcome),)
+
+
+def walk_policy(policy, n: int, leaf, branch, grow=_append_step):
     """Fold over the decision tree a policy induces on n positions.
 
     Post-order: ``leaf(b, state, path)`` gives the value where the policy
-    stops, with b the final partial assignment and path the (index, outcome)
-    steps that led there; ``branch(i, if0, if1)`` combines the values of the
-    two outcomes of test i.  Outcome 0 is visited first.  A test that is out
-    of range or already done raises PolicyError; since a legal test needs an
-    untested position, this also stops any path at n tests.
+    stops, with b the final partial assignment; ``branch(i, if0, if1)``
+    combines the values of the two outcomes of test i.  Outcome 0 is
+    visited first.  A test that is out of range or already done raises
+    PolicyError; since a legal test needs an untested position, this also
+    stops any path at n tests.
+
+    ``path`` accumulates down the tree from ``()`` at the root: at a node
+    b that tests i, ``grow(path, b, state, i, outcome)`` is the path of the
+    child, with ``state`` the child's state.  By default a path is the tuple
+    of (index, outcome) steps that led to the node.  Both child states and
+    both child paths are made, right after ``next_test(b, ...)``, before
+    either subtree is walked, so a policy or a ``grow`` may read what
+    ``next_test`` computed at b and nothing of b need outlive that.
     """
 
     def rec(b, state, path):
@@ -294,11 +306,11 @@ def walk_policy(policy, n: int, leaf, branch):
             return leaf(b, state, path)
         if not 0 <= i < n or b[i] != STAR:
             raise PolicyError(f"policy requested illegal test {i} at {to_string(b)}")
-        return branch(
-            i,
-            rec(extend(b, i, 0), policy.advance(b, state, i, 0), path + ((i, 0),)),
-            rec(extend(b, i, 1), policy.advance(b, state, i, 1), path + ((i, 1),)),
-        )
+        s0 = policy.advance(b, state, i, 0)
+        s1 = policy.advance(b, state, i, 1)
+        p0 = grow(path, b, s0, i, 0)
+        p1 = grow(path, b, s1, i, 1)
+        return branch(i, rec(extend(b, i, 0), s0, p0), rec(extend(b, i, 1), s1, p1))
 
     return rec(stars(n), policy.initial_state(), ())
 

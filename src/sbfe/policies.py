@@ -55,26 +55,6 @@ def bounds(g: UtilityFunction) -> BoundReport:
     return BoundReport(lnq, p_bound, p_max)
 
 
-def prefix_ratios(g: UtilityFunction, steps, gains) -> tuple:
-    """(t, ratio) for each prefix t of a run, given as (index, outcome) steps,
-    that is short of the goal: the utility the steps from t on would each add
-    at that prefix, summed, over the utility still missing there.
-
-    ``gains(b)`` gives (g(b), down, up, ...) at a prefix: `gains_at` does, and
-    so does a policy's `GreedyPolicy.gains`, whose record in a dual greedy
-    serves the prefixes of its own runs without calling the utility again."""
-    b = stars(g.arity)
-    samples = []
-    for t, (i, v) in enumerate(steps):
-        base, down, up = gains(b)[:3]
-        denom = g.goal - base
-        if denom > 0:
-            total = sum(up[j] if w else down[j] for j, w in steps[t:])
-            samples.append((t, total / denom))
-        b = extend(b, i, v)
-    return tuple(samples)
-
-
 # ---------------------------------------------------------------------------
 # policies
 
@@ -155,24 +135,29 @@ class DualGreedyPolicy(GreedyPolicy):
     to the credit, in the order of the prefixes, so no earlier prefix is
     ever looked at again.
 
-    Gains depend only on the partial assignment, so `gains(b)` keeps each
-    record: `next_test` and both `advance` calls at b read it, and so do
-    `prefix_ratios` and `check_dual_feasibility` at every leaf whose path
-    passes through b.
+    Gains depend only on the partial assignment, so `gains(b)` keeps the
+    record of the last b it was asked for, and only that one: `next_test`
+    at b makes it, and the `advance` calls at b read it right after, as
+    `core.walk_policy`, `_run` and `cli._sampled_cost` make them.  Runs
+    that should share records go down the tree together, as the sampled
+    runs of `cli._sampled_cost` do, not one after another.  The ``grow`` of a
+    `core.walk_policy` at b may read it too; a caller that needs it further
+    down the subtree of b carries it down the path.  So a walk holds one
+    record at a time, not one per node of the tree.
     """
 
     def __init__(self, g: UtilityFunction, d, c):
         super().__init__(g, d, c)
-        self._gains = {}
+        self._record = None  # (b, gains at b) for the last b asked
 
     def initial_state(self):
         return (), (0.0,) * self.g.arity
 
     def gains(self, b: Partial) -> tuple:
-        rec = self._gains.get(b)
-        if rec is None:
-            rec = self._gains[b] = super().gains(b)
-        return rec
+        rec = self._record
+        if rec is None or rec[0] != b:
+            rec = self._record = (b, super().gains(b))
+        return rec[1]
 
     def next_test(self, b: Partial, state) -> Optional[int]:
         return _cheapest(self.gains(b)[3], [c - cr for c, cr in zip(self.c, state[1])])
@@ -285,8 +270,9 @@ def adaptive_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
 
 def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     """Run the dual-credit greedy; the trace records the dual value given to
-    each prefix of the realized test sequence.  ``prefix_ratios`` of its
-    steps gives the samples that certify the run's approximation factor."""
+    each prefix of the realized test sequence.  The worst per-prefix ratio
+    over every input, the observed alpha that bounds such runs, comes from
+    one tree walk in `verify.adg_cost_and_alpha`."""
     tested, outs, cost, state = _run(DualGreedyPolicy(g, d, c), outcomes, g.arity, c)
     return RunTrace(tested, outs, cost, dual_values=state[0])
 

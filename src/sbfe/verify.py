@@ -15,10 +15,9 @@ from .core import (
     expected_cost,
     extend,
     optimal_expected_cost,
-    stars,
     walk_policy,
 )
-from .policies import DualGreedyPolicy, prefix_ratios
+from .policies import DualGreedyPolicy
 from .utility import UtilityFunction
 
 DUAL_EPS = 1e-9
@@ -26,7 +25,6 @@ DUAL_EPS = 1e-9
 AXIOMS_EXHAUSTIVE_MAX_N = 9
 GOAL_CERTIFICATE_MAX_N = 8
 DUAL_MAX_N = 12
-ALPHA_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -204,6 +202,11 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     is one number per (b, j), from b's prefixes alone.  Also checks that the
     expected run cost equals the dual objective mass (within accumulation
     error), both folded over the tree like `expected_cost`.
+
+    The prefixes' records travel down the path: each prefix S with y != 0
+    keeps (y, down, up, what the run's tests gain at S), and each test
+    below S adds its gain at S to the last field, so a leaf reads no gain
+    record of another node.
     """
     n = g.arity
     if n > DUAL_MAX_N:
@@ -214,15 +217,17 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     tight = {}
     violations = []
 
-    def leaf(b, state, path):
-        # (y, down, up, what the run's tests gain) at each prefix with y != 0
-        records = []
-        pfx = stars(n)
-        for t, ((i, v), y) in enumerate(zip(path, state[0])):
-            if y != 0.0:
-                _, down, up, _ = pol.gains(pfx)
-                records.append((y, down, up, sum(up[k] if w else down[k] for k, w in path[t:])))
-            pfx = extend(pfx, i, v)
+    def grow(records, b, state, i, v):
+        records = [
+            (y, down, up, gained + (up[i] if v else down[i])) for y, down, up, gained in records
+        ]
+        y = state[0][-1]
+        if y != 0.0:
+            _, down, up, _ = pol.gains(b)
+            records.append((y, down, up, up[i] if v else down[i]))
+        return records
+
+    def leaf(b, state, records):
         for j in range(n):
             h = 0.0
             for y, _, up, _ in records:
@@ -250,6 +255,7 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
             p[i] * hi[1] + (1.0 - p[i]) * lo[1],
             lo[2] + hi[2],
         ),
+        grow,
     )
     return DualCertificate(slack, tight, tuple(violations), abs(cost - mass), runs)
 
@@ -260,25 +266,38 @@ def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:
     decision tree.
 
     Every input follows some root-to-leaf path, so the leaf paths cover all
-    (input, prefix) pairs; the ratios read the policy's gain record, so the
-    second quantity costs no utility calls.
+    (input, prefix) pairs.  A prefix S's ratio is the utility the run's
+    tests from S on would each add at S, summed, over goal - g(S).  Each
+    open prefix travels down the path as (goal - g(S), down, up, running
+    sum), and each test below S adds its integer gain at S to the sum, so a
+    leaf's ratios are one division each, read from the policy's gain record
+    at the node that made them: the alpha costs no utility calls.
     """
-    n = g.arity
-    if n > ALPHA_MAX_N:
-        raise LimitError(f"alpha scan limited to n <= {ALPHA_MAX_N}, got {n}")
     pol = DualGreedyPolicy(g, d, c)
-    p, cc = pol.p, pol.c
+    p, cc, goal = pol.p, pol.c, g.goal
+
+    def grow(prefixes, b, state, i, v):
+        prefixes = [
+            (denom, down, up, total + (up[i] if v else down[i]))
+            for denom, down, up, total in prefixes
+        ]
+        # a node that tests is short of the goal, so its denominator is > 0
+        base, down, up, _ = pol.gains(b)
+        prefixes.append((goal - base, down, up, up[i] if v else down[i]))
+        return prefixes
+
     return walk_policy(
         pol,
-        n,
-        lambda b, state, path: (
+        g.arity,
+        lambda b, state, prefixes: (
             0.0,
-            max([1.0] + [r for _, r in prefix_ratios(g, path, pol.gains)]),
+            max([1.0] + [total / denom for denom, _, _, total in prefixes]),
         ),
         lambda i, lo, hi: (
             cc[i] + p[i] * hi[0] + (1.0 - p[i]) * lo[0],
             max(lo[1], hi[1]),
         ),
+        grow,
     )
 
 

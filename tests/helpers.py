@@ -40,6 +40,7 @@ from sbfe.utility import (
     combine_and_all,
     combine_or,
     constant_zero_utility,
+    gains_at,
     ranking_pair_utility,
     threshold_utility,
     truth_table_utility,
@@ -567,6 +568,27 @@ class ReferenceDualGreedy:
         return (ys + (y,), prefixes + (extend(b, i, outcome),))
 
 
+def prefix_ratios(g: UtilityFunction, steps, gains) -> tuple:
+    """(t, ratio) for each prefix t of a run, given as (index, outcome) steps,
+    that is short of the goal: the utility the steps from t on would each add
+    at that prefix, summed, over the utility still missing there.  The
+    reference for the running sums of `verify.adg_cost_and_alpha`: each
+    prefix is walked again from the root, O(n^2) per run.
+
+    ``gains(b)`` gives (g(b), down, up, ...) at a prefix, as `gains_at`
+    does."""
+    b = stars(g.arity)
+    samples = []
+    for t, (i, v) in enumerate(steps):
+        base, down, up = gains(b)[:3]
+        denom = g.goal - base
+        if denom > 0:
+            total = sum(up[j] if w else down[j] for j, w in steps[t:])
+            samples.append((t, total / denom))
+        b = extend(b, i, v)
+    return tuple(samples)
+
+
 def reference_alpha(g, d, c) -> float:
     """Worst per-prefix ratio of `ReferenceDualGreedy` over its decision
     tree, every gain taken from fresh utility calls."""
@@ -618,8 +640,12 @@ def reference_check_dual_feasibility(g, d, c) -> DualCertificate:
 
     walk_policy(pol, n, leaf, lambda i, if0, if1: None)
 
+    records = {}
+
     def prefix_gain(pfx, j, v):
-        _, down, up, _ = pol.gains(pfx)
+        if pfx not in records:
+            records[pfx] = gains_at(g, pfx)
+        _, down, up = records[pfx]
         return up[j] if v else down[j]
 
     slack = {}

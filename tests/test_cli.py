@@ -8,11 +8,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import dataclasses
+
 import pytest
 
+from sbfe import cli
+from sbfe import instances as inst_mod
 from sbfe.cli import main
-from sbfe.core import OPTIMUM_MAX_N, PolicyError
+from sbfe.core import OPTIMUM_MAX_N, PolicyError, extend, sample_input, stars
 from sbfe.instances import KINDS
+from sbfe.policies import run_policy
 
 ENGINES = ("greedy", "adg", "baseline")
 
@@ -180,6 +185,17 @@ class TestEval:
         assert float(cells["ratio"]) <= 3.0 + 1e-6
         assert cells["pass"] == "true"
 
+    def test_adg_row_carries_alpha_above_twelve(self, tmp_path, capsys):
+        # the observed alpha is computed wherever the exact optimum runs
+        path = self._gen(tmp_path, "disjunction", 13, 1)
+        code, out, _ = run_cli(capsys, "eval", str(path), "--engine", "adg")
+        assert code == 0
+        assert out.split("\n")[1] == (
+            "disjunction-n13-s1,disjunction,13,adg,1.7949868243435305,"
+            "1.7714476651759927,1.0132880917852005,1.9230769230769231,"
+            "1.9230769230769231,true"
+        )
+
     def test_json_format_and_kinds(self, tmp_path, capsys):
         paths = [
             self._gen(tmp_path, "cdnf", 5, 2),
@@ -259,6 +275,59 @@ class TestEval:
         _, out1, _ = run_cli(capsys, "eval", str(path), "--engine", "greedy")
         _, out2, _ = run_cli(capsys, "eval", str(path), "--engine", "greedy")
         assert out1 == out2
+
+
+class TestSampledCost:
+    """``eval`` above ``--max-n`` averages sampled runs that go down the
+    policy's tree together."""
+
+    @staticmethod
+    def _instance(tmp_path, kind, n, seed):
+        path = tmp_path / f"{kind}-{n}-{seed}.json"
+        args = ["gen", "--kind", kind, "--n", str(n), "--seed", str(seed), "--out", str(path)]
+        assert main(args) == 0
+        return inst_mod.load(path)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "kind", ["threshold", "thresholds", "cdnf", "truthtable", "linear-system", "disjunction"]
+    )
+    def test_same_float_as_one_run_per_input(self, tmp_path, kind, engine):
+        inst = self._instance(tmp_path, kind, 9, 4)
+        # costs that are not integers, so that the order of the sums shows
+        inst = dataclasses.replace(inst, costs=tuple(c / 3 + 0.1 for c in inst.costs))
+        g = cli._EVAL[kind][0](inst.f)
+        trials, seed = 157, 11
+        total = 0.0
+        for k in range(trials):
+            x = sample_input(inst.dist, seed + k)
+            policy, _ = cli.engine_policy(engine, g, inst)
+            total += run_policy(policy, x, inst.n, inst.costs).total_cost
+        policy, _ = cli.engine_policy(engine, g, inst)
+        assert cli._sampled_cost(policy, inst, trials, seed) == total / trials
+
+    @pytest.mark.parametrize("kind, n", [("threshold", 20), ("thresholds", 16), ("disjunction", 16)])
+    def test_one_record_per_reached_node(self, tmp_path, kind, n):
+        inst = self._instance(tmp_path, kind, n, 1)
+        g = cli._EVAL[kind][0](inst.f)
+        trials, seed = 200, 0
+        reached = set()
+        for k in range(trials):
+            policy, _ = cli.engine_policy("adg", g, inst)
+            trace = run_policy(policy, sample_input(inst.dist, seed + k), inst.n, inst.costs)
+            b = stars(inst.n)
+            for i, v in zip(trace.tested, trace.outcomes):
+                reached.add(b)
+                b = extend(b, i, v)
+        count = [0]
+
+        def step(b):
+            count[0] += 1
+            return g.step(b)
+
+        policy, _ = cli.engine_policy("adg", dataclasses.replace(g, step=step), inst)
+        cli._sampled_cost(policy, inst, trials, seed)
+        assert count[0] == len(reached) > 1
 
 
 class TestVerify:

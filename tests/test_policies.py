@@ -9,6 +9,7 @@ from helpers import (
     enumeration_expected_cost,
     expected_gain,
     policy_tree,
+    prefix_ratios,
     reference_alpha,
     restrict,
     trace_prefixes,
@@ -25,6 +26,7 @@ from sbfe.core import (
     extend,
     optimal_expected_cost,
     stars,
+    tree_leaf_paths,
     walk_policy,
 )
 from sbfe.instances import (
@@ -46,7 +48,6 @@ from sbfe.policies import (
     bounds,
     cost_order_policy,
     cp_ratio_policy,
-    prefix_ratios,
 )
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
@@ -56,7 +57,7 @@ from sbfe.utility import (
     threshold_utility,
 )
 from sbfe.utility import ThresholdFormula
-from sbfe.verify import adg_cost_and_alpha, observed_alpha
+from sbfe.verify import adg_cost_and_alpha, check_dual_feasibility, observed_alpha
 
 
 class TestAdaptiveGreedy:
@@ -264,6 +265,16 @@ class TestDualGreedyAgainstReference:
             assert walk_policy(fast, n, leaf_ys, join) == walk_policy(slow, n, leaf_ys, join)
             cost, alpha = adg_cost_and_alpha(g, d, c)
             assert alpha == reference_alpha(g, d, c) == observed_alpha(g, d, c), case.id
+            # the running sums against each leaf's prefixes summed from the root
+            from_root = walk_policy(
+                slow,
+                n,
+                lambda b, state, path: max(
+                    [1.0] + [r for _, r in prefix_ratios(g, path, lambda b: gains_at(g, b))]
+                ),
+                lambda i, lo, hi: max(lo, hi),
+            )
+            assert alpha == from_root, case.id
             assert cost == expected_cost(slow, d, c) == expected_cost(fast, d, c), case.id
             checked += 1
         assert checked >= 5
@@ -286,6 +297,70 @@ class TestDualGreedyAgainstReference:
             return count[0]
 
         assert calls(DualGreedyPolicy) <= 2 * calls(GreedyPolicy)
+
+
+def _tested_nodes(g, d, c):
+    """The partial assignments where the dual greedy tests, each once."""
+    nodes = set()
+    for path, _ in tree_leaf_paths(policy_tree(DualGreedyPolicy(g, d, c), g.arity, tuple)):
+        b = stars(g.arity)
+        for i, v in path:
+            nodes.add(b)
+            b = extend(b, i, v)
+    return nodes
+
+
+class TestGainRecordsPathScoped:
+    """A walk makes each node's gain record once, from one ``step`` call,
+    and keeps none of them past the node's subtree."""
+
+    @staticmethod
+    def _counting(g):
+        count = [0]
+
+        def step(b):
+            count[0] += 1
+            return g.step(b)
+
+        return dataclasses.replace(g, step=step), count
+
+    @pytest.mark.parametrize("kind", ["cdnf", "threshold", "thresholds", "truthtable"])
+    def test_one_record_per_tested_node(self, kind):
+        walks = {
+            "adg_cost_and_alpha": adg_cost_and_alpha,
+            "check_dual_feasibility": check_dual_feasibility,
+            "expected_cost": lambda g, d, c: expected_cost(DualGreedyPolicy(g, d, c), d, c),
+        }
+        checked = 0
+        for case in _ADG_BATTERIES[kind]()[:6]:
+            try:
+                g = _adg_utility(case)
+            except ConstantFunctionError:
+                continue
+            d, c = case.dist, case.costs
+            tested = len(_tested_nodes(g, d, c))
+            counted, count = self._counting(g)
+            for name, walk in walks.items():
+                count[0] = 0
+                walk(counted, d, c)
+                assert count[0] == tested, (case.id, name)
+            checked += 1
+        assert checked >= 3
+
+    def test_walk_keeps_at_most_one_record(self):
+        case = threshold_battery(1, seed=1004, n_lo=7, n_hi=7)[0]
+        g, count = self._counting(threshold_utility(case.f))
+        d, c = case.dist, case.costs
+        nodes = _tested_nodes(g, d, c)
+        pol = DualGreedyPolicy(g, d, c)
+        expected_cost(pol, d, c)
+        count[0] = 0
+        for b in nodes:
+            pol.gains(b)
+            pol.gains(b)
+        # every node's record is made again, once: the walk kept none of
+        # them, and the record of the node last asked for is kept
+        assert len(nodes) > 1 and count[0] == len(nodes)
 
 
 class TestAlpha:

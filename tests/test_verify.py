@@ -9,6 +9,7 @@ from helpers import (
     clear,
     extensions,
     is_full,
+    prefix_ratios,
     prob_of,
     reference_check_axioms_exhaustive,
     reference_check_axioms_random,
@@ -37,7 +38,6 @@ from sbfe.policies import (
     adaptive_dual_greedy,
     bounds,
     cp_ratio_policy,
-    prefix_ratios,
 )
 from sbfe.problems import ranking_utility
 from sbfe.utility import (
