@@ -116,8 +116,8 @@ class GreedyPolicy:
         base, down, up = gains_at(self.g, b)
         if down is None:
             return base, None, None, None
-        p = self.p
-        return base, down, up, tuple(p[j] * up[j] + (1.0 - p[j]) * down[j] for j in range(len(p)))
+        eg = tuple([pj * uj + (1.0 - pj) * dj for pj, uj, dj in zip(self.p, up, down)])
+        return base, down, up, eg
 
     def next_test(self, b: Partial, state) -> Optional[int]:
         return _cheapest(self.gains(b)[3], self.c)
@@ -167,7 +167,7 @@ class DualGreedyPolicy(GreedyPolicy):
         eg = self.gains(b)[3]
         y = max(0.0, (self.c[i] - credit[i]) / eg[i])
         if y != 0.0:
-            credit = tuple(cr + y * e for cr, e in zip(credit, eg))
+            credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
         return ys + (y,), credit
 
 
@@ -231,10 +231,10 @@ def cost_order_policy(c, f=None) -> FixedOrderPolicy:
 # running policies against concrete outcomes
 
 
-def _run(policy, outcomes, n: int, c) -> tuple:
-    """Drive one run; returns (trace fields, final state)."""
+def _run(policy, outcomes, n: int, cc: tuple) -> tuple:
+    """Drive one run with the validated costs ``cc``; returns (trace
+    fields, final state)."""
     outcomes = tuple(outcomes)
-    cc = as_costs(c)
     b = stars(n)
     state = policy.initial_state()
     tested = []
@@ -258,14 +258,16 @@ def _run(policy, outcomes, n: int, c) -> tuple:
 
 
 def run_policy(policy, outcomes, n: int, c) -> RunTrace:
-    tested, outs, cost, _ = _run(policy, outcomes, n, c)
+    tested, outs, cost, _ = _run(policy, outcomes, n, as_costs(c))
     return RunTrace(tested, outs, cost)
 
 
 def adaptive_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     """Run the expected-gain-per-cost greedy until the utility reaches its
     goal; the tested set then certifies whatever the utility encodes."""
-    return run_policy(GreedyPolicy(g, d, c), outcomes, g.arity, c)
+    policy = GreedyPolicy(g, d, c)
+    tested, outs, cost, _ = _run(policy, outcomes, g.arity, policy.c)
+    return RunTrace(tested, outs, cost)
 
 
 def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
@@ -273,6 +275,7 @@ def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     each prefix of the realized test sequence.  The worst per-prefix ratio
     over every input, the observed alpha that bounds such runs, comes from
     one tree walk in `verify.adg_cost_and_alpha`."""
-    tested, outs, cost, state = _run(DualGreedyPolicy(g, d, c), outcomes, g.arity, c)
+    policy = DualGreedyPolicy(g, d, c)
+    tested, outs, cost, state = _run(policy, outcomes, g.arity, policy.c)
     return RunTrace(tested, outs, cost, dual_values=state[0])
 

@@ -65,8 +65,8 @@ def gains_at(g: UtilityFunction, b: Partial) -> tuple:
     if base >= g.goal:
         return base, None, None
     zero, one = g.step(b)
-    down = tuple(v - base for v in zero)
-    up = tuple(v - base for v in one)
+    down = tuple([v - base for v in zero])
+    up = tuple([v - base for v in one])
     if min(down, default=0) < 0 or min(up, default=0) < 0:
         j = next(j for j in range(len(b)) if down[j] < 0 or up[j] < 0)
         raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
@@ -118,7 +118,7 @@ def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
         goal,
         lambda b: goal - (q0 - f0(b)) * (q1 - f1(b)),
         _combined_step(
-            (g0, g1), lambda vs: tuple(goal - (q0 - v0) * (q1 - v1) for v0, v1 in zip(*vs))
+            (g0, g1), lambda vs: tuple([goal - (q0 - v0) * (q1 - v1) for v0, v1 in zip(*vs)])
         ),
     )
 
@@ -296,19 +296,27 @@ def _hit_count(n: int, hits) -> UtilityFunction:
     closes it."""
 
     def fn(b):
-        return sum(1 for group in hits if any(b[j] == bit for j, bit in group))
+        here = 0
+        for group in hits:
+            for j, bit in group:
+                if b[j] == bit:
+                    here += 1
+                    break
+        return here
 
     def step(b):
         here = 0
         opened = ([0] * len(b), [0] * len(b))  # by the outcome that closes a group
         for group in hits:
-            if any(b[j] == bit for j, bit in group):
-                here += 1
-                continue
             for j, bit in group:
-                if b[j] == STAR:
-                    opened[bit][j] += 1
-        return tuple(here + k for k in opened[0]), tuple(here + k for k in opened[1])
+                if b[j] == bit:
+                    here += 1
+                    break
+            else:
+                for j, bit in group:
+                    if b[j] == STAR:
+                        opened[bit][j] += 1
+        return tuple([here + k for k in opened[0]]), tuple([here + k for k in opened[1]])
 
     return UtilityFunction(n, len(hits), fn, step)
 
@@ -437,7 +445,10 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
     one `_restricted_extrema` of b, and so does ``step`` for every
     extension: with a_j's positive part ap and negative part an, setting
     x_j to 1 raises the minimum by ap and lowers the maximum by an; setting
-    it to 0 raises the minimum by an and lowers the maximum by ap."""
+    it to 0 raises the minimum by an and lowers the maximum by ap.  When
+    either side of b is already full, every extension is covered too and
+    ``step`` returns the goal everywhere at once; otherwise it starts both
+    vectors at g(b) and computes only the untested positions."""
     pos = tuple(max(a, 0) for a in coeffs)
     neg = tuple(max(-a, 0) for a in coeffs)
     lo_full = cap_min - sum(neg)  # the minimum at which its side is full
@@ -445,6 +456,7 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
     goal = cap_min * cap_max
     if goal > MAX_GOAL:
         raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
+    covered = (goal,) * n
 
     def fn(b):
         lo, hi = _restricted_extrema(coeffs, b)
@@ -453,16 +465,19 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
     def step(b):
         lo, hi = _restricted_extrema(coeffs, b)
         need_lo, need_hi = lo_full - lo, hi - hi_full  # each side's distance to full
-        here = goal - max(0, need_lo) * max(0, need_hi)
-        zero = tuple(
-            here if v != STAR else goal - max(0, need_lo - an) * max(0, need_hi - ap)
-            for ap, an, v in zip(pos, neg, b)
-        )
-        one = tuple(
-            here if v != STAR else goal - max(0, need_lo - ap) * max(0, need_hi - an)
-            for ap, an, v in zip(pos, neg, b)
-        )
-        return zero, one
+        if need_lo <= 0 or need_hi <= 0:
+            return covered, covered
+        here = goal - need_lo * need_hi
+        zero = [here] * n
+        one = [here] * n
+        for j, v in enumerate(b):
+            if v == STAR:
+                ap, an = pos[j], neg[j]
+                l, h = need_lo - an, need_hi - ap
+                zero[j] = goal - l * h if l > 0 and h > 0 else goal
+                l, h = need_lo - ap, need_hi - an
+                one[j] = goal - l * h if l > 0 and h > 0 else goal
+        return tuple(zero), tuple(one)
 
     return UtilityFunction(n, goal, fn, step)
 

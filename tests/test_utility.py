@@ -17,6 +17,7 @@ from helpers import (
     reference_ranking_pair_utility,
     reference_threshold_utility,
     reference_truth_table_utility,
+    step_from_fn,
     tree_decide,
     utility_from_fn,
 )
@@ -177,6 +178,54 @@ STEP_KINDS = {
         ),
     ),
 }
+
+
+def _vacuous_side_system(rng, n):
+    """Three functions whose first pair has a vacuous side: f_1 - f_0 is
+    nonnegative term by term, so f_0 <= f_1 holds on every input and that
+    pair's utility has goal 0."""
+    sys = gen_linear_system(rng, 3, n)
+    first = sys.coeffs[0]
+    second = tuple(a + rng.randint(0, 2) for a in first)
+    return LinearSystem((first, second) + sys.coeffs[2:])
+
+
+# STEP_KINDS plus a ranking with a goal-0 pair, whose step is covered at
+# every state
+DIRECT_STEP_KINDS = {
+    **STEP_KINDS,
+    "linear-system-vacuous-side": (
+        _vacuous_side_system,
+        ranking_utility,
+        _reference_ranking_utility,
+    ),
+}
+
+
+class TestStepDirect:
+    """A utility's ``step`` equals `step_from_fn` over the reference
+    utility's ``fn``, compared with ``==`` at every state, covered states
+    included (`gains_at` never calls ``step`` at the goal)."""
+
+    @pytest.mark.parametrize("kind", sorted(DIRECT_STEP_KINDS))
+    def test_every_partial_small(self, kind):
+        make, build, reference = DIRECT_STEP_KINDS[kind]
+        rng = random.Random(47)
+        for n in range(1, 7):
+            for _ in range(3):
+                inst = make(rng, n)
+                g, ref_step = build(inst), step_from_fn(reference(inst).fn)
+                for b in all_partials(n):
+                    assert g.step(b) == ref_step(b), (kind, b)
+
+    @pytest.mark.parametrize("kind", sorted(DIRECT_STEP_KINDS))
+    def test_random_partials_n16(self, kind):
+        make, build, reference = DIRECT_STEP_KINDS[kind]
+        rng = random.Random(16)
+        inst = make(rng, 16)
+        g, ref_step = build(inst), step_from_fn(reference(inst).fn)
+        for b in random_partials(rng, 16, 500):
+            assert g.step(b) == ref_step(b), (kind, b)
 
 
 class TestStep:
