@@ -164,10 +164,6 @@ class CostVector:
     def n(self) -> int:
         return len(self.c)
 
-    @classmethod
-    def unit(cls, n: int) -> "CostVector":
-        return cls((1.0,) * n)
-
 
 def as_probabilities(d) -> tuple:
     if isinstance(d, ProductDistribution):
@@ -219,16 +215,17 @@ def tree_leaf_paths(t) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 # certificates
 
-# An instance is any object with an integer ``arity``, an
-# ``evaluate(x) -> label`` method on full assignments, a fast
-# ``certificate(b) -> label | None`` on partial ones, and a flag encoding of
-# its labels: ``flag_planes()`` gives K planes, one per two-bit flag field,
-# each a ``bytes`` of the field's value at every full assignment in
-# all_assignments rank order.  A Boolean output v is the field 1 << v.  The
-# fields of a partial assignment b are the AND of the fields of its
+# An instance is any object with an integer ``arity``, a fast
+# ``certificate(b) -> label | None`` on partial assignments, and a flag
+# encoding of its labels: ``flag_planes()`` gives K planes, one per two-bit
+# flag field, each a ``bytes`` of the field's value at every full assignment
+# in all_assignments rank order.  A Boolean output v is the field 1 << v.
+# The fields of a partial assignment b are the AND of the fields of its
 # extensions, and b forces a label exactly when every field stays nonzero.
 # The planes are built from the instance's own data, never from
-# ``evaluate`` or ``certificate``.
+# ``certificate``; the optimum and certificate_table read them once per
+# call.  The kinds also define ``evaluate(x)`` on full assignments, for the
+# tests' references; nothing in the package calls it.
 
 
 def certificate_check(f, b: Partial) -> Optional[object]:
@@ -251,6 +248,11 @@ def certificate_table(f) -> bytes:
     n = f.arity
     if n > OPTIMUM_MAX_N:
         raise LimitError(f"certificate table limited to n <= {OPTIMUM_MAX_N}, got {n}")
+    return _certified_mask(f.flag_planes(), n)
+
+
+def _certified_mask(planes, n: int) -> bytes:
+    """certificate_table's mask from flag planes over n positions."""
     size = 3**n
     mask = int.from_bytes(bytes([1]) * size, "little")
     # The positions still binary are the low digits of an index, the last
@@ -258,13 +260,45 @@ def certificate_table(f) -> bytes:
     # and odd bytes.  Its star slice is their AND, and the three slices
     # become the step position's ternary digit, above the ones made before;
     # after n steps the index is encode(b).
-    for plane in f.flag_planes():
+    for plane in planes:
         for _ in range(n):
             zero, one = plane[0::2], plane[1::2]
             star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
             plane = b"".join((zero, one, star.to_bytes(len(zero), "little")))
         mask &= int.from_bytes(plane.translate(_NONZERO_TO_ONE), "little")
     return mask.to_bytes(size, "little")
+
+
+def _squeeze(planes, c) -> tuple:
+    """(planes, kept): the flag planes restricted to the positions kept, in
+    rank order over those, and the kept positions in increasing order.
+
+    A position is dropped when no plane depends on it and its cost is at
+    least 2^-40 of the total.  Planes are read from the last position to
+    the first, each then the least significant binary digit: it is
+    irrelevant where every plane's even bytes equal its odd bytes.  A kept
+    position moves above the others (zero + one); a dropped one keeps its
+    0 slice.
+
+    The cost margin keeps the optimum bitwise equal.  Both children of a
+    test of a dropped i are worth the value W of its parent without i, and
+    c_i + p_i*W + (1-p_i)*W can round a few ulps below W (one 5e-324 step
+    where W is subnormal), which would make it the minimum.  W is at most
+    about the total, so a cost of 2^-40 of it lifts the candidate to W or
+    above.  The test reads c_i * 2^40 >= total, which cannot underflow to
+    0 and let a zero cost through when the total is subnormal.
+    """
+    total = sum(c)
+    kept = []
+    for i in reversed(range(len(c))):
+        halves = [(plane[0::2], plane[1::2]) for plane in planes]
+        if c[i] * 2**40 < total or any(zero != one for zero, one in halves):
+            kept.append(i)
+            planes = [zero + one for zero, one in halves]
+        else:
+            planes = [zero for zero, _ in halves]
+    kept.reverse()
+    return planes, kept
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +376,14 @@ def expected_cost(policy, d, c) -> float:
 def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
     """Minimum expected evaluation cost over all testing strategies.
 
-    Dynamic program over the 3^n partial assignments, indexed by encode(b):
-    a state costs nothing once certificate_table says it forces a label;
+    The positions no flag plane depends on are squeezed out first (see
+    _squeeze): a test of such a position leaves both children worth the
+    same, so it never lowers the minimum, and the program runs on the k
+    positions kept, with their p and c.  The value is bitwise the one over
+    all n positions.
+
+    Dynamic program over the 3^k partial assignments, indexed by encode(b):
+    a state costs nothing once its certified mask says it forces a label;
     otherwise it costs min_i c_i + p_i * OPT(b with i=1) + (1-p_i) *
     OPT(b with i=0) over the untested i.  Both extensions have smaller
     keys, so one pass in key order over the uncertified states fills every
@@ -351,8 +391,8 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
     keys that share their high digits: a block with an uncertified state is
     computed in a Python list, reading its high children as whole earlier
     blocks, and written back in one slice.  A state takes 9 bytes (an 8-byte
-    value and its uncertified mask byte), so n = 14 needs about 43 MB.
-    ``limit`` can only lower the cap OPTIMUM_MAX_N.
+    value and its uncertified mask byte), so k = 14 needs about 43 MB.  The
+    cap applies to n, not k: ``limit`` can only lower it from OPTIMUM_MAX_N.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -366,7 +406,11 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
         if v in (0.0, 1.0):
             raise ValueError(f"p[{i}] = {v}: optimum oracle needs 0 < p_i < 1")
 
-    uncertified = certificate_table(f).translate(_ZERO_ONE_SWAP)
+    planes, kept = _squeeze(f.flag_planes(), cc)
+    n = len(kept)
+    p = [p[i] for i in kept]
+    cc = [cc[i] for i in kept]
+    uncertified = _certified_mask(planes, n).translate(_ZERO_ONE_SWAP)
     size = len(uncertified)
     value = array("d", [0.0]) * size
     weight = [3 ** (n - 1 - i) for i in range(n)]

@@ -491,6 +491,17 @@ def reference_optimum(f, d, c):
     return solve(stars(n))
 
 
+def relevant_positions(f) -> list:
+    """The positions f depends on: i such that flipping x_i changes
+    `f.evaluate(x)` at some full assignment x, by enumeration."""
+    labels = {x: f.evaluate(x) for x in all_assignments(f.arity)}
+    return [
+        i
+        for i in range(f.arity)
+        if any(label != labels[x[:i] + (1 - x[i],) + x[i + 1 :]] for x, label in labels.items())
+    ]
+
+
 def brute_diff_extrema(coeffs, b):
     """(min, max) of sum(coeffs_i * x_i) over extensions of b, by enumeration."""
     vals = [sum(a * v for a, v in zip(coeffs, x)) for x in extensions(b)]

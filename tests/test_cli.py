@@ -55,6 +55,10 @@ GOLDEN = {
     "eval disjunction adg": "06fc2916482eeb6282e4f409a9d5d16ef679d7db2bd519b9014927febc6cc36a",
     "eval disjunction baseline": "2342620b6b81b1893ef95c6ba9d2bdd6e580bdad6a5ce54d51303f6da5b955c6",
     "verify 0": "99b8c5ac90c4e1bb2530b7be89eef3d06b890aada54cdba301287f12e7f28e12",
+    # `eval` of `gen --kind cdnf --n 14 --seed 1`, a formula that reads one
+    # of its 14 positions
+    "eval cdnf-n14-s1 greedy": "b28e0b1ab04ef1bcd55e75f2cb5a0dabbe5fc51f61e366b147c3af3c92333105",
+    "eval cdnf-n14-s1 adg": "e421e38b1d5782eeee6c09b72c73cab7f2eb70ca6a10ec78bc0ea7523ae362f7",
 }
 
 # Edits of a generated file that `sbfe eval` must reject with exit 2:
@@ -259,6 +263,14 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", str(path), "--engine", engine)
         assert code == 0
         assert sha256(out) == GOLDEN[f"eval {kind} {engine}"]
+
+    @pytest.mark.parametrize("engine", ("greedy", "adg"))
+    def test_row_reading_one_of_fourteen(self, tmp_path, capsys, engine):
+        # the optimum runs on the one position the formula reads
+        path = self._gen(tmp_path, "cdnf", 14, 1)
+        code, out, _ = run_cli(capsys, "eval", str(path), "--engine", engine)
+        assert code == 0
+        assert sha256(out) == GOLDEN[f"eval cdnf-n14-s1 {engine}"]
 
     def test_optimum_over_cap_exits_two(self, tmp_path, capsys):
         n = OPTIMUM_MAX_N + 1

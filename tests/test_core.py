@@ -17,9 +17,11 @@ from helpers import (
     reference_certificate_table,
     reference_flag_planes,
     reference_optimum,
+    relevant_positions,
     trace_prefixes,
     tree_tests_on,
 )
+from sbfe import core
 from sbfe.core import (
     STAR,
     CostVector,
@@ -43,6 +45,7 @@ from sbfe.core import (
 from sbfe.instances import (
     cdnf_battery,
     disjunction_battery,
+    generate_instance,
     linear_system_battery,
     threshold_battery,
     threshold_set_battery,
@@ -302,6 +305,134 @@ class TestOptimumAgainstReference:
             assert len(certified) == 3**f.arity, case.id
             for key, b in enumerate(all_partials(f.arity)):
                 assert certified[key] == (f.certificate(b) is not None), (case.id, b)
+
+
+# Costs put on the positions a function ignores, each with the other costs
+# as given, at 1e-300 times that, and at 5e-324 times that.  A position is
+# dropped only when its cost is at least 2^-40 of the total: beside costs
+# of order 1 these all stay, the scaled variants let 1e-300 and 5e-324 go,
+# and 0.0 stays unless every cost is 0.
+IGNORED_COSTS = (0.0, 1e-300, 5e-324)
+COST_SCALES = (1.0, 1e-300, 5e-324)
+
+# Hand-built functions that ignore some positions: (f, p, c, relevant).
+IGNORING = [
+    # 1 + 1 < 6, so only x_0 decides, though x_1 and x_2 have coefficients
+    pytest.param(
+        ThresholdFormula((6, 1, 1), 6), (0.3, 0.6, 0.8), (2.0, 1.0, 1.5), [0], id="threshold"
+    ),
+    # column 0 is equal in both rows, so no order depends on it; columns 1
+    # and 2 are equal to each other, and both matter
+    pytest.param(
+        RankingInstance(LinearSystem(((3, 1, 1, 5), (3, 2, 2, 1)))),
+        (0.4, 0.3, 0.6, 0.7),
+        (1.0, 2.0, 1.0, 3.0),
+        [1, 2, 3],
+        id="linear-system",
+    ),
+    # x_1 matters to neither member (the first is x_0 alone), x_2 only to
+    # the second
+    pytest.param(
+        ThresholdSet((ThresholdFormula((2, 1, 0), 2), ThresholdFormula((1, 0, 1), 1))),
+        (0.5, 0.2, 0.7),
+        (1.0, 1.0, 2.0),
+        [0, 2],
+        id="thresholds",
+    ),
+    # x_0 xor x_2; bit 1 of the index is never read
+    pytest.param(
+        TruthTable(3, tuple((k & 1) ^ (k >> 2 & 1) for k in range(8))),
+        (0.6, 0.5, 0.2),
+        (1.0, 3.0, 2.0),
+        [0, 2],
+        id="truthtable",
+    ),
+    # identically 1
+    pytest.param(ThresholdFormula((1, 2), 0), (0.3, 0.6), (1.0, 2.0), [], id="constant"),
+]
+
+
+def _cost_variants(f, c):
+    """c, then every (ignored cost, scale) pair applied to it."""
+    relevant = set(relevant_positions(f))
+    yield tuple(c)
+    for v in IGNORED_COSTS:
+        for s in COST_SCALES:
+            yield tuple(ci * s if i in relevant else v for i, ci in enumerate(c))
+
+
+class TestSqueezedOptimum:
+    """The optimum drops positions no flag plane depends on; its value must
+    stay bitwise equal to the reference's over all n positions."""
+
+    def test_cdnf_battery(self):
+        cases = cdnf_battery(12, seed=52, n_lo=2, n_hi=7)
+        assert any(len(relevant_positions(case.f)) < case.f.arity for case in cases)
+        for case in cases:
+            for c in _cost_variants(case.f, case.costs):
+                expected = reference_optimum(case.f, case.dist, c)
+                assert optimal_expected_cost(case.f, case.dist, c) == expected, (case.id, c)
+
+    @pytest.mark.parametrize("f, p, c, relevant", IGNORING)
+    def test_ignored_positions(self, f, p, c, relevant):
+        assert relevant_positions(f) == relevant
+        for cc in _cost_variants(f, c):
+            assert optimal_expected_cost(f, p, cc) == reference_optimum(f, p, cc), cc
+
+    def test_zero_cost_ignored_position_moves_the_last_bit(self):
+        # Testing x_0 alone costs 3.0.  Testing the ignored x_1 first, at no
+        # cost, is worth 0.3 * 3.0 + 0.7 * 3.0 = 2.9999999999999996, an ulp
+        # less, so x_1 must stay.
+        f = ThresholdFormula((1, 0), 1)
+        assert reference_optimum(f, (0.5, 0.3), (3.0, 0.0)) == 2.9999999999999996
+        assert optimal_expected_cost(f, (0.5, 0.3), (3.0, 0.0)) == 2.9999999999999996
+
+    def test_subnormal_total_keeps_zero_cost(self):
+        # 0.5 * 5e-324 rounds to 0, so testing the ignored x_1 first at no
+        # cost is worth 0.0.  A margin of 2^-40 * total would underflow to 0
+        # and let x_1 go.
+        f = ThresholdFormula((1, 0), 1)
+        assert reference_optimum(f, (0.3, 0.5), (5e-324, 0.0)) == 0.0
+        assert optimal_expected_cost(f, (0.3, 0.5), (5e-324, 0.0)) == 0.0
+
+
+class TestSqueezedTableSize:
+    """The certified mask is built on the kept positions only."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        made = []
+        build = core._certified_mask
+
+        def spy(planes, n):
+            mask = build(planes, n)
+            made.append(len(mask))
+            return mask
+
+        monkeypatch.setattr(core, "_certified_mask", spy)
+        return made
+
+    def test_reads_k_of_n(self, sizes):
+        case = generate_instance("cdnf", 10, 200)
+        k = len(relevant_positions(case.f))
+        assert k < case.n
+        optimal_expected_cost(case.f, case.dist, case.costs)
+        assert sizes == [3**k]
+
+    @pytest.mark.parametrize("kind", ("disjunction", "truthtable", "threshold"))
+    def test_every_position_read(self, sizes, kind):
+        case = generate_instance(kind, 8, 1)
+        assert relevant_positions(case.f) == list(range(8))
+        optimal_expected_cost(case.f, case.dist, case.costs)
+        assert sizes == [3**8]
+
+    def test_constant_builds_one_state(self, sizes):
+        assert optimal_expected_cost(ThresholdFormula((1, 2), 0), (0.3, 0.6), (1.0, 2.0)) == 0.0
+        assert sizes == [1]
+
+    def test_certificate_table_keeps_every_position(self, sizes):
+        assert len(certificate_table(ThresholdFormula((6, 1, 1), 6))) == 27
+        assert sizes == [27]
 
 
 class TestCertificateTableAgainstReference:
