@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -446,6 +447,7 @@ def trial_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbfe",
@@ -487,9 +489,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one ``sbfe`` command on ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code.  The parser is built on the first call and reused
+    by every later one in the process: parsing fills a fresh namespace each
+    time and never changes the parser, so each call prints the same bytes as
+    a one-shot ``sbfe`` with the same arguments."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     return args.func(args)

@@ -460,7 +460,8 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
 
     def fn(b):
         lo, hi = _restricted_extrema(coeffs, b)
-        return goal - max(0, lo_full - lo) * max(0, hi - hi_full)
+        l, h = lo_full - lo, hi - hi_full
+        return goal - l * h if l > 0 and h > 0 else goal
 
     def step(b):
         lo, hi = _restricted_extrema(coeffs, b)

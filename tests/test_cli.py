@@ -133,6 +133,17 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports sbfe from this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -435,14 +446,7 @@ class TestUsage:
 
     def test_python_dash_m(self, capsys):
         argv = ["gen", "--kind", "truthtable", "--n", "3", "--seed", "1"]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        ))
-        done = subprocess.run(
-            [sys.executable, "-m", "sbfe", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = run_python("-m", "sbfe", *argv)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["format"] == "sbfe-1"
         assert done.stdout == run_cli(capsys, *argv)[1]
@@ -477,3 +481,55 @@ class TestUsage:
             ["gap-demo", "--seed", "1"],
         ):
             assert main(argv) == 2, argv
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, so that this module's import is not reloaded
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *a, **kw):\n"
+            "    built.append(self)\n"
+            "    init(self, *a, **kw)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import sbfe.cli\n"
+            "at_import = len(built)\n"
+            "sbfe.cli.main(['gap-demo', '--ns', '4'])\n"
+            "first = len(built)\n"
+            "sbfe.cli.main(['gap-demo', '--ns', '4'])\n"
+            "print(at_import, first, len(built) - first)\n"
+        )
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        at_import, first, second = map(int, done.stdout.split()[-3:])
+        assert at_import == 0
+        assert first > 0
+        assert second == 0
+
+    def test_mixed_calls_match_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        # n = 10 lies between verify's default --max-n (8) and eval's (14):
+        # a default leaking from one subcommand into the other would sample
+        # the eval row, or run verify's suites at another size
+        path = tmp_path / "t.json"
+        assert main(["gen", "--kind", "threshold", "--n", "10", "--seed", "2",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        calls = (
+            ["eval", str(path)],
+            ["verify"],
+            ["eval", str(path), "--engine", "adg", "--format", "json"],
+            ["eval", str(path), "--engine", "bogus"],
+            ["eval", str(path)],
+        )
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_cli(capsys, *argv) for argv in calls]
+        assert shared == fresh
