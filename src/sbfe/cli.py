@@ -17,17 +17,12 @@ from typing import Optional
 
 from . import instances as inst_mod
 from .core import (
-    STAR,
     ConstantFunctionError,
     LimitError,
-    PolicyError,
     as_costs,
     expected_cost,
-    extend,
     optimal_expected_cost,
     sample_input,
-    stars,
-    to_string,
 )
 from .instances import Instance, InstanceFormatError
 from .policies import (
@@ -36,6 +31,7 @@ from .policies import (
     bounds,
     cost_order_policy,
     cp_ratio_policy,
+    policy_runs,
 )
 from .problems import (
     RankingInstance,
@@ -80,7 +76,9 @@ COLUMNS = (
 )
 RATIO_TOL = 1e-6
 VERIFY_MIN_N = 3  # the smallest size the verify batteries draw
-GAP_DEMO_MAX_N = 512  # expected_cost recurses once per test along the all-zeros path
+# bounds input from outside: the cost-order walk and the exact Fraction harmonic
+# sum grow as n^2 (--ns 4000 took 1.5 s, 16000 took 30 s on a 2-core host)
+GAP_DEMO_MAX_N = 512
 
 
 # ---------------------------------------------------------------------------
@@ -139,35 +137,13 @@ def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
     """Mean run cost of ``policy`` over ``trials`` inputs drawn from the
     instance's distribution with seeds ``seed``, ``seed + 1``, ...
 
-    The runs go down the policy's tree together: at each node some input
-    reaches, ``next_test`` is asked once and the child states the inputs
-    need are made right after it, as `core.walk_policy` makes them, so the
-    dual greedy's gain record of that node serves every run through it.
-    Each run's cost is summed along its path and the runs' costs in seed
-    order, the floats one `run_policy` per input gives."""
-    n, cc = inst.n, as_costs(inst.costs)
+    The runs go down the policy's tree together (`policy_runs`), so each
+    node some input reaches is decided once and the dual greedy's gain
+    record of that node serves every run through it.  The runs' costs are
+    summed in seed order, the floats one `run_policy` per input gives."""
     xs = [sample_input(inst.dist, seed + k) for k in range(trials)]
-    costs = [0.0] * trials
-
-    def rec(b, state, ks, cost):
-        i = policy.next_test(b, state)
-        if i is None:
-            for k in ks:
-                costs[k] = cost
-            return
-        if not 0 <= i < n or b[i] != STAR:
-            raise PolicyError(f"illegal test {i} at {to_string(b)}")
-        kids = []
-        for v in (0, 1):
-            sub = [k for k in ks if xs[k][i] == v]
-            if sub:
-                kids.append((extend(b, i, v), policy.advance(b, state, i, v), sub))
-        for child, s, sub in kids:
-            rec(child, s, sub, cost + cc[i])
-
-    rec(stars(n), policy.initial_state(), range(trials), 0.0)
     total = 0.0
-    for cost in costs:
+    for _, _, cost, _ in policy_runs(policy, xs, inst.n, as_costs(inst.costs)):
         total += cost
     return total / trials
 

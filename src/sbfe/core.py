@@ -315,38 +315,73 @@ def _append_step(path, b, state, i, outcome):
     return path + ((i, outcome),)
 
 
-def walk_policy(policy, n: int, leaf, branch, grow=_append_step):
-    """Fold over the decision tree a policy induces on n positions.
+def walk_policy(policy, n: int, leaf, branch, grow=_append_step, inputs=None):
+    """Send a policy down the decision tree it induces on n positions.
 
-    Post-order: ``leaf(b, state, path)`` gives the value where the policy
-    stops, with b the final partial assignment; ``branch(i, if0, if1)``
-    combines the values of the two outcomes of test i.  Outcome 0 is
-    visited first.  A test that is out of range or already done raises
-    PolicyError; since a legal test needs an untested position, this also
-    stops any path at n tests.
+    ``leaf(b, state, path)`` is the value where the policy stops, b being
+    the final partial assignment.  Without ``inputs`` the walk is a
+    post-order fold of the whole tree: ``branch(i, if0, if1)`` combines the
+    values of the two outcomes of test i, and the root's value is returned.
+    With a list of full assignments as ``inputs``, it visits only the
+    outcomes some input reaches and returns each input's leaf value in input
+    order, asking each leaf once; an outcome it tests that is not a bit
+    raises ValueError.  Outcome 0 goes first.  A test out of range or
+    already done raises PolicyError, which also stops any path at n tests.
+    The walk keeps its own stack, so no tree is too deep for it.
 
-    ``path`` accumulates down the tree from ``()`` at the root: at a node
-    b that tests i, ``grow(path, b, state, i, outcome)`` is the path of the
-    child, with ``state`` the child's state.  By default a path is the tuple
-    of (index, outcome) steps that led to the node.  Both child states and
-    both child paths are made, right after ``next_test(b, ...)``, before
+    ``path`` accumulates down the tree from ``()`` at the root: at a node b
+    that tests i, ``grow(path, b, state, i, outcome)`` is the child's path,
+    ``state`` being the child's state; by default, the tuple of (index,
+    outcome) steps that led there.  The child states and paths of the
+    outcomes to visit are made right after ``next_test(b, ...)``, before
     either subtree is walked, so a policy or a ``grow`` may read what
     ``next_test`` computed at b and nothing of b need outlive that.
     """
-
-    def rec(b, state, path):
-        i = policy.next_test(b, state)
+    next_test, advance = policy.next_test, policy.advance
+    fold = inputs is None
+    values = [] if fold else [None] * len(inputs)  # the fold's value stack
+    # nodes (b, state, path, inputs reaching it), and the fold's pending tests
+    todo = [(stars(n), policy.initial_state(), (), None if fold else range(len(inputs)))]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is int:
+            hi = values.pop()
+            values[-1] = branch(node, values[-1], hi)
+            continue
+        b, state, path, ks = node
+        i = next_test(b, state)
         if i is None:
-            return leaf(b, state, path)
+            value = leaf(b, state, path)
+            if fold:
+                values.append(value)
+            else:
+                for k in ks:
+                    values[k] = value
+            continue
         if not 0 <= i < n or b[i] != STAR:
             raise PolicyError(f"policy requested illegal test {i} at {to_string(b)}")
-        s0 = policy.advance(b, state, i, 0)
-        s1 = policy.advance(b, state, i, 1)
-        p0 = grow(path, b, s0, i, 0)
-        p1 = grow(path, b, s1, i, 1)
-        return branch(i, rec(extend(b, i, 0), s0, p0), rec(extend(b, i, 1), s1, p1))
-
-    return rec(stars(n), policy.initial_state(), ())
+        if fold:
+            todo.append(i)
+            k0 = k1 = None  # both outcomes are visited
+        else:
+            k0, k1 = [], []
+            for k in ks:
+                v = inputs[k][i]
+                if v == 0:
+                    k0.append(k)
+                elif v == 1:
+                    k1.append(k)
+                else:
+                    raise ValueError(f"outcome {v!r} for test {i} is not a bit")
+        if fold or k0:
+            s0 = advance(b, state, i, 0)
+            child0 = (b[:i] + (0,) + b[i + 1 :], s0, grow(path, b, s0, i, 0), k0)
+        if fold or k1:
+            s1 = advance(b, state, i, 1)
+            todo.append((b[:i] + (1,) + b[i + 1 :], s1, grow(path, b, s1, i, 1), k1))
+        if fold or k0:
+            todo.append(child0)
+    return values[0] if fold else values
 
 
 def expected_cost(policy, d, c) -> float:

@@ -3,8 +3,9 @@
 A policy picks the next position to test given the current partial
 assignment and, for the dual-greedy variant, a record of the dual credit
 accumulated along the realized test sequence.  Policy state is an immutable
-value so that exact expected-cost evaluation can branch on both outcomes of
-a test without interference; a concrete run is driven by `run_policy`.
+value so that a walk can branch on both outcomes of a test without
+interference.  Exact costs, sampled costs and single runs (`run_policy`,
+`policy_runs`) all send a policy down its tree in one `core.walk_policy`.
 """
 from __future__ import annotations
 
@@ -16,14 +17,12 @@ from .core import (
     STAR,
     InvalidUtilityError,
     Partial,
-    PolicyError,
     RunTrace,
     as_costs,
     as_probabilities,
     certificate_check,
-    extend,
     stars,
-    to_string,
+    walk_policy,
 )
 from .utility import UtilityFunction, gains_at
 
@@ -138,12 +137,12 @@ class DualGreedyPolicy(GreedyPolicy):
     Gains depend only on the partial assignment, so `gains(b)` keeps the
     record of the last b it was asked for, and only that one: `next_test`
     at b makes it, and the `advance` calls at b read it right after, as
-    `core.walk_policy`, `_run` and `cli._sampled_cost` make them.  Runs
-    that should share records go down the tree together, as the sampled
-    runs of `cli._sampled_cost` do, not one after another.  The ``grow`` of a
-    `core.walk_policy` at b may read it too; a caller that needs it further
-    down the subtree of b carries it down the path.  So a walk holds one
-    record at a time, not one per node of the tree.
+    `core.walk_policy`, the one walk of every exact cost and run, makes
+    them.  Runs that should share records go down the tree together in one
+    walk, as those of `policy_runs` do, not one after another.  The ``grow``
+    of a walk at b may read it too; a caller that needs it further down the
+    subtree of b carries it down the path.  So a walk holds one record at a
+    time, not one per node of the tree.
     """
 
     def __init__(self, g: UtilityFunction, d, c):
@@ -231,34 +230,24 @@ def cost_order_policy(c, f=None) -> FixedOrderPolicy:
 # running policies against concrete outcomes
 
 
-def _run(policy, outcomes, n: int, cc: tuple) -> tuple:
-    """Drive one run with the validated costs ``cc``; returns (trace
-    fields, final state)."""
-    outcomes = tuple(outcomes)
-    b = stars(n)
-    state = policy.initial_state()
-    tested = []
-    outs = []
-    cost = 0.0
-    while True:
-        i = policy.next_test(b, state)
-        if i is None:
-            break
-        if not 0 <= i < n or b[i] != STAR:
-            raise PolicyError(f"illegal test {i} at {to_string(b)}")
-        v = outcomes[i]
-        if v not in (0, 1):
-            raise ValueError(f"outcome {v!r} for test {i} is not a bit")
-        state = policy.advance(b, state, i, v)
-        b = extend(b, i, v)
-        tested.append(i)
-        outs.append(v)
-        cost += cc[i]
-    return tuple(tested), tuple(outs), cost, state
+def policy_runs(policy, inputs, n: int, cc: tuple) -> list:
+    """Per input, (tested, outcomes, cost, final state) of the run of
+    ``policy`` on it with the validated costs ``cc``.  The runs go down the
+    tree together in one `core.walk_policy`, and each cost is summed from
+    the root in test order."""
+
+    def leaf(b, state, path):
+        tested, outs = tuple(zip(*path)) or ((), ())
+        cost = 0.0
+        for i in tested:
+            cost += cc[i]
+        return tested, outs, cost, state
+
+    return walk_policy(policy, n, leaf, None, inputs=inputs)
 
 
 def run_policy(policy, outcomes, n: int, c) -> RunTrace:
-    tested, outs, cost, _ = _run(policy, outcomes, n, as_costs(c))
+    tested, outs, cost, _ = policy_runs(policy, (tuple(outcomes),), n, as_costs(c))[0]
     return RunTrace(tested, outs, cost)
 
 
@@ -266,7 +255,7 @@ def adaptive_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     """Run the expected-gain-per-cost greedy until the utility reaches its
     goal; the tested set then certifies whatever the utility encodes."""
     policy = GreedyPolicy(g, d, c)
-    tested, outs, cost, _ = _run(policy, outcomes, g.arity, policy.c)
+    tested, outs, cost, _ = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
     return RunTrace(tested, outs, cost)
 
 
@@ -276,6 +265,6 @@ def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
     over every input, the observed alpha that bounds such runs, comes from
     one tree walk in `verify.adg_cost_and_alpha`."""
     policy = DualGreedyPolicy(g, d, c)
-    tested, outs, cost, state = _run(policy, outcomes, g.arity, policy.c)
+    tested, outs, cost, state = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
     return RunTrace(tested, outs, cost, dual_values=state[0])
 

@@ -18,6 +18,7 @@ from sbfe.core import (
     InvalidUtilityError,
     Leaf,
     LimitError,
+    PolicyError,
     all_assignments,
     all_partials,
     as_costs,
@@ -30,7 +31,7 @@ from sbfe.core import (
     walk_policy,
 )
 from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
-from sbfe.policies import EPS, DualGreedyPolicy, run_policy
+from sbfe.policies import EPS, DualGreedyPolicy
 from sbfe.utility import (
     CdnfFormula,
     ThresholdFormula,
@@ -110,12 +111,39 @@ def utility_from_fn(n: int, goal: int, fn) -> UtilityFunction:
     return UtilityFunction(n, goal, fn, step_from_fn(fn))
 
 
+def reference_run(policy, outcomes, n: int, cc: tuple) -> tuple:
+    """One run as a plain loop, the reference for the runs `core.walk_policy`
+    makes for `policies.policy_runs`; returns (tested, outcomes, cost, final
+    state) with the validated costs ``cc``."""
+    outcomes = tuple(outcomes)
+    b = stars(n)
+    state = policy.initial_state()
+    tested = []
+    outs = []
+    cost = 0.0
+    while True:
+        i = policy.next_test(b, state)
+        if i is None:
+            break
+        if not 0 <= i < n or b[i] != STAR:
+            raise PolicyError(f"illegal test {i} at {to_string(b)}")
+        v = outcomes[i]
+        if v not in (0, 1):
+            raise ValueError(f"outcome {v!r} for test {i} is not a bit")
+        state = policy.advance(b, state, i, v)
+        b = extend(b, i, v)
+        tested.append(i)
+        outs.append(v)
+        cost += cc[i]
+    return tuple(tested), tuple(outs), cost, state
+
+
 def enumeration_expected_cost(policy, d, c, n: int) -> float:
     """Simulate the policy on every input and weight by that input's mass."""
+    cc = as_costs(c)
     total = 0.0
     for x in all_assignments(n):
-        trace = run_policy(policy, x, n, c)
-        total += prob_of(x, d) * trace.total_cost
+        total += prob_of(x, d) * reference_run(policy, x, n, cc)[2]
     return total
 
 

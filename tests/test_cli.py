@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -12,12 +13,22 @@ import dataclasses
 
 import pytest
 
+from helpers import reference_run
 from sbfe import cli
 from sbfe import instances as inst_mod
 from sbfe.cli import main
-from sbfe.core import OPTIMUM_MAX_N, PolicyError, extend, sample_input, stars
+from sbfe.core import (
+    OPTIMUM_MAX_N,
+    PolicyError,
+    as_costs,
+    expected_cost,
+    extend,
+    sample_input,
+    stars,
+)
 from sbfe.instances import KINDS
-from sbfe.policies import run_policy
+from sbfe.policies import cp_ratio_policy, run_policy
+from sbfe.problems import harmonic_gap_instance
 
 ENGINES = ("greedy", "adg", "baseline")
 
@@ -325,7 +336,7 @@ class TestSampledCost:
         for k in range(trials):
             x = sample_input(inst.dist, seed + k)
             policy, _ = cli.engine_policy(engine, g, inst)
-            total += run_policy(policy, x, inst.n, inst.costs).total_cost
+            total += reference_run(policy, x, inst.n, as_costs(inst.costs))[2]
         policy, _ = cli.engine_policy(engine, g, inst)
         assert cli._sampled_cost(policy, inst, trials, seed) == total / trials
 
@@ -533,3 +544,47 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         fresh = [run_cli(capsys, *argv) for argv in calls]
         assert shared == fresh
+
+
+class TestDeepWalk:
+    """Every walk of a policy keeps its own stack, so no valid file is too
+    deep to evaluate."""
+
+    @staticmethod
+    def _disjunction(tmp_path, n):
+        path = tmp_path / f"disjunction-n{n}.json"
+        payload = {"format": "sbfe-1", "id": f"deep-n{n}", "kind": "disjunction", "n": n,
+                   "p": [0.0005] * n, "c": [1.0] * n}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_eval_at_n_1200(self, capsys, tmp_path):
+        path = self._disjunction(tmp_path, 1200)
+        argv = ("eval", str(path), "--engine", "baseline", "--trials", "2")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2  # the header and one row
+
+    def test_walks_below_a_shallow_recursion_limit(self, tmp_path):
+        inst = inst_mod.load(self._disjunction(tmp_path, 300))
+        g = cli._EVAL["disjunction"][0](inst.f)
+        xs = [sample_input(inst.dist, k) for k in range(2)]
+        policy, _ = cli.engine_policy("greedy", g, inst)
+        runs = [reference_run(policy, x, inst.n, as_costs(inst.costs)) for x in xs]
+        f, d, c = harmonic_gap_instance(512)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            harmonic = expected_cost(cp_ratio_policy(d, c), d, c)
+            got = {}
+            for engine in ("greedy", "adg"):
+                policy, _ = cli.engine_policy(engine, g, inst)
+                got[engine] = cli._sampled_cost(policy, inst, 2, 0)
+            policy, _ = cli.engine_policy("greedy", g, inst)
+            trace = run_policy(policy, xs[0], inst.n, inst.costs)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert harmonic == pytest.approx(float(sum(Fraction(1, t) for t in range(1, 513))))
+        # on unit costs and equal p both policies test in index order
+        assert got["greedy"] == got["adg"] == (runs[0][2] + runs[1][2]) / 2
+        assert (trace.tested, trace.outcomes, trace.total_cost) == runs[0][:3]

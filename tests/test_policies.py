@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 
 import pytest
 
@@ -11,20 +13,25 @@ from helpers import (
     policy_tree,
     prefix_ratios,
     reference_alpha,
+    reference_run,
     restrict,
     trace_prefixes,
     utility_from_fn,
 )
-from sbfe.cli import _EVAL
+from sbfe import cli, problems
+from sbfe.cli import _EVAL, engine_policy
 from sbfe.core import (
     STAR,
     ConstantFunctionError,
     InvalidUtilityError,
+    PolicyError,
     ProductDistribution,
     all_assignments,
+    as_costs,
     expected_cost,
     extend,
     optimal_expected_cost,
+    sample_input,
     stars,
     tree_leaf_paths,
     walk_policy,
@@ -42,12 +49,14 @@ from sbfe.instances import (
 from sbfe.policies import (
     EPS,
     DualGreedyPolicy,
+    FixedOrderPolicy,
     GreedyPolicy,
     adaptive_dual_greedy,
     adaptive_greedy,
     bounds,
     cost_order_policy,
     cp_ratio_policy,
+    run_policy,
 )
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
@@ -435,3 +444,181 @@ class TestFixedOrderPolicies:
             cost = expected_cost(pol, case.dist, case.costs)
             opt = optimal_expected_cost(case.f, case.dist, case.costs)
             assert cost == pytest.approx(opt, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# single runs through the one walk, against the plain loop
+
+# (kind, engine) -> the `sbfe.problems` driver that runs that engine on the
+# kind's utility, as driver(f, d, c, x) -> (answer, trace)
+_DRIVERS = {
+    ("threshold", "greedy"): problems.evaluate_threshold_greedy,
+    ("threshold", "adg"): problems.evaluate_threshold_adg,
+    ("cdnf", "greedy"): problems.evaluate_cdnf,
+    ("disjunction", "greedy"): problems.evaluate_cdnf,
+    ("thresholds", "greedy"): problems.simultaneous_thresholds,
+    ("thresholds", "adg"): lambda f, d, c, x: problems.simultaneous_thresholds(
+        f, d, c, x, engine="adg"
+    ),
+    ("linear-system", "greedy"): problems.rank_linear_functions,
+}
+
+
+class TestRunsAgainstReferenceRun:
+    """`run_policy`, the adaptive runs and the `problems` drivers each take
+    a run from the one-input `core.walk_policy`; `reference_run` is the loop
+    it replaced."""
+
+    @staticmethod
+    def _same(trace, ref, dual=False):
+        tested, outs, cost, state = ref
+        assert (trace.tested, trace.outcomes) == (tested, outs)
+        assert trace.total_cost.hex() == cost.hex()
+        assert trace.dual_values == (state[0] if dual else ())
+
+    @pytest.mark.parametrize("engine", ["greedy", "adg", "baseline"])
+    @pytest.mark.parametrize("kind", sorted(_EVAL))
+    def test_field_by_field(self, kind, engine):
+        driver = _DRIVERS.get((kind, engine))
+        adaptive = {"greedy": adaptive_greedy, "adg": adaptive_dual_greedy}.get(engine)
+        for seed in (1, 2):
+            for n in (6, 9, 12):
+                inst = generate_instance(kind, n, seed)
+                try:
+                    g = _EVAL[kind][0](inst.f)
+                except ConstantFunctionError:
+                    continue
+                d, c, cc = inst.dist, inst.costs, as_costs(inst.costs)
+                for k in range(100):
+                    x = sample_input(d, k)
+                    ref = reference_run(engine_policy(engine, g, inst)[0], x, n, cc)
+                    self._same(run_policy(engine_policy(engine, g, inst)[0], x, n, c), ref)
+                    if adaptive is not None:
+                        self._same(adaptive(g, d, c, x), ref, dual=engine == "adg")
+                    if driver is not None and g.goal > 0:
+                        self._same(driver(inst.f, d, c, x)[1], ref, dual=engine == "adg")
+
+    def test_knapsack(self):
+        for seed in (1, 2):
+            for n in (6, 9, 12):
+                kp = generate_instance("knapsack", n, seed).f
+                f = ThresholdFormula(kp.values, kp.threshold)
+                if f.constant_value() == 1:
+                    continue
+                policy = DualGreedyPolicy(
+                    threshold_utility(f), ProductDistribution.certain_ones(n), kp.weights
+                )
+                tested, _, cost, _ = reference_run(policy, (1,) * n, n, as_costs(kp.weights))
+                items, total = problems.min_knapsack_adg(kp)
+                assert (items, total.hex()) == (tested, cost.hex())
+
+
+class _Recording(DualGreedyPolicy):
+    """The dual greedy, logging every call the walk makes."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def next_test(self, b, state):
+        self.log.append(("next", b))
+        return super().next_test(b, state)
+
+    def advance(self, b, state, i, outcome):
+        self.log.append(("advance", b, i, outcome))
+        return super().advance(b, state, i, outcome)
+
+
+class TestInputWalkOrder:
+    """With inputs, the walk makes the fold's calls in the fold's order,
+    less those of the outcomes no input reaches."""
+
+    def test_calls_are_the_folds_restricted_to_reached_nodes(self):
+        for case in threshold_battery(6, seed=5, n_lo=4, n_hi=6):
+            g = threshold_utility(case.f)
+            n = g.arity
+            fold = _Recording(g, case.dist, case.costs)
+            walk_policy(fold, n, lambda b, s, p: None, lambda i, lo, hi: None)
+            every = _Recording(g, case.dist, case.costs)
+            walk_policy(every, n, lambda b, s, p: None, None, inputs=list(all_assignments(n)))
+            assert every.log == fold.log
+            for seed in range(4):
+                xs = [sample_input(case.dist, 10 * seed + k) for k in range(3)]
+                some = _Recording(g, case.dist, case.costs)
+                walk_policy(some, n, lambda b, s, p: None, None, inputs=xs)
+                reached = {b for call, b, *_ in some.log if call == "next"}
+                want = [
+                    call for call in fold.log
+                    if call[1] in reached
+                    and (call[0] == "next" or extend(*call[1:]) in reached)
+                ]
+                assert some.log == want
+
+
+class _Stubborn:
+    """Tests 0 first, then asks for 0 again."""
+
+    def initial_state(self):
+        return None
+
+    def next_test(self, b, state):
+        return 0
+
+    def advance(self, b, state, i, outcome):
+        return None
+
+
+class _OutOfRange(_Stubborn):
+    def next_test(self, b, state):
+        return len(b)
+
+
+class TestOneIllegalTestCheck:
+    """Exact costs, single runs and sampled rows share one walk, so they
+    reject an illegal test with one message."""
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (_Stubborn(), "policy requested illegal test 0 at 0**"),
+            (_OutOfRange(), "policy requested illegal test 3 at ***"),
+        ],
+    )
+    def test_same_policy_error_everywhere(self, tmp_path, monkeypatch, policy, message):
+        # x_0 = 0 on every sampled input, so each walk fails at the same node
+        p, c = (1e-9, 0.5, 0.5), (1.0, 1.0, 1.0)
+        path = tmp_path / "disjunction.json"
+        payload = {"format": "sbfe-1", "id": "d3", "kind": "disjunction", "n": 3, "p": p, "c": c}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        d = ProductDistribution(p)
+        monkeypatch.setattr(cli, "engine_policy", lambda *args: (policy, 1.0))
+        calls = (
+            lambda: expected_cost(policy, d, c),
+            lambda: run_policy(policy, (0, 1, 1), 3, c),
+            lambda: cli.main(["eval", str(path), "--max-n", "2", "--trials", "5"]),
+        )
+        for call in calls:
+            with pytest.raises(PolicyError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_non_bit_outcome_where_tested(self):
+        c = (1.0, 2.0, 3.0)
+        for x in ((0, 2, 1), (1, "1", 0), (0, None, 0)):
+            want = f"outcome {x[1]!r} for test 1 is not a bit"
+            with pytest.raises(ValueError) as ref:
+                reference_run(FixedOrderPolicy((0, 1, 2)), x, 3, c)
+            assert str(ref.value) == want
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                run_policy(FixedOrderPolicy((0, 1, 2)), x, 3, c)
+            # one bad input stops a walk of many
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                walk_policy(FixedOrderPolicy((0, 1, 2)), 3, lambda b, s, p: p, None,
+                            inputs=[(0, 0, 0), x])
+
+    def test_non_bit_outcome_never_tested_is_ignored(self):
+        policy = FixedOrderPolicy((0, 1, 2), stop=lambda b: 1 in b)
+        x = (1, 7, "?")
+        want = reference_run(policy, x, 3, (1.0, 2.0, 3.0))
+        trace = run_policy(policy, x, 3, (1.0, 2.0, 3.0))
+        assert (trace.tested, trace.outcomes, trace.total_cost) == want[:3] == ((0,), (1,), 1.0)
