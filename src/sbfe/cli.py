@@ -95,16 +95,22 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    """Write a report to the ``--out`` path, or to stdout without one."""
-    if out:
+def _write(text: str, out: Optional[str]) -> int:
+    """Write a report to the ``--out`` path, or to stdout without one, and
+    return 0; a path that cannot be written gives one error line and 2."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
-def _emit_rows(rows, columns, fmt: str, out: Optional[str]) -> None:
+def _emit_rows(rows, columns, fmt: str, out: Optional[str]) -> int:
     if fmt == "json":
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
@@ -112,7 +118,7 @@ def _emit_rows(rows, columns, fmt: str, out: Optional[str]) -> None:
         for row in rows:
             lines.append(",".join(_fmt_cell(row[col]) for col in columns))
         text = "\n".join(lines) + "\n"
-    _write(text, out)
+    return _write(text, out)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +144,8 @@ def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
     instance's distribution with seeds ``seed``, ``seed + 1``, ...
 
     The runs go down the policy's tree together (`policy_runs`), so each
-    node some input reaches is decided once and the dual greedy's gain
-    record of that node serves every run through it.  The runs' costs are
+    node some input reaches is decided once and the greedy's gain record
+    of that node serves every run through it.  The runs' costs are
     summed in seed order, the floats one `run_policy` per input gives."""
     xs = [sample_input(inst.dist, seed + k) for k in range(trials)]
     total = 0.0
@@ -225,7 +231,8 @@ def cmd_eval(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     rows.sort(key=lambda r: r["instance-id"])
-    _emit_rows(rows, COLUMNS, args.format, args.out)
+    if _emit_rows(rows, COLUMNS, args.format, args.out):
+        return 2
     return 0 if all(r["pass"] is not False for r in rows) else 1
 
 
@@ -239,8 +246,7 @@ def cmd_gen(args) -> int:
     except (InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(inst_mod.dumps(inst), args.out)
-    return 0
+    return _write(inst_mod.dumps(inst), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,8 @@ def cmd_verify(args) -> int:
         print(f"error: --max-n must be at least {VERIFY_MIN_N}, got {args.max_n}", file=sys.stderr)
         return 2
     lines = _verify_lines(args)
-    _write("\n".join(line for _, line in lines) + "\n", args.out)
+    if _write("\n".join(line for _, line in lines) + "\n", args.out):
+        return 2
     ok = all(flag for flag, _ in lines)
     if not ok:
         print("verification failed", file=sys.stderr)
@@ -407,8 +414,8 @@ def cmd_gap_demo(args) -> int:
                 "gap": opt / cert if cert else math.inf,
             }
         )
-    _emit_rows(rows, ("n", "opt", "harmonic", "certificate_cost", "gap"), args.format, args.out)
-    return 0
+    columns = ("n", "opt", "harmonic", "certificate_cost", "gap")
+    return _emit_rows(rows, columns, args.format, args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,7 @@ def _squeeze(planes, c) -> tuple:
 #   next_test(b, state) -> index or None (None means stop)
 #   advance(b, state, i, outcome) -> state after observing outcome of test i
 # State must be an immutable value so branches of the evaluation can share it.
+# At a node the walk hands next_test, then advance, the same tuple b (see GreedyPolicy).
 
 
 def _append_step(path, b, state, i, outcome):

@@ -8,6 +8,7 @@ integer, so fixtures never drift across runs.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -111,6 +112,9 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError(f"bad instance payload: {exc}") from exc
     if f.arity != n:
         raise InstanceFormatError("declared n disagrees with the formula arity")
+    # every policy cost and the optimum are at most the total
+    if not math.isfinite(sum(costs)):
+        raise InstanceFormatError("c must have a finite total")
     if row.covering and costs != f.weights:
         raise InstanceFormatError("c must equal the weights: a covering test costs its weight")
     if row.covering and any(v != 1.0 for v in dist.p):

@@ -94,7 +94,19 @@ def _cheapest(eg, cost) -> Optional[int]:
 
 class GreedyPolicy:
     """Test the position with the best expected utility gain per unit cost
-    (see `_cheapest`)."""
+    (see `_cheapest`).  State is g(b), None at the root, where ``fn`` gives
+    it; ``advance`` reads g of the child from the gain record at b.
+
+    Gains depend only on the partial assignment, so `gains(b)` keeps the
+    record of the last b it was asked for, and only that one, keyed by the
+    identity of b (the record holds b, so no other tuple shares its id):
+    `next_test` at b makes it, and the `advance` calls at b read it right
+    after, as `core.walk_policy`, the one walk of every exact cost and run,
+    makes them with the same b.  Runs that should share records go down the
+    tree together in one walk, as those of `policy_runs` do.  A walk's
+    ``grow`` at b may read it too; a caller that needs it further down
+    carries it down the path, so a walk holds one record at a time.
+    """
 
     def __init__(self, g: UtilityFunction, d, c):
         self.g = g
@@ -102,24 +114,30 @@ class GreedyPolicy:
         self.c = as_costs(c)
         if len(self.p) != g.arity or len(self.c) != g.arity:
             raise ValueError("arity mismatch")
+        self._record = None  # (b, gains at b) for the last b asked
 
     def initial_state(self):
         return None
 
-    def advance(self, b, state, i, outcome):
-        return None
-
-    def gains(self, b: Partial) -> tuple:
+    def gains(self, b: Partial, base: Optional[int] = None) -> tuple:
         """(g(b), down, up, eg) at b: `gains_at` plus the expected gains
-        p_j * up_j + (1 - p_j) * down_j; all but g(b) are None at the goal."""
-        base, down, up = gains_at(self.g, b)
-        if down is None:
-            return base, None, None, None
-        eg = tuple([pj * uj + (1.0 - pj) * dj for pj, uj, dj in zip(self.p, up, down)])
-        return base, down, up, eg
+        p_j * up_j + (1 - p_j) * down_j; all but g(b) are None at the goal.
+        ``base``, when given, is g(b)."""
+        rec = self._record
+        if rec is None or rec[0] is not b:
+            base, down, up = gains_at(self.g, b, base)
+            eg = None
+            if down is not None:
+                eg = tuple([pj * uj + (1.0 - pj) * dj for pj, uj, dj in zip(self.p, up, down)])
+            rec = self._record = (b, (base, down, up, eg))
+        return rec[1]
 
     def next_test(self, b: Partial, state) -> Optional[int]:
-        return _cheapest(self.gains(b)[3], self.c)
+        return _cheapest(self.gains(b, state)[3], self.c)
+
+    def advance(self, b: Partial, state, i: int, outcome: int):
+        base, down, up, _ = self.gains(b)
+        return base + (up[i] if outcome else down[i])
 
 
 class DualGreedyPolicy(GreedyPolicy):
@@ -127,47 +145,27 @@ class DualGreedyPolicy(GreedyPolicy):
     minimizes (c_j - credit_j) / (expected gain of j now).  The greedy is
     this policy with zero credit.
 
-    State is ``(ys, credit)``: the dual value y given to each prefix of the
-    realized test sequence when its test was chosen, and per position j the
-    credit, the sum over those prefixes S of y_S * (expected gain of j at S).
-    Closing a prefix with a nonzero y adds y times each expected gain there
-    to the credit, in the order of the prefixes, so no earlier prefix is
-    ever looked at again.
-
-    Gains depend only on the partial assignment, so `gains(b)` keeps the
-    record of the last b it was asked for, and only that one: `next_test`
-    at b makes it, and the `advance` calls at b read it right after, as
-    `core.walk_policy`, the one walk of every exact cost and run, makes
-    them.  Runs that should share records go down the tree together in one
-    walk, as those of `policy_runs` do, not one after another.  The ``grow``
-    of a walk at b may read it too; a caller that needs it further down the
-    subtree of b carries it down the path.  So a walk holds one record at a
-    time, not one per node of the tree.
+    State is ``(ys, credit, g(b))``: the dual value y given to each prefix
+    of the realized test sequence when its test was chosen; per position j
+    the credit, the sum over those prefixes S of y_S * (expected gain of j
+    at S); and the greedy's state.  Closing a prefix with a nonzero y adds y
+    times each expected gain there to the credit, in the order of the
+    prefixes, so no earlier prefix is ever looked at again.
     """
 
-    def __init__(self, g: UtilityFunction, d, c):
-        super().__init__(g, d, c)
-        self._record = None  # (b, gains at b) for the last b asked
-
     def initial_state(self):
-        return (), (0.0,) * self.g.arity
-
-    def gains(self, b: Partial) -> tuple:
-        rec = self._record
-        if rec is None or rec[0] != b:
-            rec = self._record = (b, super().gains(b))
-        return rec[1]
+        return (), (0.0,) * self.g.arity, None
 
     def next_test(self, b: Partial, state) -> Optional[int]:
-        return _cheapest(self.gains(b)[3], [c - cr for c, cr in zip(self.c, state[1])])
+        return _cheapest(self.gains(b, state[2])[3], [c - cr for c, cr in zip(self.c, state[1])])
 
     def advance(self, b: Partial, state, i: int, outcome: int):
-        ys, credit = state
-        eg = self.gains(b)[3]
+        ys, credit, _ = state
+        base, down, up, eg = self.gains(b)
         y = max(0.0, (self.c[i] - credit[i]) / eg[i])
         if y != 0.0:
             credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
-        return ys + (y,), credit
+        return ys + (y,), credit, base + (up[i] if outcome else down[i])
 
 
 class FixedOrderPolicy:

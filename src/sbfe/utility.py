@@ -40,7 +40,8 @@ class UtilityFunction:
     ``step`` gives the values of every one-test extension in one pass:
     ``step(b)`` is ``(zero, one)`` with ``zero[j]`` the value at b with
     position j set to 0 and ``one[j]`` with it set to 1; a tested position
-    carries g(b) in both.
+    carries g(b) in both.  The two must agree: a policy walk calls ``fn``
+    once, at its root, and below it takes g(b) from the parent's ``step``.
     """
 
     arity: int
@@ -55,13 +56,14 @@ class UtilityFunction:
             raise LimitError(f"goal {self.goal} exceeds {MAX_GOAL}")
 
 
-def gains_at(g: UtilityFunction, b: Partial) -> tuple:
+def gains_at(g: UtilityFunction, b: Partial, base: Optional[int] = None) -> tuple:
     """(g(b), down, up) with down[j] and up[j] the utility gained by setting
     position j to 0 and to 1 (0 for tested positions), checked for
     monotonicity.  Once b reaches the goal no test is bought there, so down
-    and up are None and only g(b) is computed.  The extension values come
-    from ``g.step``."""
-    base = g.fn(b)
+    and up are None and ``step`` is not called.  g(b) is ``base`` when given,
+    else one ``g.fn`` call; the extension values come from ``g.step``."""
+    if base is None:
+        base = g.fn(b)
     if base >= g.goal:
         return base, None, None
     zero, one = g.step(b)

@@ -48,8 +48,8 @@ def check_axioms(
     against the same gain one test later, which is equivalent to checking
     every pair (b, b') with b' extending b; random mode samples such pairs.
     Reports the first violating (b, b', i, l) tuple.  Exhaustive mode also
-    checks the utility's ``step``, which `gains_at` reads in place of ``fn``
-    on each extension, against the ``fn`` values at every state and reports
+    checks the utility's ``step``, which policy walks read in place of ``fn``
+    below their root, against the ``fn`` values at every state and reports
     the first state (b,) where they differ.
     """
     if mode == "exhaustive":

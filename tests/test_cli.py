@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import inspect
 import json
@@ -84,6 +85,12 @@ BAD_PAYLOADS = [
     pytest.param("threshold", {"c": lambda c: [math.inf] + c[1:]}, id="c-inf"),
     pytest.param("threshold", {"c": lambda c: [-math.inf] + c[1:]}, id="c-minus-inf"),
     pytest.param("threshold", {"c": lambda c: [10**400] + c[1:]}, id="c-overflow"),
+    # each weight finite, their total not (see test_costs_with_infinite_total_exit_two)
+    pytest.param(
+        "knapsack",
+        {"weights": lambda w: [1e308] * len(w), "c": lambda c: [1e308] * len(c)},
+        id="weights-total-inf",
+    ),
     pytest.param(
         "cdnf", {"clauses": lambda cs: [[True]], "terms": lambda ts: [[True]]}, id="literal-bool"
     ),
@@ -279,6 +286,18 @@ class TestEval:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("engine", ENGINES)
+    def test_costs_with_infinite_total_exit_two(self, tmp_path, capsys, engine):
+        # the parent printed expected_cost=inf, ratio=inf and pass=true here
+        path = tmp_path / "t.json"
+        payload = {
+            "format": "sbfe-1", "kind": "threshold", "n": 3, "coefficients": [1, 2, 3],
+            "theta": 3, "p": [0.5, 0.5, 0.5], "c": [1e308, 1e308, 1e308],
+        }
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "eval", str(path), "--engine", engine)
+        assert (code, out, err) == (2, "", f"error: {path}: c must have a finite total\n")
+
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_and_engine(self, tmp_path, capsys, kind, engine):
         path = self._gen(tmp_path, kind, 5, 3)
@@ -431,6 +450,31 @@ class TestVerify:
                 )
             else:
                 assert g == w
+
+
+class TestUnwritableOut:
+    """``--out`` to a path that cannot be written: one error line and exit 2
+    from every subcommand, no traceback."""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["gen", "eval", "verify", "gap-demo"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, command, where):
+        gen = ["gen", "--kind", "threshold", "--n", "4", "--seed", "1"]
+        inst = tmp_path / "t.json"
+        assert main([*gen, "--out", str(inst)]) == 0
+        args = {
+            "gen": gen,
+            "eval": ["eval", str(inst)],
+            "verify": ["verify", "--max-n", "3", "--trials", "1"],
+            "gap-demo": ["gap-demo", "--ns", "4"],
+        }[command]
+        if where == "directory":
+            out, code = tmp_path, errno.EISDIR
+        else:
+            out, code = tmp_path / "missing" / "x.csv", errno.ENOENT
+        assert run_cli(capsys, *args, "--out", str(out)) == (
+            2, "", f"error: {out}: {os.strerror(code)}\n"
+        )
 
 
 class TestGapDemo:

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import random
 import re
 
 import pytest
 
 from helpers import (
     ReferenceDualGreedy,
+    axiom_utilities,
     conjunction_formula,
     enumeration_expected_cost,
     expected_gain,
@@ -290,7 +292,7 @@ class TestDualGreedyAgainstReference:
 
     def test_utility_calls_within_twice_greedy(self):
         # sbfe gen --kind threshold --n 10 --seed 3; the recomputing
-        # reference makes 12,024 calls here against the greedy's 1,039
+        # reference makes 12,024 calls here, each greedy one, at the root
         inst = generate_instance("threshold", 10, 3, m=2)
         plain = threshold_utility(inst.f)
 
@@ -622,3 +624,100 @@ class TestOneIllegalTestCheck:
         want = reference_run(policy, x, 3, (1.0, 2.0, 3.0))
         trace = run_policy(policy, x, 3, (1.0, 2.0, 3.0))
         assert (trace.tested, trace.outcomes, trace.total_cost) == want[:3] == ((0,), (1,), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# g(b) carried down the tree
+
+
+@pytest.fixture
+def checked_nodes(monkeypatch):
+    """From here on, every greedy and dual-greedy decision checks that the
+    g(b) of its gain record, and the g(b) its state carries below the root,
+    equal ``g.fn(b)`` called directly.  Gives the list of nodes checked."""
+    nodes = []
+    for cls, carried in ((GreedyPolicy, lambda s: s), (DualGreedyPolicy, lambda s: s[2])):
+
+        def next_test(self, b, state, inner=cls.__dict__["next_test"], carried=carried):
+            i = inner(self, b, state)
+            want = self.g.fn(b)
+            assert self.gains(b)[0] == want, b
+            if set(b) == {STAR}:
+                assert carried(state) is None, b
+            else:
+                assert carried(state) == want, b
+            nodes.append(b)
+            return i
+
+        monkeypatch.setattr(cls, "next_test", next_test)
+    return nodes
+
+
+def _carried_cases(name):
+    """(utility, instance giving d and c) pairs at n <= 9: the `sbfe eval`
+    utility of kind ``name``, or for "combine-or" and "combine-and" the
+    combinator of a threshold and a CNF/DNF utility, under a threshold
+    file's d and c."""
+    for seed in (1, 2):
+        for n in (3, 6, 9):
+            if name in _EVAL:
+                inst = generate_instance(name, n, seed)
+                try:
+                    yield _EVAL[name][0](inst.f), inst
+                except ConstantFunctionError:
+                    pass
+            else:
+                inst = generate_instance("threshold", n, seed)
+                yield dict(axiom_utilities(random.Random(seed), n))[name], inst
+
+
+class TestCarriedUtility:
+    """Below the root a greedy walk takes g(b) from the parent's gain
+    record, not from ``fn``."""
+
+    @pytest.mark.parametrize("name", sorted(_EVAL) + ["combine-or", "combine-and"])
+    def test_every_node_agrees_with_fn(self, checked_nodes, name):
+        checked = 0
+        for g, inst in _carried_cases(name):
+            n, d, c = inst.n, inst.dist, inst.costs
+            xs = [sample_input(d, k) for k in range(40)]
+            for cls in (GreedyPolicy, DualGreedyPolicy):
+                expected_cost(cls(g, d, c), d, c)
+                cli._sampled_cost(cls(g, d, c), inst, 40, 0)
+                run_policy(cls(g, d, c), xs[0], n, c)
+            adaptive_greedy(g, d, c, xs[1])
+            adaptive_dual_greedy(g, d, c, xs[2])
+            adg_cost_and_alpha(g, d, c)
+            check_dual_feasibility(g, d, c)
+            checked += 1
+        assert checked >= 4 and checked_nodes
+
+    @pytest.mark.parametrize("kind", sorted(_EVAL))
+    def test_fn_once_per_walk(self, kind):
+        inst = generate_instance(kind, 8, 1)
+        plain = _EVAL[kind][0](inst.f)
+        assert plain.goal > 0
+        count = [0]
+
+        def fn(b):
+            count[0] += 1
+            return plain.fn(b)
+
+        g = dataclasses.replace(plain, fn=fn)
+        n, d, c = inst.n, inst.dist, inst.costs
+        xs = [sample_input(d, k) for k in range(30)]
+        walks = {
+            "adg_cost_and_alpha": lambda: adg_cost_and_alpha(g, d, c),
+            "check_dual_feasibility": lambda: check_dual_feasibility(g, d, c),
+            "adaptive_greedy": lambda: adaptive_greedy(g, d, c, xs[0]),
+            "adaptive_dual_greedy": lambda: adaptive_dual_greedy(g, d, c, xs[0]),
+        }
+        for cls in (GreedyPolicy, DualGreedyPolicy):
+            name = cls.__name__
+            walks[f"expected_cost {name}"] = lambda cls=cls: expected_cost(cls(g, d, c), d, c)
+            walks[f"run_policy {name}"] = lambda cls=cls: run_policy(cls(g, d, c), xs[0], n, c)
+            walks[f"sampled {name}"] = lambda cls=cls: cli._sampled_cost(cls(g, d, c), inst, 30, 0)
+        for name, walk in walks.items():
+            count[0] = 0
+            walk()
+            assert count[0] == 1, name
