@@ -34,7 +34,6 @@ from .policies import (
     policy_runs,
 )
 from .problems import (
-    RankingInstance,
     expected_certificate_cost_disjunction,
     harmonic_gap_instance,
     min_knapsack_adg,
@@ -124,18 +123,19 @@ def _emit_rows(rows, columns, fmt: str, out: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-# kind -> (utility builder, the object the exhaustive optimum and the
-# baseline evaluate, claimed dual-greedy bound from the formula and the
-# observed alpha).  Knapsack is not here: eval_instance solves it directly.
-# The builders are looked up in this module when called, so a caller that
-# replaces sbfe.cli.threshold_utility and the others sees every build.
+# kind -> (utility builder, claimed dual-greedy bound from the formula and
+# the observed alpha).  The exhaustive optimum and the baseline read the
+# instance itself, a linear system included.  Knapsack is not here:
+# eval_instance solves it directly.  The builders are looked up in this
+# module when called, so a caller that replaces sbfe.cli.threshold_utility
+# and the others sees every build.
 _EVAL = {
-    "threshold": (lambda f: threshold_utility(f), lambda f: f, lambda f, alpha: 3.0),
-    "thresholds": (lambda f: f.utility(), lambda f: f, lambda f, alpha: float(f.d_max)),
-    "cdnf": (lambda f: cdnf_utility(f), lambda f: f, lambda f, alpha: alpha),
-    "truthtable": (lambda f: truth_table_utility(f), lambda f: f, lambda f, alpha: alpha),
-    "linear-system": (lambda f: ranking_utility(f), RankingInstance, lambda f, alpha: alpha),
-    "disjunction": (lambda f: cdnf_utility(f), lambda f: f, lambda f, alpha: alpha),
+    "threshold": (lambda f: threshold_utility(f), lambda f, alpha: 3.0),
+    "thresholds": (lambda f: f.utility(), lambda f, alpha: float(f.d_max)),
+    "cdnf": (lambda f: cdnf_utility(f), lambda f, alpha: alpha),
+    "truthtable": (lambda f: truth_table_utility(f), lambda f, alpha: alpha),
+    "linear-system": (lambda f: ranking_utility(f), lambda f, alpha: alpha),
+    "disjunction": (lambda f: cdnf_utility(f), lambda f, alpha: alpha),
 }
 
 
@@ -182,10 +182,10 @@ def engine_policy(engine: str, g, inst: Instance, alpha: Optional[float] = None)
     ``alpha``) for adg, and n for the increasing-cost baseline."""
     if engine == "greedy":
         return GreedyPolicy(g, inst.dist, inst.costs), bounds(g).lnq_bound
-    _, oracle, adg_bound = _EVAL[inst.kind]
     if engine == "adg":
+        adg_bound = _EVAL[inst.kind][1]
         return DualGreedyPolicy(g, inst.dist, inst.costs), adg_bound(inst.f, alpha)
-    return cost_order_policy(inst.costs, oracle(inst.f)), float(inst.n)
+    return cost_order_policy(inst.costs, inst.f), float(inst.n)
 
 
 def eval_instance(inst: Instance, args) -> dict:
@@ -195,12 +195,12 @@ def eval_instance(inst: Instance, args) -> dict:
         _, opt = min_knapsack_bruteforce(inst.f)
         return _report_row(inst, "adg", cost, opt, 2.0, None)
 
-    build, oracle, _ = _EVAL[inst.kind]
+    build = _EVAL[inst.kind][0]
     exact = inst.n <= args.max_n
     # The optimum goes first, so that one over OPTIMUM_MAX_N fails at once.
     opt = None
     if exact:
-        opt = optimal_expected_cost(oracle(inst.f), inst.dist, inst.costs)
+        opt = optimal_expected_cost(inst.f, inst.dist, inst.costs)
     engine, alpha = args.engine, None
     try:
         g = build(inst.f)

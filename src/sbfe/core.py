@@ -132,14 +132,6 @@ class ProductDistribution:
             if self.mode == "sbfe" and (v == 0.0 or v == 1.0):
                 raise ValueError(f"p[{i}] = {v} not allowed: must be strictly in (0, 1)")
 
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    @classmethod
-    def uniform(cls, n: int, p: float = 0.5) -> "ProductDistribution":
-        return cls((p,) * n)
-
     @classmethod
     def certain_ones(cls, n: int) -> "ProductDistribution":
         """Deterministic all-ones outcomes (covering mode)."""
@@ -159,10 +151,6 @@ class CostVector:
                 raise ValueError(f"c[{i}] = {v} is not finite")
             if v < 0:
                 raise ValueError(f"c[{i}] = {v} is negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
 
 
 def as_probabilities(d) -> tuple:
@@ -224,8 +212,10 @@ def tree_leaf_paths(t) -> Iterator[tuple]:
 # extensions, and b forces a label exactly when every field stays nonzero.
 # The planes are built from the instance's own data, never from
 # ``certificate``; the optimum and certificate_table read them once per
-# call.  The kinds also define ``evaluate(x)`` on full assignments, for the
-# tests' references; nothing in the package calls it.
+# call.  A kind whose utility builder short-cuts constant functions also
+# has ``constant_value() -> label | None``.  That is the whole protocol: no
+# instance evaluates a full assignment, and the tests' reference
+# ``evaluate`` reads each kind's raw fields instead.
 
 
 def certificate_check(f, b: Partial) -> Optional[object]:

@@ -64,6 +64,16 @@ def _numbers(values, field: str) -> list:
     return values
 
 
+def _ident(v) -> str:
+    """The ``id`` field: a string that fits in one CSV cell as it is, so
+    it holds no comma, double quote, CR or LF."""
+    if not isinstance(v, str):
+        raise InstanceFormatError(f"id must be a string, got {v!r}")
+    if any(ch in v for ch in ',"\r\n'):
+        raise InstanceFormatError(f"id must not hold a comma, quote or line break, got {v!r}")
+    return v
+
+
 def _threshold_fields(f: ThresholdFormula) -> dict:
     return {"coefficients": list(f.coeffs), "theta": f.theta}
 
@@ -96,7 +106,7 @@ def instance_from_dict(data: dict) -> Instance:
         kind = data["kind"]
         row = _kind(kind)
         n = _int(data["n"], "n")
-        ident = str(data.get("id", f"{kind}-n{n}"))
+        ident = _ident(data.get("id", f"{kind}-n{n}"))
         dist = ProductDistribution(_numbers(data["p"], "p"), "sssc" if row.covering else "sbfe")
         costs = CostVector(_numbers(data["c"], "c")).c
         # n is held to the lengths of p and c before a formula of arity n is

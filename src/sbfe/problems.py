@@ -7,7 +7,6 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .core import (
-    Assignment,
     ConstantFunctionError,
     LimitError,
     Partial,
@@ -15,7 +14,6 @@ from .core import (
     RunTrace,
     as_costs,
     as_probabilities,
-    rank_sums,
 )
 from .policies import adaptive_dual_greedy, adaptive_greedy
 from .utility import (
@@ -112,9 +110,6 @@ class ThresholdSet:
     def d_max(self) -> int:
         return max(f.total_magnitude for f in self.formulas)
 
-    def evaluate(self, x: Assignment) -> tuple:
-        return tuple(f.evaluate(x) for f in self.formulas)
-
     def certificate(self, b: Partial) -> Optional[tuple]:
         out = []
         for f in self.formulas:
@@ -159,45 +154,9 @@ class RankingResult:
     equality_classes: tuple
 
 
-@dataclass(frozen=True)
-class RankingInstance:
-    """Wrapper giving a linear system the instance interface: the output is
-    determined once every pairwise order is decided."""
-
-    sys: LinearSystem
-
-    @property
-    def arity(self) -> int:
-        return self.sys.arity
-
-    def evaluate(self, x: Assignment) -> tuple:
-        """(f_i(x) <= f_j(x), f_i(x) >= f_j(x)) for each pair i < j."""
-        values = [self.sys.value(j, x) for j in range(self.sys.m)]
-        return tuple(
-            (vi <= vj, vi >= vj) for i, vi in enumerate(values) for vj in values[i + 1 :]
-        )
-
-    def certificate(self, b: Partial) -> Optional[tuple]:
-        out = []
-        for i in range(self.sys.m):
-            for j in range(i + 1, self.sys.m):
-                le, ge = self.sys.known_order(i, j, b)
-                if not (le or ge):
-                    return None
-                out.append((le, ge))
-        return tuple(out)
-
-    def flag_planes(self) -> tuple:
-        """One field per pair i < j, le | ge << 1: a pair's order is forced
-        at b while its le flag, or its ge flag, holds on every extension.
-        From the sums of f_i - f_j at every rank, the field is 1 where the
-        difference is negative, 2 where positive and 3 where zero."""
-        m = self.sys.m
-        return tuple(
-            bytes([1 if s < 0 else 2 if s > 0 else 3 for s in rank_sums(self.sys.diff(i, j))])
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
+# A linear system is its own instance.  The old name stays only because
+# benchmark/tracer.py patches problems.RankingInstance.certificate by name.
+RankingInstance = LinearSystem
 
 
 def ranking_utility(sys: LinearSystem) -> UtilityFunction:

@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .core import (
+    OPTIMUM_MAX_N,
     STAR,
-    Assignment,
     ConstantFunctionError,
     InvalidUtilityError,
     LimitError,
@@ -167,14 +167,17 @@ class CdnfFormula:
     """A Boolean function given simultaneously as a CNF and a DNF.
 
     ``clauses`` and ``terms`` are frozensets of signed 1-based literals.
-    Both representations must compute the same function; this is checked
-    at every assignment for arity <= 12, by bit planes over the 2^n
-    assignments (`_check_agreement`), and is a caller obligation above that.
+    Both representations must compute the same function.  Up to arity
+    OPTIMUM_MAX_N this is checked at every assignment, by bit planes over
+    the 2^n assignments (`_check_agreement`); above it only the polynomial
+    half is, that the DNF implies the CNF (`_check_implication`), and the
+    converse is a caller obligation.
     A clause containing complementary literals is a tautology and a term
     containing them is a contradiction; neither changes the function, and
-    both are left out of the `_hits` tables that `evaluate`, `certificate`,
-    `constant_value` and `cdnf_utility` read.  A formula whose clauses are
-    all tautologies (terms all contradictions) is identically 1 (0).
+    both are left out of the `_hits` tables that `certificate`,
+    `constant_value`, `flag_planes`, both agreement checks and
+    `cdnf_utility` read.  A formula whose clauses are all tautologies
+    (terms all contradictions) is identically 1 (0).
     """
 
     arity: int
@@ -193,34 +196,37 @@ class CdnfFormula:
                 for lit in lits:
                     if lit == 0 or abs(lit) > self.arity:
                         raise ValueError(f"literal {lit} out of range for arity {self.arity}")
-        if self.arity <= 12:
+        if self.arity <= OPTIMUM_MAX_N:
             self._check_agreement()
+        else:
+            self._check_implication()
 
     @cached_property
     def _rank_sets(self) -> tuple:
         """(cnf, dnf): bit r of each is set where that form holds at the
         assignment of rank r in `all_assignments` order (x_1 most
-        significant).  Each literal is one such integer; clauses OR their
-        literals, terms AND them."""
+        significant).  Each (position, bit) pair is one such integer;
+        clauses OR the pairs that satisfy them, terms AND the complements
+        of the pairs that falsify them."""
         n = self.arity
         size = 1 << n
         everywhere = (1 << size) - 1
-        planes = {}
-        for i in range(1, n + 1):
-            h = 1 << (n - i)  # x_i flips every h ranks, starting at 0
-            planes[i] = int(("1" * h + "0" * h) * (size // (2 * h)), 2)
-            planes[-i] = planes[i] ^ everywhere
+        holds = []  # holds[j][bit]: the ranks where x_j == bit
+        for j in range(n):
+            h = 1 << (n - 1 - j)  # position j flips every h ranks, starting at 0
+            one = int(("1" * h + "0" * h) * (size // (2 * h)), 2)
+            holds.append((one ^ everywhere, one))
         cnf = everywhere
-        for cl in self.clauses:
+        for hits in self._clause_hits:
             sat = 0
-            for lit in cl:
-                sat |= planes[lit]
+            for j, bit in hits:
+                sat |= holds[j][bit]
             cnf &= sat
         dnf = 0
-        for t in self.terms:
+        for misses in self._term_misses:
             sat = everywhere
-            for lit in t:
-                sat &= planes[lit]
+            for j, bit in misses:
+                sat &= holds[j][1 - bit]
             dnf |= sat
         return cnf, dnf
 
@@ -235,6 +241,24 @@ class CdnfFormula:
             r = (diff & -diff).bit_length() - 1
             x = tuple((r >> (n - i)) & 1 for i in range(1, n + 1))
             raise ValueError(f"CNF and DNF disagree at {x}; not the same function")
+
+    def _check_implication(self) -> None:
+        """Raise unless the DNF implies the CNF: every term that is not a
+        contradiction shares a literal with every clause that is not a
+        tautology.  A term and a clause that share none disagree where the
+        term's literals hold and the clause's fail, the rest set to 0."""
+        for misses in self._term_misses:
+            holds = {(j, 1 - bit) for j, bit in misses}  # the term's literals
+            for hits in self._clause_hits:
+                if holds.isdisjoint(hits):
+                    x = [0] * self.arity
+                    for j, bit in hits:
+                        x[j] = 1 - bit
+                    for j, bit in holds:
+                        x[j] = bit
+                    raise ValueError(
+                        f"CNF and DNF disagree at {tuple(x)}; not the same function"
+                    )
 
     @property
     def k(self) -> int:
@@ -253,10 +277,6 @@ class CdnfFormula:
     def _term_misses(self) -> tuple:
         """The (position, bit) pairs that falsify each term."""
         return _hits(self.terms, -1)
-
-    def evaluate(self, x: Assignment) -> int:
-        """The DNF's value: 1 unless x falsifies every term."""
-        return int(not all(any(x[j] == bit for j, bit in t) for t in self._term_misses))
 
     def constant_value(self) -> Optional[int]:
         if not self._clause_hits:
@@ -387,20 +407,15 @@ class ThresholdFormula:
     def total_magnitude(self) -> int:
         return sum(abs(a) for a in self.coeffs)
 
-    def min_of(self, b: Partial) -> int:
-        """Smallest achievable value of sum - theta over extensions of b."""
-        return _restricted_extrema(self.coeffs, b)[0] - self.theta
-
-    def max_of(self, b: Partial) -> int:
-        return _restricted_extrema(self.coeffs, b)[1] - self.theta
-
     @cached_property
     def r_min(self) -> int:
-        return self.min_of((STAR,) * self.arity)
+        """Smallest value of sum - theta: the negative coefficients' sum."""
+        return sum(a for a in self.coeffs if a < 0) - self.theta
 
     @cached_property
     def r_max(self) -> int:
-        return self.max_of((STAR,) * self.arity)
+        """Largest value of sum - theta: the positive coefficients' sum."""
+        return sum(a for a in self.coeffs if a > 0) - self.theta
 
     def constant_value(self) -> Optional[int]:
         if self.r_min >= 0:
@@ -408,9 +423,6 @@ class ThresholdFormula:
         if self.r_max < 0:
             return 0
         return None
-
-    def evaluate(self, x: Assignment) -> int:
-        return int(sum(a * v for a, v in zip(self.coeffs, x)) >= self.theta)
 
     def certificate(self, b: Partial) -> Optional[int]:
         lo, hi = _restricted_extrema(self.coeffs, b)
@@ -503,12 +515,6 @@ class TruthTable:
         if any(v not in (0, 1) for v in self.table):
             raise ValueError("table entries must be bits")
 
-    def evaluate(self, x: Assignment) -> int:
-        idx = 0
-        for i, v in enumerate(x):
-            idx |= v << i
-        return self.table[idx]
-
     @cached_property
     def _planes(self) -> tuple:
         """(ones, zeros): bit idx of ``ones`` is set when table[idx] is 1, of
@@ -529,13 +535,6 @@ class TruthTable:
             elif v == STAR:
                 mask |= mask << (1 << i)
         return base, mask
-
-    def count_extensions(self, b: Partial, value: int) -> int:
-        """Number of completions x of b with f(x) == value."""
-        ones, zeros = self._planes
-        plane = ones if value == 1 else zeros if value == 0 else 0
-        base, mask = self._subcube(b)
-        return ((plane >> base) & mask).bit_count()
 
     def constant_value(self) -> Optional[int]:
         ones, zeros = self._planes
@@ -613,7 +612,9 @@ def truth_table_utility(f: TruthTable) -> UtilityFunction:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """m integer linear functions over shared Boolean variables, row-major."""
+    """m integer linear functions over shared Boolean variables, row-major.
+    As an instance its output is the order of every pair i < j, decided
+    once b forces f_i <= f_j or f_i >= f_j."""
 
     coeffs: tuple
 
@@ -635,9 +636,6 @@ class LinearSystem:
     def arity(self) -> int:
         return len(self.coeffs[0])
 
-    def value(self, j: int, x: Assignment) -> int:
-        return sum(a * v for a, v in zip(self.coeffs[j], x))
-
     def diff(self, i: int, j: int) -> tuple:
         return tuple(a - b for a, b in zip(self.coeffs[i], self.coeffs[j]))
 
@@ -646,6 +644,28 @@ class LinearSystem:
         forces f_i(x) >= f_j(x), on every extension."""
         lo, hi = _restricted_extrema(self.diff(i, j), b)
         return hi <= 0, lo >= 0
+
+    def certificate(self, b: Partial) -> Optional[tuple]:
+        out = []
+        for i in range(self.m):
+            for j in range(i + 1, self.m):
+                le, ge = self.known_order(i, j, b)
+                if not (le or ge):
+                    return None
+                out.append((le, ge))
+        return tuple(out)
+
+    def flag_planes(self) -> tuple:
+        """One field per pair i < j, le | ge << 1: a pair's order is forced
+        at b while its le flag, or its ge flag, holds on every extension.
+        From the sums of f_i - f_j at every rank, the field is 1 where the
+        difference is negative, 2 where positive and 3 where zero."""
+        m = self.m
+        return tuple(
+            bytes([1 if s < 0 else 2 if s > 0 else 3 for s in rank_sums(self.diff(i, j))])
+            for i in range(m)
+            for j in range(i + 1, m)
+        )
 
 
 def ranking_pair_utility(sys: LinearSystem, i: int, j: int) -> UtilityFunction:

@@ -32,9 +32,12 @@ from sbfe.core import (
 )
 from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
 from sbfe.policies import EPS, DualGreedyPolicy
+from sbfe.problems import ThresholdSet
 from sbfe.utility import (
     CdnfFormula,
+    LinearSystem,
     ThresholdFormula,
+    TruthTable,
     UtilityFunction,
     _restricted_extrema,
     cdnf_utility,
@@ -147,32 +150,40 @@ def enumeration_expected_cost(policy, d, c, n: int) -> float:
     return total
 
 
+def linear_values(sys, x) -> list:
+    """Each function of a linear system at the full assignment x."""
+    return [sum(a * v for a, v in zip(row, x)) for row in sys.coeffs]
+
+
+def evaluate(f, x):
+    """f's output at the full assignment x, read from the kind's raw fields
+    and from no table the package builds: a threshold's coefficients and
+    theta, each member of a threshold set, the signed literals of a CNF/DNF
+    pair's terms (contradictory terms skipped), a truth table's entry at
+    sum(x_i << i), and for a linear system (f_i(x) <= f_j(x), f_i(x) >=
+    f_j(x)) for each pair i < j, from its row sums."""
+    if isinstance(f, ThresholdFormula):
+        return int(sum(a * v for a, v in zip(f.coeffs, x)) >= f.theta)
+    if isinstance(f, ThresholdSet):
+        return tuple(evaluate(member, x) for member in f.formulas)
+    if isinstance(f, CdnfFormula):
+        holds = lambda lit: x[abs(lit) - 1] == (lit > 0)
+        terms = (t for t in f.terms if not any(-lit in t for lit in t))
+        return int(any(all(map(holds, t)) for t in terms))
+    if isinstance(f, TruthTable):
+        return f.table[sum(v << i for i, v in enumerate(x))]
+    if isinstance(f, LinearSystem):
+        values = linear_values(f, x)
+        return tuple(
+            (vi <= vj, vi >= vj) for i, vi in enumerate(values) for vj in values[i + 1 :]
+        )
+    raise TypeError(f"no reference evaluation for {type(f).__name__}")
+
+
 def brute_certificate(f, b):
     """Forced output of f on every extension of b, scanning all of them."""
-    values = {f.evaluate(x) for x in extensions(b)}
+    values = {evaluate(f, x) for x in extensions(b)}
     return values.pop() if len(values) == 1 else None
-
-
-def reference_count_extensions(table, b, value):
-    """`TruthTable.count_extensions` as first written, the reference for the
-    popcount over bit planes: build the index of every completion of b and
-    read the table there."""
-    base = 0
-    star_bits = []
-    for i, v in enumerate(b):
-        if v == 1:
-            base |= 1 << i
-        elif v == STAR:
-            star_bits.append(1 << i)
-    count = 0
-    for pattern in itertools.product((0, 1), repeat=len(star_bits)):
-        idx = base
-        for bit, on in zip(star_bits, pattern):
-            if on:
-                idx |= bit
-        if table.table[idx] == value:
-            count += 1
-    return count
 
 
 def reference_threshold_utility(f):
@@ -186,8 +197,13 @@ def reference_threshold_utility(f):
     q1 = -f.r_min
     q0 = f.r_max + 1
     r_min, r_max = f.r_min, f.r_max
-    g1 = utility_from_fn(f.arity, q1, lambda b: min(q1, f.min_of(b) - r_min))
-    g0 = utility_from_fn(f.arity, q0, lambda b: min(q0, r_max - f.max_of(b)))
+    theta = f.theta
+    g1 = utility_from_fn(
+        f.arity, q1, lambda b: min(q1, _restricted_extrema(f.coeffs, b)[0] - theta - r_min)
+    )
+    g0 = utility_from_fn(
+        f.arity, q0, lambda b: min(q0, r_max - (_restricted_extrema(f.coeffs, b)[1] - theta))
+    )
     return combine_or(g1, g0)
 
 
@@ -220,15 +236,26 @@ def reference_ranking_pair_utility(sys, i, j):
 def reference_truth_table_utility(f):
     """`truth_table_utility` as first written, the reference for its
     one-pass ``fn``: the `combine_or` of the 1-rows and the 0-rows ruled
-    out, each side from its own `count_extensions`.  Its step
-    calls ``fn`` (`step_from_fn`)."""
+    out, each side counting the completions of b with its value.  Its
+    step calls ``fn`` (`step_from_fn`)."""
     cv = f.constant_value()
     if cv is not None:
         raise ConstantFunctionError(cv)
     ones = sum(f.table)
     zeros = len(f.table) - ones
-    g1 = utility_from_fn(f.arity, ones, lambda b: ones - f.count_extensions(b, 1))
-    g0 = utility_from_fn(f.arity, zeros, lambda b: zeros - f.count_extensions(b, 0))
+
+    def count(b, value):
+        # a completion's index is the tested-1 bits plus a subset of the
+        # untested ones, so the indices double with each untested bit
+        indices = [sum(1 << i for i, v in enumerate(b) if v == 1)]
+        for i, v in enumerate(b):
+            if v == STAR:
+                indices += [k + (1 << i) for k in indices]
+        ones = sum(map(f.table.__getitem__, indices))
+        return ones if value else len(indices) - ones
+
+    g1 = utility_from_fn(f.arity, ones, lambda b: ones - count(b, 1))
+    g0 = utility_from_fn(f.arity, zeros, lambda b: zeros - count(b, 0))
     return combine_or(g1, g0)
 
 
@@ -449,7 +476,7 @@ def reference_flag_planes(f) -> tuple:
     ranking, and the fields transposed into one plane each."""
 
     def fields(x):
-        label = f.evaluate(x)
+        label = evaluate(f, x)
         if not isinstance(label, tuple):
             return (1 << label,)
         return tuple(v[0] | v[1] << 1 if isinstance(v, tuple) else 1 << v for v in label)
@@ -521,8 +548,8 @@ def reference_optimum(f, d, c):
 
 def relevant_positions(f) -> list:
     """The positions f depends on: i such that flipping x_i changes
-    `f.evaluate(x)` at some full assignment x, by enumeration."""
-    labels = {x: f.evaluate(x) for x in all_assignments(f.arity)}
+    `evaluate(f, x)` at some full assignment x, by enumeration."""
+    labels = {x: evaluate(f, x) for x in all_assignments(f.arity)}
     return [
         i
         for i in range(f.arity)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import axiom_utilities, brute_diff_extrema
+from helpers import axiom_utilities, brute_diff_extrema, linear_values
 from sbfe.core import (
     all_assignments,
     all_partials,
@@ -310,10 +310,10 @@ def test_criterion_10_ranking_soundness():
     duplicates_seen = 0
     for case in cases:
         sys = case.f
-        if case.dist is None or case.dist.n != sys.arity:
+        if case.dist is None or len(case.dist.p) != sys.arity:
             from sbfe.core import ProductDistribution
 
-            d = ProductDistribution.uniform(sys.arity, 0.4)
+            d = ProductDistribution((0.4,) * sys.arity)
             c = tuple(1.0 + (i % 3) for i in range(sys.arity))
         else:
             d, c = case.dist, case.costs
@@ -321,7 +321,7 @@ def test_criterion_10_ranking_soundness():
             duplicates_seen += 1
         for x in all_assignments(sys.arity):
             result, trace = rank_linear_functions(sys, d, c, x)
-            values = [sys.value(j, x) for j in range(sys.m)]
+            values = linear_values(sys, x)
             ranked = [values[j] for j in result.permutation]
             assert ranked == sorted(ranked), (case.id, x, result)
             for cls in result.equality_classes:

@@ -142,6 +142,16 @@ BAD_PAYLOADS = [
         {"weights": lambda w: "".join(str(int(v)) for v in w)},
         id="weights-digit-string",
     ),
+    # the id is one CSV cell as written: a string with no comma, quote or
+    # line break
+    pytest.param("threshold", {"id": lambda i: "a,b\nc"}, id="id-comma-newline"),
+    pytest.param("threshold", {"id": lambda i: i + ","}, id="id-comma"),
+    pytest.param("threshold", {"id": lambda i: 'a"b'}, id="id-quote"),
+    pytest.param("threshold", {"id": lambda i: i + "\r"}, id="id-cr"),
+    pytest.param("threshold", {"id": lambda i: i + "\n"}, id="id-lf"),
+    pytest.param("threshold", {"id": lambda i: {"x": 1}}, id="id-object"),
+    pytest.param("threshold", {"id": lambda i: None}, id="id-null"),
+    pytest.param("threshold", {"id": lambda i: 7}, id="id-number"),
 ]
 
 
@@ -265,6 +275,26 @@ class TestEval:
         header, row = out.strip().split("\n")
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["pass"] == "true"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("n", (13, 16))
+    def test_disagreeing_pair_exits_two_at_load(self, tmp_path, capsys, n, engine):
+        # x_13 alone makes the DNF true and the CNF (x_1) false.  Above the
+        # exact check's range the term-clause check finds it; the parent
+        # walked into an InvalidUtilityError, or printed pass=true
+        path = tmp_path / "cdnf.json"
+        payload = {
+            "format": "sbfe-1", "kind": "cdnf", "n": n, "clauses": [[1]], "terms": [[1], [13]],
+            "p": [0.5] * n, "c": [1.0] * n,
+        }
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "eval", str(path), "--engine", engine)
+        x = tuple(int(i == 12) for i in range(n))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: bad instance payload: CNF and DNF disagree at {x}; "
+            "not the same function\n"
+        )
 
     def test_broken_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

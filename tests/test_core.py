@@ -59,7 +59,6 @@ from sbfe.policies import (
     cp_ratio_policy,
 )
 from sbfe.problems import (
-    RankingInstance,
     ThresholdSet,
     disjunction_formula,
     harmonic_gap_instance,
@@ -139,14 +138,14 @@ class TestDistributionModes:
             CostVector((1.0, -0.5))
 
     def test_sampling_is_deterministic(self):
-        d = ProductDistribution.uniform(8)
+        d = ProductDistribution((0.5,) * 8)
         assert sample_input(d, 123) == sample_input(d, 123)
 
 
 class TestExpectedCost:
     def test_disjunction_cp_policy(self):
         # enumerate the four inputs: costs 2, 2, 1, 1, each with mass 1/4
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         c = (1.0, 1.0)
         policy = cp_ratio_policy(d, c, "or")
         assert expected_cost(policy, d, c) == pytest.approx(1.5)
@@ -154,7 +153,7 @@ class TestExpectedCost:
 
     def test_zero_test_policy(self):
         policy = FixedOrderPolicy((), stop=None)
-        assert expected_cost(policy, ProductDistribution.uniform(3), (1.0,) * 3) == 0.0
+        assert expected_cost(policy, ProductDistribution((0.5,) * 3), (1.0,) * 3) == 0.0
 
     def test_harmonic_family(self):
         # unit costs, p_i = 1/(i+2): testing in index order costs H_4 = 25/12
@@ -199,7 +198,7 @@ class TestExpectedCost:
             def next_test(self, b, state):
                 return len(b)
 
-        d = ProductDistribution.uniform(3)
+        d = ProductDistribution((0.5,) * 3)
         for policy in (Stubborn(), Repeater(), OutOfRange()):
             with pytest.raises(PolicyError):
                 expected_cost(policy, d, (1.0, 1.0, 1.0))
@@ -210,13 +209,13 @@ class TestExpectedCost:
 class TestOptimalOracle:
     def test_disjunction_two_vars(self):
         f = disjunction_formula(2)
-        val = optimal_expected_cost(f, ProductDistribution.uniform(2), (1.0, 1.0))
+        val = optimal_expected_cost(f, ProductDistribution((0.5,) * 2), (1.0, 1.0))
         assert val == pytest.approx(1.5)
 
     def test_constant_true_formula(self):
         # all clauses tautological: identically-true pair, zero-cost answer
         f = CdnfFormula(1, (frozenset({1, -1}),), (frozenset({1}), frozenset({-1})))
-        assert optimal_expected_cost(f, ProductDistribution.uniform(1), (1.0,)) == 0.0
+        assert optimal_expected_cost(f, ProductDistribution((0.5,)), (1.0,)) == 0.0
 
     def test_conjunction_prefers_less_likely_variable(self):
         # testing x2 first: 1 + 0.5 * 1 = 1.5; testing x1 first: 1 + 0.9 = 1.9
@@ -240,11 +239,11 @@ class TestOptimalOracle:
     def test_limit_guards(self):
         f = disjunction_formula(4)
         with pytest.raises(LimitError):
-            optimal_expected_cost(f, ProductDistribution.uniform(4), (1.0,) * 4, limit=3)
+            optimal_expected_cost(f, ProductDistribution((0.5,) * 4), (1.0,) * 4, limit=3)
         n = OPTIMUM_MAX_N + 1  # a larger limit cannot lift the cap
         with pytest.raises(LimitError):
             optimal_expected_cost(
-                disjunction_formula(n), ProductDistribution.uniform(n), (1.0,) * n, limit=n
+                disjunction_formula(n), ProductDistribution((0.5,) * n), (1.0,) * n, limit=n
             )
         with pytest.raises(ValueError):
             optimal_expected_cost(
@@ -257,8 +256,8 @@ class TestOptimalOracle:
         assert val == pytest.approx(2.5)  # the one bit must always be bought
 
 
-# Battery of every kind the optimum serves; linear systems are evaluated
-# through RankingInstance, whose flag fields are not one Boolean output.
+# Battery of every kind the optimum serves; a linear system is its own
+# instance, with one flag field per pair, not one Boolean output.
 ORACLE_BATTERIES = {
     "threshold": threshold_battery,
     "cdnf": cdnf_battery,
@@ -267,10 +266,6 @@ ORACLE_BATTERIES = {
     "linear-system": linear_system_battery,
     "disjunction": disjunction_battery,
 }
-
-
-def _oracle(case):
-    return RankingInstance(case.f) if case.kind == "linear-system" else case.f
 
 
 class TestOptimumAgainstReference:
@@ -283,9 +278,8 @@ class TestOptimumAgainstReference:
             + battery(1, seed=48, n_lo=1, n_hi=1)
         )
         for case in cases:
-            f = _oracle(case)
-            got = optimal_expected_cost(f, case.dist, case.costs)
-            assert got == reference_optimum(f, case.dist, case.costs), case.id
+            got = optimal_expected_cost(case.f, case.dist, case.costs)
+            assert got == reference_optimum(case.f, case.dist, case.costs), case.id
 
     # n = 11 splits a key into 6 high and 5 low digits.  Of this
     # disjunction's 729 blocks 665 are certified throughout and skipped, and
@@ -300,7 +294,7 @@ class TestOptimumAgainstReference:
     @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
     def test_status_table_is_the_certificate(self, kind):
         for case in ORACLE_BATTERIES[kind](8, seed=43, n_lo=2, n_hi=6):
-            f = _oracle(case)
+            f = case.f
             certified = certificate_table(f)
             assert len(certified) == 3**f.arity, case.id
             for key, b in enumerate(all_partials(f.arity)):
@@ -324,7 +318,7 @@ IGNORING = [
     # column 0 is equal in both rows, so no order depends on it; columns 1
     # and 2 are equal to each other, and both matter
     pytest.param(
-        RankingInstance(LinearSystem(((3, 1, 1, 5), (3, 2, 2, 1)))),
+        LinearSystem(((3, 1, 1, 5), (3, 2, 2, 1))),
         (0.4, 0.3, 0.6, 0.7),
         (1.0, 2.0, 1.0, 3.0),
         [1, 2, 3],
@@ -446,25 +440,26 @@ class TestCertificateTableAgainstReference:
         )
         assert sorted(case.f.arity for case in cases) == [*range(1, 10), 11, 12]
         for case in cases:
-            f = _oracle(case)
-            assert certificate_table(f) == reference_certificate_table(f), case.id
+            assert certificate_table(case.f) == reference_certificate_table(case.f), case.id
 
     def test_planes_never_evaluate(self, monkeypatch):
+        # the planes come from each kind's own data: no kind defines
+        # evaluate, and the table asks for no certificate
         cases = [
             case
             for kind, battery in ORACLE_BATTERIES.items()
             for case in battery(3, seed=47, n_lo=1, n_hi=7)
         ]
-        expected = [reference_certificate_table(_oracle(case)) for case in cases]
+        expected = [reference_certificate_table(case.f) for case in cases]
 
         def refuse(*args):
-            raise AssertionError("the certificate table called evaluate or certificate")
+            raise AssertionError("the certificate table called certificate")
 
-        for cls in (ThresholdFormula, CdnfFormula, TruthTable, ThresholdSet, RankingInstance):
-            monkeypatch.setattr(cls, "evaluate", refuse)
+        for cls in (ThresholdFormula, CdnfFormula, TruthTable, ThresholdSet, LinearSystem):
+            assert not hasattr(cls, "evaluate"), cls
             monkeypatch.setattr(cls, "certificate", refuse)
         for case, table in zip(cases, expected):
-            assert certificate_table(_oracle(case)) == table, case.id
+            assert certificate_table(case.f) == table, case.id
 
 
 class TestFlagPlanesAgainstReference:
@@ -473,8 +468,7 @@ class TestFlagPlanesAgainstReference:
         cases = ORACLE_BATTERIES[kind](12, seed=50, n_lo=1, n_hi=12)
         assert sorted(case.f.arity for case in cases) == [*range(1, 13)]
         for case in cases:
-            f = _oracle(case)
-            assert f.flag_planes() == reference_flag_planes(f), case.id
+            assert case.f.flag_planes() == reference_flag_planes(case.f), case.id
 
     def test_tautological_clauses(self):
         rng = random.Random(51)
@@ -499,13 +493,13 @@ class TestFlagPlanesAgainstReference:
         assert planes[1] == bytes([2]) * 8
 
     def test_equal_rows(self):
-        f = RankingInstance(LinearSystem(((1, -2, 3), (1, -2, 3), (0, 1, -1))))
+        f = LinearSystem(((1, -2, 3), (1, -2, 3), (0, 1, -1)))
         planes = f.flag_planes()
         assert planes == reference_flag_planes(f)
         assert planes[0] == bytes([3]) * 8  # f_0 = f_1 everywhere
 
     def test_one_row(self):
-        f = RankingInstance(LinearSystem(((1, -2, 3),)))
+        f = LinearSystem(((1, -2, 3),))
         assert f.flag_planes() == reference_flag_planes(f) == ()
         assert certificate_table(f) == bytes([1]) * 27  # no pair, nothing to decide
 
@@ -561,7 +555,7 @@ class TestExpectedCertificateCost:
     def test_disjunction_two_vars(self):
         # cheapest certificate: any 1-bit alone, or both bits when x = 00
         f = disjunction_formula(2)
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         got = expected_certificate_cost(f, d, (1.0, 1.0))
         assert got == pytest.approx(0.75 * 1 + 0.25 * 2)
 

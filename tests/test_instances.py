@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbfe.instances
+from helpers import evaluate
 from sbfe.core import all_assignments
 from sbfe.instances import (
     KINDS,
@@ -47,7 +48,7 @@ class TestSerialization:
         inst = generate_instance("cdnf", 4, seed=9)
         again = loads(dumps(inst))
         for x in all_assignments(4):
-            assert inst.f.evaluate(x) == again.f.evaluate(x)
+            assert evaluate(inst.f, x) == evaluate(again.f, x)
 
     def test_rejects_bad_format(self):
         with pytest.raises(InstanceFormatError):

@@ -75,32 +75,32 @@ class TestAdaptiveGreedy:
     def test_or_needs_both_tests(self):
         # both ratios 1/1.5, tie goes to x1; outcome 0 is not yet a cover
         g = cdnf_utility(disjunction_formula(2))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         tr = adaptive_greedy(g, d, (1.0, 1.0), (0, 1))
         assert tr.tested == (0, 1)
         assert tr.total_cost == 2.0
 
     def test_or_one_test_suffices(self):
         g = cdnf_utility(disjunction_formula(2))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         tr = adaptive_greedy(g, d, (1.0, 1.0), (1, 1))
         assert tr.tested == (0,)
         assert tr.total_cost == 1.0
 
     def test_goal_zero_runs_nothing(self):
         tr = adaptive_greedy(
-            constant_zero_utility(3), ProductDistribution.uniform(3), (1.0,) * 3, (1, 1, 1)
+            constant_zero_utility(3), ProductDistribution((0.5,) * 3), (1.0,) * 3, (1, 1, 1)
         )
         assert tr.tested == () and tr.total_cost == 0.0
 
     def test_stuck_utility_rejected(self):
         g = utility_from_fn(2, 1, lambda b: 0)
         with pytest.raises(InvalidUtilityError):
-            adaptive_greedy(g, ProductDistribution.uniform(2), (1.0, 1.0), (1, 1))
+            adaptive_greedy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0), (1, 1))
 
     def test_zero_cost_taken_first(self):
         g = cdnf_utility(disjunction_formula(3))
-        d = ProductDistribution.uniform(3)
+        d = ProductDistribution((0.5,) * 3)
         tr = adaptive_greedy(g, d, (1.0, 0.0, 1.0), (0, 0, 1))
         assert tr.tested[0] == 1
 
@@ -144,7 +144,7 @@ class TestAdaptiveDualGreedy:
 
     def test_threshold_single_decisive_test(self):
         g = threshold_utility(ThresholdFormula((1, 1), 1))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (1, 0))
         assert tr.tested == (0,)
         assert tr.total_cost == 1.0
@@ -152,7 +152,7 @@ class TestAdaptiveDualGreedy:
     def test_first_dual_value(self):
         # y for the empty prefix is c_j / E[gain at the root]
         g = threshold_utility(ThresholdFormula((1, 1), 1))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (1, 0))
         root_gain = expected_gain(g, stars(2), tr.tested[0], d.p, 0)
         assert tr.dual_values[0] == pytest.approx(1.0 / root_gain)
@@ -377,7 +377,7 @@ class TestGainRecordsPathScoped:
 class TestAlpha:
     def test_root_prefix_ratio(self):
         g = cdnf_utility(disjunction_formula(2))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (0, 1))
         samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)), lambda b: gains_at(g, b))
         # at the empty prefix the denominator is the whole goal
@@ -428,7 +428,7 @@ class TestFixedOrderPolicies:
         assert pol.order == (0, 1)
 
     def test_cp_stops_at_decisive_outcome(self):
-        d = ProductDistribution.uniform(3)
+        d = ProductDistribution((0.5,) * 3)
         pol = cp_ratio_policy(d, (1.0,) * 3, "or")
         assert pol.next_test((1, STAR, STAR), None) is None
         pol_and = cp_ratio_policy(d, (1.0,) * 3, "and")

@@ -8,7 +8,9 @@ from helpers import (
     brute_certificate,
     brute_diff_extrema,
     conjunction_formula,
+    evaluate,
     expected_certificate_cost,
+    linear_values,
     or_threshold,
     reference_extract_ranking,
 )
@@ -29,7 +31,6 @@ from sbfe.instances import (
 from sbfe.policies import DualGreedyPolicy, GreedyPolicy, bounds
 from sbfe.problems import (
     KnapsackInstance,
-    RankingInstance,
     ThresholdSet,
     _extract_ranking,
     evaluate_cdnf,
@@ -49,13 +50,13 @@ from sbfe.utility import CdnfFormula, LinearSystem, ThresholdFormula, constant_z
 class TestEvaluateCdnf:
     def test_conjunction_one_test(self):
         f = conjunction_formula(2)
-        value, tr = evaluate_cdnf(f, ProductDistribution.uniform(2), (1.0, 1.0), (0, 1))
+        value, tr = evaluate_cdnf(f, ProductDistribution((0.5,) * 2), (1.0, 1.0), (0, 1))
         assert value == 0
         assert tr.tested == (0,)
 
     def test_identically_true_formula(self):
         f = CdnfFormula(1, (frozenset({1, -1}),), (frozenset({1}), frozenset({-1})))
-        value, tr = evaluate_cdnf(f, ProductDistribution.uniform(1), (1.0,), (0,))
+        value, tr = evaluate_cdnf(f, ProductDistribution((0.5,) * 1), (1.0,), (0,))
         assert value == 1
         assert tr.tested == ()
 
@@ -65,7 +66,7 @@ class TestEvaluateCdnf:
         for case in cdnf_battery(6, seed=101, n_lo=2, n_hi=6):
             for x in all_assignments(case.f.arity):
                 value, tr = evaluate_cdnf(case.f, case.dist, case.costs, x)
-                assert value == case.f.evaluate(x)
+                assert value == evaluate(case.f, x)
                 assert brute_certificate(case.f, tr.final(case.f.arity)) == value
 
 
@@ -73,7 +74,7 @@ class TestEvaluateThreshold:
     def test_greedy_decisive_first_test(self):
         f = ThresholdFormula((1, 1), 1)
         value, tr = evaluate_threshold_greedy(
-            f, ProductDistribution.uniform(2), (1.0, 1.0), (1, 0)
+            f, ProductDistribution((0.5,) * 2), (1.0, 1.0), (1, 0)
         )
         assert value == 1
         assert tr.tested == (0,)
@@ -81,7 +82,7 @@ class TestEvaluateThreshold:
     def test_constant_false(self):
         f = ThresholdFormula((1, 1), 3)
         value, tr = evaluate_threshold_greedy(
-            f, ProductDistribution.uniform(2), (1.0, 1.0), (1, 1)
+            f, ProductDistribution((0.5,) * 2), (1.0, 1.0), (1, 1)
         )
         assert value == 0
         assert tr.tested == ()
@@ -92,7 +93,7 @@ class TestEvaluateThreshold:
         for case in threshold_battery(6, seed=103, n_lo=2, n_hi=6):
             for x in all_assignments(case.f.arity):
                 value, tr = evaluate_threshold_adg(case.f, case.dist, case.costs, x)
-                assert value == case.f.evaluate(x)
+                assert value == evaluate(case.f, x)
                 assert brute_certificate(case.f, tr.final(case.f.arity)) == value
 
     def test_adg_positive_runs_end_on_raising_test(self):
@@ -103,7 +104,7 @@ class TestEvaluateThreshold:
 
         for case in threshold_battery(6, seed=104, n_lo=2, n_hi=6):
             for x in all_assignments(case.f.arity):
-                if case.f.evaluate(x) != 1:
+                if evaluate(case.f, x) != 1:
                     continue
                 _, tr = evaluate_threshold_adg(case.f, case.dist, case.costs, x)
                 if not tr.tested:
@@ -129,23 +130,23 @@ class TestEvaluateThreshold:
         case = cdnf_battery(1, seed=137, n_lo=9, n_hi=9)[0]
         for x in all_assignments(9):
             value, _ = evaluate_cdnf(case.f, case.dist, case.costs, x)
-            assert value == case.f.evaluate(x)
+            assert value == evaluate(case.f, x)
         case = threshold_battery(1, seed=139, n_lo=9, n_hi=9)[0]
         for x in all_assignments(9):
             value, _ = evaluate_threshold_adg(case.f, case.dist, case.costs, x)
-            assert value == case.f.evaluate(x)
+            assert value == evaluate(case.f, x)
 
 
 class TestSimultaneous:
     def test_single_formula_reduces_exactly(self):
         rng = random.Random(5)
         fs = gen_threshold_set(rng, 1, 4)
-        d = ProductDistribution.uniform(4)
+        d = ProductDistribution((0.5,) * 4)
         c = (1.0,) * 4
         for x in all_assignments(4):
             bits, tr = simultaneous_thresholds(fs, d, c, x)
             _, tr_single = evaluate_threshold_greedy(fs.formulas[0], d, c, x)
-            assert bits == (fs.formulas[0].evaluate(x),)
+            assert bits == (evaluate(fs.formulas[0], x),)
             assert tr.tested == tr_single.tested
 
     def test_decoding_on_all_inputs(self):
@@ -153,13 +154,13 @@ class TestSimultaneous:
             for x in all_assignments(case.f.arity):
                 for engine in ("greedy", "adg"):
                     bits, _ = simultaneous_thresholds(case.f, case.dist, case.costs, x, engine)
-                    assert bits == case.f.evaluate(x)
+                    assert bits == evaluate(case.f, x)
 
     def test_constant_subformulas_contribute_nothing(self):
         fs = ThresholdSet((ThresholdFormula((1, 1), 3), ThresholdFormula((1, 1), 1)))
         g = fs.utility()
         assert g.goal == 2  # only the non-constant side contributes
-        bits, _ = simultaneous_thresholds(fs, ProductDistribution.uniform(2), (1.0, 1.0), (0, 1))
+        bits, _ = simultaneous_thresholds(fs, ProductDistribution((0.5,) * 2), (1.0, 1.0), (0, 1))
         assert bits == (0, 1)
 
     def test_adg_within_dmax_of_optimum(self):
@@ -187,14 +188,14 @@ class TestSimultaneous:
 class TestRanking:
     def test_two_functions_single_test(self):
         sys = LinearSystem(((1, 0), (0, 1)))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         result, tr = rank_linear_functions(sys, d, (1.0, 1.0), (1, 0))
         assert result.permutation == (1, 0)
         assert len(tr.tested) == 1
 
     def test_identical_functions_one_class(self):
         sys = LinearSystem(((1, 2), (1, 2)))
-        result, tr = rank_linear_functions(sys, ProductDistribution.uniform(2), (1.0, 1.0), (0, 0))
+        result, tr = rank_linear_functions(sys, ProductDistribution((0.5,) * 2), (1.0, 1.0), (0, 0))
         assert tr.tested == ()
         assert result.equality_classes == ((0, 1),)
         assert result.permutation == (0, 1)
@@ -202,7 +203,7 @@ class TestRanking:
     def test_needs_two_functions(self):
         with pytest.raises(ValueError):
             rank_linear_functions(
-                LinearSystem(((1, 0),)), ProductDistribution.uniform(2), (1.0, 1.0), (0, 0)
+                LinearSystem(((1, 0),)), ProductDistribution((0.5,) * 2), (1.0, 1.0), (0, 0)
             )
 
     def test_sound_on_all_inputs(self):
@@ -210,7 +211,7 @@ class TestRanking:
             sys = case.f
             for x in all_assignments(sys.arity):
                 result, tr = rank_linear_functions(sys, case.dist, case.costs, x)
-                values = [sys.value(j, x) for j in range(sys.m)]
+                values = linear_values(sys, x)
                 ranked = [values[j] for j in result.permutation]
                 assert ranked == sorted(ranked)
                 for cls in result.equality_classes:
@@ -229,7 +230,7 @@ class TestRanking:
             if g.goal == 0:
                 continue
             cost = expected_cost(GreedyPolicy(g, case.dist, case.costs), case.dist, case.costs)
-            opt = optimal_expected_cost(RankingInstance(case.f), case.dist, case.costs)
+            opt = optimal_expected_cost(case.f, case.dist, case.costs)
             assert cost <= bounds(g).lnq_bound * opt + 1e-6
 
 
@@ -261,7 +262,7 @@ class TestRanking:
         )
         sys = LinearSystem(((1, 0), (0, 1)))
         with pytest.raises(RuntimeError):
-            rank_linear_functions(sys, ProductDistribution.uniform(2), (1.0, 1.0), (1, 0))
+            rank_linear_functions(sys, ProductDistribution((0.5,) * 2), (1.0, 1.0), (1, 0))
 
 
 class TestMinKnapsack:

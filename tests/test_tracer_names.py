@@ -53,10 +53,32 @@ def test_tracer_counts_the_optimum_and_the_table_in_verify(monkeypatch, capsys):
     assert tracer.call_count("core.certificate_table") > 0
 
 
+def _traced_linear_system_eval(tmp_path, monkeypatch, engine):
+    """The tracer after ``sbfe eval --engine ENGINE`` on a linear-system file."""
+    tracing, modules = _tracing(monkeypatch)
+    path = tmp_path / "ls.json"
+    gen = ["gen", "--kind", "linear-system", "--n", "8", "--seed", "3", "--out", str(path)]
+    assert sbfe.cli.main(gen) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        assert sbfe.cli.main(["eval", str(path), "--engine", engine]) == 0
+    finally:
+        tracer.restore()
+    return tracer
+
+
+def test_ranking_baseline_certificates_are_counted(tmp_path, monkeypatch, capsys):
+    # the baseline asks LinearSystem.certificate at every node; the tracer
+    # reaches it through the problems.RankingInstance alias
+    tracer = _traced_linear_system_eval(tmp_path, monkeypatch, "baseline")
+    assert tracer.call_count("utility.certificate") > 0
+
+
 def test_ranking_table_makes_no_certificate_call(tmp_path, monkeypatch, capsys):
-    # the optimum's table reads RankingInstance.flag_planes, which takes
-    # each pair's order from the sums of the coefficient differences, not
-    # from certificate
+    # the optimum's table reads LinearSystem.flag_planes, which takes each
+    # pair's order from the sums of the coefficient differences, not from
+    # certificate
     tracing, modules = _tracing(monkeypatch)
     path = tmp_path / "ls.json"
     gen = ["gen", "--kind", "linear-system", "--n", "8", "--seed", "3", "--out", str(path)]

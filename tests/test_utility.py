@@ -9,10 +9,10 @@ from helpers import (
     brute_certificate,
     brute_diff_extrema,
     conjunction_formula,
+    evaluate,
     gen_cdnf_with_tautologies,
     reference_cdnf_agreement,
     reference_cdnf_utility,
-    reference_count_extensions,
     reference_gains_at,
     reference_ranking_pair_utility,
     reference_threshold_utility,
@@ -51,6 +51,7 @@ from sbfe.utility import (
     ThresholdFormula,
     TruthTable,
     UtilityFunction,
+    _restricted_extrema,
     cdnf_utility,
     combine_and_all,
     combine_or,
@@ -102,7 +103,7 @@ class TestMarginals:
         b = (1, STAR)
         _, down, up = gains_at(g, b)
         assert down[0] == up[0] == 0
-        eg = GreedyPolicy(g, ProductDistribution.uniform(2), (1.0, 1.0)).gains(b)[3]
+        eg = GreedyPolicy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0)).gains(b)[3]
         assert eg[0] == 0.0
 
     def test_threshold_jump(self):
@@ -113,7 +114,7 @@ class TestMarginals:
 
     def test_expected_gain_or(self):
         g = cdnf_utility(disjunction_formula(2))
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         eg = GreedyPolicy(g, d, (1.0, 1.0)).gains((STAR, STAR))[3]
         assert eg == pytest.approx((1.5, 1.5))
 
@@ -551,7 +552,7 @@ class TestDecisionTreeConversion:
         assert f.k == 2 and f.d == 1
         assert frozenset({1, 2}) in f.terms
         for x in all_assignments(2):
-            assert f.evaluate(x) == int(x[0] == 1 and x[1] == 1)
+            assert evaluate(f, x) == int(x[0] == 1 and x[1] == 1)
 
     def test_leaf_count_identity(self):
         rng = random.Random(3)
@@ -566,7 +567,7 @@ class TestDecisionTreeConversion:
                 continue
             assert f.k + f.d == leaves
             for x in all_assignments(4):
-                assert f.evaluate(x) == tree_decide(t, x)
+                assert evaluate(f, x) == tree_decide(t, x)
 
     def test_constant_tree_short_circuits(self):
         with pytest.raises(ConstantFunctionError) as exc:
@@ -603,9 +604,7 @@ class TestThreshold:
         for _ in range(10):
             f = gen_threshold(rng, 4)
             for b in itertools.product((0, 1, STAR), repeat=4):
-                lo, hi = brute_diff_extrema(f.coeffs, b)
-                assert f.min_of(b) == lo - f.theta
-                assert f.max_of(b) == hi - f.theta
+                assert _restricted_extrema(f.coeffs, b) == brute_diff_extrema(f.coeffs, b)
                 assert f.certificate(b) == brute_certificate(f, b)
 
     def test_axioms(self):
@@ -639,41 +638,22 @@ class TestTruthTable:
             f = gen_truth_table(rng, 4)
             assert check_axioms(truth_table_utility(f), "exhaustive").ok
 
-    @staticmethod
-    def assert_counts_match(f, partials):
-        for b in partials:
-            for value in (0, 1):
-                expected = reference_count_extensions(f, b, value)
-                assert f.count_extensions(b, value) == expected, (b, value)
-
-    def test_counts_every_partial_small(self):
-        rng = random.Random(53)
-        for n in range(1, 7):
-            for _ in range(3):
-                f = gen_truth_table(rng, n)
-                self.assert_counts_match(f, all_partials(n))
-
-    def test_counts_random_partials_n12(self):
-        rng = random.Random(59)
-        f = gen_truth_table(rng, 12)
-        self.assert_counts_match(f, random_partials(rng, 12, 500))
-
-    def test_counts_random_partials_n16(self):
-        # above the generator's cap, so built directly.  Each position is
-        # 0, 1 or untested alike (a uniform partial assignment): the
-        # reference enumerates 2^(untested) completions, and a uniform
-        # number of tested positions would take it through 2^16 often.
-        rng = random.Random(61)
-        f = TruthTable(16, [rng.randrange(2) for _ in range(1 << 16)])
-        partials = [tuple(rng.choice((0, 1, STAR)) for _ in range(16)) for _ in range(500)]
-        self.assert_counts_match(f, [(STAR,) * 16] + partials)
-
     def test_certificate_from_counts(self):
         rng = random.Random(67)
         for n in range(1, 6):
             f = gen_truth_table(rng, n)
             for b in all_partials(n):
                 assert f.certificate(b) == brute_certificate(f, b), b
+
+    def test_certificate_random_partials_n16(self):
+        # above the generator's cap, so built directly.  Each position is
+        # 0, 1 or untested alike, so that the reference's 2^(untested)
+        # completions stay few; the subcube spans all 16 index bits.
+        rng = random.Random(61)
+        f = TruthTable(16, [rng.randrange(2) for _ in range(1 << 16)])
+        for _ in range(500):
+            b = tuple(rng.choice((0, 1, STAR)) for _ in range(16))
+            assert f.certificate(b) == brute_certificate(f, b), b
 
 
 class TestRankingPairs:

@@ -245,7 +245,7 @@ class TestDualFeasibility:
     def test_small_threshold_tight_on_tested(self):
         f = ThresholdFormula((1, 1), 1)
         g = threshold_utility(f)
-        d = ProductDistribution.uniform(2)
+        d = ProductDistribution((0.5,) * 2)
         cert = check_dual_feasibility(g, d, (1.0, 1.0))
         assert cert.ok
         assert cert.runs == 4
@@ -336,7 +336,7 @@ class TestObservedAlpha:
     def test_at_least_one(self):
         f = ThresholdFormula((1, 1), 1)
         g = threshold_utility(f)
-        a = observed_alpha(g, ProductDistribution.uniform(2), (1.0, 1.0))
+        a = observed_alpha(g, ProductDistribution((0.5,) * 2), (1.0, 1.0))
         assert a >= 1.0
 
     def test_matches_per_input_scan(self):
