@@ -31,12 +31,10 @@ from .policies import (
     DualGreedyPolicy,
     FixedOrderPolicy,
     GreedyPolicy,
-    adaptive_dual_greedy,
-    adaptive_greedy,
     bounds,
     cost_order_policy,
     cp_ratio_policy,
-    run_policy,
+    policy_runs,
 )
 from .problems import (
     KnapsackInstance,

@@ -146,11 +146,11 @@ def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
     The runs go down the policy's tree together (`policy_runs`), so each
     node some input reaches is decided once and the greedy's gain record
     of that node serves every run through it.  The runs' costs are
-    summed in seed order, the floats one `run_policy` per input gives."""
+    summed in seed order."""
     xs = [sample_input(inst.dist, seed + k) for k in range(trials)]
     total = 0.0
-    for _, _, cost, _ in policy_runs(policy, xs, inst.n, as_costs(inst.costs)):
-        total += cost
+    for run in policy_runs(policy, xs, inst.n, as_costs(inst.costs)):
+        total += run.total_cost
     return total / trials
 
 

@@ -399,7 +399,7 @@ def expected_cost(policy, d, c) -> float:
 # exhaustive optimal oracle
 
 
-def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
+def optimal_expected_cost(f, d, c) -> float:
     """Minimum expected evaluation cost over all testing strategies.
 
     The positions no flag plane depends on are squeezed out first (see
@@ -418,14 +418,13 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
     computed in a Python list, reading its high children as whole earlier
     blocks, and written back in one slice.  A state takes 9 bytes (an 8-byte
     value and its uncertified mask byte), so k = 14 needs about 43 MB.  The
-    cap applies to n, not k: ``limit`` can only lower it from OPTIMUM_MAX_N.
+    cap, OPTIMUM_MAX_N, applies to n, not k.
     """
     n = f.arity
     p = as_probabilities(d)
     cc = as_costs(c)
-    cap = min(limit, OPTIMUM_MAX_N)
-    if n > cap:
-        raise LimitError(f"exhaustive optimum limited to n <= {cap}, got {n}")
+    if n > OPTIMUM_MAX_N:
+        raise LimitError(f"exhaustive optimum limited to n <= {OPTIMUM_MAX_N}, got {n}")
     if len(p) != n or len(cc) != n:
         raise ValueError("arity mismatch")
     for i, v in enumerate(p):
@@ -493,21 +492,15 @@ def optimal_expected_cost(f, d, c, *, limit: int = OPTIMUM_MAX_N) -> float:
 @dataclass(frozen=True)
 class RunTrace:
     """Record of one adaptive run: tests in order, observed outcomes, cost,
-    and (for dual-greedy runs) the dual value attached to each prefix."""
+    and the partial assignment ``final`` the run stopped at."""
 
     tested: tuple
     outcomes: tuple
     total_cost: float
-    dual_values: tuple = ()
+    final: Partial
 
     def __post_init__(self):
         if len(self.tested) != len(set(self.tested)):
             raise ValueError("trace repeats a test")
         if len(self.tested) != len(self.outcomes):
             raise ValueError("one outcome per test required")
-
-    def final(self, n: int) -> Partial:
-        b = list(stars(n))
-        for i, v in zip(self.tested, self.outcomes):
-            b[i] = v
-        return tuple(b)

@@ -122,6 +122,8 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError(f"bad instance payload: {exc}") from exc
     if f.arity != n:
         raise InstanceFormatError("declared n disagrees with the formula arity")
+    if row.members and "m" in data and _int(data["m"], "m") != f.m:
+        raise InstanceFormatError(f"declared m disagrees with the number of {row.members}")
     # every policy cost and the optimum are at most the total
     if not math.isfinite(sum(costs)):
         raise InstanceFormatError("c must have a finite total")
@@ -158,12 +160,12 @@ def load(path) -> Instance:
 # generators
 
 
-def gen_probabilities(rng: random.Random, n: int, lo: float = 0.1, hi: float = 0.9) -> tuple:
-    return tuple(rng.uniform(lo, hi) for _ in range(n))
+def gen_probabilities(rng: random.Random, n: int) -> tuple:
+    return tuple(rng.uniform(0.1, 0.9) for _ in range(n))
 
 
-def gen_costs(rng: random.Random, n: int, hi: int = 5) -> tuple:
-    return tuple(float(rng.randint(1, hi)) for _ in range(n))
+def gen_costs(rng: random.Random, n: int) -> tuple:
+    return tuple(float(rng.randint(1, 5)) for _ in range(n))
 
 
 def gen_threshold(rng: random.Random, n: int, max_coeff: int = 5) -> ThresholdFormula:
@@ -210,14 +212,14 @@ def gen_truth_table(rng: random.Random, n: int) -> TruthTable:
 
 
 def gen_linear_system(
-    rng: random.Random, m: int, n: int, max_coeff: int = 3, duplicate_prob: float = 0.0
+    rng: random.Random, m: int, n: int, duplicate_prob: float = 0.0
 ) -> LinearSystem:
     rows = []
     for j in range(m):
         if rows and rng.random() < duplicate_prob:
             rows.append(rng.choice(rows))
         else:
-            rows.append(tuple(rng.randint(-max_coeff, max_coeff) for _ in range(n)))
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(n)))
     return LinearSystem(tuple(rows))
 
 
@@ -228,13 +230,13 @@ def _ranked(system: LinearSystem) -> LinearSystem:
     return system
 
 
-def gen_threshold_set(rng: random.Random, m: int, n: int, max_coeff: int = 3) -> ThresholdSet:
-    return ThresholdSet(tuple(gen_threshold(rng, n, max_coeff) for _ in range(m)))
+def gen_threshold_set(rng: random.Random, m: int, n: int) -> ThresholdSet:
+    return ThresholdSet(tuple(gen_threshold(rng, n, 3) for _ in range(m)))
 
 
-def gen_knapsack(rng: random.Random, n: int, max_value: int = 8, max_weight: int = 5) -> KnapsackInstance:
-    values = tuple(rng.randint(0, max_value) for _ in range(n))
-    weights = tuple(float(rng.randint(1, max_weight)) for _ in range(n))
+def gen_knapsack(rng: random.Random, n: int) -> KnapsackInstance:
+    values = tuple(rng.randint(0, 8) for _ in range(n))
+    weights = tuple(float(rng.randint(1, 5)) for _ in range(n))
     theta = rng.randint(0, sum(values))
     return KnapsackInstance(values, weights, theta)
 
@@ -245,15 +247,17 @@ class _Kind:
 
     ``encode(f)`` gives the kind's own file fields, ``decode(data, n)``
     rebuilds the formula from them, and ``generate(rng, n, m)`` draws one.
-    ``has_m`` puts the formula count into generated ids.  A ``covering``
-    kind (min-knapsack) is pure covering: every test succeeds, so p is all
-    ones in "sssc" mode and the costs are the item weights.
+    ``members`` names the field listing a set kind's formulas or functions:
+    their count m goes into generated ids, and a file that declares ``m``
+    must declare that count.  A ``covering`` kind (min-knapsack) is pure
+    covering: every test succeeds, so p is all ones in "sssc" mode and the
+    costs are the item weights.
     """
 
     encode: Callable
     decode: Callable
     generate: Callable
-    has_m: bool = False
+    members: str = ""
     covering: bool = False
 
 
@@ -267,7 +271,7 @@ _TABLE = {
         encode=lambda f: {"m": f.m, "formulas": [_threshold_fields(sub) for sub in f.formulas]},
         decode=lambda data, n: ThresholdSet(tuple(map(_threshold_from, data["formulas"]))),
         generate=lambda rng, n, m: gen_threshold_set(rng, m, n),
-        has_m=True,
+        members="formulas",
     ),
     "cdnf": _Kind(
         encode=lambda f: {
@@ -291,7 +295,7 @@ _TABLE = {
             LinearSystem(tuple(_ints(row, "functions") for row in data["functions"]))
         ),
         generate=lambda rng, n, m: _ranked(gen_linear_system(rng, m, n, duplicate_prob=0.15)),
-        has_m=True,
+        members="functions",
     ),
     "knapsack": _Kind(
         encode=lambda f: {
@@ -338,7 +342,7 @@ def generate_instance(kind: str, n: int, seed: int, *, m: int = 2) -> Instance:
         raise InstanceFormatError("m must be at least 1")
     row = _kind(kind)
     rng = random.Random(seed)
-    ident = f"{kind}-m{m}-n{n}-s{seed}" if row.has_m else f"{kind}-n{n}-s{seed}"
+    ident = f"{kind}-m{m}-n{n}-s{seed}" if row.members else f"{kind}-n{n}-s{seed}"
     return _instance(ident, kind, row.generate(rng, n, m), rng)
 
 
@@ -365,11 +369,8 @@ def _battery(kind: str, make, count: int, seed: int, n_lo: int, n_hi: int) -> li
     ]
 
 
-def threshold_battery(
-    count: int, seed: int, n_lo: int = 3, n_hi: int = 10, max_coeff: int = 5
-) -> list:
-    make = lambda rng, n: gen_threshold(rng, n, max_coeff)
-    return _battery("threshold", make, count, seed, n_lo, n_hi)
+def threshold_battery(count: int, seed: int, n_lo: int = 3, n_hi: int = 10) -> list:
+    return _battery("threshold", gen_threshold, count, seed, n_lo, n_hi)
 
 
 def cdnf_battery(count: int, seed: int, n_lo: int = 3, n_hi: int = 10) -> list:

@@ -4,8 +4,9 @@ A policy picks the next position to test given the current partial
 assignment and, for the dual-greedy variant, a record of the dual credit
 accumulated along the realized test sequence.  Policy state is an immutable
 value so that a walk can branch on both outcomes of a test without
-interference.  Exact costs, sampled costs and single runs (`run_policy`,
-`policy_runs`) all send a policy down its tree in one `core.walk_policy`.
+interference.  Exact costs, sampled costs and runs on hidden inputs
+(`policy_runs`, one `RunTrace` per input) all send a policy down its tree in
+one `core.walk_policy`.
 """
 from __future__ import annotations
 
@@ -106,6 +107,9 @@ class GreedyPolicy:
     tree together in one walk, as those of `policy_runs` do.  A walk's
     ``grow`` at b may read it too; a caller that needs it further down
     carries it down the path, so a walk holds one record at a time.
+
+    ``c`` holds the validated costs: a caller that runs the policy hands
+    them to `policy_runs` instead of validating its costs a second time.
     """
 
     def __init__(self, g: UtilityFunction, d, c):
@@ -229,40 +233,17 @@ def cost_order_policy(c, f=None) -> FixedOrderPolicy:
 
 
 def policy_runs(policy, inputs, n: int, cc: tuple) -> list:
-    """Per input, (tested, outcomes, cost, final state) of the run of
-    ``policy`` on it with the validated costs ``cc``.  The runs go down the
-    tree together in one `core.walk_policy`, and each cost is summed from
-    the root in test order."""
+    """The `RunTrace` of the run of ``policy`` on each input, with the
+    validated costs ``cc``: the one way the package runs a policy on hidden
+    inputs.  The runs go down the tree together in one `core.walk_policy`,
+    each cost is summed from the root in test order, and ``final`` is the
+    leaf the run stopped at."""
 
     def leaf(b, state, path):
         tested, outs = tuple(zip(*path)) or ((), ())
         cost = 0.0
         for i in tested:
             cost += cc[i]
-        return tested, outs, cost, state
+        return RunTrace(tested, outs, cost, b)
 
     return walk_policy(policy, n, leaf, None, inputs=inputs)
-
-
-def run_policy(policy, outcomes, n: int, c) -> RunTrace:
-    tested, outs, cost, _ = policy_runs(policy, (tuple(outcomes),), n, as_costs(c))[0]
-    return RunTrace(tested, outs, cost)
-
-
-def adaptive_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
-    """Run the expected-gain-per-cost greedy until the utility reaches its
-    goal; the tested set then certifies whatever the utility encodes."""
-    policy = GreedyPolicy(g, d, c)
-    tested, outs, cost, _ = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
-    return RunTrace(tested, outs, cost)
-
-
-def adaptive_dual_greedy(g: UtilityFunction, d, c, outcomes) -> RunTrace:
-    """Run the dual-credit greedy; the trace records the dual value given to
-    each prefix of the realized test sequence.  The worst per-prefix ratio
-    over every input, the observed alpha that bounds such runs, comes from
-    one tree walk in `verify.adg_cost_and_alpha`."""
-    policy = DualGreedyPolicy(g, d, c)
-    tested, outs, cost, state = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
-    return RunTrace(tested, outs, cost, dual_values=state[0])
-

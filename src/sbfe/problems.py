@@ -14,8 +14,9 @@ from .core import (
     RunTrace,
     as_costs,
     as_probabilities,
+    stars,
 )
-from .policies import adaptive_dual_greedy, adaptive_greedy
+from .policies import DualGreedyPolicy, GreedyPolicy, policy_runs
 from .utility import (
     CdnfFormula,
     LinearSystem,
@@ -28,28 +29,24 @@ from .utility import (
     threshold_utility,
 )
 
-_EMPTY = RunTrace((), (), 0.0)
 KNAPSACK_MAX_N = 20  # the exact min-knapsack enumerates 2^n subsets
-
-
-def _engine(name: str):
-    if name == "greedy":
-        return adaptive_greedy
-    if name == "adg":
-        return adaptive_dual_greedy
-    raise ValueError(f"unknown engine {name!r}")
+_POLICIES = {"greedy": GreedyPolicy, "adg": DualGreedyPolicy}
 
 
 def _evaluate(build, engine: str, read, d, c, outcomes) -> tuple:
-    """Run ``engine`` on the utility ``build()`` returns and return the answer
-    ``read`` takes from the final assignment, with the run's trace.  Nothing
-    is tested when the function is constant or the goal is already met."""
+    """Run ``engine``'s policy on the utility ``build()`` returns and return
+    the answer ``read`` takes from the assignment the run stopped at, with
+    the run's trace.  Nothing is tested when the function is constant, and
+    a goal-0 utility stops at the root."""
     try:
         g = build()
     except ConstantFunctionError as exc:
-        return exc.value, _EMPTY
-    trace = _EMPTY if g.goal == 0 else _engine(engine)(g, d, c, outcomes)
-    value = read(trace.final(g.arity))
+        return exc.value, RunTrace((), (), 0.0, stars(len(outcomes)))
+    if engine not in _POLICIES:
+        raise ValueError(f"unknown engine {engine!r}")
+    policy = _POLICIES[engine](g, d, c)
+    trace = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
+    value = read(trace.final)
     if value is None:
         raise RuntimeError(f"{engine} policy stopped before certifying; utility broken")
     return value, trace
@@ -169,19 +166,20 @@ def ranking_utility(sys: LinearSystem) -> UtilityFunction:
 
 def _extract_ranking(sys: LinearSystem, b: Partial) -> Optional[RankingResult]:
     """The order of the functions that b forces, or None while the order of
-    some pair is open.  `LinearSystem.known_order` is exact over the
-    extensions of b, so forced <= chains; once every pair is decided it is
-    a total preorder, and one stable sort reads the permutation off it.
-    Adjacent entries forced equal form the classes, each in index order."""
+    some pair is open.  `LinearSystem.certificate` gives each pair's forced
+    (le, ge), exact over the extensions of b, so forced <= chains; once
+    every pair is decided it is a total preorder, and one stable sort reads
+    the permutation off it.  Adjacent entries forced equal form the
+    classes, each in index order."""
+    orders = sys.certificate(b)
+    if orders is None:
+        return None
     m = sys.m
     cmp = {}  # (i, j) -> -1, 0 or 1 as f_i is forced below, equal to or above f_j
-    for i in range(m):
-        for j in range(i + 1, m):
-            le, ge = sys.known_order(i, j, b)
-            if not (le or ge):
-                return None
-            cmp[i, j] = ge - le
-            cmp[j, i] = le - ge
+    pairs = ((i, j) for i in range(m) for j in range(i + 1, m))
+    for (i, j), (le, ge) in zip(pairs, orders):
+        cmp[i, j] = ge - le
+        cmp[j, i] = le - ge
     permutation = sorted(range(m), key=cmp_to_key(lambda i, j: cmp[i, j]))
     classes = [[permutation[0]]]
     for i, j in zip(permutation, permutation[1:]):
@@ -244,8 +242,8 @@ def min_knapsack_adg(kp: KnapsackInstance) -> tuple:
     if f.constant_value() == 1:
         return (), 0.0
     g = threshold_utility(f)
-    d = ProductDistribution.certain_ones(kp.arity)
-    trace = adaptive_dual_greedy(g, d, kp.weights, (1,) * kp.arity)
+    policy = DualGreedyPolicy(g, ProductDistribution.certain_ones(kp.arity), kp.weights)
+    trace = policy_runs(policy, ((1,) * kp.arity,), kp.arity, policy.c)[0]
     return trace.tested, trace.total_cost
 
 

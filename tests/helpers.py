@@ -31,7 +31,7 @@ from sbfe.core import (
     walk_policy,
 )
 from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth_table
-from sbfe.policies import EPS, DualGreedyPolicy
+from sbfe.policies import EPS, DualGreedyPolicy, policy_runs
 from sbfe.problems import ThresholdSet
 from sbfe.utility import (
     CdnfFormula,
@@ -139,6 +139,12 @@ def reference_run(policy, outcomes, n: int, cc: tuple) -> tuple:
         outs.append(v)
         cost += cc[i]
     return tuple(tested), tuple(outs), cost, state
+
+
+def run_on(policy, x) -> RunTrace:
+    """The `RunTrace` of a greedy or dual-greedy ``policy`` on the one
+    input x, from `policies.policy_runs` with the policy's own costs."""
+    return policy_runs(policy, [tuple(x)], policy.g.arity, policy.c)[0]
 
 
 def enumeration_expected_cost(policy, d, c, n: int) -> float:
@@ -689,19 +695,22 @@ def reference_check_dual_feasibility(g, d, c) -> DualCertificate:
     cc = as_costs(c)
 
     # One walk of the policy's decision tree covers all 2^n runs: every
-    # input consistent with a leaf's outcomes produces that leaf's trace.
+    # input consistent with a leaf's outcomes produces that leaf's trace
+    # and the dual values y its final state holds.
     pol = DualGreedyPolicy(g, d, cc)
     traces = {}
+    duals = {}
     prefix_cache = {}
 
     def leaf(b, state, path):
         tested = tuple(idx for idx, _ in path)
         outs = tuple(v for _, v in path)
         cost = sum(cc[idx] for idx in tested)
-        tr = RunTrace(tested, outs, cost, dual_values=state[0])
+        tr = RunTrace(tested, outs, cost, b)
         prefixes = trace_prefixes(tr, n)
         for a in extensions(b):
             traces[a] = tr
+            duals[a] = state[0]
             prefix_cache[a] = prefixes
 
     walk_policy(pol, n, leaf, lambda i, if0, if1: None)
@@ -729,10 +738,10 @@ def reference_check_dual_feasibility(g, d, c) -> DualCertificate:
                 violations.append((w, "neighbor property violated"))
                 continue
             h = 0.0
-            for t, y in enumerate(t1.dual_values):
+            for t, y in enumerate(duals[a1]):
                 if y != 0.0:
                     h += p[j] * y * prefix_gain(prefix_cache[a1][t], j, 1)
-            for t, y in enumerate(t0.dual_values):
+            for t, y in enumerate(duals[a0]):
                 if y != 0.0:
                     h += (1.0 - p[j]) * y * prefix_gain(prefix_cache[a0][t], j, 0)
             s = cc[j] - h
@@ -748,7 +757,7 @@ def reference_check_dual_feasibility(g, d, c) -> DualCertificate:
     for a, tr in traces.items():
         pa = prob_of(a, p)
         lhs += pa * tr.total_cost
-        for t, y in enumerate(tr.dual_values):
+        for t, y in enumerate(duals[a]):
             if y == 0.0:
                 continue
             pfx = prefix_cache[a][t]

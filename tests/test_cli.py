@@ -28,7 +28,7 @@ from sbfe.core import (
     stars,
 )
 from sbfe.instances import KINDS
-from sbfe.policies import cp_ratio_policy, run_policy
+from sbfe.policies import cp_ratio_policy, policy_runs
 from sbfe.problems import harmonic_gap_instance
 
 ENGINES = ("greedy", "adg", "baseline")
@@ -152,6 +152,11 @@ BAD_PAYLOADS = [
     pytest.param("threshold", {"id": lambda i: {"x": 1}}, id="id-object"),
     pytest.param("threshold", {"id": lambda i: None}, id="id-null"),
     pytest.param("threshold", {"id": lambda i: 7}, id="id-number"),
+    # a declared m is an integer equal to the formula or function count
+    pytest.param("thresholds", {"m": lambda m: 7}, id="m-not-count"),
+    pytest.param("thresholds", {"m": lambda m: "x"}, id="m-string"),
+    pytest.param("thresholds", {"m": lambda m: True}, id="m-bool"),
+    pytest.param("linear-system", {"m": lambda m: 9}, id="functions-m-not-count"),
 ]
 
 
@@ -315,6 +320,24 @@ class TestEval:
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "kind, members", [("thresholds", "formulas"), ("linear-system", "functions")]
+    )
+    def test_declared_m(self, tmp_path, capsys, kind, members):
+        path = self._gen(tmp_path, kind, 5, 3)
+        data = json.loads(path.read_text())
+        _, want, _ = run_cli(capsys, "eval", str(path))
+        del data["m"]  # m may be left out
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "eval", str(path)) == (0, want, "")
+        data["m"] = 2.0  # it reads as an integer, like n
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "eval", str(path)) == (0, want, "")
+        data["m"] = 3
+        path.write_text(json.dumps(data))
+        err = f"error: {path}: declared m disagrees with the number of {members}\n"
+        assert run_cli(capsys, "eval", str(path)) == (2, "", err)
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_costs_with_infinite_total_exit_two(self, tmp_path, capsys, engine):
         # the parent printed expected_cost=inf, ratio=inf and pass=true here
@@ -397,7 +420,7 @@ class TestSampledCost:
         reached = set()
         for k in range(trials):
             policy, _ = cli.engine_policy("adg", g, inst)
-            trace = run_policy(policy, sample_input(inst.dist, seed + k), inst.n, inst.costs)
+            trace = policy_runs(policy, [sample_input(inst.dist, seed + k)], inst.n, policy.c)[0]
             b = stars(inst.n)
             for i, v in zip(trace.tested, trace.outcomes):
                 reached.add(b)
@@ -655,7 +678,7 @@ class TestDeepWalk:
                 policy, _ = cli.engine_policy(engine, g, inst)
                 got[engine] = cli._sampled_cost(policy, inst, 2, 0)
             policy, _ = cli.engine_policy("greedy", g, inst)
-            trace = run_policy(policy, xs[0], inst.n, inst.costs)
+            trace = policy_runs(policy, xs[:1], inst.n, policy.c)[0]
         finally:
             sys.setrecursionlimit(limit)
         assert harmonic == pytest.approx(float(sum(Fraction(1, t) for t in range(1, 513))))

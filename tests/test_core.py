@@ -238,12 +238,10 @@ class TestOptimalOracle:
 
     def test_limit_guards(self):
         f = disjunction_formula(4)
-        with pytest.raises(LimitError):
-            optimal_expected_cost(f, ProductDistribution((0.5,) * 4), (1.0,) * 4, limit=3)
-        n = OPTIMUM_MAX_N + 1  # a larger limit cannot lift the cap
-        with pytest.raises(LimitError):
+        n = OPTIMUM_MAX_N + 1
+        with pytest.raises(LimitError, match=f"^exhaustive optimum limited to n <= 14, got {n}$"):
             optimal_expected_cost(
-                disjunction_formula(n), ProductDistribution((0.5,) * n), (1.0,) * n, limit=n
+                disjunction_formula(n), ProductDistribution((0.5,) * n), (1.0,) * n
             )
         with pytest.raises(ValueError):
             optimal_expected_cost(
@@ -571,13 +569,12 @@ class TestExpectedCertificateCost:
 class TestRunTrace:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            RunTrace((0, 0), (1, 1), 2.0)
+            RunTrace((0, 0), (1, 1), 2.0, (1, STAR))
 
     def test_prefixes(self):
-        tr = RunTrace((2, 0), (1, 0), 3.0)
+        tr = RunTrace((2, 0), (1, 0), 3.0, (0, STAR, 1))
         assert trace_prefixes(tr, 3) == (
             (STAR, STAR, STAR),
             (STAR, STAR, 1),
             (0, STAR, 1),
         )
-        assert tr.final(3) == (0, STAR, 1)

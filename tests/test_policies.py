@@ -17,6 +17,7 @@ from helpers import (
     reference_alpha,
     reference_run,
     restrict,
+    run_on,
     trace_prefixes,
     utility_from_fn,
 )
@@ -53,12 +54,10 @@ from sbfe.policies import (
     DualGreedyPolicy,
     FixedOrderPolicy,
     GreedyPolicy,
-    adaptive_dual_greedy,
-    adaptive_greedy,
     bounds,
     cost_order_policy,
     cp_ratio_policy,
-    run_policy,
+    policy_runs,
 )
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
@@ -76,39 +75,38 @@ class TestAdaptiveGreedy:
         # both ratios 1/1.5, tie goes to x1; outcome 0 is not yet a cover
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution((0.5,) * 2)
-        tr = adaptive_greedy(g, d, (1.0, 1.0), (0, 1))
+        tr = run_on(GreedyPolicy(g, d, (1.0, 1.0)), (0, 1))
         assert tr.tested == (0, 1)
         assert tr.total_cost == 2.0
 
     def test_or_one_test_suffices(self):
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution((0.5,) * 2)
-        tr = adaptive_greedy(g, d, (1.0, 1.0), (1, 1))
+        tr = run_on(GreedyPolicy(g, d, (1.0, 1.0)), (1, 1))
         assert tr.tested == (0,)
         assert tr.total_cost == 1.0
 
     def test_goal_zero_runs_nothing(self):
-        tr = adaptive_greedy(
-            constant_zero_utility(3), ProductDistribution((0.5,) * 3), (1.0,) * 3, (1, 1, 1)
-        )
-        assert tr.tested == () and tr.total_cost == 0.0
+        g = constant_zero_utility(3)
+        tr = run_on(GreedyPolicy(g, ProductDistribution((0.5,) * 3), (1.0,) * 3), (1, 1, 1))
+        assert tr.tested == () and tr.total_cost == 0.0 and tr.final == stars(3)
 
     def test_stuck_utility_rejected(self):
         g = utility_from_fn(2, 1, lambda b: 0)
         with pytest.raises(InvalidUtilityError):
-            adaptive_greedy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0), (1, 1))
+            run_on(GreedyPolicy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0)), (1, 1))
 
     def test_zero_cost_taken_first(self):
         g = cdnf_utility(disjunction_formula(3))
         d = ProductDistribution((0.5,) * 3)
-        tr = adaptive_greedy(g, d, (1.0, 0.0, 1.0), (0, 0, 1))
+        tr = run_on(GreedyPolicy(g, d, (1.0, 0.0, 1.0)), (0, 0, 1))
         assert tr.tested[0] == 1
 
     def test_selection_minimizes_ratio_per_step(self):
         for case in cdnf_battery(5, seed=41, n_lo=3, n_hi=6):
             g = cdnf_utility(case.f)
             x = (1, 0) * (g.arity // 2) + (1,) * (g.arity % 2)
-            tr = adaptive_greedy(g, case.dist, case.costs, x)
+            tr = run_on(GreedyPolicy(g, case.dist, case.costs), x)
             for t, chosen in enumerate(tr.tested):
                 b = trace_prefixes(tr, g.arity)[t]
                 gains = {
@@ -126,9 +124,9 @@ class TestAdaptiveGreedy:
         for case in threshold_battery(5, seed=43, n_lo=2, n_hi=6):
             g = threshold_utility(case.f)
             for x in [(0,) * g.arity, (1,) * g.arity]:
-                tr = adaptive_greedy(g, case.dist, case.costs, x)
+                tr = run_on(GreedyPolicy(g, case.dist, case.costs), x)
                 assert len(tr.tested) <= g.arity
-                assert g.fn(tr.final(g.arity)) == g.goal
+                assert g.fn(tr.final) == g.goal
 
 
 class TestAdaptiveDualGreedy:
@@ -145,7 +143,7 @@ class TestAdaptiveDualGreedy:
     def test_threshold_single_decisive_test(self):
         g = threshold_utility(ThresholdFormula((1, 1), 1))
         d = ProductDistribution((0.5,) * 2)
-        tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (1, 0))
+        tr = run_on(DualGreedyPolicy(g, d, (1.0, 1.0)), (1, 0))
         assert tr.tested == (0,)
         assert tr.total_cost == 1.0
 
@@ -153,17 +151,21 @@ class TestAdaptiveDualGreedy:
         # y for the empty prefix is c_j / E[gain at the root]
         g = threshold_utility(ThresholdFormula((1, 1), 1))
         d = ProductDistribution((0.5,) * 2)
-        tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (1, 0))
-        root_gain = expected_gain(g, stars(2), tr.tested[0], d.p, 0)
-        assert tr.dual_values[0] == pytest.approx(1.0 / root_gain)
+        policy = DualGreedyPolicy(g, d, (1.0, 1.0))
+        tested, _, _, state = reference_run(policy, (1, 0), 2, policy.c)
+        root_gain = expected_gain(g, stars(2), tested[0], d.p, 0)
+        assert state[0][0] == pytest.approx(1.0 / root_gain)
 
     def test_duals_nonnegative_and_cover_reached(self):
         for case in threshold_battery(6, seed=53, n_lo=2, n_hi=6):
             g = threshold_utility(case.f)
-            for x in all_assignments(g.arity):
-                tr = adaptive_dual_greedy(g, case.dist, case.costs, x)
-                assert all(y >= 0.0 for y in tr.dual_values)
-                assert g.fn(tr.final(g.arity)) == g.goal
+            policy = DualGreedyPolicy(g, case.dist, case.costs)
+            xs = list(all_assignments(g.arity))
+            # the y values from each run's final state, in one walk
+            ys = walk_policy(policy, g.arity, lambda b, state, path: state[0], None, inputs=xs)
+            for tr, run_ys in zip(policy_runs(policy, xs, g.arity, policy.c), ys):
+                assert all(y >= 0.0 for y in run_ys)
+                assert g.fn(tr.final) == g.goal
 
     def test_expected_cost_matches_enumeration(self):
         for case in threshold_battery(4, seed=59, n_lo=2, n_hi=5):
@@ -227,13 +229,20 @@ class TestDualGreedyAgainstLiteralRule:
                 if case.kind == "threshold"
                 else cdnf_utility(case.f)
             )
-            for x in all_assignments(g.arity):
-                got = adaptive_dual_greedy(g, case.dist, case.costs, x)
+            xs = list(all_assignments(g.arity))
+            runs = walk_policy(
+                DualGreedyPolicy(g, case.dist, case.costs),
+                g.arity,
+                lambda b, state, path: (tuple(i for i, _ in path), state[0]),
+                None,
+                inputs=xs,
+            )
+            for x, (tested, ys) in zip(xs, runs):
                 want_tested, want_duals = _dual_greedy_by_the_book(
                     g, case.dist, case.costs, x
                 )
-                assert got.tested == want_tested, (case.id, x)
-                for a, b in zip(got.dual_values, want_duals):
+                assert tested == want_tested, (case.id, x)
+                for a, b in zip(ys, want_duals):
                     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -378,7 +387,7 @@ class TestAlpha:
     def test_root_prefix_ratio(self):
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution((0.5,) * 2)
-        tr = adaptive_dual_greedy(g, d, (1.0, 1.0), (0, 1))
+        tr = run_on(DualGreedyPolicy(g, d, (1.0, 1.0)), (0, 1))
         samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)), lambda b: gains_at(g, b))
         # at the empty prefix the denominator is the whole goal
         expect = sum(
@@ -467,22 +476,21 @@ _DRIVERS = {
 
 
 class TestRunsAgainstReferenceRun:
-    """`run_policy`, the adaptive runs and the `problems` drivers each take
-    a run from the one-input `core.walk_policy`; `reference_run` is the loop
-    it replaced."""
+    """`policy_runs`, on its own and inside the `problems` drivers, takes its
+    runs from `core.walk_policy`; `reference_run` is the plain loop it
+    replaced."""
 
     @staticmethod
-    def _same(trace, ref, dual=False):
-        tested, outs, cost, state = ref
+    def _same(trace, ref, n):
+        tested, outs, cost, _ = ref
         assert (trace.tested, trace.outcomes) == (tested, outs)
         assert trace.total_cost.hex() == cost.hex()
-        assert trace.dual_values == (state[0] if dual else ())
+        assert trace.final == trace_prefixes(trace, n)[-1]
 
     @pytest.mark.parametrize("engine", ["greedy", "adg", "baseline"])
     @pytest.mark.parametrize("kind", sorted(_EVAL))
     def test_field_by_field(self, kind, engine):
         driver = _DRIVERS.get((kind, engine))
-        adaptive = {"greedy": adaptive_greedy, "adg": adaptive_dual_greedy}.get(engine)
         for seed in (1, 2):
             for n in (6, 9, 12):
                 inst = generate_instance(kind, n, seed)
@@ -491,14 +499,17 @@ class TestRunsAgainstReferenceRun:
                 except ConstantFunctionError:
                     continue
                 d, c, cc = inst.dist, inst.costs, as_costs(inst.costs)
-                for k in range(100):
-                    x = sample_input(d, k)
-                    ref = reference_run(engine_policy(engine, g, inst)[0], x, n, cc)
-                    self._same(run_policy(engine_policy(engine, g, inst)[0], x, n, c), ref)
-                    if adaptive is not None:
-                        self._same(adaptive(g, d, c, x), ref, dual=engine == "adg")
-                    if driver is not None and g.goal > 0:
-                        self._same(driver(inst.f, d, c, x)[1], ref, dual=engine == "adg")
+                policy = lambda: engine_policy(engine, g, inst)[0]
+                xs = [sample_input(d, k) for k in range(30)]
+                refs = [reference_run(policy(), x, n, cc) for x in xs]
+                # one input per walk, then all of them in one walk
+                for x, ref in zip(xs, refs):
+                    self._same(policy_runs(policy(), [x], n, cc)[0], ref, n)
+                for trace, ref in zip(policy_runs(policy(), xs, n, cc), refs):
+                    self._same(trace, ref, n)
+                if driver is not None:
+                    for x, ref in zip(xs, refs):
+                        self._same(driver(inst.f, d, c, x)[1], ref, n)
 
     def test_knapsack(self):
         for seed in (1, 2):
@@ -596,7 +607,7 @@ class TestOneIllegalTestCheck:
         monkeypatch.setattr(cli, "engine_policy", lambda *args: (policy, 1.0))
         calls = (
             lambda: expected_cost(policy, d, c),
-            lambda: run_policy(policy, (0, 1, 1), 3, c),
+            lambda: policy_runs(policy, [(0, 1, 1)], 3, c),
             lambda: cli.main(["eval", str(path), "--max-n", "2", "--trials", "5"]),
         )
         for call in calls:
@@ -612,7 +623,7 @@ class TestOneIllegalTestCheck:
                 reference_run(FixedOrderPolicy((0, 1, 2)), x, 3, c)
             assert str(ref.value) == want
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-                run_policy(FixedOrderPolicy((0, 1, 2)), x, 3, c)
+                policy_runs(FixedOrderPolicy((0, 1, 2)), [x], 3, c)
             # one bad input stops a walk of many
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 walk_policy(FixedOrderPolicy((0, 1, 2)), 3, lambda b, s, p: p, None,
@@ -622,7 +633,7 @@ class TestOneIllegalTestCheck:
         policy = FixedOrderPolicy((0, 1, 2), stop=lambda b: 1 in b)
         x = (1, 7, "?")
         want = reference_run(policy, x, 3, (1.0, 2.0, 3.0))
-        trace = run_policy(policy, x, 3, (1.0, 2.0, 3.0))
+        trace = policy_runs(policy, [x], 3, (1.0, 2.0, 3.0))[0]
         assert (trace.tested, trace.outcomes, trace.total_cost) == want[:3] == ((0,), (1,), 1.0)
 
 
@@ -684,9 +695,7 @@ class TestCarriedUtility:
             for cls in (GreedyPolicy, DualGreedyPolicy):
                 expected_cost(cls(g, d, c), d, c)
                 cli._sampled_cost(cls(g, d, c), inst, 40, 0)
-                run_policy(cls(g, d, c), xs[0], n, c)
-            adaptive_greedy(g, d, c, xs[1])
-            adaptive_dual_greedy(g, d, c, xs[2])
+                policy_runs(cls(g, d, c), xs[:3], n, as_costs(c))
             adg_cost_and_alpha(g, d, c)
             check_dual_feasibility(g, d, c)
             checked += 1
@@ -704,18 +713,16 @@ class TestCarriedUtility:
             return plain.fn(b)
 
         g = dataclasses.replace(plain, fn=fn)
-        n, d, c = inst.n, inst.dist, inst.costs
+        n, d, c, cc = inst.n, inst.dist, inst.costs, as_costs(inst.costs)
         xs = [sample_input(d, k) for k in range(30)]
         walks = {
             "adg_cost_and_alpha": lambda: adg_cost_and_alpha(g, d, c),
             "check_dual_feasibility": lambda: check_dual_feasibility(g, d, c),
-            "adaptive_greedy": lambda: adaptive_greedy(g, d, c, xs[0]),
-            "adaptive_dual_greedy": lambda: adaptive_dual_greedy(g, d, c, xs[0]),
         }
         for cls in (GreedyPolicy, DualGreedyPolicy):
             name = cls.__name__
             walks[f"expected_cost {name}"] = lambda cls=cls: expected_cost(cls(g, d, c), d, c)
-            walks[f"run_policy {name}"] = lambda cls=cls: run_policy(cls(g, d, c), xs[0], n, c)
+            walks[f"one run {name}"] = lambda cls=cls: policy_runs(cls(g, d, c), xs[:1], n, cc)
             walks[f"sampled {name}"] = lambda cls=cls: cli._sampled_cost(cls(g, d, c), inst, 30, 0)
         for name, walk in walks.items():
             count[0] = 0

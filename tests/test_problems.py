@@ -20,6 +20,7 @@ from sbfe.core import (
     all_partials,
     expected_cost,
     optimal_expected_cost,
+    stars,
 )
 from sbfe.instances import (
     gen_linear_system,
@@ -67,7 +68,7 @@ class TestEvaluateCdnf:
             for x in all_assignments(case.f.arity):
                 value, tr = evaluate_cdnf(case.f, case.dist, case.costs, x)
                 assert value == evaluate(case.f, x)
-                assert brute_certificate(case.f, tr.final(case.f.arity)) == value
+                assert brute_certificate(case.f, tr.final) == value
 
 
 class TestEvaluateThreshold:
@@ -94,7 +95,7 @@ class TestEvaluateThreshold:
             for x in all_assignments(case.f.arity):
                 value, tr = evaluate_threshold_adg(case.f, case.dist, case.costs, x)
                 assert value == evaluate(case.f, x)
-                assert brute_certificate(case.f, tr.final(case.f.arity)) == value
+                assert brute_certificate(case.f, tr.final) == value
 
     def test_adg_positive_runs_end_on_raising_test(self):
         # when f(x) = 1, the final test is the one that pushes the
@@ -163,6 +164,17 @@ class TestSimultaneous:
         bits, _ = simultaneous_thresholds(fs, ProductDistribution((0.5,) * 2), (1.0, 1.0), (0, 1))
         assert bits == (0, 1)
 
+    @pytest.mark.parametrize("engine", ["greedy", "adg"])
+    def test_goal_zero_set_runs_nothing(self, engine):
+        # every member is constant, so the utility's goal is 0 and the run
+        # stops at the root: no test, and the answer read at all-untested
+        fs = ThresholdSet((ThresholdFormula((1, 1), 3), ThresholdFormula((1, -1), -1)))
+        assert fs.utility().goal == 0
+        d = ProductDistribution((0.5,) * 2)
+        bits, tr = simultaneous_thresholds(fs, d, (1.0, 1.0), (1, 0), engine)
+        assert bits == (0, 1) == fs.certificate(stars(2))
+        assert (tr.tested, tr.outcomes, tr.total_cost, tr.final) == ((), (), 0.0, stars(2))
+
     def test_adg_within_dmax_of_optimum(self):
         for case in threshold_set_battery(5, seed=109, m_hi=3, n_lo=3, n_hi=6):
             g = case.f.utility()
@@ -217,7 +229,7 @@ class TestRanking:
                 for cls in result.equality_classes:
                     assert len({values[j] for j in cls}) == 1
                 # emitted order never contradicts a decided pair
-                b = tr.final(sys.arity)
+                b = tr.final
                 for pos, i in enumerate(result.permutation):
                     for j in result.permutation[pos + 1 :]:
                         assert any(sys.known_order(i, j, b))

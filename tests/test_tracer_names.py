@@ -2,6 +2,7 @@
 callers look them up under.  Installing it on the real modules here makes a
 rename fail in the test suite, not only in a traced benchmark run."""
 import importlib
+import random
 import types
 from pathlib import Path
 
@@ -91,3 +92,39 @@ def test_ranking_table_makes_no_certificate_call(tmp_path, monkeypatch, capsys):
         tracer.restore()
     assert tracer.call_count("core.optimum") == 1
     assert tracer.call_count("utility.certificate") == 0
+
+
+def test_drivers_build_through_problems_and_count_what_they_buy(monkeypatch):
+    # each driver builds its utility through a `problems` global, so the
+    # tracer sees one utility.fn call per walk, and the tests bought are
+    # read off the traces and item lists the drivers return
+    tracing, modules = _tracing(monkeypatch)
+    problems, inst_mod = sbfe.problems, sbfe.instances
+    rng = random.Random(7)
+    n = 8
+    d = sbfe.core.ProductDistribution(inst_mod.gen_probabilities(rng, n))
+    c = inst_mod.gen_costs(rng, n)
+    x = tuple(rng.randrange(2) for _ in range(n))
+    f = inst_mod.gen_threshold(rng, n)
+    kp = problems.KnapsackInstance((5, 4, 3, 2, 6), (4.0, 3.0, 2.0, 1.0, 5.0), 9)
+    calls = (
+        lambda: problems.evaluate_threshold_greedy(f, d, c, x)[1].tested,
+        lambda: problems.evaluate_threshold_adg(f, d, c, x)[1].tested,
+        lambda: problems.evaluate_cdnf(inst_mod.gen_cdnf(rng, n), d, c, x)[1].tested,
+        lambda: problems.simultaneous_thresholds(
+            inst_mod.gen_threshold_set(rng, 2, n), d, c, x)[1].tested,
+        lambda: problems.rank_linear_functions(
+            inst_mod.gen_linear_system(rng, 3, n), d, c, x)[1].tested,
+        lambda: problems.min_knapsack_adg(kp)[0],
+    )
+    tracer = tracing.Tracer()
+    bought = 0
+    try:
+        tracing.install(tracer, modules)
+        for call in calls:
+            bought += len(call())
+    finally:
+        tracer.restore()
+    assert bought > 0
+    assert tracer.counts["problems.tests_bought"] == bought
+    assert tracer.call_count("utility.fn") == len(calls)

@@ -14,6 +14,7 @@ from helpers import (
     reference_check_axioms_exhaustive,
     reference_check_axioms_random,
     reference_check_dual_feasibility,
+    reference_run,
     utility_from_fn,
 )
 from sbfe.core import (
@@ -35,7 +36,6 @@ from sbfe.instances import (
 from sbfe.policies import (
     DualGreedyPolicy,
     GreedyPolicy,
-    adaptive_dual_greedy,
     bounds,
     cp_ratio_policy,
 )
@@ -273,9 +273,9 @@ class TestDualFeasibility:
         case = threshold_battery(1, seed=9, n_lo=4, n_hi=4)[0]
         g = threshold_utility(case.f)
         cert = check_dual_feasibility(g, case.dist, case.costs)
+        policy = DualGreedyPolicy(g, case.dist, case.costs)
         lhs = sum(
-            prob_of(a, case.dist)
-            * adaptive_dual_greedy(g, case.dist, case.costs, a).total_cost
+            prob_of(a, case.dist) * reference_run(policy, a, 4, policy.c)[2]
             for a in all_assignments(4)
         )
         assert cert.objective_gap <= 1e-6 * max(1.0, lhs)
@@ -344,9 +344,10 @@ class TestObservedAlpha:
             g = threshold_utility(case.f)
             walked = observed_alpha(g, case.dist, case.costs)
             per_input = 1.0
+            policy = DualGreedyPolicy(g, case.dist, case.costs)
             for x in all_assignments(g.arity):
-                tr = adaptive_dual_greedy(g, case.dist, case.costs, x)
-                steps = tuple(zip(tr.tested, tr.outcomes))
+                tested, outs, _, _ = reference_run(policy, x, g.arity, policy.c)
+                steps = tuple(zip(tested, outs))
                 for _, r in prefix_ratios(g, steps, lambda b: gains_at(g, b)):
                     per_input = max(per_input, r)
             assert walked == pytest.approx(per_input, abs=1e-12)
