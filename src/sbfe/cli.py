@@ -281,13 +281,15 @@ def _verify_lines(args):
             label = f"axioms exhaustive {case.kind} (n={case.n})"
             suite(lambda: reported(label, check_axioms(build(case.f), "exhaustive")), label)
 
-    def random_axioms(g):
-        rep = check_axioms(g, "random", trials=args.trials, seed=seed)
+    def random_axioms(g, draws):
+        rep = check_axioms(g, "random", trials=args.trials, seed=draws)
         return reported(f"axioms random threshold (n={g.arity}, {rep.checked} checks)", rep)
 
-    for case in inst_mod.threshold_battery(2, seed + 3, n_lo=8, n_hi=8):
+    # each case draws its own states: its seed is made from the verify seed
+    # and its place in the battery
+    for k, case in enumerate(inst_mod.threshold_battery(2, seed + 3, n_lo=8, n_hi=8)):
         label = f"axioms random threshold (n={case.n})"
-        suite(lambda: random_axioms(threshold_utility(case.f)), label)
+        suite(lambda: random_axioms(threshold_utility(case.f), 2 * seed + k), label)
 
     # Goal-certificate equivalence.
     for build, battery in (

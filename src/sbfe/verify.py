@@ -46,11 +46,14 @@ def check_axioms(
 
     Exhaustive mode (arity <= AXIOMS_EXHAUSTIVE_MAX_N) checks each gain
     against the same gain one test later, which is equivalent to checking
-    every pair (b, b') with b' extending b; random mode samples such pairs.
-    Reports the first violating (b, b', i, l) tuple.  Exhaustive mode also
-    checks the utility's ``step``, which policy walks read in place of ``fn``
-    below their root, against the ``fn`` values at every state and reports
-    the first state (b,) where they differ.
+    every pair (b, b') with b' extending b.  Random mode draws such pairs
+    until it has made at least ``trials`` checks: at each draw, every
+    untested (i, l) of b', and one random child of b.  Reports the first
+    violating (b, b', i, l) tuple.  Both modes also check the utility's
+    ``step``, which policy walks read in place of ``fn`` below their root:
+    exhaustive mode against the ``fn`` values at every state, random mode at
+    the drawn child and at the tested positions of b'.  A disagreement is
+    reported with the state (b,) whose step is wrong.
     """
     if mode == "exhaustive":
         if g.arity > AXIOMS_EXHAUSTIVE_MAX_N:
@@ -97,37 +100,48 @@ def _check_axioms_exhaustive(g: UtilityFunction) -> CheckReport:
 
 def _check_axioms_random(g: UtilityFunction, trials: int, seed: int) -> CheckReport:
     n = g.arity
+    if not n:
+        return CheckReport(True, 0)  # no position to test, so no draw makes a check
     rng = random.Random(seed)
-    bits, coin = rng.getrandbits, rng.random
-
-    def below(k):
-        # rng.randrange(k) and rng.choice of k items make exactly this draw
-        width = k.bit_length()
-        r = bits(width)
-        while r >= k:
-            r = bits(width)
-        return r
-
-    fn = g.fn
+    fn, step = g.fn, g.step
+    states = 3**n
     checked = 0
-    for _ in range(trials):
-        # an outcome in (0, 1, STAR) is its own index, since STAR == 2
-        bp = tuple([below(3) for _ in range(n)])
-        untested = [i for i, v in enumerate(bp) if v == STAR]
-        if not untested:
-            continue
-        # each tested position of bp is cleared in b on a coin flip, in order
-        b = tuple([STAR if v != STAR and coin() < 0.5 else v for v in bp])
-        i = untested[below(len(untested))]
-        l = below(2)
+    while checked < trials:
+        # b' in base 3, position 0 lowest; an outcome in (0, 1, STAR) is its
+        # own digit, since STAR == 2
+        r = rng.randrange(states)
+        bp = []
+        for _ in range(n):
+            r, v = divmod(r, 3)
+            bp.append(v)
+        bp = tuple(bp)
+        # b clears b''s tested positions on the set bits of one draw
+        mask = rng.getrandbits(n)
+        b = tuple([STAR if mask >> i & 1 else v for i, v in enumerate(bp)])
         vb, vbp = fn(b), fn(bp)
-        early = fn(b[:i] + (l,) + b[i + 1 :]) - vb
-        late = fn(bp[:i] + (l,) + bp[i + 1 :]) - vbp
-        checked += 1
-        if late < 0 or early < 0:
-            return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")
-        if early < late:
-            return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
+        at_b, at_bp = step(b), step(bp)
+        # the step records are checked before the axioms read them: g(b') at
+        # b''s tested positions, and one random child of b against fn
+        if any(at_bp[0][i] != vbp or at_bp[1][i] != vbp for i, v in enumerate(bp) if v != STAR):
+            return CheckReport(False, checked, (bp,), "step disagrees with fn")
+        free = [i for i, v in enumerate(b) if v == STAR]
+        if free:
+            k = rng.randrange(2 * len(free))
+            i, l = free[k >> 1], k & 1
+            checked += 1
+            if fn(b[:i] + (l,) + b[i + 1 :]) != at_b[l][i]:
+                return CheckReport(False, checked, (b,), "step disagrees with fn")
+        for i, v in enumerate(bp):
+            if v != STAR:
+                continue
+            for l in (0, 1):
+                checked += 1
+                early = at_b[l][i] - vb
+                late = at_bp[l][i] - vbp
+                if late < 0 or early < 0:
+                    return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")
+                if early < late:
+                    return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
     return CheckReport(True, checked)
 
 

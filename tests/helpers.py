@@ -8,6 +8,7 @@ extrema from brute force instead of the closed forms.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -112,6 +113,20 @@ def step_from_fn(fn):
 def utility_from_fn(n: int, goal: int, fn) -> UtilityFunction:
     """A hand-built utility whose step comes from `step_from_fn`."""
     return UtilityFunction(n, goal, fn, step_from_fn(fn))
+
+
+def step_off_by_one(g: UtilityFunction, untested: int) -> UtilityFunction:
+    """``g`` with its ``step`` one too high in every entry at each state
+    with ``untested`` untested positions, and its ``fn`` intact: a fault
+    that only a check reading ``step`` can see."""
+
+    def step(b):
+        zero, one = g.step(b)
+        if b.count(STAR) == untested:
+            return tuple(v + 1 for v in zero), tuple(v + 1 for v in one)
+        return zero, one
+
+    return dataclasses.replace(g, step=step)
 
 
 def reference_run(policy, outcomes, n: int, cc: tuple) -> tuple:
@@ -266,33 +281,44 @@ def reference_truth_table_utility(f):
 
 
 def reference_check_axioms_random(g, trials, seed):
-    """The random mode of `check_axioms` as first written, the reference
-    for its loop: a generator expression per state, one `clear` per coin
-    that comes up, and `extend` for both extensions."""
+    """The random mode of `check_axioms` written plainly, the reference for
+    its step records: the same draws in the same order, ``fn`` for every
+    value, `extend` for every child, and ``step`` read only where it is
+    checked against ``fn``."""
     n = g.arity
     rng = random.Random(seed)
-    fn = g.fn
     checked = 0
-    for _ in range(trials):
-        bp = tuple(rng.choice((0, 1, STAR)) for _ in range(n))
-        untested = [i for i, v in enumerate(bp) if v == STAR]
-        if not untested:
-            continue
-        tested = [i for i, v in enumerate(bp) if v != STAR]
+    while n and checked < trials:
+        r = rng.randrange(3**n)
+        bp = tuple((r // 3**i) % 3 for i in range(n))  # (0, 1, STAR) by digit
+        mask = rng.getrandbits(n)
         b = bp
-        for i in tested:
-            if rng.random() < 0.5:
+        for i in range(n):
+            if mask >> i & 1 and bp[i] != STAR:
                 b = clear(b, i)
-        i = rng.choice(untested)
-        l = rng.randrange(2)
-        vb, vbp = fn(b), fn(bp)
-        early = fn(extend(b, i, l)) - vb
-        late = fn(extend(bp, i, l)) - vbp
-        checked += 1
-        if late < 0 or early < 0:
-            return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")
-        if early < late:
-            return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
+        vb, vbp = g.fn(b), g.fn(bp)
+        for i in range(n):
+            for l in (0, 1):
+                if bp[i] != STAR and g.step(bp)[l][i] != vbp:
+                    return CheckReport(False, checked, (bp,), "step disagrees with fn")
+        free = [i for i in range(n) if b[i] == STAR]
+        if free:
+            k = rng.randrange(2 * len(free))
+            i, l = free[k // 2], k % 2
+            checked += 1
+            if g.step(b)[l][i] != g.fn(extend(b, i, l)):
+                return CheckReport(False, checked, (b,), "step disagrees with fn")
+        for i in range(n):
+            if bp[i] != STAR:
+                continue
+            for l in (0, 1):
+                checked += 1
+                early = g.fn(extend(b, i, l)) - vb
+                late = g.fn(extend(bp, i, l)) - vbp
+                if late < 0 or early < 0:
+                    return CheckReport(False, checked, (b, bp, i, l), "monotonicity violated")
+                if early < late:
+                    return CheckReport(False, checked, (b, bp, i, l), "submodularity violated")
     return CheckReport(True, checked)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import axiom_utilities, brute_diff_extrema, linear_values
+from helpers import axiom_utilities, brute_diff_extrema, linear_values, step_off_by_one
 from sbfe.core import (
     all_assignments,
     all_partials,
@@ -63,26 +63,45 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def test_criterion_01_utility_axioms():
-    """Monotonicity and submodularity: exhaustive to arity 8, then at least
-    ten thousand random checks per construction at arity 12; under a minute.
-    Arities 7 and 8 draw from their own generator, so the arity 3-6 and 12
-    utilities are the ones drawn before they were added."""
-    start = time.time()
+RANDOM_AXIOM_CHECKS = 10000
+RANDOM_AXIOM_N = 12
+
+
+def _criterion_01_utilities():
+    """Criterion 01's (n, name, utility) triples: exhaustive ones at arity
+    3 to 8, then the random ones at arity 12.  Arities 7 and 8 draw from
+    their own generator, so the arity 3-6 and 12 utilities are the ones
+    drawn before they were added."""
     rng = random.Random(1001)
     larger = random.Random(1003)
-    exhaustive = 0
-    for source, n in ((rng, 3), (rng, 4), (rng, 5), (rng, 6), (larger, 7), (larger, 8)):
+    arities = ((rng, 3), (rng, 4), (rng, 5), (rng, 6), (larger, 7), (larger, 8))
+    for source, n in (*arities, (rng, RANDOM_AXIOM_N)):
         for name, g in axiom_utilities(source, n):
+            yield n, name, g
+
+
+def _criterion_01_random(g):
+    return check_axioms(g, "random", trials=RANDOM_AXIOM_CHECKS, seed=1002)
+
+
+def test_criterion_01_utility_axioms():
+    """Monotonicity and submodularity: exhaustive to arity 8, then at least
+    ten thousand random checks per construction at arity 12, where the
+    random mode also checks each utility's ``step`` against its ``fn``;
+    under a minute."""
+    start = time.time()
+    exhaustive = 0
+    randomized = 0
+    for n, name, g in _criterion_01_utilities():
+        if n < RANDOM_AXIOM_N:
             rep = check_axioms(g, "exhaustive")
             assert rep.ok, (name, n, rep.counterexample, rep.message)
             exhaustive += rep.checked
-    randomized = 0
-    for name, g in axiom_utilities(rng, 12):
-        rep = check_axioms(g, "random", trials=10600, seed=1002)
-        assert rep.ok, (name, rep.counterexample, rep.message)
-        assert rep.checked >= 10000, (name, rep.checked)
-        randomized += rep.checked
+        else:
+            rep = _criterion_01_random(g)
+            assert rep.ok, (name, rep.counterexample, rep.message)
+            assert rep.checked >= RANDOM_AXIOM_CHECKS, (name, rep.checked)
+            randomized += rep.checked
     elapsed = time.time() - start
     report(
         1,
@@ -90,6 +109,16 @@ def test_criterion_01_utility_axioms():
         elapsed < 60.0,
         f"{exhaustive} exhaustive + {randomized} random checks, {elapsed:.1f}s",
     )
+
+
+def test_criterion_01_finds_a_wrong_step():
+    """Criterion 01's random checks fail each arity-12 construction whose
+    ``step`` is one too high at every state with five untested positions,
+    with ``fn`` intact."""
+    for n, name, g in _criterion_01_utilities():
+        if n == RANDOM_AXIOM_N:
+            rep = _criterion_01_random(step_off_by_one(g, 5))
+            assert not rep.ok and rep.message == "step disagrees with fn", name
 
 
 def test_criterion_02_goal_certificate_equivalence():

@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from helpers import reference_run
+from helpers import reference_run, step_off_by_one
 from sbfe import cli
 from sbfe import instances as inst_mod
 from sbfe.cli import main
@@ -30,6 +30,8 @@ from sbfe.core import (
 from sbfe.instances import KINDS
 from sbfe.policies import cp_ratio_policy, policy_runs
 from sbfe.problems import harmonic_gap_instance
+from sbfe.utility import threshold_utility
+from sbfe.verify import check_axioms
 
 ENGINES = ("greedy", "adg", "baseline")
 
@@ -66,7 +68,7 @@ GOLDEN = {
     "eval disjunction greedy": "46a18441cfb374bc8e2d7869b44e9313b0cf56d89e2b7f8ed8cc1e2b737e6acc",
     "eval disjunction adg": "06fc2916482eeb6282e4f409a9d5d16ef679d7db2bd519b9014927febc6cc36a",
     "eval disjunction baseline": "2342620b6b81b1893ef95c6ba9d2bdd6e580bdad6a5ce54d51303f6da5b955c6",
-    "verify 0": "99b8c5ac90c4e1bb2530b7be89eef3d06b890aada54cdba301287f12e7f28e12",
+    "verify 0": "d0469c0d9030387a2cb50a841c9238d1cd4bf46b5f50af544d66fb17e10d092b",
     # `eval` of `gen --kind cdnf --n 14 --seed 1`, a formula that reads one
     # of its 14 positions
     "eval cdnf-n14-s1 greedy": "b28e0b1ab04ef1bcd55e75f2cb5a0dabbe5fc51f61e366b147c3af3c92333105",
@@ -461,6 +463,51 @@ class TestVerify:
                 r"objective gap \d\.\d\de[+-]\d\d",
                 line,
             ), line
+
+    def test_random_lines_draw_their_own_states(self, capsys, monkeypatch):
+        # each random line draws from its own seed, and makes at least
+        # --trials checks
+        draws = []
+
+        def recording(g, mode, **kw):
+            rep = check_axioms(g, mode, **kw)
+            if mode == "random":
+                draws.append(kw["seed"])
+                assert rep.checked >= kw["trials"]
+            return rep
+
+        monkeypatch.setattr(cli, "check_axioms", recording)
+        for seed in range(4):
+            code, out, _ = run_cli(capsys, "verify", "--seed", str(seed), "--max-n", "3")
+            assert code == 0
+        assert len(draws) == len(set(draws)) == 8
+
+    def test_one_trial(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--trials", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 26 and all(line.startswith("[PASS] ") for line in lines)
+        counts = re.findall(r"axioms random threshold \(n=8, (\d+) checks\)", out)
+        assert len(counts) == 2
+        # one draw: a child of b, and two checks per untested position of b'
+        assert all(1 <= int(k) <= 17 for k in counts)
+
+    def test_wrong_step_fails_the_random_lines(self, capsys, monkeypatch):
+        # step one too high at every state with five untested positions, fn
+        # intact: the exhaustive axiom lines (n = 3, 4) have no such state,
+        # the random lines (n = 8) must find one
+        monkeypatch.setattr(
+            cli, "threshold_utility", lambda f: step_off_by_one(threshold_utility(f), 5)
+        )
+        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
+        assert code == 1
+        axioms = [line for line in out.splitlines() if " axioms " in line]
+        exhaustive = [line for line in axioms if "exhaustive threshold" in line]
+        assert len(exhaustive) == 3 and all(line.startswith("[PASS] ") for line in exhaustive)
+        random_lines = [line for line in axioms if " axioms random " in line]
+        assert len(random_lines) == 2
+        for line in random_lines:
+            assert line.startswith("[FAIL] ") and line.endswith(": step disagrees with fn")
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import sbfe.cli as cli_mod

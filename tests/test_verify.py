@@ -15,6 +15,7 @@ from helpers import (
     reference_check_axioms_random,
     reference_check_dual_feasibility,
     reference_run,
+    step_off_by_one,
     utility_from_fn,
 )
 from sbfe.core import (
@@ -44,6 +45,7 @@ from sbfe.utility import (
     ThresholdFormula,
     UtilityFunction,
     cdnf_utility,
+    constant_zero_utility,
     gains_at,
     threshold_utility,
     truth_table_utility,
@@ -51,6 +53,7 @@ from sbfe.utility import (
 from sbfe.verify import (
     AXIOMS_EXHAUSTIVE_MAX_N,
     DUAL_MAX_N,
+    CheckReport,
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
@@ -191,7 +194,8 @@ class TestOneStepAgainstPairwise:
 
 class TestRandomAxiomStream:
     """The random axiom check makes the draws of
-    `reference_check_axioms_random` in the same order, so its whole
+    `reference_check_axioms_random` in the same order, and reads from its
+    step records what the reference reads from ``fn``, so its whole
     `CheckReport` (verdict, count, counterexample, message) is equal."""
 
     @pytest.mark.parametrize("n", (8, 12))
@@ -199,7 +203,7 @@ class TestRandomAxiomStream:
     def test_threshold(self, n, seed):
         g = threshold_utility(gen_threshold(random.Random(100 + seed), n))
         rep = check_axioms(g, "random", trials=2000, seed=seed)
-        assert rep.ok
+        assert rep.ok and 2000 <= rep.checked < 2000 + 2 * n + 1
         assert rep == reference_check_axioms_random(g, 2000, seed)
 
     def test_truth_table_and_ranking(self):
@@ -224,6 +228,63 @@ class TestRandomAxiomStream:
             early = g.fn((*b[:i], l, *b[i + 1 :])) - g.fn(b)
             late = g.fn((*bp[:i], l, *bp[i + 1 :])) - g.fn(bp)
             assert early < late
+
+
+class TestRandomAxiomVerdicts:
+    """Faults the random check must find, at the settings `sbfe verify` uses
+    (2000 checks, draw seed 2 * verify seed + the case's place)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wrong_step_at_five_untested(self, seed):
+        # fn is intact, so no check that reads only fn can see this
+        f = gen_threshold(random.Random(500 + seed), 12)
+        assert check_axioms(threshold_utility(f), "random", trials=2000, seed=seed).ok
+        g = step_off_by_one(threshold_utility(f), 5)
+        for k in (0, 1):
+            rep = check_axioms(g, "random", trials=2000, seed=2 * seed + k)
+            assert not rep.ok and rep.message == "step disagrees with fn"
+            (b,) = rep.counterexample
+            assert b.count(STAR) == 5
+            assert rep == reference_check_axioms_random(g, 2000, 2 * seed + k)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_axiom_mutants(self, seed):
+        mutants = dict(_mutants(8))
+        for name, message in (
+            ("non-monotone", "monotonicity violated"),
+            ("square-of-ones", "submodularity violated"),
+        ):
+            g = mutants[name]
+            rep = check_axioms(g, "random", trials=2000, seed=2 * seed)
+            assert not rep.ok and rep.message == message, name
+            b, bp, i, l = rep.counterexample
+            early = g.fn(extend(b, i, l)) - g.fn(b)
+            late = g.fn(extend(bp, i, l)) - g.fn(bp)
+            assert min(early, late) < 0 if name == "non-monotone" else early < late
+
+    def test_random_bumps(self):
+        # the bumped thresholds of `TestOneStepAgainstPairwise`: at n = 5
+        # random mode finds every violation the exhaustive scan finds
+        rng = random.Random(401)
+        failed = 0
+        for _ in range(25):
+            g = threshold_utility(gen_threshold(rng, 5))
+            i, j = rng.sample(range(5), 2)
+            w = rng.randint(1, 3)
+            bumped = utility_from_fn(
+                5, g.goal + w, lambda b, fn=g.fn, i=i, j=j, w=w: fn(b) + w * (b[i] == b[j] == 1)
+            )
+            exhaustive = check_axioms(bumped, "exhaustive")
+            rep = check_axioms(bumped, "random", trials=2000, seed=0)
+            assert rep.ok == exhaustive.ok
+            failed += not rep.ok
+        assert failed > 0
+
+    @pytest.mark.parametrize("g", (constant_zero_utility(0), utility_from_fn(0, 0, lambda b: 0)))
+    def test_nothing_to_test(self, g):
+        # no draw at arity 0 can make a check: the loop must not wait for one
+        assert check_axioms(g, "random", trials=10000, seed=0) == CheckReport(True, 0)
+
 
 class TestGoalCertificateCheck:
     def test_passes_for_constructions(self):
