@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -414,11 +413,16 @@ def optimal_expected_cost(f, d, c) -> float:
     OPT(b with i=0) over the untested i.  Both extensions have smaller
     keys, so one pass in key order over the uncertified states fills every
     value.  The pass goes one block of keys at a time, a block being the
-    keys that share their high digits: a block with an uncertified state is
-    computed in a Python list, reading its high children as whole earlier
-    blocks, and written back in one slice.  A state takes 9 bytes (an 8-byte
-    value and its uncertified mask byte), so k = 14 needs about 43 MB.  The
-    cap, OPTIMUM_MAX_N, applies to n, not k.
+    keys that share their high digits, and one level of blocks at a time, a
+    level being the number of untested high positions.  A block stays the
+    Python list it is computed in: its low children sit in it, and its high
+    children are whole blocks one level below, read as they are.  A block
+    whose states are all certified is one shared list of zeros.  Two levels
+    are held at a time, so an uncertified state costs a list slot and a
+    float, 32 bytes, while its level and the next are held, and each state
+    keeps a mask byte throughout.  At k = 14 this peaks at about 28 MB
+    where few states are uncertified and about 90-100 MB where most are.
+    The cap, OPTIMUM_MAX_N, applies to n, not k.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -436,8 +440,6 @@ def optimal_expected_cost(f, d, c) -> float:
     p = [p[i] for i in kept]
     cc = [cc[i] for i in kept]
     uncertified = _certified_mask(planes, n).translate(_ZERO_ONE_SWAP)
-    size = len(uncertified)
-    value = array("d", [0.0]) * size
     weight = [3 ** (n - 1 - i) for i in range(n)]
     step = [(weight[i], 2 * weight[i], cc[i], p[i], 1.0 - p[i]) for i in range(n)]
 
@@ -458,31 +460,39 @@ def optimal_expected_cost(f, d, c) -> float:
         tuple((lo - w1, lo - w0, ci, pi, qi) for w1, w0, ci, pi, qi in steps)
         for lo, steps in enumerate(untested(range(n - low, n)))
     ]
+    # The blocks by level, the number of untested high positions: a high
+    # position's children are whole blocks one level below, read at the same
+    # low index.
+    levels = [[] for _ in range(n - low + 1)]
     for high, high_steps in enumerate(untested(range(n - low))):
-        base = high * low_size
-        sel = uncertified[base : base + low_size]
-        if 1 not in sel:
-            continue  # every state of the block is certified and costs 0
-        # A high position's children are whole earlier blocks, same index.
-        children = [
-            (value[base - w1 : base - w1 + low_size].tolist(),
-             value[base - w0 : base - w0 + low_size].tolist(), ci, pi, qi)
-            for w1, w0, ci, pi, qi in high_steps
-        ]
-        block = [0.0] * low_size
-        for lo in itertools.compress(range(low_size), sel):
-            best = math.inf  # an uncertified state has an untested position
-            for one, zero, ci, pi, qi in children:
-                v = ci + pi * one[lo] + qi * zero[lo]
-                if v < best:
-                    best = v
-            for a1, a0, ci, pi, qi in in_block[lo]:
-                v = ci + pi * block[a1] + qi * block[a0]
-                if v < best:
-                    best = v
-            block[lo] = best
-        value[base : base + low_size] = array("d", block)
-    return value[size - 1]
+        levels[len(high_steps)].append((high * low_size, high_steps))
+    zeros = [0.0] * low_size  # every block whose states are all certified
+    below = {}  # the last level's blocks by base key
+    for level in levels:
+        done = {}
+        for base, high_steps in level:
+            sel = uncertified[base : base + low_size]
+            if 1 not in sel:
+                done[base] = zeros
+                continue
+            children = [(below[base - w1], below[base - w0], ci, pi, qi)
+                        for w1, w0, ci, pi, qi in high_steps]
+            block = [0.0] * low_size
+            for lo in itertools.compress(range(low_size), sel):
+                best = math.inf  # an uncertified state has an untested position
+                for one, zero, ci, pi, qi in children:
+                    v = ci + pi * one[lo] + qi * zero[lo]
+                    if v < best:
+                        best = v
+                for a1, a0, ci, pi, qi in in_block[lo]:
+                    v = ci + pi * block[a1] + qi * block[a0]
+                    if v < best:
+                        best = v
+                block[lo] = best
+            done[base] = block
+        below = done
+    (top,) = below.values()  # the one block with every high position untested
+    return top[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -167,11 +167,11 @@ class CdnfFormula:
     """A Boolean function given simultaneously as a CNF and a DNF.
 
     ``clauses`` and ``terms`` are frozensets of signed 1-based literals.
-    Both representations must compute the same function.  Up to arity
-    OPTIMUM_MAX_N this is checked at every assignment, by bit planes over
-    the 2^n assignments (`_check_agreement`); above it only the polynomial
-    half is, that the DNF implies the CNF (`_check_implication`), and the
-    converse is a caller obligation.
+    Both representations must compute the same function.  When they mention
+    at most OPTIMUM_MAX_N positions this is checked at every assignment of
+    those, by bit planes (`_check_agreement`); otherwise only the
+    polynomial half is, that the DNF implies the CNF (`_check_implication`),
+    and the converse is a caller obligation.
     A clause containing complementary literals is a tautology and a term
     containing them is a contradiction; neither changes the function, and
     both are left out of the `_hits` tables that `certificate`,
@@ -196,26 +196,29 @@ class CdnfFormula:
                 for lit in lits:
                     if lit == 0 or abs(lit) > self.arity:
                         raise ValueError(f"literal {lit} out of range for arity {self.arity}")
-        if self.arity <= OPTIMUM_MAX_N:
-            self._check_agreement()
+        groups = self._clause_hits + self._term_misses
+        mentioned = sorted({j for hits in groups for j, _ in hits})
+        if len(mentioned) <= OPTIMUM_MAX_N:
+            self._check_agreement(mentioned)
         else:
             self._check_implication()
 
-    @cached_property
-    def _rank_sets(self) -> tuple:
-        """(cnf, dnf): bit r of each is set where that form holds at the
-        assignment of rank r in `all_assignments` order (x_1 most
-        significant).  Each (position, bit) pair is one such integer;
-        clauses OR the pairs that satisfy them, terms AND the complements
-        of the pairs that falsify them."""
-        n = self.arity
-        size = 1 << n
+    def _rank_sets(self, positions) -> tuple:
+        """(cnf, dnf) over ``positions``, increasing and holding every
+        position the `_hits` tables mention: bit r of each is set where that
+        form holds at the assignment of rank r over them, in
+        `all_assignments` order (the first of them most significant).  Each
+        (position, bit) pair is one such integer; clauses OR the pairs that
+        satisfy them, terms AND the complements of the pairs that falsify
+        them."""
+        m = len(positions)
+        size = 1 << m
         everywhere = (1 << size) - 1
-        holds = []  # holds[j][bit]: the ranks where x_j == bit
-        for j in range(n):
-            h = 1 << (n - 1 - j)  # position j flips every h ranks, starting at 0
+        holds = {}  # holds[j][bit]: the ranks where x_j == bit
+        for k, j in enumerate(positions):
+            h = 1 << (m - 1 - k)  # position j flips every h ranks, starting at 0
             one = int(("1" * h + "0" * h) * (size // (2 * h)), 2)
-            holds.append((one ^ everywhere, one))
+            holds[j] = (one ^ everywhere, one)
         cnf = everywhere
         for hits in self._clause_hits:
             sat = 0
@@ -230,17 +233,19 @@ class CdnfFormula:
             dnf |= sat
         return cnf, dnf
 
-    def _check_agreement(self) -> None:
-        """Raise unless the CNF and the DNF agree at all 2^n assignments:
-        the first disagreement is the lowest set bit of the XOR of the
-        `_rank_sets`."""
-        n = self.arity
-        cnf, dnf = self._rank_sets
+    def _check_agreement(self, mentioned) -> None:
+        """Raise unless the CNF and the DNF agree at all 2^n assignments.
+        Neither reads a position outside ``mentioned``, so the first
+        disagreement sets those to 0, and over ``mentioned`` it is the lowest
+        set bit of the XOR of their `_rank_sets`."""
+        cnf, dnf = self._rank_sets(mentioned)
         diff = cnf ^ dnf
         if diff:
             r = (diff & -diff).bit_length() - 1
-            x = tuple((r >> (n - i)) & 1 for i in range(1, n + 1))
-            raise ValueError(f"CNF and DNF disagree at {x}; not the same function")
+            x = [0] * self.arity
+            for k, j in enumerate(reversed(mentioned)):
+                x[j] = (r >> k) & 1
+            raise ValueError(f"CNF and DNF disagree at {tuple(x)}; not the same function")
 
     def _check_implication(self) -> None:
         """Raise unless the DNF implies the CNF: every term that is not a
@@ -295,7 +300,7 @@ class CdnfFormula:
     def flag_planes(self) -> tuple:
         """The DNF's rank set as the plane of the field 1 << f(x): its
         binary digits, lowest rank first."""
-        bits = format(self._rank_sets[1], f"0{1 << self.arity}b")[::-1]
+        bits = format(self._rank_sets(range(self.arity))[1], f"0{1 << self.arity}b")[::-1]
         return (bits.encode("ascii").translate(_DIGIT_FLAG),)
 
 

@@ -286,9 +286,9 @@ class TestEval:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n", (13, 16))
     def test_disagreeing_pair_exits_two_at_load(self, tmp_path, capsys, n, engine):
-        # x_13 alone makes the DNF true and the CNF (x_1) false.  Above the
-        # exact check's range the term-clause check finds it; the parent
-        # walked into an InvalidUtilityError, or printed pass=true
+        # x_13 alone makes the DNF true and the CNF (x_1) false.  The exact
+        # check finds it on the two positions mentioned, at either n; the
+        # parent walked into an InvalidUtilityError, or printed pass=true
         path = tmp_path / "cdnf.json"
         payload = {
             "format": "sbfe-1", "kind": "cdnf", "n": n, "clauses": [[1]], "terms": [[1], [13]],
@@ -297,6 +297,26 @@ class TestEval:
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "eval", str(path), "--engine", engine)
         x = tuple(int(i == 12) for i in range(n))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: bad instance payload: CNF and DNF disagree at {x}; "
+            "not the same function\n"
+        )
+
+    @pytest.mark.parametrize("n", (13, 16))
+    def test_dnf_short_of_the_cnf_exits_two_at_load(self, tmp_path, capsys, n):
+        # x_1 or x_2 as the CNF, x_1 alone as the DNF: the DNF implies the
+        # CNF, so no term-clause check sees that x_2 alone makes them differ;
+        # the exact check on the two positions mentioned does, above n = 14
+        # as well
+        path = tmp_path / "cdnf.json"
+        payload = {
+            "format": "sbfe-1", "kind": "cdnf", "n": n, "clauses": [[1, 2]], "terms": [[1]],
+            "p": [0.5] * n, "c": [1.0] * n,
+        }
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "eval", str(path))
+        x = tuple(int(i == 1) for i in range(n))
         assert (code, out) == (2, "")
         assert err == (
             f"error: {path}: bad instance payload: CNF and DNF disagree at {x}; "

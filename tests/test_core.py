@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,34 @@ class TestOptimumAgainstReference:
         (case,) = ORACLE_BATTERIES[kind](1, seed=49, n_lo=11, n_hi=11)
         got = optimal_expected_cost(case.f, case.dist, case.costs)
         assert got == reference_optimum(case.f, case.dist, case.costs), case.id
+
+    # n = 12 splits a key evenly, 6 high and 6 low digits; n = 13 splits it
+    # into 7 and 6.  Both functions read every position, and 64 of the
+    # disjunction's 729 blocks and 128 of the threshold's 2187 hold an
+    # uncertified state, so the high children of most of those blocks are
+    # the shared zero block.
+    @pytest.mark.parametrize("kind,n", [("disjunction", 12), ("threshold", 13)])
+    def test_sparse_at_larger_splits(self, kind, n):
+        (case,) = ORACLE_BATTERIES[kind](1, seed=50, n_lo=n, n_hi=n)
+        got = optimal_expected_cost(case.f, case.dist, case.costs)
+        assert got == reference_optimum(case.f, case.dist, case.costs), case.id
+
+    # The block loop holds two levels of blocks at a time.  On this dense
+    # truth table (165k of 177k states uncertified, 6 high digits) the
+    # traced peak was 3.54 MB with two levels held, 5.76 MB for a loop that
+    # keeps every level, and 1.84 MB for the 3^k float array that came before
+    # the levels (Python 3.11).
+    def test_holds_two_levels_at_a_time(self):
+        (case,) = ORACLE_BATTERIES["truthtable"](1, seed=49, n_lo=11, n_hi=11)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            optimal_expected_cost(case.f, case.dist, case.costs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4.5e6
 
     @pytest.mark.parametrize("kind", ORACLE_BATTERIES)
     def test_status_table_is_the_certificate(self, kind):

@@ -50,6 +50,14 @@ class TestSerialization:
         for x in all_assignments(4):
             assert evaluate(inst.f, x) == evaluate(again.f, x)
 
+    def test_generated_cdnf_loads_above_fourteen(self):
+        # a generated pair reads at most 6 positions, so its exact CNF/DNF
+        # check runs on those however large n is
+        for n in range(16, 33):
+            for seed in range(3):
+                text = dumps(generate_instance("cdnf", n, seed=seed))
+                assert dumps(loads(text)) == text
+
     def test_rejects_bad_format(self):
         with pytest.raises(InstanceFormatError):
             loads('{"format": "other", "kind": "threshold"}')

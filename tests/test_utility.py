@@ -539,6 +539,47 @@ class TestCdnf:
             CdnfFormula(12, f.clauses, short)
         assert str(exc.value) == message
 
+    def test_agreement_above_fourteen(self):
+        # Above OPTIMUM_MAX_N the exact check runs on the positions the
+        # clauses and terms mention, the rest at 0.  A third each, as in the
+        # planes test: generated pairs, one literal negated, random sets
+        rng = random.Random(67)
+        rejected = 0
+        for trial in range(12):
+            n = 15 + trial % 4
+            f = gen_cdnf(rng, n)
+            clauses, terms = [list(cl) for cl in f.clauses], [list(t) for t in f.terms]
+            if trial % 3 == 1:
+                group = rng.choice(clauses + terms)
+                k = rng.randrange(len(group))
+                group[k] = -group[k]
+            elif trial % 3 == 2:
+                clauses, terms = (
+                    [
+                        [rng.choice((-1, 1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    for _ in range(2)
+                )
+            expected = self._agreement(reference_cdnf_agreement, n, clauses, terms)
+            assert self._agreement(CdnfFormula, n, clauses, terms) == expected, (n, clauses, terms)
+            rejected += expected is not None
+        assert 5 <= rejected <= 10
+
+    def test_one_way_check_above_fourteen_mentioned(self):
+        # With 16 positions mentioned only the DNF => CNF half is checked:
+        # x_1 or ... or x_16 as the CNF and the DNF without x_16 still loads,
+        # though the two disagree where x_16 alone is set
+        n = 16
+        every, short = list(range(1, n + 1)), list(range(1, n))
+        singles, short_singles = [[i] for i in every], [[i] for i in short]
+        CdnfFormula(n, [every], short_singles)
+        x = (0,) * (n - 1) + (1,)
+        message = f"CNF and DNF disagree at {x}; not the same function"
+        assert self._agreement(reference_cdnf_agreement, n, [every], short_singles) == message
+        # the other way round the term [16] shares no literal with the clause
+        assert self._agreement(CdnfFormula, n, [short], singles) == message
+
 class TestDecisionTreeConversion:
     def test_single_test_tree(self):
         t = Branch(0, Leaf(0), Leaf(1))
