@@ -190,13 +190,13 @@ def engine_policy(engine: str, g, inst: Instance, alpha: Optional[float] = None)
 
 def eval_instance(inst: Instance, args) -> dict:
     """One report row; ``args`` holds the ``eval`` flags."""
+    exact = inst.n <= args.max_n
     if inst.kind == "knapsack":
         _, cost = min_knapsack_adg(inst.f)
-        _, opt = min_knapsack_bruteforce(inst.f)
+        opt = min_knapsack_bruteforce(inst.f)[1] if exact else None
         return _report_row(inst, "adg", cost, opt, 2.0, None)
 
     build = _EVAL[inst.kind][0]
-    exact = inst.n <= args.max_n
     # The optimum goes first, so that one over OPTIMUM_MAX_N fails at once.
     opt = None
     if exact:

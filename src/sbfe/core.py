@@ -211,8 +211,10 @@ def tree_leaf_paths(t) -> Iterator[tuple]:
 # extensions, and b forces a label exactly when every field stays nonzero.
 # The planes are built from the instance's own data, never from
 # ``certificate``; the optimum and certificate_table read them once per
-# call.  A kind whose utility builder short-cuts constant functions also
-# has ``constant_value() -> label | None``.  That is the whole protocol: no
+# call and widen them into one 3^n table (_certified_table): a single
+# plane, widened, is that table, and several are ANDed into it.  A kind
+# whose utility builder short-cuts constant functions also has
+# ``constant_value() -> label | None``.  That is the whole protocol: no
 # instance evaluates a full assignment, and the tests' reference
 # ``evaluate`` reads each kind's raw fields instead.
 
@@ -223,39 +225,49 @@ def certificate_check(f, b: Partial) -> Optional[object]:
 
 
 _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
-_ZERO_ONE_SWAP = bytes([1, 0]) + bytes(254)
+_ZERO_TO_ONE = bytes([1]) + bytes(255)
 
 
 def certificate_table(f) -> bytes:
     """Certified mask of every partial assignment b, indexed by encode(b):
     byte 1 where b forces the instance's label, 0 elsewhere.
 
-    Built bottom-up with no certificate call: each of f.flag_planes() takes
-    n whole-plane steps, one per position from last to first.  b is
-    certified where the plane of every field is nonzero.
+    Built bottom-up with no certificate call (see _certified_table), then
+    one translate of its nonzero bytes to 1.
     """
     n = f.arity
     if n > OPTIMUM_MAX_N:
         raise LimitError(f"certificate table limited to n <= {OPTIMUM_MAX_N}, got {n}")
-    return _certified_mask(f.flag_planes(), n)
+    return _certified_table(f.flag_planes(), n).translate(_NONZERO_TO_ONE)
 
 
-def _certified_mask(planes, n: int) -> bytes:
-    """certificate_table's mask from flag planes over n positions."""
-    size = 3**n
-    mask = int.from_bytes(bytes([1]) * size, "little")
-    # The positions still binary are the low digits of an index, the last
-    # of them least significant, so a step's 0 and 1 slices are the even
-    # and odd bytes.  Its star slice is their AND, and the three slices
-    # become the step position's ternary digit, above the ones made before;
-    # after n steps the index is encode(b).
+def _certified_table(planes, n: int) -> bytes:
+    """The 3^n table of flag planes over n positions, indexed by encode(b):
+    nonzero exactly where b is certified, that is, where the field of every
+    plane is nonzero.  One plane is its own table, its field at each b;
+    several give one AND of their nonzero indicators, a 0/1 table; with
+    none, every state is certified.
+
+    Each plane takes n whole-plane steps, one per position from last to
+    first.  The positions still binary are the low digits of an index, the
+    last of them least significant, so a step's 0 and 1 slices are the even
+    and odd bytes.  Its star slice is their AND, and the three slices become
+    the step position's ternary digit, above the ones made before; after n
+    steps the index is encode(b).
+    """
+    if not planes:
+        return bytes([1]) * 3**n
+    mask = -1
     for plane in planes:
         for _ in range(n):
             zero, one = plane[0::2], plane[1::2]
             star = int.from_bytes(zero, "little") & int.from_bytes(one, "little")
-            plane = b"".join((zero, one, star.to_bytes(len(zero), "little")))
+            star = star.to_bytes(len(zero), "little")  # frees the int before the join
+            plane = b"".join((zero, one, star))
+        if len(planes) == 1:
+            return plane
         mask &= int.from_bytes(plane.translate(_NONZERO_TO_ONE), "little")
-    return mask.to_bytes(size, "little")
+    return mask.to_bytes(3**n, "little")
 
 
 def _squeeze(planes, c) -> tuple:
@@ -408,21 +420,26 @@ def optimal_expected_cost(f, d, c) -> float:
     all n positions.
 
     Dynamic program over the 3^k partial assignments, indexed by encode(b):
-    a state costs nothing once its certified mask says it forces a label;
-    otherwise it costs min_i c_i + p_i * OPT(b with i=1) + (1-p_i) *
-    OPT(b with i=0) over the untested i.  Both extensions have smaller
-    keys, so one pass in key order over the uncertified states fills every
-    value.  The pass goes one block of keys at a time, a block being the
-    keys that share their high digits, and one level of blocks at a time, a
-    level being the number of untested high positions.  A block stays the
-    Python list it is computed in: its low children sit in it, and its high
-    children are whole blocks one level below, read as they are.  A block
-    whose states are all certified is one shared list of zeros.  Two levels
-    are held at a time, so an uncertified state costs a list slot and a
-    float, 32 bytes, while its level and the next are held, and each state
-    keeps a mask byte throughout.  At k = 14 this peaks at about 28 MB
-    where few states are uncertified and about 90-100 MB where most are.
-    The cap, OPTIMUM_MAX_N, applies to n, not k.
+    a state costs nothing once the certified table (_certified_table) says
+    it forces a label; otherwise it costs min_i c_i + p_i * OPT(b with i=1)
+    + (1-p_i) * OPT(b with i=0) over the untested i.  Both extensions have
+    smaller keys, so one pass in key order over the uncertified states
+    fills every value.  The pass goes one block of keys at a time, a block
+    being the keys that share their high digits, and one level of blocks at
+    a time, a level being the number of untested high positions.  A block
+    stays the Python list it is computed in: its low children sit in it,
+    and its high children are whole blocks one level below, read as they
+    are.  A block whose states are all certified is one shared list of
+    zeros; a block's slice of the table is searched for a zero byte, and
+    only a block that holds one is translated into the 0/1 selector of its
+    uncertified states.  The set-up holds the one table, a byte per state,
+    throughout, and under three while a plane's last widening step runs.
+    Two levels are held at a time, so an uncertified state costs a list
+    slot and a float, 32 bytes, while its level and the next are held.  At
+    k = 14 this peaks 14-16 MB above the interpreter where few states are
+    uncertified (a disjunction, a threshold with 6%), 46 MB on a threshold
+    with 33%, and about 90-100 MB where most are.  The cap, OPTIMUM_MAX_N,
+    applies to n, not k.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -439,7 +456,7 @@ def optimal_expected_cost(f, d, c) -> float:
     n = len(kept)
     p = [p[i] for i in kept]
     cc = [cc[i] for i in kept]
-    uncertified = _certified_mask(planes, n).translate(_ZERO_ONE_SWAP)
+    certified = _certified_table(planes, n)
     weight = [3 ** (n - 1 - i) for i in range(n)]
     step = [(weight[i], 2 * weight[i], cc[i], p[i], 1.0 - p[i]) for i in range(n)]
 
@@ -471,14 +488,14 @@ def optimal_expected_cost(f, d, c) -> float:
     for level in levels:
         done = {}
         for base, high_steps in level:
-            sel = uncertified[base : base + low_size]
-            if 1 not in sel:
+            sel = certified[base : base + low_size]
+            if 0 not in sel:
                 done[base] = zeros
                 continue
             children = [(below[base - w1], below[base - w0], ci, pi, qi)
                         for w1, w0, ci, pi, qi in high_steps]
             block = [0.0] * low_size
-            for lo in itertools.compress(range(low_size), sel):
+            for lo in itertools.compress(range(low_size), sel.translate(_ZERO_TO_ONE)):
                 best = math.inf  # an uncertified state has an untested position
                 for one, zero, ci, pi, qi in children:
                     v = ci + pi * one[lo] + qi * zero[lo]

@@ -118,6 +118,7 @@ class GreedyPolicy:
         self.c = as_costs(c)
         if len(self.p) != g.arity or len(self.c) != g.arity:
             raise ValueError("arity mismatch")
+        self._q = tuple([1.0 - pj for pj in self.p])  # the 1 - p_j of every expected gain
         self._record = None  # (b, gains at b) for the last b asked
 
     def initial_state(self):
@@ -132,7 +133,8 @@ class GreedyPolicy:
             base, down, up = gains_at(self.g, b, base)
             eg = None
             if down is not None:
-                eg = tuple([pj * uj + (1.0 - pj) * dj for pj, uj, dj in zip(self.p, up, down)])
+                eg = tuple([pj * uj + qj * dj
+                            for pj, qj, uj, dj in zip(self.p, self._q, up, down)])
             rec = self._record = (b, (base, down, up, eg))
         return rec[1]
 
@@ -155,7 +157,14 @@ class DualGreedyPolicy(GreedyPolicy):
     at S); and the greedy's state.  Closing a prefix with a nonzero y adds y
     times each expected gain there to the credit, in the order of the
     prefixes, so no earlier prefix is ever looked at again.
+
+    Both outcomes of a test close the same prefix, so `advance` keeps the
+    closed ``(ys, credit)`` of the last node it was asked for, keyed like
+    the gain record by the identity of b (and of the state, and by i), and
+    the second outcome reads it.
     """
+
+    _closed = (None, None, None, None)  # (b, state, i, (ys, credit)) of the last advance
 
     def initial_state(self):
         return (), (0.0,) * self.g.arity, None
@@ -164,12 +173,22 @@ class DualGreedyPolicy(GreedyPolicy):
         return _cheapest(self.gains(b, state[2])[3], [c - cr for c, cr in zip(self.c, state[1])])
 
     def advance(self, b: Partial, state, i: int, outcome: int):
-        ys, credit, _ = state
         base, down, up, eg = self.gains(b)
+        closed = self._closed
+        if closed[0] is not b or closed[1] is not state or closed[2] != i:
+            closed = self._closed = (b, state, i, self._close(state, i, eg))
+        ys, credit = closed[3]
+        return ys, credit, base + (up[i] if outcome else down[i])
+
+    def _close(self, state, i: int, eg) -> tuple:
+        """(ys, credit) once the prefix at the state is closed by a test of
+        i: its y appended, and y times each expected gain ``eg`` there
+        added to the credit."""
+        ys, credit, _ = state
         y = max(0.0, (self.c[i] - credit[i]) / eg[i])
         if y != 0.0:
             credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
-        return ys + (y,), credit, base + (up[i] if outcome else down[i])
+        return ys + (y,), credit
 
 
 class FixedOrderPolicy:

@@ -398,6 +398,23 @@ class TestEval:
             f"error: {path}: exhaustive optimum limited to n <= {OPTIMUM_MAX_N}, got {n}\n"
         )
 
+    def test_knapsack_above_max_n_keeps_its_cost(self, tmp_path, capsys):
+        # as for every other kind, no optimum above --max-n; below it the
+        # enumeration runs, and exits 2 above its own cap of 20
+        path = self._gen(tmp_path, "knapsack", 15, 1)
+        row = "knapsack-n15-s1,knapsack,15,adg,7.0,{}\n"
+        _, out, _ = run_cli(capsys, "eval", str(path))
+        assert out.split("\n", 1)[1] == row.format(",,2.0,,")
+        _, out, _ = run_cli(capsys, "eval", str(path), "--max-n", "15")
+        assert out.split("\n", 1)[1] == row.format("6.0,1.1666666666666667,2.0,,true")
+        path = self._gen(tmp_path, "knapsack", 22, 1)
+        code, out, _ = run_cli(capsys, "eval", str(path))
+        assert code == 0
+        assert out.split("\n", 1)[1] == "knapsack-n22-s1,knapsack,22,adg,6.0,,,2.0,,\n"
+        code, out, err = run_cli(capsys, "eval", str(path), "--max-n", "22")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: knapsack enumeration limited to n <= 20, got 22\n"
+
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         path = self._gen(tmp_path, "threshold", 5, 11)
         _, out1, _ = run_cli(capsys, "eval", str(path), "--engine", "greedy")

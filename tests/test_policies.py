@@ -265,8 +265,9 @@ def _adg_utility(case):
 
 
 class TestDualGreedyAgainstReference:
-    """The carried credit and the gain record change no float: the policy
-    and the recomputing reference agree with == on every battery."""
+    """The carried credit, the gain record and the closed-prefix memo change
+    no float: the policy and the recomputing reference agree bitwise on
+    every battery."""
 
     @pytest.mark.parametrize("kind", sorted(_ADG_BATTERIES))
     def test_same_trees_duals_alpha_and_cost(self, kind):
@@ -284,7 +285,7 @@ class TestDualGreedyAgainstReference:
             assert policy_tree(fast, n, tuple) == policy_tree(slow, n, tuple), case.id
             assert walk_policy(fast, n, leaf_ys, join) == walk_policy(slow, n, leaf_ys, join)
             cost, alpha = adg_cost_and_alpha(g, d, c)
-            assert alpha == reference_alpha(g, d, c) == observed_alpha(g, d, c), case.id
+            assert alpha.hex() == reference_alpha(g, d, c).hex() == observed_alpha(g, d, c).hex()
             # the running sums against each leaf's prefixes summed from the root
             from_root = walk_policy(
                 slow,
@@ -294,8 +295,14 @@ class TestDualGreedyAgainstReference:
                 ),
                 lambda i, lo, hi: max(lo, hi),
             )
-            assert alpha == from_root, case.id
-            assert cost == expected_cost(slow, d, c) == expected_cost(fast, d, c), case.id
+            assert alpha.hex() == from_root.hex(), case.id
+            assert cost.hex() == expected_cost(slow, d, c).hex() == expected_cost(fast, d, c).hex()
+            xs = [sample_input(d, k) for k in range(8)]
+            for run, x in zip(policy_runs(fast, xs, n, fast.c), xs):
+                tested, outs, total, _ = reference_run(slow, x, n, fast.c)
+                assert (run.tested, run.outcomes, run.total_cost.hex()) == (
+                    tested, outs, total.hex()
+                ), case.id
             checked += 1
         assert checked >= 5
 
@@ -345,7 +352,16 @@ class TestGainRecordsPathScoped:
         return dataclasses.replace(g, step=step), count
 
     @pytest.mark.parametrize("kind", ["cdnf", "threshold", "thresholds", "truthtable"])
-    def test_one_record_per_tested_node(self, kind):
+    def test_one_record_per_tested_node(self, kind, monkeypatch):
+        # and one credit update: both outcomes of a test close one prefix
+        closes = [0]
+        close = DualGreedyPolicy._close
+
+        def counted_close(self, *args):
+            closes[0] += 1
+            return close(self, *args)
+
+        monkeypatch.setattr(DualGreedyPolicy, "_close", counted_close)
         walks = {
             "adg_cost_and_alpha": adg_cost_and_alpha,
             "check_dual_feasibility": check_dual_feasibility,
@@ -361,9 +377,9 @@ class TestGainRecordsPathScoped:
             tested = len(_tested_nodes(g, d, c))
             counted, count = self._counting(g)
             for name, walk in walks.items():
-                count[0] = 0
+                count[0] = closes[0] = 0
                 walk(counted, d, c)
-                assert count[0] == tested, (case.id, name)
+                assert count[0] == closes[0] == tested, (case.id, name)
             checked += 1
         assert checked >= 3
 
