@@ -308,12 +308,13 @@ def _squeeze(planes, c) -> tuple:
 # A policy exposes three methods:
 #   initial_state() -> state
 #   next_test(b, state) -> index or None (None means stop)
-#   advance(b, state, i, outcome) -> state after observing outcome of test i
+#   advance(b, state, i) -> (state after outcome 0, state after outcome 1) of test i
 # State must be an immutable value so branches of the evaluation can share it.
-# At a node the walk hands next_test, then advance, the same tuple b (see GreedyPolicy).
+# The walk calls advance once at each node that tests, right after next_test
+# and with the same tuple b (see GreedyPolicy).
 
 
-def _append_step(path, b, state, i, outcome):
+def _append_step(path, b, i, outcome):
     return path + ((i, outcome),)
 
 
@@ -326,21 +327,27 @@ def walk_policy(policy, n: int, leaf, branch, grow=_append_step, inputs=None):
     values of the two outcomes of test i, and the root's value is returned.
     With a list of full assignments as ``inputs``, it visits only the
     outcomes some input reaches and returns each input's leaf value in input
-    order, asking each leaf once; an outcome it tests that is not a bit
-    raises ValueError.  Outcome 0 goes first.  A test out of range or
-    already done raises PolicyError, which also stops any path at n tests.
-    The walk keeps its own stack, so no tree is too deep for it.
+    order, asking each leaf once.  An input whose length is not n raises
+    ValueError before the walk starts, and so does an outcome it tests that
+    is not a bit.  Outcome 0 goes first.  A test out of range or already
+    done raises PolicyError, which also stops any path at n tests.  The
+    walk keeps its own stack, so no tree is too deep for it.
 
-    ``path`` accumulates down the tree from ``()`` at the root: at a node b
-    that tests i, ``grow(path, b, state, i, outcome)`` is the child's path,
-    ``state`` being the child's state; by default, the tuple of (index,
-    outcome) steps that led there.  The child states and paths of the
-    outcomes to visit are made right after ``next_test(b, ...)``, before
-    either subtree is walked, so a policy or a ``grow`` may read what
-    ``next_test`` computed at b and nothing of b need outlive that.
+    At a node b that tests i, one ``advance(b, state, i)`` call gives both
+    child states.  ``path`` accumulates down the tree from ``()`` at the
+    root: ``grow(path, b, i, outcome)`` is the child's path; by default,
+    the tuple of (index, outcome) steps that led there.  The child states
+    and paths of the outcomes to visit are made right after
+    ``next_test(b, ...)``, before either subtree is walked, so a policy or
+    a ``grow`` may read what ``next_test`` computed at b and nothing of b
+    need outlive that.
     """
     next_test, advance = policy.next_test, policy.advance
     fold = inputs is None
+    if not fold:
+        for x in inputs:
+            if len(x) != n:
+                raise ValueError(f"input {tuple(x)!r} has length {len(x)}, not {n}")
     values = [] if fold else [None] * len(inputs)  # the fold's value stack
     # nodes (b, state, path, inputs reaching it), and the fold's pending tests
     todo = [(stars(n), policy.initial_state(), (), None if fold else range(len(inputs)))]
@@ -375,14 +382,11 @@ def walk_policy(policy, n: int, leaf, branch, grow=_append_step, inputs=None):
                     k1.append(k)
                 else:
                     raise ValueError(f"outcome {v!r} for test {i} is not a bit")
-        if fold or k0:
-            s0 = advance(b, state, i, 0)
-            child0 = (b[:i] + (0,) + b[i + 1 :], s0, grow(path, b, s0, i, 0), k0)
+        s0, s1 = advance(b, state, i)
         if fold or k1:
-            s1 = advance(b, state, i, 1)
-            todo.append((b[:i] + (1,) + b[i + 1 :], s1, grow(path, b, s1, i, 1), k1))
+            todo.append((b[:i] + (1,) + b[i + 1 :], s1, grow(path, b, i, 1), k1))
         if fold or k0:
-            todo.append(child0)
+            todo.append((b[:i] + (0,) + b[i + 1 :], s0, grow(path, b, i, 0), k0))
     return values[0] if fold else values
 
 

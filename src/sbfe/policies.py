@@ -96,17 +96,17 @@ def _cheapest(eg, cost) -> Optional[int]:
 class GreedyPolicy:
     """Test the position with the best expected utility gain per unit cost
     (see `_cheapest`).  State is g(b), None at the root, where ``fn`` gives
-    it; ``advance`` reads g of the child from the gain record at b.
+    it; ``advance`` reads g of both children from the gain record at b.
 
     Gains depend only on the partial assignment, so `gains(b)` keeps the
     record of the last b it was asked for, and only that one, keyed by the
     identity of b (the record holds b, so no other tuple shares its id):
-    `next_test` at b makes it, and the `advance` calls at b read it right
-    after, as `core.walk_policy`, the one walk of every exact cost and run,
-    makes them with the same b.  Runs that should share records go down the
-    tree together in one walk, as those of `policy_runs` do.  A walk's
-    ``grow`` at b may read it too; a caller that needs it further down
-    carries it down the path, so a walk holds one record at a time.
+    `next_test` at b makes it, and the one `advance` call at b reads it
+    right after, as `core.walk_policy`, the one walk of every exact cost
+    and run, makes it with the same b.  Runs that should share records go
+    down the tree together in one walk, as those of `policy_runs` do.  A
+    walk's ``grow`` at b may read it too; a caller that needs it further
+    down carries it down the path, so a walk holds one record at a time.
 
     ``c`` holds the validated costs: a caller that runs the policy hands
     them to `policy_runs` instead of validating its costs a second time.
@@ -141,9 +141,9 @@ class GreedyPolicy:
     def next_test(self, b: Partial, state) -> Optional[int]:
         return _cheapest(self.gains(b, state)[3], self.c)
 
-    def advance(self, b: Partial, state, i: int, outcome: int):
+    def advance(self, b: Partial, state, i: int) -> tuple:
         base, down, up, _ = self.gains(b)
-        return base + (up[i] if outcome else down[i])
+        return base + down[i], base + up[i]
 
 
 class DualGreedyPolicy(GreedyPolicy):
@@ -154,17 +154,13 @@ class DualGreedyPolicy(GreedyPolicy):
     State is ``(ys, credit, g(b))``: the dual value y given to each prefix
     of the realized test sequence when its test was chosen; per position j
     the credit, the sum over those prefixes S of y_S * (expected gain of j
-    at S); and the greedy's state.  Closing a prefix with a nonzero y adds y
-    times each expected gain there to the credit, in the order of the
-    prefixes, so no earlier prefix is ever looked at again.
-
-    Both outcomes of a test close the same prefix, so `advance` keeps the
-    closed ``(ys, credit)`` of the last node it was asked for, keyed like
-    the gain record by the identity of b (and of the state, and by i), and
-    the second outcome reads it.
+    at S); and the greedy's state.  A test of i closes the prefix at b with
+    y = max(0, (c_i - credit_i) / (expected gain of i at b)), and a nonzero
+    y adds y times each expected gain there to the credit, in the order of
+    the prefixes, so no earlier prefix is ever looked at again.  Both
+    outcomes of the test close the same prefix, so `advance` closes it once
+    and the two child states differ only in g.
     """
-
-    _closed = (None, None, None, None)  # (b, state, i, (ys, credit)) of the last advance
 
     def initial_state(self):
         return (), (0.0,) * self.g.arity, None
@@ -172,23 +168,14 @@ class DualGreedyPolicy(GreedyPolicy):
     def next_test(self, b: Partial, state) -> Optional[int]:
         return _cheapest(self.gains(b, state[2])[3], [c - cr for c, cr in zip(self.c, state[1])])
 
-    def advance(self, b: Partial, state, i: int, outcome: int):
+    def advance(self, b: Partial, state, i: int) -> tuple:
         base, down, up, eg = self.gains(b)
-        closed = self._closed
-        if closed[0] is not b or closed[1] is not state or closed[2] != i:
-            closed = self._closed = (b, state, i, self._close(state, i, eg))
-        ys, credit = closed[3]
-        return ys, credit, base + (up[i] if outcome else down[i])
-
-    def _close(self, state, i: int, eg) -> tuple:
-        """(ys, credit) once the prefix at the state is closed by a test of
-        i: its y appended, and y times each expected gain ``eg`` there
-        added to the credit."""
         ys, credit, _ = state
         y = max(0.0, (self.c[i] - credit[i]) / eg[i])
         if y != 0.0:
             credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
-        return ys + (y,), credit
+        ys += (y,)
+        return (ys, credit, base + down[i]), (ys, credit, base + up[i])
 
 
 class FixedOrderPolicy:
@@ -204,8 +191,8 @@ class FixedOrderPolicy:
     def initial_state(self):
         return None
 
-    def advance(self, b, state, i, outcome):
-        return None
+    def advance(self, b, state, i):
+        return None, None
 
     def next_test(self, b: Partial, state) -> Optional[int]:
         if self.stop is not None and self.stop(b):

@@ -237,13 +237,13 @@ class KnapsackInstance:
 def min_knapsack_adg(kp: KnapsackInstance) -> tuple:
     """2-approximate min-knapsack: run the dual greedy on the covering
     utility of "sum of selected values >= threshold" with every test
-    deterministically answering 1."""
+    deterministically answering 1.  Returns the items bought, in order,
+    and their total weight."""
     f = ThresholdFormula(kp.values, kp.threshold)
-    if f.constant_value() == 1:
-        return (), 0.0
-    g = threshold_utility(f)
-    policy = DualGreedyPolicy(g, ProductDistribution.certain_ones(kp.arity), kp.weights)
-    trace = policy_runs(policy, ((1,) * kp.arity,), kp.arity, policy.c)[0]
+    d = ProductDistribution.certain_ones(kp.arity)
+    _, trace = _evaluate(
+        lambda: threshold_utility(f), "adg", f.certificate, d, kp.weights, (1,) * kp.arity
+    )
     return trace.tested, trace.total_cost
 
 

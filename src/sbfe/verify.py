@@ -217,10 +217,9 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     expected run cost equals the dual objective mass (within accumulation
     error), both folded over the tree like `expected_cost`.
 
-    The prefixes' records travel down the path: each prefix S with y != 0
-    keeps (y, down, up, what the run's tests gain at S), and each test
-    below S adds its gain at S to the last field, so a leaf reads no gain
-    record of another node.
+    The prefixes' records travel down the path (`_prefix_records`), and a
+    leaf pairs each with its y from the ``ys`` of its state.  A prefix with
+    y = 0 would add an exact 0.0 to every sum, so the leaf leaves it out.
     """
     n = g.arity
     if n > DUAL_MAX_N:
@@ -231,22 +230,13 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     tight = {}
     violations = []
 
-    def grow(records, b, state, i, v):
-        records = [
-            (y, down, up, gained + (up[i] if v else down[i])) for y, down, up, gained in records
-        ]
-        y = state[0][-1]
-        if y != 0.0:
-            _, down, up, _ = pol.gains(b)
-            records.append((y, down, up, up[i] if v else down[i]))
-        return records
-
     def leaf(b, state, records):
+        dual = [(y, down, up, gained) for y, (_, down, up, gained) in zip(state[0], records) if y]
         for j in range(n):
             h = 0.0
-            for y, _, up, _ in records:
+            for y, _, up, _ in dual:
                 h += p[j] * y * up[j]
-            for y, down, _, _ in records:
+            for y, down, _, _ in dual:
                 h += (1.0 - p[j]) * y * down[j]
             s = cc[j] - h
             slack[b, j] = s
@@ -256,7 +246,7 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
             elif not tested and s < -DUAL_EPS:
                 violations.append(((b, j), f"dual constraint violated: slack {s}"))
         mass = 0.0
-        for y, _, _, gained in records:
+        for y, _, _, gained in dual:
             mass += y * gained
         return 0.0, mass, 1 << b.count(STAR)
 
@@ -269,9 +259,31 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
             p[i] * hi[1] + (1.0 - p[i]) * lo[1],
             lo[2] + hi[2],
         ),
-        grow,
+        _prefix_records(pol),
     )
     return DualCertificate(slack, tight, tuple(violations), abs(cost - mass), runs)
+
+
+def _prefix_records(pol: DualGreedyPolicy):
+    """The ``grow`` of the dual greedy's walks here: the record of each
+    prefix S of the path, in order, as (goal - g(S), down, up, gained),
+    where down and up are the gains at S and gained sums what each test
+    below S gained at S.  A test adds its gain at S to every open record
+    and opens one for the node that made it, from the policy's gain record
+    there, so no node's record is read after its test.  A node that tests
+    is short of the goal, so goal - g(S) > 0."""
+    goal = pol.g.goal
+
+    def grow(records, b, i, v):
+        records = [
+            (gap, down, up, gained + (up[i] if v else down[i]))
+            for gap, down, up, gained in records
+        ]
+        base, down, up, _ = pol.gains(b)
+        records.append((goal - base, down, up, up[i] if v else down[i]))
+        return records
+
+    return grow
 
 
 def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:
@@ -281,37 +293,25 @@ def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:
 
     Every input follows some root-to-leaf path, so the leaf paths cover all
     (input, prefix) pairs.  A prefix S's ratio is the utility the run's
-    tests from S on would each add at S, summed, over goal - g(S).  Each
-    open prefix travels down the path as (goal - g(S), down, up, running
-    sum), and each test below S adds its integer gain at S to the sum, so a
-    leaf's ratios are one division each, read from the policy's gain record
-    at the node that made them: the alpha costs no utility calls.
+    tests from S on would each add at S, summed, over goal - g(S).  Both
+    travel down the path in S's record (`_prefix_records`), so a leaf's
+    ratios are one division each, read from the policy's gain record at the
+    node that made them: the alpha costs no utility calls.
     """
     pol = DualGreedyPolicy(g, d, c)
-    p, cc, goal = pol.p, pol.c, g.goal
-
-    def grow(prefixes, b, state, i, v):
-        prefixes = [
-            (denom, down, up, total + (up[i] if v else down[i]))
-            for denom, down, up, total in prefixes
-        ]
-        # a node that tests is short of the goal, so its denominator is > 0
-        base, down, up, _ = pol.gains(b)
-        prefixes.append((goal - base, down, up, up[i] if v else down[i]))
-        return prefixes
-
+    p, cc = pol.p, pol.c
     return walk_policy(
         pol,
         g.arity,
-        lambda b, state, prefixes: (
+        lambda b, state, records: (
             0.0,
-            max([1.0] + [total / denom for denom, _, _, total in prefixes]),
+            max([1.0] + [gained / gap for gap, _, _, gained in records]),
         ),
         lambda i, lo, hi: (
             cc[i] + p[i] * hi[0] + (1.0 - p[i]) * lo[0],
             max(lo[1], hi[1]),
         ),
-        grow,
+        _prefix_records(pol),
     )
 
 

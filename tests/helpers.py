@@ -148,7 +148,7 @@ def reference_run(policy, outcomes, n: int, cc: tuple) -> tuple:
         v = outcomes[i]
         if v not in (0, 1):
             raise ValueError(f"outcome {v!r} for test {i} is not a bit")
-        state = policy.advance(b, state, i, v)
+        state = policy.advance(b, state, i)[v]
         b = extend(b, i, v)
         tested.append(i)
         outs.append(v)
@@ -659,11 +659,11 @@ class ReferenceDualGreedy:
             raise InvalidUtilityError("no untested position has positive expected gain")
         return best
 
-    def advance(self, b, state, i, outcome):
+    def advance(self, b, state, i):
         ys, prefixes = state
         g = self.g
         y = max(0.0, self._adjusted(state, i) / expected_gain(g, b, i, self.p, g.fn(b)))
-        return (ys + (y,), prefixes + (extend(b, i, outcome),))
+        return tuple((ys + (y,), prefixes + (extend(b, i, v),)) for v in (0, 1))
 
 
 def prefix_ratios(g: UtilityFunction, steps, gains) -> tuple:

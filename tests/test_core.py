@@ -187,8 +187,8 @@ class TestExpectedCost:
             def next_test(self, b, state):
                 return 0
 
-            def advance(self, b, state, i, outcome):
-                return None
+            def advance(self, b, state, i):
+                return None, None
 
         class Repeater(Stubborn):
             # tests 0, then 1, then asks for 0 again

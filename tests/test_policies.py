@@ -265,9 +265,9 @@ def _adg_utility(case):
 
 
 class TestDualGreedyAgainstReference:
-    """The carried credit, the gain record and the closed-prefix memo change
-    no float: the policy and the recomputing reference agree bitwise on
-    every battery."""
+    """The carried credit, the gain record and the one `advance` per tested
+    node change no float: the policy and the recomputing reference agree
+    bitwise on every battery."""
 
     @pytest.mark.parametrize("kind", sorted(_ADG_BATTERIES))
     def test_same_trees_duals_alpha_and_cost(self, kind):
@@ -351,17 +351,22 @@ class TestGainRecordsPathScoped:
 
         return dataclasses.replace(g, step=step), count
 
+    @staticmethod
+    def _counting_advances(monkeypatch):
+        count = [0]
+        advance = DualGreedyPolicy.advance
+
+        def counted(self, *args):
+            count[0] += 1
+            return advance(self, *args)
+
+        monkeypatch.setattr(DualGreedyPolicy, "advance", counted)
+        return count
+
     @pytest.mark.parametrize("kind", ["cdnf", "threshold", "thresholds", "truthtable"])
     def test_one_record_per_tested_node(self, kind, monkeypatch):
-        # and one credit update: both outcomes of a test close one prefix
-        closes = [0]
-        close = DualGreedyPolicy._close
-
-        def counted_close(self, *args):
-            closes[0] += 1
-            return close(self, *args)
-
-        monkeypatch.setattr(DualGreedyPolicy, "_close", counted_close)
+        # and one advance: both outcomes of a test get their states from one call
+        advances = self._counting_advances(monkeypatch)
         walks = {
             "adg_cost_and_alpha": adg_cost_and_alpha,
             "check_dual_feasibility": check_dual_feasibility,
@@ -377,11 +382,20 @@ class TestGainRecordsPathScoped:
             tested = len(_tested_nodes(g, d, c))
             counted, count = self._counting(g)
             for name, walk in walks.items():
-                count[0] = closes[0] = 0
+                count[0] = advances[0] = 0
                 walk(counted, d, c)
-                assert count[0] == closes[0] == tested, (case.id, name)
+                assert count[0] == advances[0] == tested, (case.id, name)
             checked += 1
         assert checked >= 3
+
+    def test_one_advance_per_test_of_a_run(self, monkeypatch):
+        advances = self._counting_advances(monkeypatch)
+        for case in threshold_battery(6, seed=5, n_lo=4, n_hi=8):
+            pol = DualGreedyPolicy(threshold_utility(case.f), case.dist, case.costs)
+            for k in range(4):
+                advances[0] = 0
+                run = run_on(pol, sample_input(case.dist, k))
+                assert advances[0] == len(run.tested), case.id
 
     def test_walk_keeps_at_most_one_record(self):
         case = threshold_battery(1, seed=1004, n_lo=7, n_hi=7)[0]
@@ -553,9 +567,9 @@ class _Recording(DualGreedyPolicy):
         self.log.append(("next", b))
         return super().next_test(b, state)
 
-    def advance(self, b, state, i, outcome):
-        self.log.append(("advance", b, i, outcome))
-        return super().advance(b, state, i, outcome)
+    def advance(self, b, state, i):
+        self.log.append(("advance", b, i))
+        return super().advance(b, state, i)
 
 
 class TestInputWalkOrder:
@@ -576,12 +590,7 @@ class TestInputWalkOrder:
                 some = _Recording(g, case.dist, case.costs)
                 walk_policy(some, n, lambda b, s, p: None, None, inputs=xs)
                 reached = {b for call, b, *_ in some.log if call == "next"}
-                want = [
-                    call for call in fold.log
-                    if call[1] in reached
-                    and (call[0] == "next" or extend(*call[1:]) in reached)
-                ]
-                assert some.log == want
+                assert some.log == [call for call in fold.log if call[1] in reached]
 
 
 class _Stubborn:
@@ -593,8 +602,8 @@ class _Stubborn:
     def next_test(self, b, state):
         return 0
 
-    def advance(self, b, state, i, outcome):
-        return None
+    def advance(self, b, state, i):
+        return None, None
 
 
 class _OutOfRange(_Stubborn):
@@ -651,6 +660,21 @@ class TestOneIllegalTestCheck:
         want = reference_run(policy, x, 3, (1.0, 2.0, 3.0))
         trace = policy_runs(policy, [x], 3, (1.0, 2.0, 3.0))[0]
         assert (trace.tested, trace.outcomes, trace.total_cost) == want[:3] == ((0,), (1,), 1.0)
+
+    @pytest.mark.parametrize("x", [(1, 0), (0, 1, 1, 0, 1, 0, 1, 1)])
+    def test_input_of_the_wrong_length(self, x):
+        # refused with one message before any walk starts, even when the
+        # run would stop before reading the positions it lacks
+        f = ThresholdFormula((1, 2, 3, 1, 2), 4)
+        d, c = ProductDistribution((0.5,) * 5), (1.0,) * 5
+        want = f"^{re.escape(f'input {x!r} has length {len(x)}, not 5')}$"
+        policy = _Recording(threshold_utility(f), d, c)
+        with pytest.raises(ValueError, match=want):
+            policy_runs(policy, [(1,) * 5, x], 5, c)
+        assert policy.log == []
+        for driver in (problems.evaluate_threshold_greedy, problems.evaluate_threshold_adg):
+            with pytest.raises(ValueError, match=want):
+                driver(f, d, c, x)
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,35 @@ def test_drivers_build_through_problems_and_count_what_they_buy(monkeypatch):
     assert bought > 0
     assert tracer.counts["problems.tests_bought"] == bought
     assert tracer.call_count("utility.fn") == len(calls)
+
+
+def test_adg_spans_are_one_decision_and_one_advance_per_tested_node(tmp_path, monkeypatch, capsys):
+    # `policies.adg` wraps DualGreedyPolicy.next_test and .advance, so its
+    # spans are every decision plus one advance per node that tests, and
+    # `policies.adg_steps` counts the decisions that buy a test
+    tracing, modules = _tracing(monkeypatch)
+    problems, core = sbfe.problems, sbfe.core
+    path = tmp_path / "t.json"
+    gen = ["gen", "--kind", "threshold", "--n", "7", "--seed", "3", "--out", str(path)]
+    assert sbfe.cli.main(gen) == 0
+    inst = sbfe.instances.load(path)
+    g = sbfe.utility.threshold_utility(inst.f)
+    # (decisions, tested nodes) of the tree `eval --engine adg` walks once
+    decisions, tested = core.walk_policy(
+        sbfe.policies.DualGreedyPolicy(g, inst.dist, inst.costs),
+        inst.n,
+        lambda b, s, p: (1, 0),
+        lambda i, lo, hi: (lo[0] + hi[0] + 1, lo[1] + hi[1] + 1),
+    )
+    x = tuple(random.Random(7).randrange(2) for _ in range(inst.n))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, modules)
+        bought = len(problems.evaluate_threshold_adg(inst.f, inst.dist, inst.costs, x)[1].tested)
+        assert sbfe.cli.main(["eval", str(path), "--engine", "adg"]) == 0
+    finally:
+        tracer.restore()
+    assert 0 < bought == tracer.counts["problems.tests_bought"]
+    # a run decides at each test and once where it stops
+    assert tracer.call_count("policies.adg") == (bought + 1 + bought) + (decisions + tested)
+    assert tracer.counts["policies.adg_steps"] == bought + tested
