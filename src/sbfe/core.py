@@ -144,8 +144,11 @@ class CostVector:
     c: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        for i, v in enumerate(self.c):
+        c = tuple(map(float, self.c))
+        object.__setattr__(self, "c", c)
+        if all(map(math.isfinite, c)) and min(c, default=0.0) >= 0:
+            return
+        for i, v in enumerate(c):
             if not math.isfinite(v):
                 raise ValueError(f"c[{i}] = {v} is not finite")
             if v < 0:

@@ -67,21 +67,25 @@ def _cheapest(eg, cost) -> Optional[int]:
     but cannot add utility.  Zero-cost positive-gain positions have ratio 0
     and are taken immediately.  The comparison is strict, so exact ties
     (bitwise-equal ratios, common with integer gains and unit costs) keep the
-    lowest index and the dual update always sees the true minimum.
+    lowest index and the dual update always sees the true minimum.  A cost
+    below -EPS at a positive-gain position is an error, reported for the
+    first such position; the positions are looked at one by one for it only
+    when some cost is that low.
     """
     if eg is None:
         return None
+    if min(cost) < -EPS:
+        for j, e in enumerate(eg):
+            if e > 0.0 and cost[j] < -EPS:
+                raise InvalidUtilityError(
+                    f"dual-adjusted cost of {j} is {cost[j]}; dual feasibility broken"
+                )
     best = None
     best_ratio = 0.0
     for j, e in enumerate(eg):
         if e <= 0.0:
             continue
-        num = cost[j]
-        if num < -EPS:
-            raise InvalidUtilityError(
-                f"dual-adjusted cost of {j} is {num}; dual feasibility broken"
-            )
-        ratio = num / e
+        ratio = cost[j] / e
         if best is None or ratio < best_ratio:
             best = j
             best_ratio = ratio
@@ -97,6 +101,10 @@ class GreedyPolicy:
     """Test the position with the best expected utility gain per unit cost
     (see `_cheapest`).  State is g(b), None at the root, where ``fn`` gives
     it; ``advance`` reads g of both children from the gain record at b.
+
+    The gain record at b keeps the values ``g.step`` gives there, not their
+    differences from g(b): a child's g is read from it as it stands, and a
+    gain is one integer subtraction away.
 
     Gains depend only on the partial assignment, so `gains(b)` keeps the
     record of the last b it was asked for, and only that one, keyed by the
@@ -125,25 +133,32 @@ class GreedyPolicy:
         return None
 
     def gains(self, b: Partial, base: Optional[int] = None) -> tuple:
-        """(g(b), down, up, eg) at b: `gains_at` plus the expected gains
-        p_j * up_j + (1 - p_j) * down_j; all but g(b) are None at the goal.
+        """(g(b), zero, one, eg) at b: ``g.step(b)``, checked for
+        monotonicity as `gains_at` checks it (and failing with its message),
+        and the expected gains p_j * (one_j - g(b)) + (1 - p_j) * (zero_j -
+        g(b)); all but g(b) are None at the goal, where no step is taken.
         ``base``, when given, is g(b)."""
         rec = self._record
         if rec is None or rec[0] is not b:
-            base, down, up = gains_at(self.g, b, base)
-            eg = None
-            if down is not None:
-                eg = tuple([pj * uj + qj * dj
-                            for pj, qj, uj, dj in zip(self.p, self._q, up, down)])
-            rec = self._record = (b, (base, down, up, eg))
+            g = self.g
+            if base is None:
+                base = g.fn(b)
+            zero = one = eg = None
+            if base < g.goal:
+                zero, one = g.step(b)
+                if min(zero) < base or min(one) < base:
+                    gains_at(g, b, base)  # raises InvalidUtilityError
+                eg = tuple([pj * (uj - base) + qj * (dj - base)
+                            for pj, qj, uj, dj in zip(self.p, self._q, one, zero)])
+            rec = self._record = (b, (base, zero, one, eg))
         return rec[1]
 
     def next_test(self, b: Partial, state) -> Optional[int]:
         return _cheapest(self.gains(b, state)[3], self.c)
 
     def advance(self, b: Partial, state, i: int) -> tuple:
-        base, down, up, _ = self.gains(b)
-        return base + down[i], base + up[i]
+        _, zero, one, _ = self.gains(b)
+        return zero[i], one[i]
 
 
 class DualGreedyPolicy(GreedyPolicy):
@@ -169,13 +184,13 @@ class DualGreedyPolicy(GreedyPolicy):
         return _cheapest(self.gains(b, state[2])[3], [c - cr for c, cr in zip(self.c, state[1])])
 
     def advance(self, b: Partial, state, i: int) -> tuple:
-        base, down, up, eg = self.gains(b)
+        _, zero, one, eg = self.gains(b)
         ys, credit, _ = state
         y = max(0.0, (self.c[i] - credit[i]) / eg[i])
         if y != 0.0:
             credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
         ys += (y,)
-        return (ys, credit, base + down[i]), (ys, credit, base + up[i])
+        return (ys, credit, zero[i]), (ys, credit, one[i])
 
 
 class FixedOrderPolicy:

@@ -11,10 +11,8 @@ from .core import (
     LimitError,
     Partial,
     ProductDistribution,
-    RunTrace,
     as_costs,
     as_probabilities,
-    stars,
 )
 from .policies import DualGreedyPolicy, GreedyPolicy, policy_runs
 from .utility import (
@@ -33,22 +31,24 @@ KNAPSACK_MAX_N = 20  # the exact min-knapsack enumerates 2^n subsets
 _POLICIES = {"greedy": GreedyPolicy, "adg": DualGreedyPolicy}
 
 
-def _evaluate(build, engine: str, read, d, c, outcomes) -> tuple:
-    """Run ``engine``'s policy on the utility ``build()`` returns and return
-    the answer ``read`` takes from the assignment the run stopped at, with
-    the run's trace.  Nothing is tested when the function is constant, and
-    a goal-0 utility stops at the root."""
+def _evaluate(n: int, build, engine: str, read, d, c, outcomes) -> tuple:
+    """Run ``engine``'s policy on the utility ``build()`` returns for n
+    positions and return the answer ``read`` takes from the assignment the
+    run stopped at, with the run's trace.  A constant function is answered
+    by its value; its run is the goal-0 utility's, which stops at the root,
+    so its distribution, costs and input are checked as any run's are."""
     try:
-        g = build()
+        g, value = build(), None
     except ConstantFunctionError as exc:
-        return exc.value, RunTrace((), (), 0.0, stars(len(outcomes)))
+        g, value = constant_zero_utility(n), exc.value
     if engine not in _POLICIES:
         raise ValueError(f"unknown engine {engine!r}")
     policy = _POLICIES[engine](g, d, c)
     trace = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
-    value = read(trace.final)
     if value is None:
-        raise RuntimeError(f"{engine} policy stopped before certifying; utility broken")
+        value = read(trace.final)
+        if value is None:
+            raise RuntimeError(f"{engine} policy stopped before certifying; utility broken")
     return value, trace
 
 
@@ -63,18 +63,20 @@ def evaluate_cdnf(f: CdnfFormula, d, c, outcomes) -> tuple:
     satisfied means 1, all terms falsified means 0.  Constant formulas are
     answered immediately at zero cost.
     """
-    return _evaluate(lambda: cdnf_utility(f), "greedy", f.certificate, d, c, outcomes)
+    return _evaluate(f.arity, lambda: cdnf_utility(f), "greedy", f.certificate, d, c, outcomes)
 
 
 def evaluate_threshold_greedy(f: ThresholdFormula, d, c, outcomes) -> tuple:
     """Evaluate a linear threshold formula with the greedy policy."""
-    return _evaluate(lambda: threshold_utility(f), "greedy", f.certificate, d, c, outcomes)
+    return _evaluate(
+        f.arity, lambda: threshold_utility(f), "greedy", f.certificate, d, c, outcomes
+    )
 
 
 def evaluate_threshold_adg(f: ThresholdFormula, d, c, outcomes) -> tuple:
     """Evaluate a linear threshold formula with the dual greedy policy; the
     observed per-prefix ratios in the trace stay below 3."""
-    return _evaluate(lambda: threshold_utility(f), "adg", f.certificate, d, c, outcomes)
+    return _evaluate(f.arity, lambda: threshold_utility(f), "adg", f.certificate, d, c, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,7 @@ class ThresholdSet:
 def simultaneous_thresholds(fs, d, c, outcomes, engine: str = "greedy") -> tuple:
     """Evaluate every formula on the same hidden input with one policy run."""
     inst = fs if isinstance(fs, ThresholdSet) else ThresholdSet(tuple(fs))
-    return _evaluate(inst.utility, engine, inst.certificate, d, c, outcomes)
+    return _evaluate(inst.arity, inst.utility, engine, inst.certificate, d, c, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,8 @@ def rank_linear_functions(sys: LinearSystem, d, c, outcomes) -> tuple:
     if sys.m < 2:
         raise ValueError("ranking needs at least two functions")
     return _evaluate(
-        lambda: ranking_utility(sys), "greedy", lambda b: _extract_ranking(sys, b), d, c, outcomes
+        sys.arity, lambda: ranking_utility(sys), "greedy", lambda b: _extract_ranking(sys, b),
+        d, c, outcomes,
     )
 
 
@@ -239,10 +242,11 @@ def min_knapsack_adg(kp: KnapsackInstance) -> tuple:
     utility of "sum of selected values >= threshold" with every test
     deterministically answering 1.  Returns the items bought, in order,
     and their total weight."""
+    n = kp.arity
     f = ThresholdFormula(kp.values, kp.threshold)
-    d = ProductDistribution.certain_ones(kp.arity)
+    d = ProductDistribution.certain_ones(n)
     _, trace = _evaluate(
-        lambda: threshold_utility(f), "adg", f.certificate, d, kp.weights, (1,) * kp.arity
+        n, lambda: threshold_utility(f), "adg", f.certificate, d, kp.weights, (1,) * n
     )
     return trace.tested, trace.total_cost
 

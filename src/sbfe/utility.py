@@ -318,9 +318,10 @@ def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
 
 def _hit_count(n: int, hits) -> UtilityFunction:
     """The number of groups in ``hits``, a `_hits` table, with some pair
-    (j, bit) that b holds; goal the number of groups.  In ``step`` an open
-    group counts toward the extension of each untested position that
-    closes it."""
+    (j, bit) that b holds; goal the number of groups.  ``step`` finds the
+    open groups in one pass, starts both vectors at g(b), and then adds
+    each open group to the extension of each untested position that closes
+    it."""
 
     def fn(b):
         here = 0
@@ -332,18 +333,22 @@ def _hit_count(n: int, hits) -> UtilityFunction:
         return here
 
     def step(b):
-        here = 0
-        opened = ([0] * len(b), [0] * len(b))  # by the outcome that closes a group
+        open_groups = []
         for group in hits:
             for j, bit in group:
                 if b[j] == bit:
-                    here += 1
                     break
             else:
-                for j, bit in group:
-                    if b[j] == STAR:
-                        opened[bit][j] += 1
-        return tuple([here + k for k in opened[0]]), tuple([here + k for k in opened[1]])
+                open_groups.append(group)
+        here = len(hits) - len(open_groups)
+        zero = [here] * n
+        one = [here] * n
+        closes = (zero, one)  # by the outcome that closes a group
+        for group in open_groups:
+            for j, bit in group:
+                if b[j] == STAR:
+                    closes[bit][j] += 1
+        return tuple(zero), tuple(one)
 
     return UtilityFunction(n, len(hits), fn, step)
 
@@ -461,17 +466,17 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
     of b: how far the minimum has risen from its all-untested value, capped
     at ``cap_min``, and how far the maximum has fallen from its own, capped
     at ``cap_max``.  Goal cap_min * cap_max.  ``fn`` takes both sides from
-    one `_restricted_extrema` of b, and so does ``step`` for every
-    extension: with a_j's positive part ap and negative part an, setting
-    x_j to 1 raises the minimum by ap and lowers the maximum by an; setting
-    it to 0 raises the minimum by an and lowers the maximum by ap.  When
-    either side of b is already full, every extension is covered too and
-    ``step`` returns the goal everywhere at once; otherwise it starts both
-    vectors at g(b) and computes only the untested positions."""
-    pos = tuple(max(a, 0) for a in coeffs)
-    neg = tuple(max(-a, 0) for a in coeffs)
-    lo_full = cap_min - sum(neg)  # the minimum at which its side is full
-    hi_full = sum(pos) - cap_max  # the maximum at which its side is full
+    one `_restricted_extrema` of b.  ``step`` tracks each side's distance to
+    full instead, cap_min and cap_max at the root: setting x_j to 1 takes
+    a_j's positive part ap off the minimum's distance and its negative part
+    an off the maximum's; setting it to 0 takes an off the minimum's and ap
+    off the maximum's.  One of ap, an is 0.  One pass over b gives both
+    distances and the untested positions.  When either side of b is already
+    full, every extension is covered too and ``step`` returns the goal
+    everywhere at once; otherwise it starts both vectors at g(b) and
+    computes only the untested positions."""
+    lo_full = cap_min + sum(a for a in coeffs if a < 0)  # the minimum at which its side is full
+    hi_full = sum(a for a in coeffs if a > 0) - cap_max  # the maximum at which its side is full
     goal = cap_min * cap_max
     if goal > MAX_GOAL:
         raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
@@ -483,20 +488,39 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
         return goal - l * h if l > 0 and h > 0 else goal
 
     def step(b):
-        lo, hi = _restricted_extrema(coeffs, b)
-        need_lo, need_hi = lo_full - lo, hi - hi_full  # each side's distance to full
+        need_lo, need_hi = cap_min, cap_max  # each side's distance to full
+        free = []
+        for j, v in enumerate(b):
+            if v == STAR:
+                free.append(j)
+                continue
+            a = coeffs[j]
+            if a > 0:
+                if v:
+                    need_lo -= a
+                else:
+                    need_hi -= a
+            elif v:
+                need_hi += a
+            else:
+                need_lo += a
         if need_lo <= 0 or need_hi <= 0:
             return covered, covered
         here = goal - need_lo * need_hi
         zero = [here] * n
         one = [here] * n
-        for j, v in enumerate(b):
-            if v == STAR:
-                ap, an = pos[j], neg[j]
-                l, h = need_lo - an, need_hi - ap
-                zero[j] = goal - l * h if l > 0 and h > 0 else goal
-                l, h = need_lo - ap, need_hi - an
-                one[j] = goal - l * h if l > 0 and h > 0 else goal
+        for j in free:
+            a = coeffs[j]
+            if a > 0:
+                h = need_hi - a
+                zero[j] = goal - need_lo * h if h > 0 else goal
+                l = need_lo - a
+                one[j] = goal - l * need_hi if l > 0 else goal
+            elif a:
+                l = need_lo + a
+                zero[j] = goal - l * need_hi if l > 0 else goal
+                h = need_hi + a
+                one[j] = goal - need_lo * h if h > 0 else goal
         return tuple(zero), tuple(one)
 
     return UtilityFunction(n, goal, fn, step)

@@ -220,6 +220,8 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     The prefixes' records travel down the path (`_prefix_records`), and a
     leaf pairs each with its y from the ``ys`` of its state.  A prefix with
     y = 0 would add an exact 0.0 to every sum, so the leaf leaves it out.
+    A record keeps the step's values at its prefix S, so the leaf reads the
+    gain of j there as the value less g(S), one exact integer subtraction.
     """
     n = g.arity
     if n > DUAL_MAX_N:
@@ -231,13 +233,14 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
     violations = []
 
     def leaf(b, state, records):
-        dual = [(y, down, up, gained) for y, (_, down, up, gained) in zip(state[0], records) if y]
+        dual = [(y, base, zero, one, gained)
+                for y, (_, base, zero, one, gained) in zip(state[0], records) if y]
         for j in range(n):
             h = 0.0
-            for y, _, up, _ in dual:
-                h += p[j] * y * up[j]
-            for y, down, _, _ in dual:
-                h += (1.0 - p[j]) * y * down[j]
+            for y, base, _, one, _ in dual:
+                h += p[j] * y * (one[j] - base)
+            for y, base, zero, _, _ in dual:
+                h += (1.0 - p[j]) * y * (zero[j] - base)
             s = cc[j] - h
             slack[b, j] = s
             tight[b, j] = tested = b[j] != STAR
@@ -246,7 +249,7 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
             elif not tested and s < -DUAL_EPS:
                 violations.append(((b, j), f"dual constraint violated: slack {s}"))
         mass = 0.0
-        for y, _, _, gained in dual:
+        for y, _, _, _, gained in dual:
             mass += y * gained
         return 0.0, mass, 1 << b.count(STAR)
 
@@ -266,21 +269,22 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
 
 def _prefix_records(pol: DualGreedyPolicy):
     """The ``grow`` of the dual greedy's walks here: the record of each
-    prefix S of the path, in order, as (goal - g(S), down, up, gained),
-    where down and up are the gains at S and gained sums what each test
-    below S gained at S.  A test adds its gain at S to every open record
-    and opens one for the node that made it, from the policy's gain record
-    there, so no node's record is read after its test.  A node that tests
-    is short of the goal, so goal - g(S) > 0."""
+    prefix S of the path, in order, as (goal - g(S), g(S), zero, one,
+    gained), where zero and one are the values of the policy's gain record
+    at S, so the gain of j there is zero[j] - g(S) or one[j] - g(S), and
+    gained sums what each test below S gained at S.  A test adds its gain
+    at S to every open record and opens one for the node that made it, from
+    the policy's gain record there, so no node's record is read after its
+    test.  A node that tests is short of the goal, so goal - g(S) > 0."""
     goal = pol.g.goal
 
     def grow(records, b, i, v):
         records = [
-            (gap, down, up, gained + (up[i] if v else down[i]))
-            for gap, down, up, gained in records
+            (gap, base, zero, one, gained + ((one[i] if v else zero[i]) - base))
+            for gap, base, zero, one, gained in records
         ]
-        base, down, up, _ = pol.gains(b)
-        records.append((goal - base, down, up, up[i] if v else down[i]))
+        base, zero, one, _ = pol.gains(b)
+        records.append((goal - base, base, zero, one, (one[i] if v else zero[i]) - base))
         return records
 
     return grow
@@ -305,7 +309,7 @@ def adg_cost_and_alpha(g: UtilityFunction, d, c) -> tuple:
         g.arity,
         lambda b, state, records: (
             0.0,
-            max([1.0] + [gained / gap for gap, _, _, gained in records]),
+            max([1.0] + [gained / gap for gap, _, _, _, gained in records]),
         ),
         lambda i, lo, hi: (
             cc[i] + p[i] * hi[0] + (1.0 - p[i]) * lo[0],

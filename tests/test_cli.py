@@ -415,6 +415,26 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: knapsack enumeration limited to n <= 20, got 22\n"
 
+    @pytest.mark.parametrize("gap, passed", [(1e-3, False), (5e-7, True), (-1e-3, True)])
+    def test_pass_verdict_at_its_edge(self, tmp_path, capsys, monkeypatch, gap, passed):
+        # the greedy's ratio on this file is about 1.155; its bound is moved
+        # so that bound * opt sits ``gap`` below the cost: a gap beyond
+        # RATIO_TOL fails the row and the run, one within it passes
+        path = self._gen(tmp_path, "threshold", 10, 2)
+        code, out, _ = run_cli(capsys, "eval", str(path), "--format", "json")
+        (row,) = json.loads(out)
+        assert code == 0 and row["pass"] is True
+        cost, opt = row["expected_cost"], row["opt"]
+        assert 1.15 < cost / opt < 1.16
+        edge = (cost - gap) / opt
+        engine_policy = cli.engine_policy
+        monkeypatch.setattr(cli, "engine_policy", lambda *args: (engine_policy(*args)[0], edge))
+        code, out, _ = run_cli(capsys, "eval", str(path), "--format", "json")
+        (row,) = json.loads(out)
+        assert (row["expected_cost"], row["opt"], row["bound"]) == (cost, opt, edge)
+        assert row["pass"] is passed
+        assert code == (0 if passed else 1)
+
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):
         path = self._gen(tmp_path, "threshold", 5, 11)
         _, out1, _ = run_cli(capsys, "eval", str(path), "--engine", "greedy")

@@ -138,6 +138,24 @@ class TestDistributionModes:
         with pytest.raises(ValueError):
             CostVector((1.0, -0.5))
 
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            ((1, float("nan"), -1), "c[1] = nan is not finite"),
+            ((1, -1, float("inf")), "c[1] = -1.0 is negative"),
+            ((float("-inf"), float("nan")), "c[0] = -inf is not finite"),
+            ((0.0, 2, -1e-300), "c[2] = -1e-300 is negative"),
+        ],
+    )
+    def test_costs_name_the_first_bad_index(self, c, message):
+        with pytest.raises(ValueError) as exc:
+            CostVector(c)
+        assert str(exc.value) == message
+
+    def test_costs_accept_negative_zero(self):
+        assert CostVector((1, -0.0)).c == (1.0, -0.0)
+        assert CostVector(()).c == ()
+
     def test_sampling_is_deterministic(self):
         d = ProductDistribution((0.5,) * 8)
         assert sample_input(d, 123) == sample_input(d, 123)

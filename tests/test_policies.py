@@ -54,6 +54,7 @@ from sbfe.policies import (
     DualGreedyPolicy,
     FixedOrderPolicy,
     GreedyPolicy,
+    _cheapest,
     bounds,
     cost_order_policy,
     cp_ratio_policy,
@@ -411,6 +412,31 @@ class TestGainRecordsPathScoped:
         # every node's record is made again, once: the walk kept none of
         # them, and the record of the node last asked for is kept
         assert len(nodes) > 1 and count[0] == len(nodes)
+
+
+class TestCheapest:
+    """`_cheapest` tests the costs against -EPS once, and only then looks
+    for the first positive-gain position whose cost is that low."""
+
+    def test_negative_cost_at_zero_gain_is_ignored(self):
+        assert _cheapest((0.0, 2.0, 0.0), (-5.0, 1.0, -1.0)) == 1
+
+    def test_first_negative_cost_at_positive_gain_raises(self):
+        message = "dual-adjusted cost of 2 is -2.0; dual feasibility broken"
+        eg, cost = (0.0, 4.0, 1.0, 1.0), (-5.0, 1.0, -2.0, -3.0)
+        with pytest.raises(InvalidUtilityError) as exc:
+            _cheapest(eg, cost)
+        assert str(exc.value) == message
+
+    def test_within_eps_of_zero_is_a_cost(self):
+        # -EPS / 2 is not below -EPS, so it is a (negative) ratio and wins
+        assert _cheapest((1.0, 1.0), (0.0, -EPS / 2)) == 1
+        with pytest.raises(InvalidUtilityError, match="dual-adjusted cost of 1"):
+            _cheapest((1.0, 1.0), (0.0, -2 * EPS))
+
+    def test_no_positive_gain_still_raises(self):
+        with pytest.raises(InvalidUtilityError, match="no untested position"):
+            _cheapest((0.0, 0.0), (-1.0, 1.0))
 
 
 class TestAlpha:

@@ -138,6 +138,75 @@ class TestEvaluateThreshold:
             assert value == evaluate(case.f, x)
 
 
+def _refusal(call):
+    """The type and text of the error ``call()`` raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+NAN = float("nan")
+# (d, c, x) at n = 5 with one fault each: a 2-bit input, three
+# probabilities, and costs that are negative and not finite
+BAD_RUNS = {
+    "input": (ProductDistribution((0.5,) * 5), (1.0,) * 5, (1, 0)),
+    "probabilities": ((0.5,) * 3, (1.0,) * 5, (1,) * 5),
+    "costs": (ProductDistribution((0.5,) * 5), (-1.0, NAN), (1,) * 5),
+    "cost-nan": ((0.5,) * 5, (1.0, NAN, 1.0, 1.0, 1.0), (1,) * 5),
+}
+# (evaluation, constant formula, non-constant formula of the same arity)
+CONSTANT_CASES = {
+    "threshold-greedy": (
+        evaluate_threshold_greedy, ThresholdFormula((1,) * 5, 0), ThresholdFormula((1,) * 5, 3)
+    ),
+    "threshold-adg": (
+        evaluate_threshold_adg, ThresholdFormula((1,) * 5, 6), ThresholdFormula((1,) * 5, 3)
+    ),
+    "cdnf": (
+        evaluate_cdnf,
+        CdnfFormula(5, (frozenset({1, -1}),), (frozenset({2}), frozenset({-2}))),
+        conjunction_formula(5),
+    ),
+}
+
+
+class TestConstantFunctionRuns:
+    """A constant function's run is checked like any other: it refuses a
+    bad input, distribution or cost vector with the message a non-constant
+    run of the same arity gives, and answers valid input with its value,
+    nothing tested."""
+
+    @pytest.mark.parametrize("fault", sorted(BAD_RUNS))
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+    def test_refused_as_a_non_constant_run(self, name, fault):
+        run, const, other = CONSTANT_CASES[name]
+        assert const.constant_value() is not None and other.constant_value() is None
+        d, c, x = BAD_RUNS[fault]
+        got = _refusal(lambda: run(const, d, c, x))
+        assert got == _refusal(lambda: run(other, d, c, x))
+        assert got[0] is ValueError
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+    def test_valid_input_answers_the_constant(self, name):
+        run, const, _ = CONSTANT_CASES[name]
+        d = ProductDistribution((0.3,) * 5)
+        for x in ((0,) * 5, (1, 0, 1, 1, 0)):
+            value, tr = run(const, d, (2.0,) * 5, x)
+            assert value == const.constant_value()
+            assert (tr.tested, tr.outcomes, tr.total_cost, tr.final) == ((), (), 0.0, stars(5))
+
+    def test_messages(self):
+        run, const, _ = CONSTANT_CASES["threshold-greedy"]
+        want = {
+            "input": "input (1, 0) has length 2, not 5",
+            "probabilities": "arity mismatch",
+            "costs": "c[0] = -1.0 is negative",
+            "cost-nan": "c[1] = nan is not finite",
+        }
+        for fault, message in want.items():
+            assert _refusal(lambda: run(const, *BAD_RUNS[fault])) == (ValueError, message)
+
+
 class TestSimultaneous:
     def test_single_formula_reduces_exactly(self):
         rng = random.Random(5)

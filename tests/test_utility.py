@@ -37,13 +37,15 @@ from sbfe.core import (
 )
 from sbfe.instances import (
     gen_cdnf,
+    gen_costs,
     gen_knapsack,
     gen_linear_system,
+    gen_probabilities,
     gen_threshold,
     gen_threshold_set,
     gen_truth_table,
 )
-from sbfe.policies import GreedyPolicy, bounds
+from sbfe.policies import DualGreedyPolicy, GreedyPolicy, bounds, policy_runs
 from sbfe.problems import ThresholdSet, disjunction_formula, ranking_utility
 from sbfe.utility import (
     CdnfFormula,
@@ -284,6 +286,86 @@ class TestStep:
             assert str(error.value) == message
             with pytest.raises(InvalidUtilityError, match=message.replace("*", r"\*")):
                 reference_gains_at(g, b)
+
+
+# every kind whose gain record `GreedyPolicy.gains` is compared with the
+# reference: the kinds of `TestStepDirect` and the truth table
+RECORD_KINDS = {
+    **DIRECT_STEP_KINDS,
+    "truthtable": (gen_truth_table, truth_table_utility, reference_truth_table_utility),
+}
+
+
+def _records_against_reference(kind, rng, n, states):
+    """Compare the greedy's gain record with `reference_gains_at` at each
+    of ``states(n)``: the record's zero - g(b) and one - g(b) are the
+    reference's gains, and its expected gains are p_j * up_j + (1 - p_j) *
+    down_j of those gains, bit for bit.  Returns the states compared."""
+    make, build, reference = RECORD_KINDS[kind]
+    inst = make(rng, n)
+    g, ref = build(inst), reference(inst)
+    p = gen_probabilities(rng, n)
+    pol = GreedyPolicy(g, p, gen_costs(rng, n))
+    compared = 0
+    for b in states(n):
+        base, zero, one, eg = pol.gains(b)
+        want_base, down, up = reference_gains_at(ref, b)
+        assert base == want_base, (kind, b)
+        if down is None:
+            assert zero is one is eg is None, (kind, b)
+            continue
+        assert tuple(v - base for v in zero) == down, (kind, b)
+        assert tuple(v - base for v in one) == up, (kind, b)
+        want = [(pj * uj + (1.0 - pj) * dj).hex() for pj, uj, dj in zip(p, up, down)]
+        assert [e.hex() for e in eg] == want, (kind, b)
+        compared += 1
+    return compared
+
+
+class TestGainRecord:
+    """`GreedyPolicy.gains` keeps the step's values, checked with one
+    ``min`` per vector, and computes the expected gains from them by one
+    integer subtraction each: every gain and every expected gain equals the
+    2n + 1 ``fn`` calls of `reference_gains_at`, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+    def test_every_state_small(self, kind):
+        rng = random.Random(61)
+        compared = 0
+        for n in range(1, 6):
+            for _ in range(2):
+                compared += _records_against_reference(kind, rng, n, all_partials)
+        assert compared
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+    def test_random_states_large(self, kind):
+        # a truth table at n = 10: its reference counts every completion
+        sizes = (10,) if kind == "truthtable" else (16, 24, 32)
+        compared = 0
+        for n in sizes:
+            rng = random.Random(n)
+            compared += _records_against_reference(
+                kind, rng, n, lambda n: random_partials(rng, n, 200)
+            )
+        assert compared
+
+    def test_monotonicity_message_everywhere(self):
+        # setting position 1 to 0 loses utility at the root, so every way
+        # in fails there with the message of `gains_at`
+        def fn(b):
+            return 3 + 2 * sum(v != STAR for v in b) - 3 * (b[1] == 0)
+
+        g = utility_from_fn(3, 100, fn)
+        d, c = ProductDistribution((0.5,) * 3), (1.0,) * 3
+        message = "monotonicity violated at ***, position 1"
+        calls = [lambda: gains_at(g, (STAR,) * 3)]
+        for cls in (GreedyPolicy, DualGreedyPolicy):
+            calls.append(lambda cls=cls: cls(g, d, c).gains((STAR,) * 3))
+            calls.append(lambda cls=cls: policy_runs(cls(g, d, c), [(1, 1, 1)], 3, c))
+        for call in calls:
+            with pytest.raises(InvalidUtilityError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 # the utilities whose fn is one pass: (instance at arity n, utility,

@@ -23,7 +23,9 @@ from sbfe.core import (
     LimitError,
     ProductDistribution,
     all_assignments,
+    expected_cost,
     extend,
+    optimal_expected_cost,
 )
 from sbfe.instances import (
     cdnf_battery,
@@ -32,6 +34,7 @@ from sbfe.instances import (
     gen_linear_system,
     gen_threshold,
     gen_truth_table,
+    generate_instance,
     threshold_battery,
 )
 from sbfe.policies import (
@@ -450,6 +453,24 @@ class TestRatioVsOpt:
         (rep,) = ratio_vs_opt(threshold_adg(0.01), threshold_battery(3, seed=14, n_lo=3, n_hi=4))
         assert not rep.ok
         assert rep.violations
+
+    @pytest.mark.parametrize("gap, ok", [(1e-3, False), (5e-7, True), (-1e-3, True)])
+    def test_verdict_at_its_edge(self, gap, ok):
+        # the greedy's ratio on this instance is about 1.155; the bound is
+        # placed so that bound * opt sits ``gap`` below the cost, so a gap
+        # beyond the default tol of 1e-6 is a violation and one within it
+        # is not
+        case = generate_instance("threshold", 10, 2)
+        policy = GreedyPolicy(threshold_utility(case.f), case.dist, case.costs)
+        cost = expected_cost(policy, case.dist, case.costs)
+        opt = optimal_expected_cost(case.f, case.dist, case.costs)
+        assert 1.15 < cost / opt < 1.16
+        bound = (cost - gap) / opt
+        (rep,) = ratio_vs_opt(lambda case: [(policy, bound)], [case])
+        (row,) = rep.rows
+        assert (row.cost, row.opt, row.bound) == (cost, opt, bound)
+        assert row.ok is rep.ok is ok
+        assert rep.violations == (() if ok else (row,))
 
     def test_one_optimum_and_one_cost_per_case(self, monkeypatch):
         calls = {"opt": 0, "cost": 0}
