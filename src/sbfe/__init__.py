@@ -9,7 +9,6 @@ dual-feasibility checks certify the approximation bounds empirically.
 
 from .core import (
     STAR,
-    ConstantFunctionError,
     CostVector,
     InvalidUtilityError,
     Leaf,

@@ -17,7 +17,6 @@ from typing import Optional
 
 from . import instances as inst_mod
 from .core import (
-    ConstantFunctionError,
     LimitError,
     as_costs,
     expected_cost,
@@ -202,18 +201,14 @@ def eval_instance(inst: Instance, args) -> dict:
     if exact:
         opt = optimal_expected_cost(inst.f, inst.dist, inst.costs)
     engine, alpha = args.engine, None
-    try:
-        g = build(inst.f)
-    except ConstantFunctionError:
-        engine, cost, bound = "constant", 0.0, 0.0
-    else:
-        if engine == "adg" and exact:
-            cost, alpha = adg_cost_and_alpha(g, inst.dist, inst.costs)
-        policy, bound = engine_policy(engine, g, inst, alpha)
-        if alpha is None and exact:
-            cost = expected_cost(policy, inst.dist, inst.costs)
-        elif alpha is None:
-            cost = _sampled_cost(policy, inst, args.trials, args.seed)
+    g = build(inst.f)
+    if engine == "adg" and exact:
+        cost, alpha = adg_cost_and_alpha(g, inst.dist, inst.costs)
+    policy, bound = engine_policy(engine, g, inst, alpha)
+    if alpha is None and exact:
+        cost = expected_cost(policy, inst.dist, inst.costs)
+    elif alpha is None:
+        cost = _sampled_cost(policy, inst, args.trials, args.seed)
     return _report_row(inst, engine, cost, opt, bound, alpha)
 
 
@@ -354,7 +349,7 @@ def _verify_lines(args):
     )
     ratios(
         inst_mod.disjunction_battery(12, seed + 9, n_lo=2, n_hi=n_hi),
-        lambda case: [(cp_ratio_policy(case.dist, case.costs, "or"), 1.0)],
+        lambda case: [(cp_ratio_policy(case.dist, case.costs), 1.0)],
         "disjunction cost/prob ordering exact",
         places=9,
         tol=1e-9,
@@ -404,7 +399,7 @@ def cmd_gap_demo(args) -> int:
     rows = []
     for n in ns:
         _, d, c = harmonic_gap_instance(n)
-        opt = expected_cost(cp_ratio_policy(d, c, "or"), d, c)
+        opt = expected_cost(cp_ratio_policy(d, c), d, c)
         cert = expected_certificate_cost_disjunction(d, c)
         harmonic = float(sum(Fraction(1, t) for t in range(1, n + 1)))
         rows.append(

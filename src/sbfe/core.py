@@ -25,17 +25,6 @@ class SbfeError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ConstantFunctionError(SbfeError):
-    """A construction was given an identically-constant function.
-
-    Callers should skip testing entirely and output ``value``.
-    """
-
-    def __init__(self, value):
-        super().__init__(f"function is identically {value}; no testing is needed")
-        self.value = value
-
-
 class InvalidUtilityError(SbfeError):
     """A utility function violated monotonicity or cannot reach its goal."""
 
@@ -215,11 +204,11 @@ def tree_leaf_paths(t) -> Iterator[tuple]:
 # The planes are built from the instance's own data, never from
 # ``certificate``; the optimum and certificate_table read them once per
 # call and widen them into one 3^n table (_certified_table): a single
-# plane, widened, is that table, and several are ANDed into it.  A kind
-# whose utility builder short-cuts constant functions also has
-# ``constant_value() -> label | None``.  That is the whole protocol: no
-# instance evaluates a full assignment, and the tests' reference
-# ``evaluate`` reads each kind's raw fields instead.
+# plane, widened, is that table, and several are ANDed into it.  That is
+# the whole protocol: no instance evaluates a full assignment, and the
+# tests' reference ``evaluate`` reads each kind's raw fields instead.  A
+# constant function needs nothing more: ``certificate(stars(n))`` gives its
+# label, and its utility has goal 0.
 
 
 def certificate_check(f, b: Partial) -> Optional[object]:

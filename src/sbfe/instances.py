@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Branch, ConstantFunctionError, CostVector, Leaf, ProductDistribution
+from .core import Branch, CostVector, Leaf, ProductDistribution, tree_leaf_paths
 from .problems import KnapsackInstance, ThresholdSet, disjunction_formula
 from .utility import CdnfFormula, LinearSystem, ThresholdFormula, TruthTable, decision_tree_to_cdnf
 
@@ -190,13 +190,13 @@ def gen_cdnf(
     rng: random.Random, n: int, max_clauses: int = 4, max_terms: int = 4
 ) -> CdnfFormula:
     """Consistent CNF/DNF pair obtained from a random decision tree (its
-    0-paths and 1-paths), capped at the given clause and term counts."""
+    0-paths and 1-paths), capped at the given clause and term counts.  A
+    tree whose leaves all carry one label is skipped."""
     for _ in range(1000):
         tree = _random_tree(rng, list(range(n)), rng.randint(1, 3))
-        try:
-            f = decision_tree_to_cdnf(tree, n)
-        except ConstantFunctionError:
+        if len({label for _, label in tree_leaf_paths(tree)}) < 2:
             continue
+        f = decision_tree_to_cdnf(tree, n)
         if f.k <= max_clauses and f.d <= max_terms:
             return f
     raise RuntimeError("could not generate a CDNF within the caps")

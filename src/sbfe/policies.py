@@ -218,21 +218,14 @@ class FixedOrderPolicy:
         return None
 
 
-def cp_ratio_policy(d, c, sense: str = "or") -> FixedOrderPolicy:
-    """Cost-to-probability ordering, exact for plain disjunctions.
-
-    For a disjunction, test in increasing c_i / p_i and stop at the first 1;
-    for a conjunction use c_i / (1 - p_i) and stop at the first 0.
-    """
+def cp_ratio_policy(d, c) -> FixedOrderPolicy:
+    """Cost-to-probability ordering, exact for plain disjunctions: test in
+    increasing c_i / p_i and stop at the first 1."""
     p = as_probabilities(d)
     cc = as_costs(c)
-    if sense not in ("or", "and"):
-        raise ValueError("sense must be 'or' or 'and'")
-    decisive = 1 if sense == "or" else 0
-    weights = [pi if sense == "or" else 1.0 - pi for pi in p]
-    ratios = [cc[i] / weights[i] if weights[i] > 0 else math.inf for i in range(len(p))]
+    ratios = [cc[i] / p[i] if p[i] > 0 else math.inf for i in range(len(p))]
     order = sorted(range(len(p)), key=lambda i: (ratios[i], i))
-    return FixedOrderPolicy(order, stop=lambda b: decisive in b)
+    return FixedOrderPolicy(order, stop=lambda b: 1 in b)
 
 
 def cost_order_policy(c, f=None) -> FixedOrderPolicy:

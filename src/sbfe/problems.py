@@ -7,7 +7,6 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .core import (
-    ConstantFunctionError,
     LimitError,
     Partial,
     ProductDistribution,
@@ -22,7 +21,6 @@ from .utility import (
     UtilityFunction,
     cdnf_utility,
     combine_and_all,
-    constant_zero_utility,
     ranking_pair_utility,
     threshold_utility,
 )
@@ -31,24 +29,19 @@ KNAPSACK_MAX_N = 20  # the exact min-knapsack enumerates 2^n subsets
 _POLICIES = {"greedy": GreedyPolicy, "adg": DualGreedyPolicy}
 
 
-def _evaluate(n: int, build, engine: str, read, d, c, outcomes) -> tuple:
-    """Run ``engine``'s policy on the utility ``build()`` returns for n
-    positions and return the answer ``read`` takes from the assignment the
-    run stopped at, with the run's trace.  A constant function is answered
-    by its value; its run is the goal-0 utility's, which stops at the root,
-    so its distribution, costs and input are checked as any run's are."""
-    try:
-        g, value = build(), None
-    except ConstantFunctionError as exc:
-        g, value = constant_zero_utility(n), exc.value
+def _evaluate(g: UtilityFunction, engine: str, read, d, c, outcomes) -> tuple:
+    """Run ``engine``'s policy on the utility g and return the answer
+    ``read`` takes from the assignment the run stopped at, with the run's
+    trace.  A constant function's utility has goal 0, so its run stops at
+    the root, whose empty assignment already certifies the answer; its
+    distribution, costs and input are checked as any run's are."""
     if engine not in _POLICIES:
         raise ValueError(f"unknown engine {engine!r}")
     policy = _POLICIES[engine](g, d, c)
     trace = policy_runs(policy, (tuple(outcomes),), g.arity, policy.c)[0]
+    value = read(trace.final)
     if value is None:
-        value = read(trace.final)
-        if value is None:
-            raise RuntimeError(f"{engine} policy stopped before certifying; utility broken")
+        raise RuntimeError(f"{engine} policy stopped before certifying; utility broken")
     return value, trace
 
 
@@ -63,20 +56,18 @@ def evaluate_cdnf(f: CdnfFormula, d, c, outcomes) -> tuple:
     satisfied means 1, all terms falsified means 0.  Constant formulas are
     answered immediately at zero cost.
     """
-    return _evaluate(f.arity, lambda: cdnf_utility(f), "greedy", f.certificate, d, c, outcomes)
+    return _evaluate(cdnf_utility(f), "greedy", f.certificate, d, c, outcomes)
 
 
 def evaluate_threshold_greedy(f: ThresholdFormula, d, c, outcomes) -> tuple:
     """Evaluate a linear threshold formula with the greedy policy."""
-    return _evaluate(
-        f.arity, lambda: threshold_utility(f), "greedy", f.certificate, d, c, outcomes
-    )
+    return _evaluate(threshold_utility(f), "greedy", f.certificate, d, c, outcomes)
 
 
 def evaluate_threshold_adg(f: ThresholdFormula, d, c, outcomes) -> tuple:
     """Evaluate a linear threshold formula with the dual greedy policy; the
     observed per-prefix ratios in the trace stay below 3."""
-    return _evaluate(f.arity, lambda: threshold_utility(f), "adg", f.certificate, d, c, outcomes)
+    return _evaluate(threshold_utility(f), "adg", f.certificate, d, c, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +115,15 @@ class ThresholdSet:
 
     def utility(self) -> UtilityFunction:
         """Sum of the per-formula utilities; covered when every formula is
-        certified.  Constant formulas contribute an already-covered goal 0."""
-        parts = []
-        for f in self.formulas:
-            if f.constant_value() is not None:
-                parts.append(constant_zero_utility(self.arity))
-            else:
-                parts.append(threshold_utility(f))
-        return combine_and_all(parts)
+        certified.  A constant formula's utility has goal 0, covered from
+        the start."""
+        return combine_and_all(threshold_utility(f) for f in self.formulas)
 
 
 def simultaneous_thresholds(fs, d, c, outcomes, engine: str = "greedy") -> tuple:
     """Evaluate every formula on the same hidden input with one policy run."""
     inst = fs if isinstance(fs, ThresholdSet) else ThresholdSet(tuple(fs))
-    return _evaluate(inst.arity, inst.utility, engine, inst.certificate, d, c, outcomes)
+    return _evaluate(inst.utility(), engine, inst.certificate, d, c, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +188,7 @@ def rank_linear_functions(sys: LinearSystem, d, c, outcomes) -> tuple:
     if sys.m < 2:
         raise ValueError("ranking needs at least two functions")
     return _evaluate(
-        sys.arity, lambda: ranking_utility(sys), "greedy", lambda b: _extract_ranking(sys, b),
-        d, c, outcomes,
+        ranking_utility(sys), "greedy", lambda b: _extract_ranking(sys, b), d, c, outcomes
     )
 
 
@@ -245,9 +230,7 @@ def min_knapsack_adg(kp: KnapsackInstance) -> tuple:
     n = kp.arity
     f = ThresholdFormula(kp.values, kp.threshold)
     d = ProductDistribution.certain_ones(n)
-    _, trace = _evaluate(
-        n, lambda: threshold_utility(f), "adg", f.certificate, d, kp.weights, (1,) * n
-    )
+    _, trace = _evaluate(threshold_utility(f), "adg", f.certificate, d, kp.weights, (1,) * n)
     return trace.tested, trace.total_cost
 
 

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 from .core import (
     OPTIMUM_MAX_N,
     STAR,
-    ConstantFunctionError,
     InvalidUtilityError,
     LimitError,
     Partial,
@@ -73,12 +72,6 @@ def gains_at(g: UtilityFunction, b: Partial, base: Optional[int] = None) -> tupl
         j = next(j for j in range(len(b)) if down[j] < 0 or up[j] < 0)
         raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
     return base, down, up
-
-
-def constant_zero_utility(n: int) -> UtilityFunction:
-    """Goal-0 utility: already covered, contributes nothing."""
-    zeros = (0,) * n
-    return UtilityFunction(n, 0, lambda b: 0, lambda b: (zeros, zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +168,10 @@ class CdnfFormula:
     A clause containing complementary literals is a tautology and a term
     containing them is a contradiction; neither changes the function, and
     both are left out of the `_hits` tables that `certificate`,
-    `constant_value`, `flag_planes`, both agreement checks and
-    `cdnf_utility` read.  A formula whose clauses are all tautologies
-    (terms all contradictions) is identically 1 (0).
+    `flag_planes`, both agreement checks and `cdnf_utility` read.  A
+    formula whose clauses are all tautologies (terms all contradictions) is
+    identically 1 (0): the empty assignment certifies it, and its utility's
+    goal is 0.
     """
 
     arity: int
@@ -283,13 +277,6 @@ class CdnfFormula:
         """The (position, bit) pairs that falsify each term."""
         return _hits(self.terms, -1)
 
-    def constant_value(self) -> Optional[int]:
-        if not self._clause_hits:
-            return 1
-        if not self._term_misses:
-            return 0
-        return None
-
     def certificate(self, b: Partial) -> Optional[int]:
         if all(any(b[j] == bit for j, bit in cl) for cl in self._clause_hits):
             return 1
@@ -309,10 +296,7 @@ def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
     falsified-term counters, disjunctively combined.  Tautological clauses
     and contradictory terms count on neither side, so the goal is the number
     of clauses that are not tautologies times the number of terms that are
-    not contradictions: k*d when there are none."""
-    cv = f.constant_value()
-    if cv is not None:
-        raise ConstantFunctionError(cv)
+    not contradictions: k*d when there are none, 0 when f is constant."""
     return combine_or(_hit_count(f.arity, f._clause_hits), _hit_count(f.arity, f._term_misses))
 
 
@@ -357,7 +341,9 @@ def decision_tree_to_cdnf(t, arity: int) -> CdnfFormula:
     """CNF from the 0-leaf paths, DNF from the 1-leaf paths.
 
     A path step (i, 1) contributes literal i+1 to its term and -(i+1) to its
-    clause; clause count plus term count equals the leaf count.
+    clause; clause count plus term count equals the leaf count.  A tree whose
+    leaves all carry one label leaves one side empty, and `CdnfFormula`
+    refuses it with ValueError.
     """
     clauses = []
     terms = []
@@ -368,10 +354,6 @@ def decision_tree_to_cdnf(t, arity: int) -> CdnfFormula:
             clauses.append(frozenset(-(i + 1) if v == 1 else (i + 1) for i, v in path))
         else:
             raise ValueError(f"leaf label {label!r} is not a bit")
-    if not clauses:
-        raise ConstantFunctionError(1)
-    if not terms:
-        raise ConstantFunctionError(0)
     return CdnfFormula(arity, tuple(clauses), tuple(terms))
 
 
@@ -427,13 +409,6 @@ class ThresholdFormula:
         """Largest value of sum - theta: the positive coefficients' sum."""
         return sum(a for a in self.coeffs if a > 0) - self.theta
 
-    def constant_value(self) -> Optional[int]:
-        if self.r_min >= 0:
-            return 1
-        if self.r_max < 0:
-            return 0
-        return None
-
     def certificate(self, b: Partial) -> Optional[int]:
         lo, hi = _restricted_extrema(self.coeffs, b)
         if lo >= self.theta:
@@ -453,12 +428,11 @@ def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
 
     One side tracks how far the guaranteed minimum has risen toward 0, the
     other how far the achievable maximum has fallen below 0; the disjunctive
-    combination covers exactly on certificates.  Goal (-r_min) * (r_max + 1).
+    combination covers exactly on certificates.  Goal
+    max(0, -r_min) * max(0, r_max + 1), which is 0, covered at the root,
+    exactly when f is constant.
     """
-    cv = f.constant_value()
-    if cv is not None:
-        raise ConstantFunctionError(cv)
-    return _extrema_utility(f.arity, f.coeffs, -f.r_min, f.r_max + 1)
+    return _extrema_utility(f.arity, f.coeffs, max(0, -f.r_min), max(0, f.r_max + 1))
 
 
 def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunction:
@@ -565,14 +539,6 @@ class TruthTable:
                 mask |= mask << (1 << i)
         return base, mask
 
-    def constant_value(self) -> Optional[int]:
-        ones, zeros = self._planes
-        if not zeros:
-            return 1
-        if not ones:
-            return 0
-        return None
-
     def certificate(self, b: Partial) -> Optional[int]:
         base, mask = self._subcube(b)
         ones, zeros = self._planes
@@ -592,15 +558,13 @@ class TruthTable:
 
 def truth_table_utility(f: TruthTable) -> UtilityFunction:
     """Generic covering utility: count how many 0-rows and 1-rows of the table
-    the tested bits have ruled out, disjunctively combined.  Goal #1 * #0.
+    the tested bits have ruled out, disjunctively combined.  Goal #1 * #0,
+    which is 0 when f is constant.
 
     ``fn`` counts both planes on the subcube of b once, and so does its step,
     which takes each extension's counts from that by one AND with the
     indices whose bit j is set: the completions of b with x_j = 1 are those,
     with x_j = 0 the rest."""
-    cv = f.constant_value()
-    if cv is not None:
-        raise ConstantFunctionError(cv)
     n = f.arity
     ones_plane, zeros_plane = f._planes
     ones = ones_plane.bit_count()

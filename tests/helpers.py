@@ -15,7 +15,6 @@ import random
 from sbfe.core import (
     STAR,
     Branch,
-    ConstantFunctionError,
     InvalidUtilityError,
     Leaf,
     LimitError,
@@ -44,7 +43,6 @@ from sbfe.utility import (
     cdnf_utility,
     combine_and_all,
     combine_or,
-    constant_zero_utility,
     gains_at,
     ranking_pair_utility,
     threshold_utility,
@@ -113,6 +111,11 @@ def step_from_fn(fn):
 def utility_from_fn(n: int, goal: int, fn) -> UtilityFunction:
     """A hand-built utility whose step comes from `step_from_fn`."""
     return UtilityFunction(n, goal, fn, step_from_fn(fn))
+
+
+def goal_zero_utility(n: int) -> UtilityFunction:
+    """The utility of a constant function: goal 0, covered from the start."""
+    return utility_from_fn(n, 0, lambda b: 0)
 
 
 def step_off_by_one(g: UtilityFunction, untested: int) -> UtilityFunction:
@@ -210,13 +213,11 @@ def brute_certificate(f, b):
 def reference_threshold_utility(f):
     """`threshold_utility` as first written, the reference for its one-pass
     ``fn``: the `combine_or` of a side for the guaranteed minimum and a side
-    for the achievable maximum, each from its own restricted extremum.  Its
-    step calls ``fn`` (`step_from_fn`)."""
-    cv = f.constant_value()
-    if cv is not None:
-        raise ConstantFunctionError(cv)
-    q1 = -f.r_min
-    q0 = f.r_max + 1
+    for the achievable maximum, each from its own restricted extremum, a
+    side already full at the root having goal 0.  Its step calls ``fn``
+    (`step_from_fn`)."""
+    q1 = max(0, -f.r_min)
+    q0 = max(0, f.r_max + 1)
     r_min, r_max = f.r_min, f.r_max
     theta = f.theta
     g1 = utility_from_fn(
@@ -231,26 +232,16 @@ def reference_threshold_utility(f):
 def reference_ranking_pair_utility(sys, i, j):
     """`ranking_pair_utility` as first written, the reference for its
     one-pass ``fn``: a side for f_i - f_j forced <= 0 and a side for it
-    forced >= 0, a vacuous side being the goal-0 utility, `combine_or`-ed.
-    Its step calls ``fn`` (`step_from_fn`)."""
+    forced >= 0, a vacuous side having goal 0, `combine_or`-ed.  Its step
+    calls ``fn`` (`step_from_fn`)."""
     if not i < j:
         raise ValueError("require i < j")
     delta = sys.diff(i, j)
     r_lo = sum(a for a in delta if a < 0)
     r_hi = sum(a for a in delta if a > 0)
     n = sys.arity
-    if r_hi <= 0:
-        g_le = constant_zero_utility(n)
-    else:
-        g_le = utility_from_fn(
-            n, r_hi, lambda b: min(r_hi, r_hi - _restricted_extrema(delta, b)[1])
-        )
-    if r_lo >= 0:
-        g_ge = constant_zero_utility(n)
-    else:
-        g_ge = utility_from_fn(
-            n, -r_lo, lambda b: min(-r_lo, _restricted_extrema(delta, b)[0] - r_lo)
-        )
+    g_le = utility_from_fn(n, r_hi, lambda b: min(r_hi, r_hi - _restricted_extrema(delta, b)[1]))
+    g_ge = utility_from_fn(n, -r_lo, lambda b: min(-r_lo, _restricted_extrema(delta, b)[0] - r_lo))
     return combine_or(g_le, g_ge)
 
 
@@ -259,9 +250,6 @@ def reference_truth_table_utility(f):
     one-pass ``fn``: the `combine_or` of the 1-rows and the 0-rows ruled
     out, each side counting the completions of b with its value.  Its
     step calls ``fn`` (`step_from_fn`)."""
-    cv = f.constant_value()
-    if cv is not None:
-        raise ConstantFunctionError(cv)
     ones = sum(f.table)
     zeros = len(f.table) - ones
 
@@ -408,10 +396,6 @@ def reference_cdnf_utility(f):
 
     clauses = [cl for cl in f.clauses if not any(-l in cl for l in cl)]
     terms = [t for t in f.terms if not any(-l in t for l in t)]
-    if not clauses:
-        raise ConstantFunctionError(1)
-    if not terms:
-        raise ConstantFunctionError(0)
     n = f.arity
     g1 = utility_from_fn(
         n, len(clauses), lambda b: sum(any(holds(l, b) for l in cl) for cl in clauses)

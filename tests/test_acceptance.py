@@ -243,7 +243,7 @@ def test_criterion_06_cost_probability_ordering_exact():
     cases = disjunction_battery(200, seed=1009, n_lo=2, n_hi=10)
     worst = 0.0
     for case in cases:
-        policy = cp_ratio_policy(case.dist, case.costs, "or")
+        policy = cp_ratio_policy(case.dist, case.costs)
         cost = expected_cost(policy, case.dist, case.costs)
         opt = optimal_expected_cost(case.f, case.dist, case.costs)
         gap = abs(cost - opt)
@@ -287,7 +287,7 @@ def test_criterion_08_harmonic_gap_family():
         _, d, c = harmonic_gap_instance(n)
         # the ordering policy is optimal for disjunctions (criterion 6
         # verifies that against the dynamic program on every size it covers)
-        policy_cost = expected_cost(cp_ratio_policy(d, c, "or"), d, c)
+        policy_cost = expected_cost(cp_ratio_policy(d, c), d, c)
         harmonic = float(sum(Fraction(1, t) for t in range(1, n + 1)))
         assert abs(policy_cost - harmonic) <= TOL, (n, policy_cost, harmonic)
         if n <= 8:

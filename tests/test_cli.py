@@ -75,6 +75,33 @@ GOLDEN = {
     "eval cdnf-n14-s1 adg": "e421e38b1d5782eeee6c09b72c73cab7f2eb70ca6a10ec78bc0ea7523ae362f7",
 }
 
+# Hand-written constant files, in report order: CNF/DNF always 1 (its one
+# clause a tautology), threshold always 1, truth table always 0.
+CONSTANT_FILES = {
+    "cdnf-n2": {"kind": "cdnf", "n": 2, "clauses": [[1, -1]], "terms": [[1], [-1]]},
+    "threshold-n3": {"kind": "threshold", "n": 3, "coefficients": [1, 1, 1], "theta": 0},
+    "truthtable-n2": {"kind": "truthtable", "n": 2, "table": [0, 0, 0, 0]},
+}
+# Their `eval` rows by (engine, --max-n), each after its `instance-id,kind,n,`
+# cells.  Under `--max-n 1` the adg has no alpha, so a kind whose adg bound
+# is alpha has none either.
+CONSTANT_ROWS = {
+    ("greedy", 14): ["greedy,0.0,0.0,1.0,0.0,,true"] * 3,
+    ("adg", 14): [
+        "adg,0.0,0.0,1.0,1.0,1.0,true",
+        "adg,0.0,0.0,1.0,3.0,1.0,true",
+        "adg,0.0,0.0,1.0,1.0,1.0,true",
+    ],
+    ("baseline", 14): [
+        "baseline,0.0,0.0,1.0,2.0,,true",
+        "baseline,0.0,0.0,1.0,3.0,,true",
+        "baseline,0.0,0.0,1.0,2.0,,true",
+    ],
+    ("greedy", 1): ["greedy,0.0,,,0.0,,"] * 3,
+    ("adg", 1): ["adg,0.0,,,,,", "adg,0.0,,,3.0,,", "adg,0.0,,,,,"],
+    ("baseline", 1): ["baseline,0.0,,,2.0,,", "baseline,0.0,,,3.0,,", "baseline,0.0,,,2.0,,"],
+}
+
 # Edits of a generated file that `sbfe eval` must reject with exit 2:
 # (kind, {field: edit of its value}).
 BAD_PAYLOADS = [
@@ -282,6 +309,28 @@ class TestEval:
         header, row = out.strip().split("\n")
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["pass"] == "true"
+
+    @pytest.mark.parametrize("max_n", (14, 1))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_constant_files_run_the_engine_asked_for(self, tmp_path, capsys, engine, max_n):
+        # a constant function's utility has goal 0: every engine stops at the
+        # root and prints its own bound, as for a goal-0 linear system
+        paths = []
+        for name, fields in CONSTANT_FILES.items():
+            path = tmp_path / f"{name}.json"
+            n = fields["n"]
+            payload = {"format": "sbfe-1", "id": name, "p": [0.5] * n, "c": [1.0] * n, **fields}
+            path.write_text(json.dumps(payload))
+            paths.append(str(path))
+        code, out, err = run_cli(
+            capsys, "eval", *paths, "--engine", engine, "--max-n", str(max_n)
+        )
+        assert (code, err) == (0, "")
+        want = [
+            f"{name},{fields['kind']},{fields['n']},{row}"
+            for (name, fields), row in zip(CONSTANT_FILES.items(), CONSTANT_ROWS[engine, max_n])
+        ]
+        assert out.strip().split("\n")[1:] == want
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n", (13, 16))

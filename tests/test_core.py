@@ -41,6 +41,7 @@ from sbfe.core import (
     extend,
     optimal_expected_cost,
     sample_input,
+    stars,
     to_string,
 )
 from sbfe.instances import (
@@ -166,7 +167,7 @@ class TestExpectedCost:
         # enumerate the four inputs: costs 2, 2, 1, 1, each with mass 1/4
         d = ProductDistribution((0.5,) * 2)
         c = (1.0, 1.0)
-        policy = cp_ratio_policy(d, c, "or")
+        policy = cp_ratio_policy(d, c)
         assert expected_cost(policy, d, c) == pytest.approx(1.5)
         assert enumeration_expected_cost(policy, d, c, 2) == pytest.approx(1.5)
 
@@ -177,7 +178,7 @@ class TestExpectedCost:
     def test_harmonic_family(self):
         # unit costs, p_i = 1/(i+2): testing in index order costs H_4 = 25/12
         _, d, c = harmonic_gap_instance(4)
-        policy = cp_ratio_policy(d, c, "or")
+        policy = cp_ratio_policy(d, c)
         assert expected_cost(policy, d, c) == pytest.approx(float(Fraction(25, 12)), abs=1e-12)
         assert enumeration_expected_cost(policy, d, c, 4) == pytest.approx(
             float(Fraction(25, 12)), abs=1e-12
@@ -567,7 +568,7 @@ class TestFlagPlanesAgainstReference:
 
     def test_constant_member(self):
         constant = ThresholdFormula((1, 2, -1), -5)  # always 1
-        assert constant.constant_value() == 1
+        assert constant.certificate(stars(3)) == 1
         f = ThresholdSet((ThresholdFormula((2, -1, 1), 1), constant))
         planes = f.flag_planes()
         assert planes == reference_flag_planes(f)

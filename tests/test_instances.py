@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sbfe.instances
 from helpers import evaluate
-from sbfe.core import all_assignments
+from sbfe.core import all_assignments, stars
 from sbfe.instances import (
     KINDS,
     InstanceFormatError,
@@ -91,7 +91,7 @@ class TestGenerators:
         rng = random.Random(0)
         for _ in range(50):
             f = gen_threshold(rng, 5)
-            assert f.constant_value() is None
+            assert f.certificate(stars(5)) is None
             assert all(a != 0 for a in f.coeffs)
             assert max(abs(a) for a in f.coeffs) <= 5
 
@@ -100,12 +100,12 @@ class TestGenerators:
         for _ in range(30):
             f = gen_cdnf(rng, 6)
             assert 1 <= f.k <= 4 and 1 <= f.d <= 4
-            assert f.constant_value() is None
+            assert f.certificate(stars(6)) is None
 
     def test_truth_tables_never_constant(self):
         rng = random.Random(2)
         for _ in range(20):
-            assert gen_truth_table(rng, 4).constant_value() is None
+            assert gen_truth_table(rng, 4).certificate(stars(4)) is None
 
     def test_truth_table_size_cap(self):
         with pytest.raises(InstanceFormatError):

@@ -12,6 +12,7 @@ from helpers import (
     conjunction_formula,
     enumeration_expected_cost,
     expected_gain,
+    goal_zero_utility,
     policy_tree,
     prefix_ratios,
     reference_alpha,
@@ -25,7 +26,6 @@ from sbfe import cli, problems
 from sbfe.cli import _EVAL, engine_policy
 from sbfe.core import (
     STAR,
-    ConstantFunctionError,
     InvalidUtilityError,
     PolicyError,
     ProductDistribution,
@@ -63,7 +63,6 @@ from sbfe.policies import (
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
     cdnf_utility,
-    constant_zero_utility,
     gains_at,
     threshold_utility,
 )
@@ -88,7 +87,7 @@ class TestAdaptiveGreedy:
         assert tr.total_cost == 1.0
 
     def test_goal_zero_runs_nothing(self):
-        g = constant_zero_utility(3)
+        g = goal_zero_utility(3)
         tr = run_on(GreedyPolicy(g, ProductDistribution((0.5,) * 3), (1.0,) * 3), (1, 1, 1))
         assert tr.tested == () and tr.total_cost == 0.0 and tr.final == stars(3)
 
@@ -276,10 +275,7 @@ class TestDualGreedyAgainstReference:
         join = lambda i, lo, hi: lo + hi
         checked = 0
         for case in _ADG_BATTERIES[kind]():
-            try:
-                g = _adg_utility(case)
-            except ConstantFunctionError:
-                continue
+            g = _adg_utility(case)
             n, d, c = g.arity, case.dist, case.costs
             fast = DualGreedyPolicy(g, d, c)
             slow = ReferenceDualGreedy(g, d, c)
@@ -375,10 +371,7 @@ class TestGainRecordsPathScoped:
         }
         checked = 0
         for case in _ADG_BATTERIES[kind]()[:6]:
-            try:
-                g = _adg_utility(case)
-            except ConstantFunctionError:
-                continue
+            g = _adg_utility(case)
             d, c = case.dist, case.costs
             tested = len(_tested_nodes(g, d, c))
             counted, count = self._counting(g)
@@ -471,7 +464,7 @@ class TestBounds:
         assert rep.p_bound == pytest.approx(2 * (math.log(2) + 1))
 
     def test_goal_zero(self):
-        rep = bounds(constant_zero_utility(2))
+        rep = bounds(goal_zero_utility(2))
         assert rep.lnq_bound == 0.0 and rep.p_bound == 0.0
 
     def test_single_gain_times_n_covers_goal(self):
@@ -484,21 +477,19 @@ class TestBounds:
 class TestFixedOrderPolicies:
     def test_cp_ordering(self):
         d = ProductDistribution((0.2, 0.9))
-        pol = cp_ratio_policy(d, (1.0, 1.0), "or")
+        pol = cp_ratio_policy(d, (1.0, 1.0))
         assert pol.order == (1, 0)
 
     def test_cp_tie_goes_to_lower_index(self):
         d = ProductDistribution((0.5, 0.25))
-        pol = cp_ratio_policy(d, (2.0, 1.0), "or")
+        pol = cp_ratio_policy(d, (2.0, 1.0))
         assert pol.order == (0, 1)
 
     def test_cp_stops_at_decisive_outcome(self):
         d = ProductDistribution((0.5,) * 3)
-        pol = cp_ratio_policy(d, (1.0,) * 3, "or")
+        pol = cp_ratio_policy(d, (1.0,) * 3)
         assert pol.next_test((1, STAR, STAR), None) is None
-        pol_and = cp_ratio_policy(d, (1.0,) * 3, "and")
-        assert pol_and.next_test((0, STAR, STAR), None) is None
-        assert pol_and.next_test((1, STAR, STAR), None) is not None
+        assert pol.next_test((0, STAR, STAR), None) is not None
 
     def test_cost_order(self):
         pol = cost_order_policy((3.0, 1.0, 2.0))
@@ -507,7 +498,7 @@ class TestFixedOrderPolicies:
 
     def test_cp_exact_on_disjunctions(self):
         for case in disjunction_battery(10, seed=71, n_lo=2, n_hi=7):
-            pol = cp_ratio_policy(case.dist, case.costs, "or")
+            pol = cp_ratio_policy(case.dist, case.costs)
             cost = expected_cost(pol, case.dist, case.costs)
             opt = optimal_expected_cost(case.f, case.dist, case.costs)
             assert cost == pytest.approx(opt, abs=1e-9)
@@ -550,10 +541,7 @@ class TestRunsAgainstReferenceRun:
         for seed in (1, 2):
             for n in (6, 9, 12):
                 inst = generate_instance(kind, n, seed)
-                try:
-                    g = _EVAL[kind][0](inst.f)
-                except ConstantFunctionError:
-                    continue
+                g = _EVAL[kind][0](inst.f)
                 d, c, cc = inst.dist, inst.costs, as_costs(inst.costs)
                 policy = lambda: engine_policy(engine, g, inst)[0]
                 xs = [sample_input(d, k) for k in range(30)]
@@ -572,8 +560,6 @@ class TestRunsAgainstReferenceRun:
             for n in (6, 9, 12):
                 kp = generate_instance("knapsack", n, seed).f
                 f = ThresholdFormula(kp.values, kp.threshold)
-                if f.constant_value() == 1:
-                    continue
                 policy = DualGreedyPolicy(
                     threshold_utility(f), ProductDistribution.certain_ones(n), kp.weights
                 )
@@ -739,10 +725,7 @@ def _carried_cases(name):
         for n in (3, 6, 9):
             if name in _EVAL:
                 inst = generate_instance(name, n, seed)
-                try:
-                    yield _EVAL[name][0](inst.f), inst
-                except ConstantFunctionError:
-                    pass
+                yield _EVAL[name][0](inst.f), inst
             else:
                 inst = generate_instance("threshold", n, seed)
                 yield dict(axiom_utilities(random.Random(seed), n))[name], inst

@@ -10,6 +10,7 @@ from helpers import (
     conjunction_formula,
     evaluate,
     expected_certificate_cost,
+    goal_zero_utility,
     linear_values,
     or_threshold,
     reference_extract_ranking,
@@ -45,7 +46,7 @@ from sbfe.problems import (
     ranking_utility,
     simultaneous_thresholds,
 )
-from sbfe.utility import CdnfFormula, LinearSystem, ThresholdFormula, constant_zero_utility
+from sbfe.utility import CdnfFormula, LinearSystem, ThresholdFormula
 
 
 class TestEvaluateCdnf:
@@ -180,7 +181,7 @@ class TestConstantFunctionRuns:
     @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
     def test_refused_as_a_non_constant_run(self, name, fault):
         run, const, other = CONSTANT_CASES[name]
-        assert const.constant_value() is not None and other.constant_value() is None
+        assert const.certificate(stars(5)) is not None and other.certificate(stars(5)) is None
         d, c, x = BAD_RUNS[fault]
         got = _refusal(lambda: run(const, d, c, x))
         assert got == _refusal(lambda: run(other, d, c, x))
@@ -192,7 +193,7 @@ class TestConstantFunctionRuns:
         d = ProductDistribution((0.3,) * 5)
         for x in ((0,) * 5, (1, 0, 1, 1, 0)):
             value, tr = run(const, d, (2.0,) * 5, x)
-            assert value == const.constant_value()
+            assert value == const.certificate(stars(5))
             assert (tr.tested, tr.outcomes, tr.total_cost, tr.final) == ((), (), 0.0, stars(5))
 
     def test_messages(self):
@@ -339,7 +340,7 @@ class TestRanking:
     def test_run_stopped_undecided_raises(self, monkeypatch):
         # a goal-0 utility stops the greedy before any test, with the pair open
         monkeypatch.setattr(
-            sbfe.problems, "ranking_utility", lambda sys: constant_zero_utility(sys.arity)
+            sbfe.problems, "ranking_utility", lambda sys: goal_zero_utility(sys.arity)
         )
         sys = LinearSystem(((1, 0), (0, 1)))
         with pytest.raises(RuntimeError):

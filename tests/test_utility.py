@@ -24,7 +24,6 @@ from helpers import (
 from sbfe.core import (
     STAR,
     Branch,
-    ConstantFunctionError,
     InvalidUtilityError,
     Leaf,
     LimitError,
@@ -33,9 +32,12 @@ from sbfe.core import (
     all_partials,
     expected_cost,
     optimal_expected_cost,
+    stars,
     to_string,
 )
+from sbfe.cli import _EVAL
 from sbfe.instances import (
+    KINDS,
     gen_cdnf,
     gen_costs,
     gen_knapsack,
@@ -44,6 +46,7 @@ from sbfe.instances import (
     gen_threshold,
     gen_threshold_set,
     gen_truth_table,
+    generate_instance,
 )
 from sbfe.policies import DualGreedyPolicy, GreedyPolicy, bounds, policy_runs
 from sbfe.problems import ThresholdSet, disjunction_formula, ranking_utility
@@ -57,7 +60,6 @@ from sbfe.utility import (
     cdnf_utility,
     combine_and_all,
     combine_or,
-    constant_zero_utility,
     decision_tree_to_cdnf,
     gains_at,
     ranking_pair_utility,
@@ -132,7 +134,7 @@ def _knapsack_formula(rng, n):
     while True:
         kp = gen_knapsack(rng, n)
         f = ThresholdFormula(kp.values, kp.threshold)
-        if f.constant_value() is None:
+        if f.certificate(stars(n)) is None:
             return f
 
 
@@ -142,11 +144,7 @@ def _thresholds(rng, n):
 
 def _reference_thresholds_utility(fs):
     """`ThresholdSet.utility` over `reference_threshold_utility`."""
-    return combine_and_all(
-        reference_threshold_utility(f) if f.constant_value() is None
-        else constant_zero_utility(fs.arity)
-        for f in fs.formulas
-    )
+    return combine_and_all(reference_threshold_utility(f) for f in fs.formulas)
 
 
 def _reference_ranking_utility(sys):
@@ -511,6 +509,74 @@ class TestCombinators:
             combine_or(big, big)
 
 
+def _assert_goal_zero_stops_at_root(g):
+    """g has goal 0, and the greedy and the dual greedy both stop at the
+    root: nothing tested, nothing paid, on every input."""
+    n = g.arity
+    assert g.goal == 0 and gains_at(g, stars(n)) == (0, None, None)
+    d = ProductDistribution((0.5,) * n)
+    for policy in (GreedyPolicy(g, d, (1.0,) * n), DualGreedyPolicy(g, d, (1.0,) * n)):
+        assert expected_cost(policy, d, (1.0,) * n) == 0.0
+        for trace in policy_runs(policy, list(all_assignments(n)), n, (1.0,) * n):
+            assert (trace.tested, trace.total_cost, trace.final) == ((), 0.0, stars(n))
+
+
+def _covering_utility(inst):
+    """The utility `sbfe eval` runs on a generated instance, and the
+    function it covers: a knapsack's is the threshold formula of its values
+    reaching the threshold."""
+    if inst.kind == "knapsack":
+        f = ThresholdFormula(inst.f.values, inst.f.threshold)
+        return threshold_utility(f), f
+    return _EVAL[inst.kind][0](inst.f), inst.f
+
+
+# the sum lies in [-2, 4]: r_min = 3 and r_max = -3, so without the builder's
+# clamps at 0 one side's cap, and the goal, would be negative
+_ALWAYS_1 = ThresholdFormula((1, -2, 3), -5)
+_ALWAYS_0 = ThresholdFormula((1, -2, 3), 7)
+# hand-built constant functions, each with its utility builder
+CONSTANTS = {
+    "threshold-always-1": (_ALWAYS_1, threshold_utility),
+    "threshold-always-0": (_ALWAYS_0, threshold_utility),
+    "cdnf-clauses-tautologies": (
+        CdnfFormula(2, ({1, -1}, {2, -2}), ({1}, {-1})),
+        cdnf_utility,
+    ),
+    "cdnf-terms-contradictions": (
+        CdnfFormula(2, ({1}, {-1}), ({1, -1}, {2, -2})),
+        cdnf_utility,
+    ),
+    "truthtable-all-0": (TruthTable(2, (0,) * 4), truth_table_utility),
+    "truthtable-all-1": (TruthTable(3, (1,) * 8), truth_table_utility),
+    "thresholds-all-constant": (ThresholdSet((_ALWAYS_1, _ALWAYS_0)), ThresholdSet.utility),
+    # f_0 = f_1, and f_2 = 0 lies below both on every input
+    "linear-system-all-forced": (LinearSystem(((1, 2, 0), (1, 2, 0), (0, 0, 0))), ranking_utility),
+}
+
+
+class TestGoalZeroIffConstant:
+    """A utility's goal is 0 exactly when the empty assignment certifies
+    its function, that is, when the function is constant: the reduction
+    then needs no test, with no case of its own."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generated_kinds(self, kind):
+        for seed in (1, 2, 3):
+            for n in range(2, 7):
+                g, f = _covering_utility(generate_instance(kind, n, seed))
+                assert (g.goal == 0) == (f.certificate(stars(n)) is not None), (kind, n, seed)
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
+    def test_hand_built_constants(self, name):
+        f, build = CONSTANTS[name]
+        assert f.certificate(stars(f.arity)) is not None
+        g = build(f)
+        _assert_goal_zero_stops_at_root(g)
+        assert check_goal_certificate(g, f).ok
+        assert check_axioms(g, "exhaustive").ok
+
+
 class TestCdnf:
     def test_conjunction_values(self):
         f = conjunction_formula(2)
@@ -532,9 +598,8 @@ class TestCdnf:
 
     def test_constant_detection(self):
         f = CdnfFormula(1, (frozenset({1, -1}),), (frozenset({1}), frozenset({-1})))
-        assert f.constant_value() == 1
-        with pytest.raises(ConstantFunctionError):
-            cdnf_utility(f)
+        assert f.certificate(stars(1)) == 1
+        _assert_goal_zero_stops_at_root(cdnf_utility(f))
 
     def test_mixed_degenerate_evaluated(self):
         f = CdnfFormula(
@@ -542,7 +607,7 @@ class TestCdnf:
             (frozenset({1}), frozenset({2, -2})),
             (frozenset({1}),),
         )
-        assert f.constant_value() is None
+        assert f.certificate(stars(2)) is None
         assert f.certificate((1, STAR)) == 1  # the tautological clause decides nothing
         g = cdnf_utility(f)
         assert g.goal == 1  # one clause that is not a tautology, one term
@@ -683,19 +748,19 @@ class TestDecisionTreeConversion:
 
         for _ in range(30):
             t = _random_tree(rng, list(range(4)), 3)
-            leaves = sum(1 for _ in _leaves(t))
-            try:
-                f = decision_tree_to_cdnf(t, 4)
-            except ConstantFunctionError:
+            labels = [leaf.label for leaf in _leaves(t)]
+            if len(set(labels)) < 2:
                 continue
-            assert f.k + f.d == leaves
+            f = decision_tree_to_cdnf(t, 4)
+            assert f.k + f.d == len(labels)
             for x in all_assignments(4):
                 assert evaluate(f, x) == tree_decide(t, x)
 
     def test_constant_tree_short_circuits(self):
-        with pytest.raises(ConstantFunctionError) as exc:
-            decision_tree_to_cdnf(Branch(0, Leaf(1), Leaf(1)), 1)
-        assert exc.value.value == 1
+        # one side of the pair is empty, and the formula refuses it
+        for label in (0, 1):
+            with pytest.raises(ValueError, match="need at least one clause and one term"):
+                decision_tree_to_cdnf(Branch(0, Leaf(label), Leaf(label)), 1)
 
 
 def _leaves(t):
@@ -718,9 +783,8 @@ class TestThreshold:
 
     def test_constant_false_short_circuit(self):
         f = ThresholdFormula((1, 1), 3)
-        assert f.constant_value() == 0
-        with pytest.raises(ConstantFunctionError):
-            threshold_utility(f)
+        assert f.certificate(stars(2)) == 0
+        _assert_goal_zero_stops_at_root(threshold_utility(f))
 
     def test_extrema_match_brute_force(self):
         rng = random.Random(5)
@@ -752,8 +816,9 @@ class TestTruthTable:
         assert g.fn((STAR, STAR)) == 0
 
     def test_constant_short_circuit(self):
-        with pytest.raises(ConstantFunctionError):
-            truth_table_utility(TruthTable(1, (1, 1)))
+        f = TruthTable(1, (1, 1))
+        assert f.certificate(stars(1)) == 1
+        _assert_goal_zero_stops_at_root(truth_table_utility(f))
 
     def test_axioms(self):
         rng = random.Random(19)

@@ -48,7 +48,6 @@ from sbfe.utility import (
     ThresholdFormula,
     UtilityFunction,
     cdnf_utility,
-    constant_zero_utility,
     gains_at,
     threshold_utility,
     truth_table_utility,
@@ -283,7 +282,10 @@ class TestRandomAxiomVerdicts:
             failed += not rep.ok
         assert failed > 0
 
-    @pytest.mark.parametrize("g", (constant_zero_utility(0), utility_from_fn(0, 0, lambda b: 0)))
+    @pytest.mark.parametrize(
+        "g",
+        (UtilityFunction(0, 0, lambda b: 0, lambda b: ((), ())), utility_from_fn(0, 0, lambda b: 0)),
+    )
     def test_nothing_to_test(self, g):
         # no draw at arity 0 can make a check: the loop must not wait for one
         assert check_axioms(g, "random", trials=10000, seed=0) == CheckReport(True, 0)
@@ -343,6 +345,27 @@ class TestDualFeasibility:
             for a in all_assignments(4)
         )
         assert cert.objective_gap <= 1e-6 * max(1.0, lhs)
+
+    def test_slack_just_past_its_tolerance_is_a_violation(self, monkeypatch):
+        # each y scaled by 1 + 1e-6 with the credit left as it is: the walk
+        # is the same, and the tested coordinates' slack moves from 1e-15
+        # to between 1e-6 and 5e-6, past DUAL_EPS but far inside a looser one
+        case = threshold_battery(1, seed=6, n_lo=6, n_hi=6)[0]
+        g = threshold_utility(case.f)
+        assert check_dual_feasibility(g, case.dist, case.costs).ok
+        advance = DualGreedyPolicy.advance
+
+        def nudged(self, b, state, i):
+            return tuple(
+                (ys[:-1] + (ys[-1] * (1 + 1e-6),), credit, value)
+                for ys, credit, value in advance(self, b, state, i)
+            )
+
+        monkeypatch.setattr(DualGreedyPolicy, "advance", nudged)
+        cert = check_dual_feasibility(g, case.dist, case.costs)
+        tested = [abs(s) for w, s in cert.slack.items() if cert.tight[w]]
+        assert 1e-7 < max(tested) < 1e-5
+        assert len(cert.violations) == 36
 
 
 def _criterion_05_cases():
@@ -442,7 +465,7 @@ class TestRatioVsOpt:
 
     def test_disjunction_cp_exact(self):
         (rep,) = ratio_vs_opt(
-            lambda case: [(cp_ratio_policy(case.dist, case.costs, "or"), 1.0)],
+            lambda case: [(cp_ratio_policy(case.dist, case.costs), 1.0)],
             disjunction_battery(8, seed=13, n_lo=2, n_hi=6),
             tol=1e-9,
         )
