@@ -54,7 +54,6 @@ from .utility import (
     TruthTable,
     UtilityFunction,
     cdnf_utility,
-    combine_or,
     decision_tree_to_cdnf,
     ranking_pair_utility,
     threshold_utility,

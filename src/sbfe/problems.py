@@ -20,8 +20,8 @@ from .utility import (
     ThresholdFormula,
     UtilityFunction,
     cdnf_utility,
-    combine_and_all,
-    ranking_pair_utility,
+    ranking_utility,
+    threshold_sum_utility,
     threshold_utility,
 )
 
@@ -114,10 +114,8 @@ class ThresholdSet:
         return tuple(plane for f in self.formulas for plane in f.flag_planes())
 
     def utility(self) -> UtilityFunction:
-        """Sum of the per-formula utilities; covered when every formula is
-        certified.  A constant formula's utility has goal 0, covered from
-        the start."""
-        return combine_and_all(threshold_utility(f) for f in self.formulas)
+        """The `threshold_sum_utility` of the formulas."""
+        return threshold_sum_utility(self.formulas)
 
 
 def simultaneous_thresholds(fs, d, c, outcomes, engine: str = "greedy") -> tuple:
@@ -142,14 +140,6 @@ class RankingResult:
 # A linear system is its own instance.  The old name stays only because
 # benchmark/tracer.py patches problems.RankingInstance.certificate by name.
 RankingInstance = LinearSystem
-
-
-def ranking_utility(sys: LinearSystem) -> UtilityFunction:
-    return combine_and_all(
-        ranking_pair_utility(sys, i, j)
-        for i in range(sys.m)
-        for j in range(i + 1, sys.m)
-    )
 
 
 def _extract_ranking(sys: LinearSystem, b: Partial) -> Optional[RankingResult]:

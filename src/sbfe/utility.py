@@ -75,70 +75,6 @@ def gains_at(g: UtilityFunction, b: Partial, base: Optional[int] = None) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# combinators
-
-
-def _combined_step(gs, combine):
-    """Step of a utility built from the parts ``gs``: ``combine`` turns the
-    list of the parts' value vectors into the utility's, for the
-    0-extensions and the 1-extensions alike."""
-    steps = [g.step for g in gs]
-
-    def step(b):
-        parts = [s(b) for s in steps]
-        return combine([zero for zero, _ in parts]), combine([one for _, one in parts])
-
-    return step
-
-
-def _add(vectors) -> tuple:
-    return tuple(map(sum, zip(*vectors)))
-
-
-def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
-    """Utility covered as soon as either input is covered.
-
-    Value Q0*Q1 - (Q0 - g0(b))(Q1 - g1(b)); preserves monotonicity and
-    submodularity and keeps the all-untested value at 0.
-    """
-    if g0.arity != g1.arity:
-        raise ValueError("combine_or needs equal arities")
-    q0, q1 = g0.goal, g1.goal
-    goal = q0 * q1
-    if goal > MAX_GOAL:
-        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
-    f0, f1 = g0.fn, g1.fn
-    return UtilityFunction(
-        g0.arity,
-        goal,
-        lambda b: goal - (q0 - f0(b)) * (q1 - f1(b)),
-        _combined_step(
-            (g0, g1), lambda vs: tuple([goal - (q0 - v0) * (q1 - v1) for v0, v1 in zip(*vs)])
-        ),
-    )
-
-
-def combine_and_all(gs) -> UtilityFunction:
-    """Utility covered only when every input is covered: pointwise sum."""
-    gs = list(gs)
-    if not gs:
-        raise ValueError("need at least one utility")
-    n = gs[0].arity
-    if any(g.arity != n for g in gs):
-        raise ValueError("combine_and_all needs equal arities")
-    goal = sum(g.goal for g in gs)
-    if goal > MAX_GOAL:
-        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
-    fns = [g.fn for g in gs]
-    return UtilityFunction(
-        n,
-        goal,
-        lambda b: sum(fn(b) for fn in fns),
-        _combined_step(gs, _add),
-    )
-
-
-# ---------------------------------------------------------------------------
 # CNF/DNF pairs
 
 
@@ -296,45 +232,58 @@ def cdnf_utility(f: CdnfFormula) -> UtilityFunction:
     falsified-term counters, disjunctively combined.  Tautological clauses
     and contradictory terms count on neither side, so the goal is the number
     of clauses that are not tautologies times the number of terms that are
-    not contradictions: k*d when there are none, 0 when f is constant."""
-    return combine_or(_hit_count(f.arity, f._clause_hits), _hit_count(f.arity, f._term_misses))
+    not contradictions: k*d when there are none, 0 when f is constant.
 
-
-def _hit_count(n: int, hits) -> UtilityFunction:
-    """The number of groups in ``hits``, a `_hits` table, with some pair
-    (j, bit) that b holds; goal the number of groups.  ``step`` finds the
-    open groups in one pass, starts both vectors at g(b), and then adds
-    each open group to the extension of each untested position that closes
-    it."""
+    With oc clauses and ot terms still open at b, the value is goal - oc*ot,
+    and ``fn`` and ``step`` both read the open groups off the `_hits`
+    tables.  ``step`` returns the goal everywhere when either side is
+    closed.  Otherwise it starts both vectors at g(b) and, for every
+    untested position in an open group, counts the open clauses and terms
+    each outcome of it leaves; only those positions get the product."""
+    n = f.arity
+    clause_hits, term_misses = f._clause_hits, f._term_misses
+    goal = len(clause_hits) * len(term_misses)
+    covered = (goal,) * n
 
     def fn(b):
-        here = 0
-        for group in hits:
-            for j, bit in group:
-                if b[j] == bit:
-                    here += 1
-                    break
-        return here
+        return goal - len(_open_groups(clause_hits, b)) * len(_open_groups(term_misses, b))
 
     def step(b):
-        open_groups = []
-        for group in hits:
-            for j, bit in group:
-                if b[j] == bit:
-                    break
-            else:
-                open_groups.append(group)
-        here = len(hits) - len(open_groups)
+        open_clauses = _open_groups(clause_hits, b)
+        open_terms = _open_groups(term_misses, b)
+        oc, ot = len(open_clauses), len(open_terms)
+        if not oc or not ot:
+            return covered, covered
+        here = goal - oc * ot
         zero = [here] * n
         one = [here] * n
-        closes = (zero, one)  # by the outcome that closes a group
-        for group in open_groups:
-            for j, bit in group:
-                if b[j] == STAR:
-                    closes[bit][j] += 1
+        # left[j]: the open clauses x_j = 0 and x_j = 1 leave, then the open terms
+        left = {}
+        for groups, side in ((open_clauses, 0), (open_terms, 2)):
+            for group in groups:
+                for j, bit in group:
+                    if b[j] == STAR:
+                        r = left.get(j) or left.setdefault(j, [oc, oc, ot, ot])
+                        r[side + bit] -= 1
+        for j, (c0, c1, t0, t1) in left.items():
+            zero[j] = goal - c0 * t0
+            one[j] = goal - c1 * t1
         return tuple(zero), tuple(one)
 
-    return UtilityFunction(n, len(hits), fn, step)
+    return UtilityFunction(n, goal, fn, step)
+
+
+def _open_groups(hits, b) -> list:
+    """The groups of ``hits``, a `_hits` table, with no pair (j, bit) that
+    b holds."""
+    out = []
+    for group in hits:
+        for j, bit in group:
+            if b[j] == bit:
+                break
+        else:
+            out.append(group)
+    return out
 
 
 def decision_tree_to_cdnf(t, arity: int) -> CdnfFormula:
@@ -432,34 +381,125 @@ def threshold_utility(f: ThresholdFormula) -> UtilityFunction:
     max(0, -r_min) * max(0, r_max + 1), which is 0, covered at the root,
     exactly when f is constant.
     """
-    return _extrema_utility(f.arity, f.coeffs, max(0, -f.r_min), max(0, f.r_max + 1))
+    return threshold_sum_utility((f,))
 
 
-def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunction:
-    """The `combine_or` of two sides over sum(a_j * x_j) on the extensions
-    of b: how far the minimum has risen from its all-untested value, capped
-    at ``cap_min``, and how far the maximum has fallen from its own, capped
-    at ``cap_max``.  Goal cap_min * cap_max.  ``fn`` takes both sides from
-    one `_restricted_extrema` of b.  ``step`` tracks each side's distance to
-    full instead, cap_min and cap_max at the root: setting x_j to 1 takes
-    a_j's positive part ap off the minimum's distance and its negative part
-    an off the maximum's; setting it to 0 takes an off the minimum's and ap
-    off the maximum's.  One of ap, an is 0.  One pass over b gives both
-    distances and the untested positions.  When either side of b is already
-    full, every extension is covered too and ``step`` returns the goal
-    everywhere at once; otherwise it starts both vectors at g(b) and
-    computes only the untested positions."""
-    lo_full = cap_min + sum(a for a in coeffs if a < 0)  # the minimum at which its side is full
-    hi_full = sum(a for a in coeffs if a > 0) - cap_max  # the maximum at which its side is full
-    goal = cap_min * cap_max
+def threshold_sum_utility(formulas) -> UtilityFunction:
+    """Sum of the `threshold_utility` of each of ``formulas``, all of one
+    arity, as one `_extrema_utility` with a row per formula; covered when
+    every formula is certified.  Each cap is clamped at 0, so a constant
+    formula's row has goal 0, covered from the start."""
+    return _extrema_utility(
+        formulas[0].arity, [(f.coeffs, max(0, -f.r_min), max(0, f.r_max + 1)) for f in formulas]
+    )
+
+
+def _extrema_utility(n: int, rows) -> UtilityFunction:
+    """Covering utility summed over ``rows``, each (coeffs, cap_min,
+    cap_max) over the linear form sum(a_j * x_j) on the extensions of b.
+    One side of a row counts how far the form's minimum has risen from its
+    all-untested value, capped at cap_min, the other how far its maximum has
+    fallen from its own, capped at cap_max.  The two are disjunctively
+    combined: a row's value is cap_min * cap_max less its deficit l * h,
+    with l and h the sides' distances to full, and less nothing once either
+    is full.  The goal is the sum of the rows' cap_min * cap_max; each row's
+    is checked before the sum.
+
+    ``fn`` takes both sides of each row from one `_restricted_extrema` of
+    b.  ``step`` tracks the distances instead, cap_min and cap_max at the
+    root: setting x_j to 1 takes a_j's positive part ap off the minimum's
+    distance and its negative part an off the maximum's; setting it to 0
+    takes an off the minimum's and ap off the maximum's.  One of ap, an is
+    0.  When no row is open, every extension is covered too and ``step``
+    returns the goal everywhere at once.  Otherwise it starts both vectors
+    at g(b) and visits only the untested positions: an extension takes
+    |a_j| times the other side's distance off a row's deficit, or all of it
+    once a side fills.  A single row gets `_row_step`, the same values in
+    fewer operations."""
+    if not rows:
+        raise ValueError("need at least one row")
+    goal = 0
+    fulls = []  # per row, its coeffs and the minimum and maximum at which its sides are full
+    for coeffs, cap_min, cap_max in rows:
+        row_goal = cap_min * cap_max
+        if row_goal > MAX_GOAL:
+            raise LimitError(f"combined goal {row_goal} exceeds {MAX_GOAL}")
+        goal += row_goal
+        lo = hi = 0
+        for a in coeffs:
+            if a < 0:
+                lo += a
+            else:
+                hi += a
+        fulls.append((coeffs, cap_min + lo, hi - cap_max))
     if goal > MAX_GOAL:
         raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
-    covered = (goal,) * n
 
     def fn(b):
-        lo, hi = _restricted_extrema(coeffs, b)
-        l, h = lo_full - lo, hi - hi_full
-        return goal - l * h if l > 0 and h > 0 else goal
+        here = goal
+        for coeffs, lo_full, hi_full in fulls:
+            lo, hi = _restricted_extrema(coeffs, b)
+            l, h = lo_full - lo, hi - hi_full
+            if l > 0 and h > 0:
+                here -= l * h
+        return here
+
+    if len(rows) == 1:
+        return UtilityFunction(n, goal, fn, _row_step(n, *rows[0]))
+    covered = (goal,) * n
+
+    def step(b):
+        free = []
+        tested = []
+        for j, v in enumerate(b):
+            if v == STAR:
+                free.append(j)
+            else:
+                tested.append((j, v))
+        here = goal
+        opened = []
+        for coeffs, need_lo, need_hi in rows:  # each side's distance to full
+            for j, v in tested:
+                a = coeffs[j]
+                if a > 0:
+                    if v:
+                        need_lo -= a
+                    else:
+                        need_hi -= a
+                elif v:
+                    need_hi += a
+                else:
+                    need_lo += a
+            if need_lo > 0 and need_hi > 0:
+                here -= need_lo * need_hi
+                opened.append((coeffs, need_lo, need_hi))
+        if not opened:
+            return covered, covered
+        zero = [here] * n
+        one = [here] * n
+        for coeffs, need_lo, need_hi in opened:
+            deficit = need_lo * need_hi
+            for j in free:
+                a = coeffs[j]
+                if a > 0:
+                    zero[j] += need_lo * a if a < need_hi else deficit
+                    one[j] += a * need_hi if a < need_lo else deficit
+                elif a:
+                    zero[j] -= a * need_hi if -a < need_lo else -deficit
+                    one[j] -= a * need_lo if -a < need_hi else -deficit
+        return tuple(zero), tuple(one)
+
+    return UtilityFunction(n, goal, fn, step)
+
+
+def _row_step(n: int, coeffs, cap_min: int, cap_max: int):
+    """The `_extrema_utility` step of the one row (coeffs, cap_min,
+    cap_max): one pass over b gives both distances and the untested
+    positions, and each extension is assigned its value, where the rows
+    step makes a second pass over the tested positions and adds each row's
+    share to g(b)."""
+    goal = cap_min * cap_max
+    covered = (goal,) * n
 
     def step(b):
         need_lo, need_hi = cap_min, cap_max  # each side's distance to full
@@ -486,18 +526,14 @@ def _extrema_utility(n: int, coeffs, cap_min: int, cap_max: int) -> UtilityFunct
         for j in free:
             a = coeffs[j]
             if a > 0:
-                h = need_hi - a
-                zero[j] = goal - need_lo * h if h > 0 else goal
-                l = need_lo - a
-                one[j] = goal - l * need_hi if l > 0 else goal
+                zero[j] = here + need_lo * a if a < need_hi else goal
+                one[j] = here + a * need_hi if a < need_lo else goal
             elif a:
-                l = need_lo + a
-                zero[j] = goal - l * need_hi if l > 0 else goal
-                h = need_hi + a
-                one[j] = goal - need_lo * h if h > 0 else goal
+                zero[j] = here - a * need_hi if -a < need_lo else goal
+                one[j] = here - a * need_lo if -a < need_hi else goal
         return tuple(zero), tuple(one)
 
-    return UtilityFunction(n, goal, fn, step)
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +705,23 @@ def ranking_pair_utility(sys: LinearSystem, i: int, j: int) -> UtilityFunction:
     0.  Identical functions therefore yield a goal-0 utility that is covered
     from the start.
     """
+    return _extrema_utility(sys.arity, (_ranking_pair_row(sys, i, j),))
+
+
+def ranking_utility(sys: LinearSystem) -> UtilityFunction:
+    """Sum of the `ranking_pair_utility` of every pair i < j as one
+    `_extrema_utility` with a row per pair; covered when the order of every
+    pair is decided."""
+    m = sys.m
+    return _extrema_utility(
+        sys.arity, [_ranking_pair_row(sys, i, j) for i in range(m) for j in range(i + 1, m)]
+    )
+
+
+def _ranking_pair_row(sys: LinearSystem, i: int, j: int) -> tuple:
+    """The `_extrema_utility` row of the pair i < j: the difference f_i -
+    f_j, with caps its own extrema."""
     if not i < j:
         raise ValueError("require i < j")
     delta = sys.diff(i, j)
-    r_lo = sum(a for a in delta if a < 0)
-    r_hi = sum(a for a in delta if a > 0)
-    return _extrema_utility(sys.arity, delta, -r_lo, r_hi)
+    return delta, -sum(a for a in delta if a < 0), sum(a for a in delta if a > 0)

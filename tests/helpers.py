@@ -34,6 +34,7 @@ from sbfe.instances import gen_cdnf, gen_linear_system, gen_threshold, gen_truth
 from sbfe.policies import EPS, DualGreedyPolicy, policy_runs
 from sbfe.problems import ThresholdSet
 from sbfe.utility import (
+    MAX_GOAL,
     CdnfFormula,
     LinearSystem,
     ThresholdFormula,
@@ -41,8 +42,6 @@ from sbfe.utility import (
     UtilityFunction,
     _restricted_extrema,
     cdnf_utility,
-    combine_and_all,
-    combine_or,
     gains_at,
     ranking_pair_utility,
     threshold_utility,
@@ -130,6 +129,69 @@ def step_off_by_one(g: UtilityFunction, untested: int) -> UtilityFunction:
         return zero, one
 
     return dataclasses.replace(g, step=step)
+
+
+def _combined_step(gs, combine):
+    """Step of a utility built from the parts ``gs``: ``combine`` turns the
+    list of the parts' value vectors into the utility's, for the
+    0-extensions and the 1-extensions alike."""
+    steps = [g.step for g in gs]
+
+    def step(b):
+        parts = [s(b) for s in steps]
+        return combine([zero for zero, _ in parts]), combine([one for _, one in parts])
+
+    return step
+
+
+def _add(vectors) -> tuple:
+    return tuple(map(sum, zip(*vectors)))
+
+
+def combine_or(g0: UtilityFunction, g1: UtilityFunction) -> UtilityFunction:
+    """Utility covered as soon as either input is covered, the reference
+    for the disjunctive combinations the constructions compute in one pass.
+
+    Value Q0*Q1 - (Q0 - g0(b))(Q1 - g1(b)); preserves monotonicity and
+    submodularity and keeps the all-untested value at 0.
+    """
+    if g0.arity != g1.arity:
+        raise ValueError("combine_or needs equal arities")
+    q0, q1 = g0.goal, g1.goal
+    goal = q0 * q1
+    if goal > MAX_GOAL:
+        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
+    f0, f1 = g0.fn, g1.fn
+    return UtilityFunction(
+        g0.arity,
+        goal,
+        lambda b: goal - (q0 - f0(b)) * (q1 - f1(b)),
+        _combined_step(
+            (g0, g1), lambda vs: tuple([goal - (q0 - v0) * (q1 - v1) for v0, v1 in zip(*vs)])
+        ),
+    )
+
+
+def combine_and_all(gs) -> UtilityFunction:
+    """Utility covered only when every input is covered: pointwise sum.  The
+    reference for the row sums of `ThresholdSet.utility` and
+    `ranking_utility`."""
+    gs = list(gs)
+    if not gs:
+        raise ValueError("need at least one utility")
+    n = gs[0].arity
+    if any(g.arity != n for g in gs):
+        raise ValueError("combine_and_all needs equal arities")
+    goal = sum(g.goal for g in gs)
+    if goal > MAX_GOAL:
+        raise LimitError(f"combined goal {goal} exceeds {MAX_GOAL}")
+    fns = [g.fn for g in gs]
+    return UtilityFunction(
+        n,
+        goal,
+        lambda b: sum(fn(b) for fn in fns),
+        _combined_step(gs, _add),
+    )
 
 
 def reference_run(policy, outcomes, n: int, cc: tuple) -> tuple:

@@ -83,6 +83,24 @@ MUTANTS = (
             "::test_hand_built_constants[threshold-always-1]",
         ),
     ),
+    Mutant(
+        "src/sbfe/utility.py",
+        "r[side + bit] -= 1",
+        "r[side + 1 - bit] -= 1",
+        "the CNF/DNF step counts a closed clause or term under the outcome"
+        " that leaves it open",
+        ("tests/test_utility.py::TestStepDirect::test_every_partial_small[cdnf]",),
+    ),
+    Mutant(
+        "src/sbfe/utility.py",
+        "for coeffs, need_lo, need_hi in rows:",
+        "for coeffs, need_lo, need_hi in rows[:1]:",
+        "the rows step drops every row after the first",
+        (
+            "tests/test_utility.py::TestStepDirect"
+            "::test_every_partial_small[thresholds-three-and-constant]",
+        ),
+    ),
 )
 
 

@@ -7,12 +7,14 @@ import sbfe.problems
 from helpers import (
     brute_certificate,
     brute_diff_extrema,
+    combine_and_all,
     conjunction_formula,
     evaluate,
     expected_certificate_cost,
     goal_zero_utility,
     linear_values,
     or_threshold,
+    reference_cdnf_utility,
     reference_extract_ranking,
 )
 from sbfe.core import (
@@ -24,7 +26,10 @@ from sbfe.core import (
     stars,
 )
 from sbfe.instances import (
+    gen_cdnf,
+    gen_costs,
     gen_linear_system,
+    gen_probabilities,
     gen_threshold_set,
     knapsack_battery,
     linear_system_battery,
@@ -46,7 +51,13 @@ from sbfe.problems import (
     ranking_utility,
     simultaneous_thresholds,
 )
-from sbfe.utility import CdnfFormula, LinearSystem, ThresholdFormula
+from sbfe.utility import (
+    CdnfFormula,
+    LinearSystem,
+    ThresholdFormula,
+    ranking_pair_utility,
+    threshold_utility,
+)
 
 
 class TestEvaluateCdnf:
@@ -390,3 +401,74 @@ class TestGapFamily:
         for n in (4, 8, 16):
             _, d, c = harmonic_gap_instance(n)
             assert expected_certificate_cost_disjunction(d, c) < 2.0
+
+
+def _reference_set_utility(fs):
+    """`ThresholdSet.utility` as the sum of its members' utilities."""
+    return combine_and_all(threshold_utility(f) for f in fs.formulas)
+
+
+def _reference_ranking_utility(sys):
+    """`ranking_utility` as the sum of its pair utilities."""
+    m = sys.m
+    return combine_and_all(
+        ranking_pair_utility(sys, i, j) for i in range(m) for j in range(i + 1, m)
+    )
+
+
+# (driver, instance generator at arity n, the owner and name of the builder
+# the driver calls, its reference built with the combinators)
+RUN_KINDS = {
+    "cdnf": (evaluate_cdnf, gen_cdnf, sbfe.problems, "cdnf_utility", reference_cdnf_utility),
+    "simultaneous-greedy": (
+        lambda fs, d, c, x: simultaneous_thresholds(fs, d, c, x, "greedy"),
+        lambda rng, n: gen_threshold_set(rng, 2, n),
+        ThresholdSet,
+        "utility",
+        _reference_set_utility,
+    ),
+    "simultaneous-adg": (
+        lambda fs, d, c, x: simultaneous_thresholds(fs, d, c, x, "adg"),
+        lambda rng, n: gen_threshold_set(rng, 3, n),
+        ThresholdSet,
+        "utility",
+        _reference_set_utility,
+    ),
+    "ranking": (
+        rank_linear_functions,
+        lambda rng, n: gen_linear_system(rng, 3, n),
+        sbfe.problems,
+        "ranking_utility",
+        _reference_ranking_utility,
+    ),
+}
+
+
+class TestRunsMatchCombinatorReferences:
+    """At the sizes of single online evaluations, each composite driver
+    returns the same answer and the same `RunTrace` as the same driver run
+    on the reference utility that sums, or disjunctively combines, its parts
+    with the combinators of tests/helpers.py; costs compared with ``==``."""
+
+    @pytest.mark.parametrize("n", (16, 24, 32))
+    @pytest.mark.parametrize("kind", sorted(RUN_KINDS))
+    def test_same_answer_and_trace(self, kind, n, monkeypatch):
+        drive, make, owner, builder, reference = RUN_KINDS[kind]
+        rng = random.Random(n)
+        runs = []
+        for _ in range(3):
+            inst = make(rng, n)
+            p = gen_probabilities(rng, n)
+            d, c = ProductDistribution(p), gen_costs(rng, n)
+            for _ in range(20):
+                x = tuple(int(rng.random() < pj) for pj in p)
+                runs.append((inst, d, c, x, drive(inst, d, c, x)))
+        monkeypatch.setattr(owner, builder, reference)
+        tested = 0
+        for inst, d, c, x, (answer, trace) in runs:
+            want_answer, want = drive(inst, d, c, x)
+            assert answer == want_answer, (kind, x)
+            assert trace == want, (kind, x)
+            assert trace.total_cost == want.total_cost, (kind, x)
+            tested += len(trace.tested)
+        assert tested

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from helpers import (
     brute_certificate,
     brute_diff_extrema,
+    combine_and_all,
+    combine_or,
     conjunction_formula,
     evaluate,
     gen_cdnf_with_tautologies,
@@ -34,10 +36,12 @@ from sbfe.core import (
     optimal_expected_cost,
     stars,
     to_string,
+    tree_leaf_paths,
 )
 from sbfe.cli import _EVAL
 from sbfe.instances import (
     KINDS,
+    _random_tree,
     gen_cdnf,
     gen_costs,
     gen_knapsack,
@@ -58,8 +62,6 @@ from sbfe.utility import (
     UtilityFunction,
     _restricted_extrema,
     cdnf_utility,
-    combine_and_all,
-    combine_or,
     decision_tree_to_cdnf,
     gains_at,
     ranking_pair_utility,
@@ -142,6 +144,29 @@ def _thresholds(rng, n):
     return ThresholdSet((gen_threshold(rng, n), ThresholdFormula((1,) * n, 0)))
 
 
+def _three_thresholds_and_a_constant(rng, n):
+    members = tuple(gen_threshold(rng, n) for _ in range(3))
+    return ThresholdSet(members + (ThresholdFormula((1,) * n, 0),))
+
+
+def _system_with_duplicates(rng, n):
+    """Four functions, f_3 a copy of f_1: six pair rows, that of (1, 3)
+    with goal 0."""
+    sys = gen_linear_system(rng, 4, n)
+    return LinearSystem(sys.coeffs[:3] + (sys.coeffs[1],))
+
+
+def _cdnf_one_variable_everywhere(rng, n):
+    """A CNF/DNF pair from a decision tree that tests x_r at its root, so
+    every clause and every term holds a literal of x_r."""
+    r = rng.randrange(n)
+    rest = [j for j in range(n) if j != r]
+    while True:
+        t = Branch(r, _random_tree(rng, rest, 2), _random_tree(rng, rest, 2))
+        if len({label for _, label in tree_leaf_paths(t)}) == 2:
+            return decision_tree_to_cdnf(t, n)
+
+
 def _reference_thresholds_utility(fs):
     """`ThresholdSet.utility` over `reference_threshold_utility`."""
     return combine_and_all(reference_threshold_utility(f) for f in fs.formulas)
@@ -171,6 +196,21 @@ STEP_KINDS = {
         _reference_ranking_utility,
     ),
     "knapsack": (_knapsack_formula, threshold_utility, reference_threshold_utility),
+    "thresholds-three-and-constant": (
+        _three_thresholds_and_a_constant,
+        ThresholdSet.utility,
+        _reference_thresholds_utility,
+    ),
+    "linear-system-m4-duplicates": (
+        _system_with_duplicates,
+        ranking_utility,
+        _reference_ranking_utility,
+    ),
+    "cdnf-one-variable-everywhere": (
+        _cdnf_one_variable_everywhere,
+        cdnf_utility,
+        reference_cdnf_utility,
+    ),
     "and-threshold-cdnf": (
         lambda rng, n: (gen_threshold(rng, n), gen_cdnf(rng, n)),
         lambda fs: combine_and_all([threshold_utility(fs[0]), cdnf_utility(fs[1])]),
@@ -435,6 +475,35 @@ class TestOnePassFn:
             threshold_utility(ThresholdFormula((2**40, -(2**40)), 1))
         with pytest.raises(LimitError, match="combined goal"):
             ranking_pair_utility(LinearSystem(((2**40, 0), (0, 2**40))), 0, 1)
+
+    def test_goal_overflow_in_the_sum_rejected(self):
+        # each row's goal (2^31 + 1) * 2^31 fits in 63 bits, but two of
+        # them summed do not
+        f = ThresholdFormula((2**31, -(2**31)), 1)
+        assert threshold_utility(f).goal == (2**31 + 1) * 2**31
+        with pytest.raises(LimitError, match="combined goal"):
+            ThresholdSet((f, f)).utility()
+        # pairs (0, 1) and (0, 2) have that goal, f_1 = f_2 has goal 0
+        sys = LinearSystem(((2**31, 0), (0, 2**31 + 1), (0, 2**31 + 1)))
+        assert ranking_pair_utility(sys, 0, 1).goal == (2**31 + 1) * 2**31
+        with pytest.raises(LimitError, match="combined goal"):
+            ranking_utility(sys)
+
+    def test_oversized_row_raises_before_the_sum(self):
+        # the rows before it already overflow in sum, but the error names
+        # the oversized row's own goal
+        f = ThresholdFormula((2**31, -(2**31)), 1)
+        big = ThresholdFormula((2**40, -(2**40)), 1)
+        row_goal = (2**40 + 1) * 2**40
+        with pytest.raises(LimitError, match=f"combined goal {row_goal} exceeds"):
+            ThresholdSet((f, f, big)).utility()
+        # pairs (0, 1) and (0, 2) overflow in sum; pair (0, 3) alone has
+        # goal 2^31 * 2^40
+        sys = LinearSystem(
+            ((2**31, 0, 0), (0, 2**31 + 1, 0), (0, 2**31 + 1, 0), (0, 0, 2**40))
+        )
+        with pytest.raises(LimitError, match=f"combined goal {2**71} exceeds"):
+            ranking_utility(sys)
 
 
 class TestCombinators:
@@ -744,8 +813,6 @@ class TestDecisionTreeConversion:
 
     def test_leaf_count_identity(self):
         rng = random.Random(3)
-        from sbfe.instances import _random_tree
-
         for _ in range(30):
             t = _random_tree(rng, list(range(4)), 3)
             labels = [leaf.label for leaf in _leaves(t)]
