@@ -478,6 +478,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # random.Random(-s) draws what random.Random(s) draws
+    if getattr(args, "seed", 0) < 0:
+        print(f"error: --seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

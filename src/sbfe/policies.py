@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -59,33 +60,40 @@ def bounds(g: UtilityFunction) -> BoundReport:
 # policies
 
 
-def _cheapest(eg, cost) -> Optional[int]:
-    """The position with the least cost per unit of expected gain, or None
-    when ``eg`` is None (the goal is reached).
+def _cheapest(p, record, cost, credit) -> Optional[int]:
+    """The position with the least adjusted cost c_j - credit_j per unit of
+    expected gain p_j * (one_j - g(b)) + (1 - p_j) * (zero_j - g(b)), in one
+    pass over the gain record ``(g(b), zero, one)`` at b; None at the goal,
+    where zero is None.
 
-    Positions whose expected gain is zero are never selected: they add cost
-    but cannot add utility.  Zero-cost positive-gain positions have ratio 0
-    and are taken immediately.  The comparison is strict, so exact ties
-    (bitwise-equal ratios, common with integer gains and unit costs) keep the
-    lowest index and the dual update always sees the true minimum.  A cost
-    below -EPS at a positive-gain position is an error, reported for the
-    first such position; the positions are looked at one by one for it only
-    when some cost is that low.
+    A position whose two values both equal g(b) is skipped by two integer
+    compares: its expected gain would be exactly 0.0, and a position of zero
+    expected gain is never selected, since it adds cost but no utility.  The
+    comparison is strict, so exact ties (bitwise-equal ratios, common with
+    integer gains and unit costs) keep the lowest index and the dual update
+    always sees the true minimum.  An adjusted cost below -EPS at a
+    positive-gain position is an error, reported for the first such
+    position.
     """
-    if eg is None:
+    base, zero, one = record
+    if zero is None:
         return None
-    if min(cost) < -EPS:
-        for j, e in enumerate(eg):
-            if e > 0.0 and cost[j] < -EPS:
-                raise InvalidUtilityError(
-                    f"dual-adjusted cost of {j} is {cost[j]}; dual feasibility broken"
-                )
+    floor = -EPS
     best = None
     best_ratio = 0.0
-    for j, e in enumerate(eg):
+    for j, uj, dj in zip(count(), one, zero):
+        if uj == base and dj == base:
+            continue
+        pj = p[j]
+        e = pj * (uj - base) + (1.0 - pj) * (dj - base)
         if e <= 0.0:
             continue
-        ratio = cost[j] / e
+        cj = cost[j] - credit[j]
+        if cj < floor:
+            raise InvalidUtilityError(
+                f"dual-adjusted cost of {j} is {cj}; dual feasibility broken"
+            )
+        ratio = cj / e
         if best is None or ratio < best_ratio:
             best = j
             best_ratio = ratio
@@ -102,9 +110,10 @@ class GreedyPolicy:
     (see `_cheapest`).  State is g(b), None at the root, where ``fn`` gives
     it; ``advance`` reads g of both children from the gain record at b.
 
-    The gain record at b keeps the values ``g.step`` gives there, not their
-    differences from g(b): a child's g is read from it as it stands, and a
-    gain is one integer subtraction away.
+    The gain record at b is (g(b), zero, one): the values ``g.step`` gives
+    there, not their differences from g(b).  A child's g is read from it as
+    it stands, a gain is one integer subtraction away, and `_cheapest`
+    selects from it in one pass.
 
     Gains depend only on the partial assignment, so `gains(b)` keeps the
     record of the last b it was asked for, and only that one, keyed by the
@@ -126,38 +135,35 @@ class GreedyPolicy:
         self.c = as_costs(c)
         if len(self.p) != g.arity or len(self.c) != g.arity:
             raise ValueError("arity mismatch")
-        self._q = tuple([1.0 - pj for pj in self.p])  # the 1 - p_j of every expected gain
+        self._no_credit = (0.0,) * g.arity  # the greedy's credit, and the dual's at the root
         self._record = None  # (b, gains at b) for the last b asked
 
     def initial_state(self):
         return None
 
     def gains(self, b: Partial, base: Optional[int] = None) -> tuple:
-        """(g(b), zero, one, eg) at b: ``g.step(b)``, checked for
-        monotonicity as `gains_at` checks it (and failing with its message),
-        and the expected gains p_j * (one_j - g(b)) + (1 - p_j) * (zero_j -
-        g(b)); all but g(b) are None at the goal, where no step is taken.
-        ``base``, when given, is g(b)."""
+        """(g(b), zero, one) at b: ``g.step(b)``, checked for monotonicity
+        as `gains_at` checks it (and failing with its message); zero and
+        one are None at the goal, where no step is taken.  ``base``, when
+        given, is g(b)."""
         rec = self._record
         if rec is None or rec[0] is not b:
             g = self.g
             if base is None:
                 base = g.fn(b)
-            zero = one = eg = None
+            zero = one = None
             if base < g.goal:
                 zero, one = g.step(b)
                 if min(zero) < base or min(one) < base:
                     gains_at(g, b, base)  # raises InvalidUtilityError
-                eg = tuple([pj * (uj - base) + qj * (dj - base)
-                            for pj, qj, uj, dj in zip(self.p, self._q, one, zero)])
-            rec = self._record = (b, (base, zero, one, eg))
+            rec = self._record = (b, (base, zero, one))
         return rec[1]
 
     def next_test(self, b: Partial, state) -> Optional[int]:
-        return _cheapest(self.gains(b, state)[3], self.c)
+        return _cheapest(self.p, self.gains(b, state), self.c, self._no_credit)
 
     def advance(self, b: Partial, state, i: int) -> tuple:
-        _, zero, one, _ = self.gains(b)
+        _, zero, one = self.gains(b)
         return zero[i], one[i]
 
 
@@ -172,23 +178,29 @@ class DualGreedyPolicy(GreedyPolicy):
     at S); and the greedy's state.  A test of i closes the prefix at b with
     y = max(0, (c_i - credit_i) / (expected gain of i at b)), and a nonzero
     y adds y times each expected gain there to the credit, in the order of
-    the prefixes, so no earlier prefix is ever looked at again.  Both
-    outcomes of the test close the same prefix, so `advance` closes it once
-    and the two child states differ only in g.
+    the prefixes, so no earlier prefix is ever looked at again.  Only then
+    are the expected gains at b all computed, each from the gain record as
+    `_cheapest` computes it.  Both outcomes of the test close the same
+    prefix, so `advance` closes it once and the two child states differ
+    only in g.
     """
 
     def initial_state(self):
-        return (), (0.0,) * self.g.arity, None
+        return (), self._no_credit, None
 
     def next_test(self, b: Partial, state) -> Optional[int]:
-        return _cheapest(self.gains(b, state[2])[3], [c - cr for c, cr in zip(self.c, state[1])])
+        return _cheapest(self.p, self.gains(b, state[2]), self.c, state[1])
 
     def advance(self, b: Partial, state, i: int) -> tuple:
-        _, zero, one, eg = self.gains(b)
+        base, zero, one = self.gains(b)
         ys, credit, _ = state
-        y = max(0.0, (self.c[i] - credit[i]) / eg[i])
+        p = self.p
+        pi = p[i]
+        gain = pi * (one[i] - base) + (1.0 - pi) * (zero[i] - base)
+        y = max(0.0, (self.c[i] - credit[i]) / gain)
         if y != 0.0:
-            credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
+            credit = tuple([cr + y * (pj * (uj - base) + (1.0 - pj) * (dj - base))
+                            for cr, pj, uj, dj in zip(credit, p, one, zero)])
         ys += (y,)
         return (ys, credit, zero[i]), (ys, credit, one[i])
 

@@ -270,9 +270,9 @@ def check_dual_feasibility(g: UtilityFunction, d, c) -> DualCertificate:
 def _prefix_records(pol: DualGreedyPolicy):
     """The ``grow`` of the dual greedy's walks here: the record of each
     prefix S of the path, in order, as (goal - g(S), g(S), zero, one,
-    gained), where zero and one are the values of the policy's gain record
-    at S, so the gain of j there is zero[j] - g(S) or one[j] - g(S), and
-    gained sums what each test below S gained at S.  A test adds its gain
+    gained), where (g(S), zero, one) is the policy's gain record at S, so
+    the gain of j there is zero[j] - g(S) or one[j] - g(S), and gained sums
+    what each test below S gained at S.  A test adds its gain
     at S to every open record and opens one for the node that made it, from
     the policy's gain record there, so no node's record is read after its
     test.  A node that tests is short of the goal, so goal - g(S) > 0."""
@@ -283,7 +283,7 @@ def _prefix_records(pol: DualGreedyPolicy):
             (gap, base, zero, one, gained + ((one[i] if v else zero[i]) - base))
             for gap, base, zero, one, gained in records
         ]
-        base, zero, one, _ = pol.gains(b)
+        base, zero, one = pol.gains(b)
         records.append((goal - base, base, zero, one, (one[i] if v else zero[i]) - base))
         return records
 

@@ -659,6 +659,62 @@ def expected_gain(g, b, i, p, base):
     return p[i] * up + (1.0 - p[i]) * down
 
 
+def reference_expected_gains(p, record):
+    """The expected gain p_j * (one_j - g(b)) + (1 - p_j) * (zero_j - g(b))
+    of every position, from the greedy's gain record (g(b), zero, one) at b;
+    None at the goal.  The tuple the record kept as its fourth field before
+    `_cheapest` computed each gain in its one pass: the reference for that
+    pass and for the dual's credit update."""
+    base, zero, one = record
+    if zero is None:
+        return None
+    q = tuple([1.0 - pj for pj in p])
+    return tuple([pj * (uj - base) + qj * (dj - base) for pj, qj, uj, dj in zip(p, q, one, zero)])
+
+
+def reference_cheapest(eg, cost):
+    """`policies._cheapest` as it was before its one pass, over the
+    expected gains ``eg`` (`reference_expected_gains`) and the adjusted
+    costs ``cost``: a scan for an adjusted cost below -EPS, then a
+    selection with the strict-``<`` lowest-index tie-break."""
+    if eg is None:
+        return None
+    if min(cost) < -EPS:
+        for j, e in enumerate(eg):
+            if e > 0.0 and cost[j] < -EPS:
+                raise InvalidUtilityError(
+                    f"dual-adjusted cost of {j} is {cost[j]}; dual feasibility broken"
+                )
+    best = None
+    best_ratio = 0.0
+    for j, e in enumerate(eg):
+        if e <= 0.0:
+            continue
+        ratio = cost[j] / e
+        if best is None or ratio < best_ratio:
+            best = j
+            best_ratio = ratio
+    if best is None:
+        raise InvalidUtilityError(
+            "no untested position has positive expected gain but the goal "
+            "is not reached; utility is not assignment feasible"
+        )
+    return best
+
+
+def reference_dual_advance(pol, b, state, i):
+    """`DualGreedyPolicy.advance` in its expected-gain-vector form: y and
+    the credit update read the tuple of `reference_expected_gains`."""
+    base, zero, one = pol.gains(b)
+    eg = reference_expected_gains(pol.p, (base, zero, one))
+    ys, credit, _ = state
+    y = max(0.0, (pol.c[i] - credit[i]) / eg[i])
+    if y != 0.0:
+        credit = tuple([cr + y * e for cr, e in zip(credit, eg)])
+    ys += (y,)
+    return (ys, credit, zero[i]), (ys, credit, one[i])
+
+
 class ReferenceDualGreedy:
     """The dual greedy as first written, the reference for the incremental
     `DualGreedyPolicy`: state is (ys, prefixes), and every decision

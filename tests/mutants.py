@@ -101,6 +101,31 @@ MUTANTS = (
             "::test_every_partial_small[thresholds-three-and-constant]",
         ),
     ),
+    Mutant(
+        "src/sbfe/policies.py",
+        "if best is None or ratio < best_ratio:",
+        "if best is None or ratio <= best_ratio:",
+        "the greedy selection breaks an exact tie for the highest index",
+        ("tests/test_cli.py::TestEval::test_knapsack_above_max_n_keeps_its_cost",),
+    ),
+    Mutant(
+        "src/sbfe/policies.py",
+        "if uj == base and dj == base:",
+        "if uj == base or dj == base:",
+        "the greedy selection skips a position that gains on one outcome only"
+        " (no SBFE utility has one, so only a cover utility shows it)",
+        ("tests/test_utility.py::TestCheapestAgainstReference::test_one_sided_gains",),
+    ),
+    Mutant(
+        "src/sbfe/policies.py",
+        "if y != 0.0:",
+        "if False:",
+        "the dual greedy drops its credit update",
+        (
+            "tests/test_policies.py::TestDualGreedyAgainstReference"
+            "::test_same_trees_duals_alpha_and_cost[threshold]",
+        ),
+    ),
 )
 
 

@@ -229,6 +229,15 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "--kind", "nope", "--n", "4", "--seed", "1")
         assert code == 2
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        # random.Random(-1) draws what random.Random(1) draws, so --seed -1
+        # would write the --seed 1 instance under another id
+        path = tmp_path / "t.json"
+        argv = ("gen", "--kind", "threshold", "--n", "6", "--seed", "-1", "--out", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --seed must be at least 0, got -1\n")
+        assert not path.exists()
+
     def test_one_function_linear_system_exits_two(self, capsys):
         code, out, err = run_cli(
             capsys, "gen", "--kind", "linear-system", "--n", "3", "--seed", "1", "--m", "1"
@@ -250,6 +259,13 @@ class TestEval:
         args = ["gen", "--kind", kind, "--n", str(n), "--seed", str(seed), "--out", str(path)]
         assert main(args) == 0
         return path
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        # sampled seeds -5 to -1 would repeat the draws of seeds 5 to 1
+        path = self._gen(tmp_path, "threshold", 5, 3)
+        argv = ("eval", str(path), "--max-n", "3", "--seed", "-5", "--trials", "50")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --seed must be at least 0, got -5\n")
 
     def test_threshold_adg_row(self, tmp_path, capsys):
         path = self._gen(tmp_path, "threshold", 5, 3)
@@ -545,6 +561,10 @@ class TestSampledCost:
 
 
 class TestVerify:
+    def test_negative_seed_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-3")
+        assert (code, out, err) == (2, "", "error: --seed must be at least 0, got -3\n")
+
     def test_default_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--max-n", "6", "--trials", "500")
         assert code == 0

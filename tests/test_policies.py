@@ -407,29 +407,52 @@ class TestGainRecordsPathScoped:
         assert len(nodes) > 1 and count[0] == len(nodes)
 
 
+def _record(gains):
+    """A gain record at a state with g(b) = 0 whose expected gains, at
+    p = 1/2, are exactly ``gains``: both values of j are gains[j]."""
+    values = tuple(gains)
+    return 0, values, values
+
+
 class TestCheapest:
-    """`_cheapest` tests the costs against -EPS once, and only then looks
-    for the first positive-gain position whose cost is that low."""
+    """`_cheapest` looks for the first positive-gain position whose
+    adjusted cost is below -EPS in its one selection pass."""
 
     def test_negative_cost_at_zero_gain_is_ignored(self):
-        assert _cheapest((0.0, 2.0, 0.0), (-5.0, 1.0, -1.0)) == 1
+        p = (0.5,) * 3
+        assert _cheapest(p, _record((0, 2, 0)), (-5.0, 1.0, -1.0), (0.0,) * 3) == 1
+        # the same adjusted costs, made by credit
+        assert _cheapest(p, _record((0, 2, 0)), (0.0, 1.0, 0.0), (5.0, 0.0, 1.0)) == 1
+
+    def test_zero_expected_gain_with_a_gaining_value_is_ignored(self):
+        # p_0 = 0, so position 0's gain of 3 on outcome 1 has expected gain
+        # 0.0: it passes the compare of its values with g(b), not the e > 0
+        rec = (0, (0, 2), (3, 2))
+        assert _cheapest((0.0, 0.5), rec, (-5.0, 1.0), (0.0, 0.0)) == 1
 
     def test_first_negative_cost_at_positive_gain_raises(self):
         message = "dual-adjusted cost of 2 is -2.0; dual feasibility broken"
-        eg, cost = (0.0, 4.0, 1.0, 1.0), (-5.0, 1.0, -2.0, -3.0)
-        with pytest.raises(InvalidUtilityError) as exc:
-            _cheapest(eg, cost)
-        assert str(exc.value) == message
+        for cost, credit in (
+            ((-5.0, 1.0, -2.0, -3.0), (0.0,) * 4),
+            ((0.0, 1.0, 0.0, 0.0), (5.0, 0.0, 2.0, 3.0)),  # the same, made by credit
+        ):
+            with pytest.raises(InvalidUtilityError) as exc:
+                _cheapest((0.5,) * 4, _record((0, 4, 1, 1)), cost, credit)
+            assert str(exc.value) == message
 
     def test_within_eps_of_zero_is_a_cost(self):
         # -EPS / 2 is not below -EPS, so it is a (negative) ratio and wins
-        assert _cheapest((1.0, 1.0), (0.0, -EPS / 2)) == 1
+        p, credit = (0.5, 0.5), (0.0, 0.0)
+        assert _cheapest(p, _record((1, 1)), (0.0, -EPS / 2), credit) == 1
         with pytest.raises(InvalidUtilityError, match="dual-adjusted cost of 1"):
-            _cheapest((1.0, 1.0), (0.0, -2 * EPS))
+            _cheapest(p, _record((1, 1)), (0.0, -2 * EPS), credit)
 
     def test_no_positive_gain_still_raises(self):
         with pytest.raises(InvalidUtilityError, match="no untested position"):
-            _cheapest((0.0, 0.0), (-1.0, 1.0))
+            _cheapest((0.5, 0.5), _record((0, 0)), (-1.0, 1.0), (0.0, 0.0))
+
+    def test_goal_reached_selects_nothing(self):
+        assert _cheapest((0.5,), (1, None, None), (1.0,), (0.0,)) is None
 
 
 class TestAlpha:

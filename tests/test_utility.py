@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,9 @@ from helpers import (
     gen_cdnf_with_tautologies,
     reference_cdnf_agreement,
     reference_cdnf_utility,
+    reference_cheapest,
+    reference_dual_advance,
+    reference_expected_gains,
     reference_gains_at,
     reference_ranking_pair_utility,
     reference_threshold_utility,
@@ -52,7 +56,7 @@ from sbfe.instances import (
     gen_truth_table,
     generate_instance,
 )
-from sbfe.policies import DualGreedyPolicy, GreedyPolicy, bounds, policy_runs
+from sbfe.policies import DualGreedyPolicy, GreedyPolicy, _cheapest, bounds, policy_runs
 from sbfe.problems import ThresholdSet, disjunction_formula, ranking_utility
 from sbfe.utility import (
     CdnfFormula,
@@ -95,8 +99,9 @@ def random_partials(rng, n, count):
 
 
 class TestMarginals:
-    """`gains_at` gives (g(b), down, up); `GreedyPolicy.gains` adds the
-    expected gains."""
+    """`gains_at` gives (g(b), down, up); `GreedyPolicy.gains` gives the
+    step's values (g(b), zero, one), whose expected gains
+    `reference_expected_gains` computes as `_cheapest` does."""
 
     def test_cdnf_jump_to_goal(self):
         g = cdnf_utility(conjunction_formula(2))
@@ -109,7 +114,10 @@ class TestMarginals:
         b = (1, STAR)
         _, down, up = gains_at(g, b)
         assert down[0] == up[0] == 0
-        eg = GreedyPolicy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0)).gains(b)[3]
+        pol = GreedyPolicy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0))
+        base, zero, one = rec = pol.gains(b)
+        assert zero[0] == one[0] == base  # so `_cheapest` skips it
+        eg = reference_expected_gains(pol.p, rec)
         assert eg[0] == 0.0
 
     def test_threshold_jump(self):
@@ -121,7 +129,8 @@ class TestMarginals:
     def test_expected_gain_or(self):
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution((0.5,) * 2)
-        eg = GreedyPolicy(g, d, (1.0, 1.0)).gains((STAR, STAR))[3]
+        pol = GreedyPolicy(g, d, (1.0, 1.0))
+        eg = reference_expected_gains(pol.p, pol.gains((STAR, STAR)))
         assert eg == pytest.approx((1.5, 1.5))
 
     def test_broken_utility_detected(self):
@@ -337,8 +346,9 @@ RECORD_KINDS = {
 def _records_against_reference(kind, rng, n, states):
     """Compare the greedy's gain record with `reference_gains_at` at each
     of ``states(n)``: the record's zero - g(b) and one - g(b) are the
-    reference's gains, and its expected gains are p_j * up_j + (1 - p_j) *
-    down_j of those gains, bit for bit.  Returns the states compared."""
+    reference's gains, and the expected gains computed from it are p_j *
+    up_j + (1 - p_j) * down_j of those gains, bit for bit.  Returns the
+    states compared."""
     make, build, reference = RECORD_KINDS[kind]
     inst = make(rng, n)
     g, ref = build(inst), reference(inst)
@@ -346,7 +356,8 @@ def _records_against_reference(kind, rng, n, states):
     pol = GreedyPolicy(g, p, gen_costs(rng, n))
     compared = 0
     for b in states(n):
-        base, zero, one, eg = pol.gains(b)
+        base, zero, one = rec = pol.gains(b)
+        eg = reference_expected_gains(pol.p, rec)
         want_base, down, up = reference_gains_at(ref, b)
         assert base == want_base, (kind, b)
         if down is None:
@@ -362,9 +373,9 @@ def _records_against_reference(kind, rng, n, states):
 
 class TestGainRecord:
     """`GreedyPolicy.gains` keeps the step's values, checked with one
-    ``min`` per vector, and computes the expected gains from them by one
-    integer subtraction each: every gain and every expected gain equals the
-    2n + 1 ``fn`` calls of `reference_gains_at`, bit for bit."""
+    ``min`` per vector, and an expected gain is computed from them by one
+    integer subtraction per value: every gain and every expected gain
+    equals the 2n + 1 ``fn`` calls of `reference_gains_at`, bit for bit."""
 
     @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
     def test_every_state_small(self, kind):
@@ -404,6 +415,109 @@ class TestGainRecord:
             with pytest.raises(InvalidUtilityError) as exc:
                 call()
             assert str(exc.value) == message
+
+
+def _random_credit(rng, cost):
+    """Nonnegative credit for ``cost``: each position gets none, all of its
+    cost (an adjusted cost of exactly 0.0, so ratios tie) or a uniform
+    share of it; in one draw of four the share runs up to 1.5, so adjusted
+    costs can fall below -EPS."""
+    top = 1.5 if rng.random() < 0.25 else 1.0
+    return tuple([cj * rng.choice((0.0, 1.0, rng.uniform(0.0, top))) for cj in cost])
+
+
+def _selected(call):
+    """The index ``call`` returns, or the text of its InvalidUtilityError."""
+    try:
+        return call()
+    except InvalidUtilityError as exc:
+        return str(exc)
+
+
+def _hex_states(states):
+    return [
+        ([y.hex() for y in ys], [cr.hex() for cr in credit], value)
+        for ys, credit, value in states
+    ]
+
+
+def _cheapest_against_reference(g, rng, states):
+    """At each of ``states``, `_cheapest` over the dual greedy's gain
+    record for ``g`` selects what `reference_cheapest` selects over the
+    expected-gain tuple, or fails with the same text: with zero credit (the
+    greedy) and with `_random_credit`.  Where it selects i, `advance` at i
+    gives the child states of `reference_dual_advance`, bit for bit.
+    Returns a count of the outcomes seen (a selection, an error, None at
+    the goal) and of the positions that gain on one outcome only."""
+    n = g.arity
+    pol = DualGreedyPolicy(g, gen_probabilities(rng, n), gen_costs(rng, n))
+    p, cost = pol.p, pol.c
+    seen = Counter()
+    for b in states:
+        base, zero, one = rec = pol.gains(b)
+        if zero is not None:
+            seen["one-sided"] += sum((u == base) != (d == base) for u, d in zip(one, zero))
+        eg = reference_expected_gains(p, rec)
+        drawn = _random_credit(rng, cost)
+        adjusted = [c - cr for c, cr in zip(cost, drawn)]
+        for credit, want in (
+            ((0.0,) * n, _selected(lambda: reference_cheapest(eg, cost))),
+            (drawn, _selected(lambda: reference_cheapest(eg, adjusted))),
+        ):
+            got = _selected(lambda: _cheapest(p, rec, cost, credit))
+            assert got == want, (b, credit)
+            seen[type(got)] += 1
+            if isinstance(got, int):
+                state = ((0.5,), credit, base)
+                assert _hex_states(pol.advance(b, state, got)) == _hex_states(
+                    reference_dual_advance(pol, b, state, got)
+                ), (b, credit)
+    return seen
+
+
+class TestCheapestAgainstReference:
+    """The one-pass `_cheapest` over the gain record selects the index, or
+    raises the `InvalidUtilityError` text, of the old two-pass selection
+    over the expected-gain tuple (`reference_cheapest`), with zero and with
+    random credit; the dual's `advance`, which computes the gains inline,
+    gives the child states of the tuple form bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_every_state_small(self, kind):
+        make, build, _ = STEP_KINDS[kind]
+        rng = random.Random(67)
+        seen = Counter()
+        for n in range(1, 6):
+            for _ in range(2):
+                g = build(make(rng, n))
+                seen += _cheapest_against_reference(g, rng, all_partials(n))
+        assert seen[int] and seen[str] and seen[type(None)], seen
+
+    @pytest.mark.parametrize("kind", sorted(STEP_KINDS))
+    def test_random_states_large(self, kind):
+        make, build, _ = STEP_KINDS[kind]
+        seen = Counter()
+        for n in (16, 24, 32):
+            rng = random.Random(n)
+            g = build(make(rng, n))
+            seen += _cheapest_against_reference(g, rng, random_partials(rng, n, 200))
+        assert seen[int] and seen[str], seen
+
+    def test_one_sided_gains(self):
+        # Every SBFE utility the package builds is two-sided: a position
+        # that gains on one outcome gains on the other.  A capped sum of per-outcome weights,
+        # a submodular cover utility, gains on one outcome only where the
+        # other's weight is 0, so only here do the skip's two compares
+        # both matter.
+        rng = random.Random(71)
+        seen = Counter()
+        for n in range(1, 6):
+            for _ in range(4):
+                weights = [(rng.choice((0, 0, 1, 2)), rng.choice((0, 1, 3))) for _ in range(n)]
+                cap = rng.randint(1, max(1, sum(max(w) for w in weights)))
+                g = truncated_modular(n, weights, cap)
+                seen += _cheapest_against_reference(g, rng, all_partials(n))
+        assert seen[int] and seen[str] and seen[type(None)] and seen["one-sided"], seen
 
 
 # the utilities whose fn is one pass: (instance at arity n, utility,
