@@ -49,7 +49,7 @@ from .verify import (
     check_axioms,
     check_dual_feasibility,
     check_goal_certificate,
-    cost_ratio,
+    cost_verdict,
     observed_alpha,
     ratio_vs_opt,
 )
@@ -154,12 +154,9 @@ def _sampled_cost(policy, inst: Instance, trials: int, seed: int) -> float:
 
 
 def _report_row(inst: Instance, engine: str, cost, opt, bound, alpha) -> dict:
-    ratio = None
-    passed = None
+    ratio = passed = None
     if opt is not None:
-        ratio = cost_ratio(cost, opt, RATIO_TOL)
-        if bound is not None:
-            passed = cost <= bound * opt + RATIO_TOL
+        ratio, passed = cost_verdict(cost, opt, bound, RATIO_TOL)
     return {
         "instance-id": inst.id,
         "kind": inst.kind,
@@ -216,13 +213,8 @@ def cmd_eval(args) -> int:
     rows = []
     for path in args.instances:
         try:
-            inst = inst_mod.load(path)
-        except (InstanceFormatError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            rows.append(eval_instance(inst, args))
-        except LimitError as exc:
+            rows.append(eval_instance(inst_mod.load(path), args))
+        except (InstanceFormatError, OSError, LimitError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     rows.sort(key=lambda r: r["instance-id"])

@@ -18,6 +18,7 @@ from .problems import KnapsackInstance, ThresholdSet, disjunction_formula
 from .utility import CdnfFormula, LinearSystem, ThresholdFormula, TruthTable, decision_tree_to_cdnf
 
 FORMAT = "sbfe-1"
+CDNF_MAX_CLAUSES = CDNF_MAX_TERMS = 4  # the caps of a generated CNF/DNF pair
 
 
 class InstanceFormatError(ValueError):
@@ -186,18 +187,17 @@ def _random_tree(rng: random.Random, avail: list, budget: int):
     return Branch(i, _random_tree(rng, rest, budget - 1), _random_tree(rng, rest, budget - 1))
 
 
-def gen_cdnf(
-    rng: random.Random, n: int, max_clauses: int = 4, max_terms: int = 4
-) -> CdnfFormula:
+def gen_cdnf(rng: random.Random, n: int) -> CdnfFormula:
     """Consistent CNF/DNF pair obtained from a random decision tree (its
-    0-paths and 1-paths), capped at the given clause and term counts.  A
-    tree whose leaves all carry one label is skipped."""
+    0-paths and 1-paths), with at most CDNF_MAX_CLAUSES clauses and
+    CDNF_MAX_TERMS terms.  A tree whose leaves all carry one label is
+    skipped."""
     for _ in range(1000):
         tree = _random_tree(rng, list(range(n)), rng.randint(1, 3))
         if len({label for _, label in tree_leaf_paths(tree)}) < 2:
             continue
         f = decision_tree_to_cdnf(tree, n)
-        if f.k <= max_clauses and f.d <= max_terms:
+        if f.k <= CDNF_MAX_CLAUSES and f.d <= CDNF_MAX_TERMS:
             return f
     raise RuntimeError("could not generate a CDNF within the caps")
 

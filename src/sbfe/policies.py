@@ -50,8 +50,8 @@ def bounds(g: UtilityFunction) -> BoundReport:
     if g.goal == 0:
         return BoundReport(0.0, 0.0, 0)
     lnq = math.log(g.goal) + 1.0
-    _, down, up = gains_at(g, stars(g.arity))
-    p_max = max(max(down), max(up)) if down is not None else 0
+    base, zero, one = gains_at(g, stars(g.arity))
+    p_max = max(max(zero), max(one)) - base if zero is not None else 0
     p_bound = 2.0 * (math.log(p_max) + 1.0) if p_max > 0 else 0.0
     return BoundReport(lnq, p_bound, p_max)
 
@@ -142,21 +142,11 @@ class GreedyPolicy:
         return None
 
     def gains(self, b: Partial, base: Optional[int] = None) -> tuple:
-        """(g(b), zero, one) at b: ``g.step(b)``, checked for monotonicity
-        as `gains_at` checks it (and failing with its message); zero and
-        one are None at the goal, where no step is taken.  ``base``, when
-        given, is g(b)."""
+        """The gain record (g(b), zero, one) at b, from `gains_at`, which
+        checks it; ``base``, when given, is g(b)."""
         rec = self._record
         if rec is None or rec[0] is not b:
-            g = self.g
-            if base is None:
-                base = g.fn(b)
-            zero = one = None
-            if base < g.goal:
-                zero, one = g.step(b)
-                if min(zero) < base or min(one) < base:
-                    gains_at(g, b, base)  # raises InvalidUtilityError
-            rec = self._record = (b, (base, zero, one))
+            rec = self._record = (b, gains_at(self.g, b, base))
         return rec[1]
 
     def next_test(self, b: Partial, state) -> Optional[int]:

@@ -65,8 +65,9 @@ def evaluate_threshold_greedy(f: ThresholdFormula, d, c, outcomes) -> tuple:
 
 
 def evaluate_threshold_adg(f: ThresholdFormula, d, c, outcomes) -> tuple:
-    """Evaluate a linear threshold formula with the dual greedy policy; the
-    observed per-prefix ratios in the trace stay below 3."""
+    """Evaluate a linear threshold formula with the dual greedy policy,
+    whose expected cost is within 3 times the optimum (its per-prefix
+    ratios, which `verify.observed_alpha` measures, stay below 3)."""
     return _evaluate(threshold_utility(f), "adg", f.certificate, d, c, outcomes)
 
 

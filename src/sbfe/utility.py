@@ -56,22 +56,20 @@ class UtilityFunction:
 
 
 def gains_at(g: UtilityFunction, b: Partial, base: Optional[int] = None) -> tuple:
-    """(g(b), down, up) with down[j] and up[j] the utility gained by setting
-    position j to 0 and to 1 (0 for tested positions), checked for
-    monotonicity.  Once b reaches the goal no test is bought there, so down
-    and up are None and ``step`` is not called.  g(b) is ``base`` when given,
-    else one ``g.fn`` call; the extension values come from ``g.step``."""
+    """The gain record (g(b), zero, one) at b: the values ``g.step(b)``
+    gives, checked for monotonicity with one ``min`` per vector, the first
+    position where one falls below g(b) named in the error.  Once b reaches
+    the goal no test is bought there, so zero and one are None and ``step``
+    is not called.  g(b) is ``base`` when given, else one ``g.fn`` call."""
     if base is None:
         base = g.fn(b)
     if base >= g.goal:
         return base, None, None
     zero, one = g.step(b)
-    down = tuple([v - base for v in zero])
-    up = tuple([v - base for v in one])
-    if min(down, default=0) < 0 or min(up, default=0) < 0:
-        j = next(j for j in range(len(b)) if down[j] < 0 or up[j] < 0)
+    if zero and (min(zero) < base or min(one) < base):
+        j = next(j for j, (dj, uj) in enumerate(zip(zero, one)) if dj < base or uj < base)
         raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
-    return base, down, up
+    return base, zero, one
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,16 @@ class RatioReport:
         return tuple(r for r in self.rows if not r.ok)
 
 
-def cost_ratio(cost: float, opt: float, tol: float = 1e-6) -> float:
-    """cost / opt; against an optimum of 0 the ratio is 1 when cost is
-    within ``tol`` of 0 as well, and infinite otherwise."""
+def cost_verdict(cost: float, opt: float, bound: float, tol: float = 1e-6) -> tuple:
+    """(cost / opt, whether cost <= bound * opt + tol): the one verdict on a
+    cost against its claimed bound.  Against an optimum of 0 the ratio is 1
+    when cost is within ``tol`` of 0 as well, and infinite otherwise."""
     if opt <= 0.0:
-        return 1.0 if cost <= tol else float("inf")
-    return cost / opt
+        ratio = 1.0 if cost <= tol else float("inf")
+    else:
+        ratio = cost / opt
+    ok = cost <= bound * opt + tol
+    return ratio, ok
 
 
 def ratio_vs_opt(drive, battery, *, tol: float = 1e-6) -> tuple:
@@ -371,8 +375,7 @@ def ratio_vs_opt(drive, battery, *, tol: float = 1e-6) -> tuple:
             if id(policy) not in costs:
                 costs[id(policy)] = expected_cost(policy, case.dist, case.costs)
             cost = costs[id(policy)]
-            ratio = cost_ratio(cost, opt, tol)
-            ok = cost <= bound * opt + tol
+            ratio, ok = cost_verdict(cost, opt, bound, tol)
             rows.setdefault(k, []).append(RatioRow(case.id, cost, opt, ratio, bound, ok))
     return tuple(
         RatioReport(tuple(r), max(row.ratio for row in r), all(row.ok for row in r))

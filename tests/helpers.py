@@ -531,19 +531,20 @@ def reference_extract_ranking(sys, b):
 def reference_gains_at(g, b):
     """`gains_at` as first written, the reference for the one-pass
     ``step`` of a utility: g.fn at b and at each one-test extension, 2n + 1
-    calls, with the same monotonicity check and message."""
+    calls, with the same monotonicity check and message.  The record is
+    the same (g(b), zero, one), a tested position carrying g(b) in both."""
     base = g.fn(b)
     if base >= g.goal:
         return base, None, None
-    down = [0] * len(b)
-    up = [0] * len(b)
+    zero = [base] * len(b)
+    one = [base] * len(b)
     for j, v in enumerate(b):
         if v == STAR:
-            up[j] = g.fn(extend(b, j, 1)) - base
-            down[j] = g.fn(extend(b, j, 0)) - base
-            if up[j] < 0 or down[j] < 0:
+            one[j] = g.fn(extend(b, j, 1))
+            zero[j] = g.fn(extend(b, j, 0))
+            if one[j] < base or zero[j] < base:
                 raise InvalidUtilityError(f"monotonicity violated at {to_string(b)}, position {j}")
-    return base, tuple(down), tuple(up)
+    return base, tuple(zero), tuple(one)
 
 
 def reference_flag_planes(f) -> tuple:
@@ -768,22 +769,20 @@ class ReferenceDualGreedy:
         return tuple((ys + (y,), prefixes + (extend(b, i, v),)) for v in (0, 1))
 
 
-def prefix_ratios(g: UtilityFunction, steps, gains) -> tuple:
+def prefix_ratios(g: UtilityFunction, steps) -> tuple:
     """(t, ratio) for each prefix t of a run, given as (index, outcome) steps,
     that is short of the goal: the utility the steps from t on would each add
     at that prefix, summed, over the utility still missing there.  The
     reference for the running sums of `verify.adg_cost_and_alpha`: each
-    prefix is walked again from the root, O(n^2) per run.
-
-    ``gains(b)`` gives (g(b), down, up, ...) at a prefix, as `gains_at`
-    does."""
+    prefix is walked again from the root, O(n^2) per run, and its gains are
+    the differences of the `gains_at` record there from g(b)."""
     b = stars(g.arity)
     samples = []
     for t, (i, v) in enumerate(steps):
-        base, down, up = gains(b)[:3]
+        base, zero, one = gains_at(g, b)
         denom = g.goal - base
         if denom > 0:
-            total = sum(up[j] if w else down[j] for j, w in steps[t:])
+            total = sum((one[j] if w else zero[j]) - base for j, w in steps[t:])
             samples.append((t, total / denom))
         b = extend(b, i, v)
     return tuple(samples)
@@ -848,8 +847,8 @@ def reference_check_dual_feasibility(g, d, c) -> DualCertificate:
     def prefix_gain(pfx, j, v):
         if pfx not in records:
             records[pfx] = gains_at(g, pfx)
-        _, down, up = records[pfx]
-        return up[j] if v else down[j]
+        base, zero, one = records[pfx]
+        return (one[j] if v else zero[j]) - base
 
     slack = {}
     tight = {}

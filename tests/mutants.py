@@ -43,15 +43,12 @@ MUTANTS = (
         "src/sbfe/verify.py",
         "ok = cost <= bound * opt + tol",
         "ok = cost <= 2 * bound * opt + tol",
-        "ratio_vs_opt passes a cost up to twice its bound",
-        ("tests/test_verify.py::TestRatioVsOpt::test_verdict_at_its_edge[0.001-False]",),
-    ),
-    Mutant(
-        "src/sbfe/cli.py",
-        "passed = cost <= bound * opt + RATIO_TOL",
-        "passed = cost <= 2 * bound * opt + RATIO_TOL",
-        "eval's pass column accepts a cost up to twice its bound",
-        ("tests/test_cli.py::TestEval::test_pass_verdict_at_its_edge[0.001-False]",),
+        "cost_verdict, read by ratio_vs_opt and eval's pass column, passes a"
+        " cost up to twice its bound",
+        (
+            "tests/test_verify.py::TestRatioVsOpt::test_verdict_at_its_edge[0.001-False]",
+            "tests/test_cli.py::TestEval::test_pass_verdict_at_its_edge[0.001-False]",
+        ),
     ),
     Mutant(
         "src/sbfe/cli.py",
@@ -68,6 +65,16 @@ MUTANTS = (
         (
             "tests/test_verify.py::TestDualFeasibility"
             "::test_slack_just_past_its_tolerance_is_a_violation",
+        ),
+    ),
+    Mutant(
+        "src/sbfe/utility.py",
+        "if zero and (min(zero) < base or min(one) < base):",
+        "if zero and min(zero) < base:",
+        "gains_at checks only the outcome-0 values for monotonicity",
+        (
+            "tests/test_utility.py::TestGainRecord"
+            "::test_monotonicity_message_under_outcome_one",
         ),
     ),
     Mutant(

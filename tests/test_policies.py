@@ -63,7 +63,6 @@ from sbfe.policies import (
 from sbfe.problems import disjunction_formula
 from sbfe.utility import (
     cdnf_utility,
-    gains_at,
     threshold_utility,
 )
 from sbfe.utility import ThresholdFormula
@@ -288,7 +287,7 @@ class TestDualGreedyAgainstReference:
                 slow,
                 n,
                 lambda b, state, path: max(
-                    [1.0] + [r for _, r in prefix_ratios(g, path, lambda b: gains_at(g, b))]
+                    [1.0] + [r for _, r in prefix_ratios(g, path)]
                 ),
                 lambda i, lo, hi: max(lo, hi),
             )
@@ -460,7 +459,7 @@ class TestAlpha:
         g = cdnf_utility(disjunction_formula(2))
         d = ProductDistribution((0.5,) * 2)
         tr = run_on(DualGreedyPolicy(g, d, (1.0, 1.0)), (0, 1))
-        samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)), lambda b: gains_at(g, b))
+        samples = prefix_ratios(g, tuple(zip(tr.tested, tr.outcomes)))
         # at the empty prefix the denominator is the whole goal
         expect = sum(
             g.fn(extend(stars(2), i, v)) for i, v in zip(tr.tested, tr.outcomes)

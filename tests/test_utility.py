@@ -99,21 +99,21 @@ def random_partials(rng, n, count):
 
 
 class TestMarginals:
-    """`gains_at` gives (g(b), down, up); `GreedyPolicy.gains` gives the
-    step's values (g(b), zero, one), whose expected gains
-    `reference_expected_gains` computes as `_cheapest` does."""
+    """`gains_at` and `GreedyPolicy.gains` give the step's values (g(b),
+    zero, one), whose expected gains `reference_expected_gains` computes
+    as `_cheapest` does."""
 
     def test_cdnf_jump_to_goal(self):
         g = cdnf_utility(conjunction_formula(2))
         assert g.goal == 2
-        _, down, _ = gains_at(g, (STAR, STAR))
-        assert down[0] == 2
+        base, zero, _ = gains_at(g, (STAR, STAR))
+        assert zero[0] - base == 2
 
     def test_tested_position_gains_nothing(self):
         g = cdnf_utility(conjunction_formula(2))
         b = (1, STAR)
-        _, down, up = gains_at(g, b)
-        assert down[0] == up[0] == 0
+        base, zero, one = gains_at(g, b)
+        assert zero[0] == one[0] == base
         pol = GreedyPolicy(g, ProductDistribution((0.5,) * 2), (1.0, 1.0))
         base, zero, one = rec = pol.gains(b)
         assert zero[0] == one[0] == base  # so `_cheapest` skips it
@@ -123,8 +123,8 @@ class TestMarginals:
     def test_threshold_jump(self):
         g = threshold_utility(ThresholdFormula((1, 1), 1))
         assert g.goal == 2
-        _, _, up = gains_at(g, (STAR, STAR))
-        assert up[0] == 2
+        base, _, one = gains_at(g, (STAR, STAR))
+        assert one[0] - base == 2
 
     def test_expected_gain_or(self):
         g = cdnf_utility(disjunction_formula(2))
@@ -132,6 +132,11 @@ class TestMarginals:
         pol = GreedyPolicy(g, d, (1.0, 1.0))
         eg = reference_expected_gains(pol.p, pol.gains((STAR, STAR)))
         assert eg == pytest.approx((1.5, 1.5))
+
+    def test_arity_zero_short_of_goal(self):
+        # no position to test, so nothing to check: the empty record
+        g = UtilityFunction(0, 1, lambda b: 0, lambda b: ((), ()))
+        assert gains_at(g, ()) == (0, (), ())
 
     def test_broken_utility_detected(self):
         # goal 2, so the root is short of it and its gains are computed
@@ -345,10 +350,10 @@ RECORD_KINDS = {
 
 def _records_against_reference(kind, rng, n, states):
     """Compare the greedy's gain record with `reference_gains_at` at each
-    of ``states(n)``: the record's zero - g(b) and one - g(b) are the
-    reference's gains, and the expected gains computed from it are p_j *
-    up_j + (1 - p_j) * down_j of those gains, bit for bit.  Returns the
-    states compared."""
+    of ``states(n)``: the two records are equal, and the expected gains
+    computed from the greedy's are p_j * up_j + (1 - p_j) * down_j of the
+    reference's gains up_j = one_j - g(b) and down_j = zero_j - g(b), bit
+    for bit.  Returns the states compared."""
     make, build, reference = RECORD_KINDS[kind]
     inst = make(rng, n)
     g, ref = build(inst), reference(inst)
@@ -358,13 +363,13 @@ def _records_against_reference(kind, rng, n, states):
     for b in states(n):
         base, zero, one = rec = pol.gains(b)
         eg = reference_expected_gains(pol.p, rec)
-        want_base, down, up = reference_gains_at(ref, b)
-        assert base == want_base, (kind, b)
-        if down is None:
-            assert zero is one is eg is None, (kind, b)
+        _, ref_zero, ref_one = want = reference_gains_at(ref, b)
+        assert rec == want, (kind, b)
+        if zero is None:
+            assert eg is None, (kind, b)
             continue
-        assert tuple(v - base for v in zero) == down, (kind, b)
-        assert tuple(v - base for v in one) == up, (kind, b)
+        up = [v - base for v in ref_one]
+        down = [v - base for v in ref_zero]
         want = [(pj * uj + (1.0 - pj) * dj).hex() for pj, uj, dj in zip(p, up, down)]
         assert [e.hex() for e in eg] == want, (kind, b)
         compared += 1
@@ -398,15 +403,13 @@ class TestGainRecord:
             )
         assert compared
 
-    def test_monotonicity_message_everywhere(self):
-        # setting position 1 to 0 loses utility at the root, so every way
-        # in fails there with the message of `gains_at`
-        def fn(b):
-            return 3 + 2 * sum(v != STAR for v in b) - 3 * (b[1] == 0)
-
+    @staticmethod
+    def _fails_everywhere(fn, message):
+        """Every way into the root of the 3-position utility ``fn`` (goal
+        100) fails there with ``message``: `gains_at`, both policies'
+        `gains` and `policy_runs` of both."""
         g = utility_from_fn(3, 100, fn)
         d, c = ProductDistribution((0.5,) * 3), (1.0,) * 3
-        message = "monotonicity violated at ***, position 1"
         calls = [lambda: gains_at(g, (STAR,) * 3)]
         for cls in (GreedyPolicy, DualGreedyPolicy):
             calls.append(lambda cls=cls: cls(g, d, c).gains((STAR,) * 3))
@@ -415,6 +418,24 @@ class TestGainRecord:
             with pytest.raises(InvalidUtilityError) as exc:
                 call()
             assert str(exc.value) == message
+
+    def test_monotonicity_message_everywhere(self):
+        # setting position 1 to 0 loses utility at the root, so every way
+        # in fails there with the message of `gains_at`
+        def fn(b):
+            return 3 + 2 * sum(v != STAR for v in b) - 3 * (b[1] == 0)
+
+        self._fails_everywhere(fn, "monotonicity violated at ***, position 1")
+
+    def test_monotonicity_message_under_outcome_one(self):
+        # setting position 2 to 1 loses utility at the root and every
+        # outcome-0 value gains, so only the check of the one values fails
+        def fn(b):
+            return 3 + 2 * sum(v != STAR for v in b) - 3 * (b[2] == 1)
+
+        base, (zero, one) = fn((STAR,) * 3), step_from_fn(fn)((STAR,) * 3)
+        assert min(zero) > base and [j for j in range(3) if one[j] < base] == [2]
+        self._fails_everywhere(fn, "monotonicity violated at ***, position 2")
 
 
 def _random_credit(rng, cost):

@@ -48,7 +48,6 @@ from sbfe.utility import (
     ThresholdFormula,
     UtilityFunction,
     cdnf_utility,
-    gains_at,
     threshold_utility,
     truth_table_utility,
 )
@@ -436,7 +435,7 @@ class TestObservedAlpha:
             for x in all_assignments(g.arity):
                 tested, outs, _, _ = reference_run(policy, x, g.arity, policy.c)
                 steps = tuple(zip(tested, outs))
-                for _, r in prefix_ratios(g, steps, lambda b: gains_at(g, b)):
+                for _, r in prefix_ratios(g, steps):
                     per_input = max(per_input, r)
             assert walked == pytest.approx(per_input, abs=1e-12)
 
