@@ -425,17 +425,23 @@ def optimal_expected_cost(f, d, c) -> float:
     a time, a level being the number of untested high positions.  A block
     stays the Python list it is computed in: its low children sit in it,
     and its high children are whole blocks one level below, read as they
-    are.  A block whose states are all certified is one shared list of
-    zeros; a block's slice of the table is searched for a zero byte, and
-    only a block that holds one is translated into the 0/1 selector of its
-    uncertified states.  The set-up holds the one table, a byte per state,
-    throughout, and under three while a plane's last widening step runs.
-    Two levels are held at a time, so an uncertified state costs a list
-    slot and a float, 32 bytes, while its level and the next are held.  At
-    k = 14 this peaks 14-16 MB above the interpreter where few states are
-    uncertified (a disjunction, a threshold with 6%), 46 MB on a threshold
-    with 33%, and about 90-100 MB where most are.  The cap, OPTIMUM_MAX_N,
-    applies to n, not k.
+    are.  Three things fix a block's values: its slice of the table, its
+    untested high positions with their p and c, and which lists its high
+    children are.  The blocks of a level that agree on all three share one
+    list, filled once, so a repeated block costs one dict look-up.  The
+    all-certified blocks are the fast case of this: one list of zeros that
+    every level shares, found by searching a block's slice for a zero byte,
+    and only a block that holds one is translated into the 0/1 selector of
+    its uncertified states.  The set-up holds the one table, a byte per
+    state, throughout, and under three while a plane's last widening step
+    runs.  Two levels are held at a time, so an uncertified state of a
+    distinct block costs a list slot and a float, 32 bytes, while its level
+    and the next are held.  At k = 14 tracemalloc's peak is 13-15 MB where
+    few states are uncertified (a disjunction, a threshold with 6%), 30 MB
+    on a threshold with 33%, 42 MB on one with 57%, 45% of whose blocks
+    repeat, and 72-90 MB on a linear system and a threshold set with 76%
+    and 90%, whose blocks repeat less.  The cap, OPTIMUM_MAX_N, applies to
+    n, not k.
     """
     n = f.arity
     p = as_probabilities(d)
@@ -470,7 +476,7 @@ def optimal_expected_cost(f, d, c) -> float:
 
     # A low position's children sit in the same block, at these indices.
     in_block = [
-        tuple((lo - w1, lo - w0, ci, pi, qi) for w1, w0, ci, pi, qi in steps)
+        (lo, tuple((lo - w1, lo - w0, ci, pi, qi) for w1, w0, ci, pi, qi in steps))
         for lo, steps in enumerate(untested(range(n - low, n)))
     ]
     # The blocks by level, the number of untested high positions: a high
@@ -480,9 +486,11 @@ def optimal_expected_cost(f, d, c) -> float:
     for high, high_steps in enumerate(untested(range(n - low))):
         levels[len(high_steps)].append((high * low_size, high_steps))
     zeros = [0.0] * low_size  # every block whose states are all certified
+    inf = math.inf
     below = {}  # the last level's blocks by base key
     for level in levels:
         done = {}
+        shared = {}  # this level's blocks by what fixes their values
         for base, high_steps in level:
             sel = certified[base : base + low_size]
             if 0 not in sel:
@@ -490,18 +498,23 @@ def optimal_expected_cost(f, d, c) -> float:
                 continue
             children = [(below[base - w1], below[base - w0], ci, pi, qi)
                         for w1, w0, ci, pi, qi in high_steps]
-            block = [0.0] * low_size
-            for lo in itertools.compress(range(low_size), sel.translate(_ZERO_TO_ONE)):
-                best = math.inf  # an uncertified state has an untested position
-                for one, zero, ci, pi, qi in children:
-                    v = ci + pi * one[lo] + qi * zero[lo]
-                    if v < best:
-                        best = v
-                for a1, a0, ci, pi, qi in in_block[lo]:
-                    v = ci + pi * block[a1] + qi * block[a0]
-                    if v < best:
-                        best = v
-                block[lo] = best
+            # the child lists stay in `below` for the whole level, so their
+            # ids name them
+            key = (sel, high_steps, *[(id(one), id(zero)) for one, zero, _, _, _ in children])
+            block = shared.get(key)
+            if block is None:
+                block = shared[key] = [0.0] * low_size
+                for lo, steps in itertools.compress(in_block, sel.translate(_ZERO_TO_ONE)):
+                    best = inf  # an uncertified state has an untested position
+                    for one, zero, ci, pi, qi in children:
+                        v = ci + pi * one[lo] + qi * zero[lo]
+                        if v < best:
+                            best = v
+                    for a1, a0, ci, pi, qi in steps:
+                        v = ci + pi * block[a1] + qi * block[a0]
+                        if v < best:
+                            best = v
+                    block[lo] = best
             done[base] = block
         below = done
     (top,) = below.values()  # the one block with every high position untested

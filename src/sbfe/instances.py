@@ -231,7 +231,7 @@ def _ranked(system: LinearSystem) -> LinearSystem:
 
 
 def gen_threshold_set(rng: random.Random, m: int, n: int) -> ThresholdSet:
-    return ThresholdSet(tuple(gen_threshold(rng, n, 3) for _ in range(m)))
+    return ThresholdSet(tuple(gen_threshold(rng, n, max_coeff=3) for _ in range(m)))
 
 
 def gen_knapsack(rng: random.Random, n: int) -> KnapsackInstance:

@@ -133,6 +133,36 @@ MUTANTS = (
             "::test_same_trees_duals_alpha_and_cost[threshold]",
         ),
     ),
+    Mutant(
+        "src/sbfe/cli.py",
+        "ok = cert.ok and cert.objective_gap <= 1e-6",
+        "ok = cert.ok and cert.objective_gap <= 1e-2",
+        "verify's dual lines pass an objective gap 10^4 times larger",
+        ("tests/test_cli.py::TestVerify::test_objective_gap_fails_the_dual_lines",),
+    ),
+    Mutant(
+        "src/sbfe/core.py",
+        "key = (sel, high_steps, *",
+        "key = (sel, *",
+        "the optimum shares a block between blocks whose high positions differ",
+        (
+            "tests/test_core.py::TestOptimumAgainstReference"
+            "::test_sparse_at_larger_splits[threshold-13]",
+            "tests/test_core.py::TestSqueezedOptimum::test_cdnf_battery",
+        ),
+    ),
+    Mutant(
+        "src/sbfe/core.py",
+        "*[(id(one), id(zero)) for one, zero, _, _, _ in children])",
+        ")",
+        "the optimum shares a block between blocks whose high children differ",
+        (
+            "tests/test_core.py::TestOptimumAgainstReference"
+            "::test_same_value_and_tree[linear-system]",
+            "tests/test_core.py::TestOptimumAgainstReference"
+            "::test_sparse_and_dense_at_odd_split[truthtable]",
+        ),
+    ),
 )
 
 

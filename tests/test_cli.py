@@ -17,6 +17,7 @@ import pytest
 from helpers import reference_run, step_off_by_one
 from sbfe import cli
 from sbfe import instances as inst_mod
+from sbfe import verify as verify_mod
 from sbfe.cli import main
 from sbfe.core import (
     OPTIMUM_MAX_N,
@@ -634,6 +635,36 @@ class TestVerify:
         assert len(random_lines) == 2
         for line in random_lines:
             assert line.startswith("[FAIL] ") and line.endswith(": step disagrees with fn")
+
+    def test_objective_gap_fails_the_dual_lines(self, capsys, monkeypatch):
+        # every record the walks open gains 1e-4 more than its test did: the
+        # dual sums are untouched, but the dual mass drifts from the cost by
+        # 1.7e-5 to 5.1e-5, past the 1e-6 the dual lines allow
+        prefix_records = verify_mod._prefix_records
+
+        def inflated(pol):
+            grow = prefix_records(pol)
+
+            def inflating(records, b, i, v):
+                records = grow(records, b, i, v)
+                gap, base, zero, one, gained = records[-1]
+                records[-1] = (gap, base, zero, one, gained + 1e-4)
+                return records
+
+            return inflating
+
+        monkeypatch.setattr(verify_mod, "_prefix_records", inflated)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "0")
+        assert code == 1
+        failed = [line for line in out.splitlines() if not line.startswith("[PASS] ")]
+        assert len(failed) == 3
+        for line in failed:
+            m = re.fullmatch(
+                r"\[FAIL\] dual-feasibility threshold-\d+-\d{3} \(\d+ runs\): "
+                r"objective gap (\d\.\d\de-\d\d)",
+                line,
+            )
+            assert m and 1e-5 < float(m[1]) < 1e-4, line
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         import sbfe.cli as cli_mod
